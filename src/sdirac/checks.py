@@ -232,16 +232,19 @@ def check_assembly(k: int, mode: str = "both", tol_match: float = 1e-12) -> Chec
     return CheckResult("assembly-match", k, ok, res)
 
 
-def check_symmetry(k: int, tol_eig: float = 1e-10, backend=None) -> CheckResult:
+def check_symmetry(k: int, tol_eig: float = 1e-10) -> CheckResult:
+    """Spectrum symmetric about 0.  The eigensolver mirrors the positive
+    half of every zero-diagonal block, so this float residual is 0 by
+    construction; ``charpoly-parity`` certifies the symmetry exactly."""
     d, _ = assemble_closed_form(k)
-    eigs = spectrum(d, backend=backend)
+    eigs = spectrum(d)
     res = float(np.max(np.abs(eigs + eigs[::-1])))
     return CheckResult("symmetry", k, res <= tol_eig, res)
 
 
-def check_coincide(k: int, tol_eig: float = 1e-10, backend=None) -> CheckResult:
+def check_coincide(k: int, tol_eig: float = 1e-10) -> CheckResult:
     d, dt = assemble_closed_form(k)
-    res = float(np.max(np.abs(spectrum(d, backend=backend) - spectrum(dt, backend=backend))))
+    res = float(np.max(np.abs(spectrum(d) - spectrum(dt))))
     ok = res <= tol_eig and unitary_equivalence_exact(k)
     return CheckResult("spectra-coincide", k, ok, res)
 
@@ -285,7 +288,7 @@ def check_det_product(k: int) -> CheckResult:
     return CheckResult("det-product", k, ok, 0.0)
 
 
-def check_charpoly_eigs(k: int, backend=None, rel_width: float = 1e-13) -> CheckResult:
+def check_charpoly_eigs(k: int, rel_width: float = 1e-13) -> CheckResult:
     """Certify each bisection eigenvalue against the exact characteristic
     polynomial: p must change sign, in rational arithmetic, across the
     interval of relative half-width ``rel_width`` around the computed value.
@@ -294,7 +297,7 @@ def check_charpoly_eigs(k: int, backend=None, rel_width: float = 1e-13) -> Check
     cp = charpoly_exact(k)
     d, _ = assemble_closed_form(k)
     ok = True
-    for x in spectrum(d, backend=backend):
+    for x in spectrum(d):
         fx = Fraction(float(x))
         delta = Fraction(rel_width) * max(Fraction(1), abs(fx))
         if cp.eval_exact(fx - delta) * cp.eval_exact(fx + delta) > 0:
@@ -302,9 +305,9 @@ def check_charpoly_eigs(k: int, backend=None, rel_width: float = 1e-13) -> Check
     return CheckResult("charpoly-eigs", k, ok, rel_width)
 
 
-def check_norm_bound(k: int, backend=None) -> CheckResult:
+def check_norm_bound(k: int) -> CheckResult:
     d, _ = assemble_closed_form(k)
-    mx = float(np.max(np.abs(spectrum(d, backend=backend))))
+    mx = float(np.max(np.abs(spectrum(d))))
     a1 = a_coeff(k, 1)
     lower = (k - 1) // 2
     ok = a1.square >= lower * lower and mx >= a1.value - 1e-9 * (1.0 + a1.value)
@@ -340,7 +343,6 @@ def run_checks(
     mode: str = "both",
     tol_eig: float = 1e-10,
     tol_match: float = 1e-12,
-    backend: str | None = None,
 ):
     """Run the selected checks (all by default) over the given odd k values;
     global checks run once.  Returns a list of CheckResult."""
@@ -365,14 +367,14 @@ def run_checks(
         "hom-dim": check_hom_dim,
         "equivariance": check_equivariance,
         "assembly-match": lambda k: check_assembly(k, mode=mode, tol_match=tol_match),
-        "symmetry": lambda k: check_symmetry(k, tol_eig=tol_eig, backend=backend),
-        "spectra-coincide": lambda k: check_coincide(k, tol_eig=tol_eig, backend=backend),
+        "symmetry": lambda k: check_symmetry(k, tol_eig=tol_eig),
+        "spectra-coincide": lambda k: check_coincide(k, tol_eig=tol_eig),
         "kernel-rule": check_kernel_rule,
         "p-eigenvalues": lambda k: check_p_eigenvalues(k, tol_eig=tol_eig),
         "charpoly-parity": check_charpoly_parity,
         "det-product": check_det_product,
-        "charpoly-eigs": lambda k: check_charpoly_eigs(k, backend=backend),
-        "norm-bound": lambda k: check_norm_bound(k, backend=backend),
+        "charpoly-eigs": check_charpoly_eigs,
+        "norm-bound": check_norm_bound,
     }
     for k in sorted(k_values):
         for name in PER_K_CHECKS:

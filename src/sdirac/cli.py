@@ -55,7 +55,10 @@ def parse_k_values(arg: str) -> list:
         if a < 1 or b < a:
             raise UserInputError(f"range must satisfy 1 <= a <= b: {arg!r}")
         start = a if a % 2 == 1 else a + 1
-        return list(range(start, b + 1, 2))
+        ks = list(range(start, b + 1, 2))
+        if not ks:
+            raise UserInputError(f"range holds no odd k: {arg!r}")
+        return ks
     try:
         ks = [int(tok) for tok in arg.split(",")]
     except ValueError:
@@ -156,13 +159,18 @@ def _report_worker(payload):
     return report_to_dict(build_report(k, tol_eig=tol_eig, tol_match=tol_match, mode=mode))
 
 
+def worker_count(jobs: int, n_items: int) -> int:
+    """Worker processes for n_items reports: ``jobs`` (0 = one per CPU),
+    capped by the CPU count and by n_items."""
+    cpus = os.cpu_count() or 1
+    return min(jobs or cpus, n_items, cpus)
+
+
 def _compute_report_dicts(cfg: RunConfig) -> list:
     ks = sorted(cfg.k_values)
     payloads = [(k, cfg.tol_eig, cfg.tol_match, cfg.mode) for k in ks]
-    jobs = cfg.jobs
-    if jobs == 0:
-        jobs = min(os.cpu_count() or 1, len(ks))
-    if jobs <= 1 or len(ks) <= 1:
+    jobs = worker_count(cfg.jobs, len(ks))
+    if jobs <= 1:
         return [_report_worker(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_report_worker, payloads))

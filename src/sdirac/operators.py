@@ -145,12 +145,6 @@ def definition_coeffs(k: int, exact: bool = True):
     """
     _require_odd(k)
     rep = build_rep(k)
-    if exact:
-        e1, e2 = rep.e1, rep.e2
-    else:
-        _, e1a, e2a = rep.as_arrays()
-        e1 = [[complex(x) for x in row] for row in e1a]
-        e2 = [[complex(x) for x in row] for row in e2a]
     m = (k + 1) // 2
     x1 = MVector((1, 0))
     x2 = MVector((0, 1))
@@ -165,10 +159,12 @@ def definition_coeffs(k: int, exact: bool = True):
         down_d = down_dt = zero
         up_d = up_dt = None
         for j in range(k + 1):
-            s1 = e1[j0][j]
-            s2 = e2[j0][j]
+            s1 = rep.e1[j0][j]
+            s2 = rep.e2[j0][j]
             if not s1 and not s2:
                 continue
+            if not exact:
+                s1, s2 = complex(s1), complex(s2)
             col_d = e1h.scaled(-s2) + e2h.scaled(s1)
             col_dt = e1h.scaled(-s1) + e2h.scaled(-s2)
             if col_d.overflow or col_dt.overflow:
@@ -384,11 +380,11 @@ def _phase_strip(entries: np.ndarray):
     return d, np.ascontiguousarray(b)
 
 
-def spectrum(dm: DiracMatrix, backend: str | None = None) -> np.ndarray:
+def spectrum(dm: DiracMatrix) -> np.ndarray:
     """All eigenvalues of a Hermitian tridiagonal block, ascending, by
     Sturm bisection after phase-stripping to real symmetric form."""
     d, b = _phase_strip(dm.entries)
-    return eigvalsh_tridiagonal(d, b, backend=backend)
+    return eigvalsh_tridiagonal(d, b)
 
 
 def unitary_equivalence_exact(k: int) -> bool:
@@ -400,7 +396,7 @@ def unitary_equivalence_exact(k: int) -> bool:
     return bool(np.array_equal(conj, dt.entries))
 
 
-def norm_growth(k_max: int, backend: str | None = None):
+def norm_growth(k_max: int):
     """For each odd k <= k_max: (k, max |eigenvalue|, a_{k,1}, (k-1)/2),
     asserting the chain max|eig| >= a_{k,1} >= (k-1)/2 that drives the
     spectral unboundedness."""
@@ -408,7 +404,7 @@ def norm_growth(k_max: int, backend: str | None = None):
     rows = []
     for k in range(1, k_max + 1, 2):
         d, _ = assemble_closed_form(k)
-        eigs = spectrum(d, backend=backend)
+        eigs = spectrum(d)
         mx = float(np.max(np.abs(eigs)))
         a1 = a_coeff(k, 1)
         lower = (k - 1) // 2
@@ -453,7 +449,6 @@ def build_report(
     tol_eig: float = 1e-10,
     tol_match: float = 1e-12,
     mode: str = "both",
-    backend: str | None = None,
 ) -> SpectrumReport:
     """Assemble, solve and verify one k; check failures are flagged, not
     raised, so a sweep always completes."""
@@ -463,8 +458,8 @@ def build_report(
     m = (k + 1) // 2
     cp = charpoly_exact(k)
     d, dt = assemble_closed_form(k)
-    eig_d = spectrum(d, backend=backend)
-    eig_dt = spectrum(dt, backend=backend)
+    eig_d = spectrum(d)
+    eig_dt = spectrum(dt)
 
     checks = {}
     ok = True

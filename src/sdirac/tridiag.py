@@ -1,39 +1,27 @@
 """Eigenvalues of real symmetric tridiagonal matrices by Sturm bisection.
 
-This is the one numerically hot loop in the package, so it has two paths.
-The scalar kernel ``_bisect_scalar`` is plain Python that works one
-eigenvalue at a time; where numba imports it is compiled, from the same
-source, as ``_bisect_numba``.  The pure-numpy fallback ``_bisect_numpy`` is
-vectorized over eigenvalue indices.  numba is optional: the fallback is
-selected automatically when numba is missing, or explicitly by setting the
-environment variable ``SDIRAC_NO_NUMBA=1``.  Both paths perform the
-identical sequence of IEEE operations and return bit-identical results.
-The tests check that promise against the interpreted scalar kernel
-everywhere, and against the compiled one where numba is present;
-``benchmarks/bench_tridiag.py`` compares the speed of the two backends.
-
-Bisection is deterministic and tolerance-controllable: each eigenvalue is
+This is the one numerically hot loop in the package.  ``_bisect`` is a
+pure-numpy kernel vectorized over eigenvalue indices: each eigenvalue is
 bracketed from the global Gershgorin interval by counting, via the Sturm
 pivot recurrence, how many eigenvalues lie below the midpoint, and halving
 until the bracket collapses to adjacent floats (well past 1e-13 relative
-accuracy).
+accuracy).  Every lane performs the same IEEE operations whichever other
+indices are bisected with it, so the result is deterministic and does not
+depend on which indices are requested.  A pass sweeps the rows in
+cache-sized blocks, and is redone with the zero-pivot floor only when it
+meets a pivot that is exactly zero.
+
+A tridiagonal matrix with zero diagonal, which every phase-stripped Dirac
+block is, is similar to its own negative (Golub & Kahan, 1965): its
+spectrum is +-sigma, plus an exact 0 when the size is odd.
+``eigvalsh_tridiagonal`` observes that property of its input, bisects only
+the upper half of the indices and mirrors it, so such spectra are exactly
+antisymmetric and their middle eigenvalue is exactly 0.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-_ENV_OFF = os.environ.get("SDIRAC_NO_NUMBA", "").strip() not in ("", "0")
-DEFAULT_BACKEND = "numba" if (_HAVE_NUMBA and not _ENV_OFF) else "numpy"
 
 # Substitute for an exactly-zero Sturm pivot; any overflow it causes is
 # benign (the count recurrence is IEEE-stable through +-inf).
@@ -41,63 +29,69 @@ _PIVOT_FLOOR = 1e-300
 
 _MAX_BISECT_ITER = 200
 
-
-def _bisect_numpy(d, bsq, lo0, hi0):
-    m = d.shape[0]
-    idx = np.arange(m)
-    lo = np.full(m, lo0)
-    hi = np.full(m, hi0)
-    for _ in range(_MAX_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
-        active = (mid != lo) & (mid != hi)
-        if not active.any():
-            break
-        cnt = np.zeros(m, dtype=np.int64)
-        q = d[0] - mid
-        cnt += q < 0
-        for i in range(1, m):
-            q = np.where(q == 0.0, _PIVOT_FLOOR, q)
-            q = d[i] - mid - bsq[i - 1] / q
-            cnt += q < 0
-        below = cnt <= idx
-        lo = np.where(active & below, mid, lo)
-        hi = np.where(active & ~below, mid, hi)
-    return 0.5 * (lo + hi)
+# Float64 pivots one bisection pass holds at once.  Larger problems sweep
+# their rows in blocks of this many entries, which keeps the block in cache
+# and the scratch memory small.
+_BLOCK_ENTRIES = 1 << 16
 
 
-def _bisect_scalar(d, bsq, lo0, hi0):
-    """Per-index bisection: the same IEEE operations as ``_bisect_numpy``,
-    one eigenvalue at a time.  Plain Python; compiled by numba when it
-    imports, and run interpreted by the tests everywhere."""
-    m = d.shape[0]
-    out = np.empty(m)
-    for idx in range(m):
-        lo = lo0
-        hi = hi0
+def _sturm_signs(d, bsq, mid, q, rows, neg, careful):
+    """Set neg[i] to (pivot i < 0) for every row i of the Sturm recurrence
+    q[i] = (d[i] - mid) - bsq[i-1] / q[i-1], one lane per entry of mid.
+
+    The rows are swept in blocks of q's height; ``rows`` lists q's row
+    views.  With ``careful`` an exactly-zero pivot is replaced by
+    _PIVOT_FLOOR before it divides.  Without, the sweep returns False at
+    the first block holding a zero pivot, whose quotient is inf or nan."""
+    m, height = d.shape[0], q.shape[0]
+    r = np.empty(q.shape[1])
+    carry = np.empty(q.shape[1])
+    for start in range(0, m, height):
+        size = min(height, m - start)
+        np.subtract.outer(d[start : start + size], mid, out=q[:size])
+        if start == 0:
+            prev, todo, coeffs = rows[0], rows[1:size], bsq
+        else:
+            prev, todo, coeffs = carry, rows[:size], bsq[start - 1 : start - 1 + size]
+        for b, row in zip(coeffs, todo):
+            if careful:
+                np.copyto(prev, _PIVOT_FLOOR, where=prev == 0.0)
+            np.divide(b, prev, out=r)
+            np.subtract(row, r, out=row)
+            prev = row
+        if not careful and not q[: min(size, m - 1 - start)].all():
+            return False
+        np.less(q[:size], 0.0, out=neg[start : start + size])
+        np.copyto(carry, prev)
+    return True
+
+
+def _bisect(d, bsq, lo0, hi0, idx):
+    """Eigenvalues with the ascending indices ``idx``, one bisection lane
+    each, all starting from the bracket [lo0, hi0].  A lane stops when its
+    midpoint equals an end of its bracket, or after _MAX_BISECT_ITER
+    halvings."""
+    m, n = d.shape[0], idx.shape[0]
+    lo = np.full(n, lo0)
+    hi = np.full(n, hi0)
+    q = np.empty((max(1, min(m, _BLOCK_ENTRIES // max(n, 1))), n))
+    neg = np.empty((m, n), dtype=bool)
+    rows = list(q)
+    bsq = bsq.tolist()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(_MAX_BISECT_ITER):
             mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
+            active = (mid != lo) & (mid != hi)
+            if not active.any():
                 break
-            cnt = 0
-            q = d[0] - mid
-            if q < 0:
-                cnt += 1
-            for i in range(1, m):
-                if q == 0.0:
-                    q = _PIVOT_FLOOR
-                q = d[i] - mid - bsq[i - 1] / q
-                if q < 0:
-                    cnt += 1
-            if cnt <= idx:
-                lo = mid
-            else:
-                hi = mid
-        out[idx] = 0.5 * (lo + hi)
-    return out
-
-
-if _HAVE_NUMBA:
-    _bisect_numba = njit(cache=True)(_bisect_scalar)
+            # A zero pivot is rare (the first midpoint of a zero-diagonal
+            # matrix is one); only then is the pass redone with the floor.
+            if not _sturm_signs(d, bsq, mid, q, rows, neg, careful=False):
+                _sturm_signs(d, bsq, mid, q, rows, neg, careful=True)
+            below = neg.sum(axis=0) <= idx
+            lo = np.where(active & below, mid, lo)
+            hi = np.where(active & ~below, mid, hi)
+    return 0.5 * (lo + hi)
 
 
 def _gershgorin_bracket(d, b) -> tuple[float, float]:
@@ -109,47 +103,46 @@ def _gershgorin_bracket(d, b) -> tuple[float, float]:
     return float(np.min(d - radius)), float(np.max(d + radius))
 
 
-def sturm_count(diag, offdiag, x: float) -> int:
-    """Number of eigenvalues strictly below x."""
-    d = np.ascontiguousarray(diag, dtype=np.float64)
-    b = np.ascontiguousarray(offdiag, dtype=np.float64)
-    cnt = 0
-    q = d[0] - x
-    cnt += q < 0
-    for i in range(1, d.shape[0]):
-        if q == 0.0:
-            q = _PIVOT_FLOOR
-        q = d[i] - x - b[i - 1] ** 2 / q
-        cnt += q < 0
-    return int(cnt)
-
-
-def eigvalsh_tridiagonal(diag, offdiag, backend: str | None = None) -> np.ndarray:
-    """All eigenvalues, ascending, of the real symmetric tridiagonal matrix
-    with the given diagonal and off-diagonal.
-
-    backend: None for the module default (numba unless unavailable or
-    disabled via SDIRAC_NO_NUMBA), or explicitly "numba" / "numpy".
-    """
+def _as_tridiagonal(diag, offdiag):
+    """Float64 copies of a diagonal and off-diagonal, validated as one
+    tridiagonal matrix: both one-dimensional, offdiag one shorter."""
     d = np.ascontiguousarray(diag, dtype=np.float64)
     b = np.ascontiguousarray(offdiag, dtype=np.float64)
     if d.ndim != 1 or b.ndim != 1:
         raise ValueError("diag and offdiag must be one-dimensional")
     m = d.shape[0]
+    if b.shape[0] != max(m - 1, 0):
+        raise ValueError(f"offdiag must have length {max(m - 1, 0)}, got {b.shape[0]}")
+    return d, b
+
+
+def sturm_count(diag, offdiag, x: float) -> int:
+    """Number of eigenvalues strictly below x."""
+    d, b = _as_tridiagonal(diag, offdiag)
+    if d.shape[0] == 0:
+        raise ValueError("the matrix is empty")
+    q = np.empty((d.shape[0], 1))
+    neg = np.empty((d.shape[0], 1), dtype=bool)
+    with np.errstate(over="ignore"):
+        _sturm_signs(d, (b * b).tolist(), np.array([float(x)]), q, list(q), neg, careful=True)
+    return int(neg.sum())
+
+
+def eigvalsh_tridiagonal(diag, offdiag) -> np.ndarray:
+    """All eigenvalues, ascending, of the real symmetric tridiagonal matrix
+    with the given diagonal and off-diagonal.
+
+    If the diagonal is identically zero, only the upper half of the
+    spectrum is bisected; the lower half is its exact mirror and, for odd
+    size, the middle eigenvalue is exactly 0.
+    """
+    d, b = _as_tridiagonal(diag, offdiag)
+    m = d.shape[0]
     if m == 0:
         return np.empty(0)
-    if b.shape[0] != m - 1:
-        raise ValueError(f"offdiag must have length {m - 1}, got {b.shape[0]}")
-
     lo0, hi0 = _gershgorin_bracket(d, b)
     bsq = b * b
-
-    if backend is None:
-        backend = DEFAULT_BACKEND
-    if backend == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return _bisect_numba(d, bsq, lo0, hi0)
-    if backend == "numpy":
-        return _bisect_numpy(d, bsq, lo0, hi0)
-    raise ValueError(f"unknown backend {backend!r}")
+    if d.any():
+        return _bisect(d, bsq, lo0, hi0, np.arange(m))
+    pos = _bisect(d, bsq, lo0, hi0, np.arange(m - m // 2, m))
+    return np.concatenate([-pos[::-1], np.zeros(m % 2), pos])

@@ -2,11 +2,12 @@
 
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
 
-from sdirac.cli import dumps_canonical, main, parse_k_values
+from sdirac.cli import dumps_canonical, main, parse_k_values, worker_count
 
 DATA = Path(__file__).parent / "data"
 
@@ -36,6 +37,31 @@ class TestParseK:
         for bad in ("0", "-3", "a..b", "3..1", "1..2..3", "x"):
             with pytest.raises(ValueError):
                 parse_k_values(bad)
+
+    def test_range_without_odd_k_is_error(self):
+        with pytest.raises(ValueError):
+            parse_k_values("2..2")
+
+    @pytest.mark.parametrize("command", ["spectrum", "charpoly", "verify"])
+    def test_empty_selection_exits_2(self, command, capsys):
+        assert main([command, "-k", "2..2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+class TestWorkerCount:
+    # Pure arithmetic: no pool is started here.
+    def test_large_request_is_capped(self):
+        cpus = os.cpu_count() or 1
+        assert worker_count(10**6, 1000) == min(cpus, 1000)
+        assert worker_count(10**6, 1) == 1
+
+    def test_auto_and_explicit(self):
+        cpus = os.cpu_count() or 1
+        assert worker_count(0, 50) == min(cpus, 50)
+        assert worker_count(1, 50) == 1
+        assert worker_count(2, 50) == min(2, cpus)
 
 
 class TestSpectrumCommand:

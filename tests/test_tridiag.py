@@ -1,81 +1,157 @@
-"""Tests for the Sturm-bisection kernel and its two backends."""
+"""Tests for the Sturm-bisection eigensolver and its zero-diagonal fold."""
 
 import numpy as np
 import pytest
 
+from sdirac import tridiag
+from sdirac.checks import check_charpoly_eigs
 from sdirac.tridiag import (
-    _HAVE_NUMBA,
-    DEFAULT_BACKEND,
-    _bisect_scalar,
+    _MAX_BISECT_ITER,
+    _PIVOT_FLOOR,
+    _bisect,
     _gershgorin_bracket,
     eigvalsh_tridiagonal,
     sturm_count,
 )
-
-# The numba cases run wherever numba imports, whatever SDIRAC_NO_NUMBA says.
-needs_numba = pytest.mark.skipif(not _HAVE_NUMBA, reason="numba is not importable")
-
-BACKENDS = ["numpy", pytest.param("numba", marks=needs_numba)]
 
 
 def random_tridiag(rng, m):
     return rng.normal(size=m) * 10, rng.normal(size=m - 1) * 5
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+def bisect_all(d, b):
+    """The kernel over every index, with no zero-diagonal fold."""
+    lo0, hi0 = _gershgorin_bracket(d, b)
+    return _bisect(d, b * b, lo0, hi0, np.arange(d.shape[0]))
+
+
+def bisect_loop(d, bsq, lo0, hi0):
+    """Reference: the same bisection written as plain loops, one eigenvalue
+    and one pivot at a time."""
+    m = d.shape[0]
+    out = np.empty(m)
+    for idx in range(m):
+        lo = lo0
+        hi = hi0
+        for _ in range(_MAX_BISECT_ITER):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            cnt = 0
+            q = d[0] - mid
+            if q < 0:
+                cnt += 1
+            for i in range(1, m):
+                if q == 0.0:
+                    q = _PIVOT_FLOOR
+                q = d[i] - mid - bsq[i - 1] / q
+                if q < 0:
+                    cnt += 1
+            if cnt <= idx:
+                lo = mid
+            else:
+                hi = mid
+        out[idx] = 0.5 * (lo + hi)
+    return out
+
+
 class TestAgainstLapack:
-    def test_random_matrices(self, backend):
+    def test_random_matrices(self):
         rng = np.random.default_rng(1234)
         for _ in range(25):
             m = int(rng.integers(1, 64))
             d, b = random_tridiag(rng, m)
-            got = eigvalsh_tridiagonal(d, b, backend=backend)
+            got = eigvalsh_tridiagonal(d, b)
             ref = np.linalg.eigvalsh(np.diag(d) + np.diag(b, 1) + np.diag(b, -1))
             assert np.all(np.diff(got) >= 0)
             assert np.max(np.abs(got - ref) / (1 + np.abs(ref))) < 1e-13
 
-    def test_single_cell(self, backend):
-        assert eigvalsh_tridiagonal([7.5], [], backend=backend).tolist() == [7.5]
+    def test_single_cell(self):
+        assert eigvalsh_tridiagonal([7.5], []).tolist() == [7.5]
 
-    def test_repeated_eigenvalues(self, backend):
+    def test_repeated_eigenvalues(self):
         # decoupled blocks give exact multiplicities
         d = np.array([2.0, 2.0, -1.0])
         b = np.array([0.0, 0.0])
-        got = eigvalsh_tridiagonal(d, b, backend=backend)
+        got = eigvalsh_tridiagonal(d, b)
         assert np.allclose(got, [-1.0, 2.0, 2.0], atol=1e-14)
 
-    def test_zero_matrix(self, backend):
-        got = eigvalsh_tridiagonal(np.zeros(4), np.zeros(3), backend=backend)
+    def test_zero_matrix(self):
+        got = eigvalsh_tridiagonal(np.zeros(4), np.zeros(3))
         assert np.array_equal(got, np.zeros(4))
 
 
-class TestBackendAgreement:
-    def test_bit_identical(self):
-        # The numpy path against the scalar kernel: interpreted everywhere,
-        # and compiled as the numba backend where numba imports.
+class TestReferenceLoop:
+    def test_bit_identical(self, monkeypatch):
+        # The vectorized kernel against the plain-loop reference.  1 << 16
+        # holds every case here in one block; the smaller sizes split the
+        # rows into blocks, so pivots and zero pivots cross block boundaries.
         rng = np.random.default_rng(77)
         cases = [random_tridiag(rng, int(rng.integers(2, 80))) for _ in range(20)]
         cases += [
             (np.array([7.5]), np.array([])),
             (np.array([2.0, 2.0, -1.0]), np.array([0.0, 0.0])),
             (np.zeros(4), np.zeros(3)),
-            # an exact zero eigenvalue runs bisection to its iteration cap,
-            # as in an odd operator block; the bracket [-1.7, 2.3] is
-            # off-centre, so the last bits depend on every midpoint
+            # zero diagonal: the first midpoint makes pivot 0 zero, and with
+            # off-diagonals this large every other pivot after it
+            (np.zeros(9), rng.normal(size=8) * 1e5),
+            # decoupled cells: the first midpoint 0 makes pivot 1 (resp. 2)
+            # zero ahead of a zero off-diagonal, where 0/0 = nan without the
+            # floor would drop a negative pivot from the count
+            (np.array([1.0, 0.0, -1.0]), np.zeros(2)),
+            (np.array([2.0, 1.0, 0.0, -1.0, -2.0]), np.zeros(4)),
+            # an exact zero eigenvalue runs bisection to its iteration cap;
+            # the bracket [-1.7, 2.3] is off-centre, so the last bits
+            # depend on every midpoint
             (np.array([0.0, 0.3, 0.0]), np.array([1.0, 1.0])),
         ]
         for d, b in cases:
-            a = eigvalsh_tridiagonal(d, b, backend="numpy")
             lo0, hi0 = _gershgorin_bracket(d, b)
-            assert np.array_equal(a, _bisect_scalar(d, b * b, lo0, hi0))
-            if _HAVE_NUMBA:
-                c = eigvalsh_tridiagonal(d, b, backend="numba")
-                assert np.array_equal(a, c)
+            with np.errstate(over="ignore"):  # a floored pivot's quotient
+                ref = bisect_loop(d, b * b, lo0, hi0)
+            for block_entries in (1 << 16, 1, 50, 333):
+                monkeypatch.setattr(tridiag, "_BLOCK_ENTRIES", block_entries)
+                assert np.array_equal(bisect_all(d, b), ref)
 
-    def test_default_backend_resolves(self):
-        assert DEFAULT_BACKEND in ("numba", "numpy")
-        d, b = np.array([0.0, 0.0]), np.array([3.0])
-        assert np.allclose(eigvalsh_tridiagonal(d, b), [-3, 3], atol=1e-14)
+    def test_index_subset_matches_full_run(self):
+        # a lane's result does not depend on which other lanes run with it
+        rng = np.random.default_rng(3)
+        d, b = random_tridiag(rng, 40)
+        lo0, hi0 = _gershgorin_bracket(d, b)
+        full = bisect_all(d, b)
+        for idx in ([0], [39], [5, 17, 18], list(range(0, 40, 3))):
+            got = _bisect(d, b * b, lo0, hi0, np.array(idx))
+            assert np.array_equal(got, full[idx])
+
+
+class TestZeroDiagonalFold:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 17, 40, 63])
+    def test_antisymmetric_and_matches_full_bisection(self, m):
+        rng = np.random.default_rng(m)
+        d, b = np.zeros(m), rng.normal(size=m - 1) * 5
+        got = eigvalsh_tridiagonal(d, b)
+        assert np.array_equal(got, -got[::-1])
+        if m % 2:
+            assert got[m // 2] == 0.0
+        half = m - m // 2
+        assert np.array_equal(got[half:], bisect_all(d, b)[half:])
+        ref = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
+        assert np.max(np.abs(got - ref) / (1 + np.abs(ref))) < 1e-13
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 6])
+    def test_all_zero_offdiagonal(self, m):
+        got = eigvalsh_tridiagonal(np.zeros(m), np.zeros(m - 1))
+        assert np.array_equal(got, np.zeros(m))
+
+    def test_negative_zero_diagonal_folds(self):
+        d, b = np.array([-0.0, 0.0, -0.0]), np.array([3.0, 4.0])
+        got = eigvalsh_tridiagonal(d, b)
+        assert got[1] == 0.0 and np.array_equal(got, -got[::-1])
+        assert np.allclose(got, [-5.0, 0.0, 5.0], atol=1e-14)
+
+    @pytest.mark.parametrize("k", [195, 199])
+    def test_charpoly_certifies_beyond_verify_range(self, k):
+        assert check_charpoly_eigs(k).ok
 
 
 class TestSturmCount:
@@ -86,6 +162,14 @@ class TestSturmCount:
         for x in (-50.0, -1.0, 0.0, 2.5, 50.0):
             assert sturm_count(d, b, x) == int(np.sum(eigs < x))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            sturm_count([], [], 0.0)
+
+    def test_wrong_offdiag_length_rejected(self):
+        with pytest.raises(ValueError):
+            sturm_count([1.0, 2.0], [1.0, 2.0, 3.0], 0.0)
+
 
 class TestValidation:
     def test_wrong_offdiag_length(self):
@@ -95,10 +179,6 @@ class TestValidation:
     def test_wrong_dimensionality(self):
         with pytest.raises(ValueError):
             eigvalsh_tridiagonal(np.zeros((2, 2)), np.zeros(1))
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            eigvalsh_tridiagonal([1.0], [], backend="gpu")
 
     def test_empty(self):
         assert eigvalsh_tridiagonal([], []).size == 0
