@@ -1,10 +1,13 @@
-"""Named invariant checks backing the ``verify`` CLI command.
+"""Named invariant checks backing the ``verify`` CLI command and the
+``checks`` of every spectrum report.
 
 Each check returns pass/fail plus a measured residual so failures are
 diagnosable from the command line.  Global checks are k-independent
 (Clifford ladder algebra, oscillator eigenvalues); per-k checks cover the
 representation matrices, the intertwiner spaces and the assembled operator
-blocks.
+blocks.  All per-k checks of one k read one
+:class:`sdirac.operators.KContext`, so its rep, charpoly, blocks, bands and
+spectrum are each built once per k.
 """
 
 from __future__ import annotations
@@ -19,18 +22,17 @@ from .exact import QQi
 from .hermite import MVector, SpinorVector, clifford_apply, omega0, oscillator_apply, weight_on_Wl
 from .intertwine import dim_invariant_space, equivariance_residual, hom_space, hom_space_oracle
 from .operators import (
+    KContext,
     a_coeff,
     abs_det,
-    assemble_closed_form,
     assembly_matches_exact,
     assembly_mismatch_float,
-    charpoly_exact,
     p_diag_closed,
     _commutator_numeric,
-    spectrum,
+    spectrum,  # noqa: F401 - kept importable from here; bench/selftest.py reads it
     unitary_equivalence_exact,
 )
-from .su2 import build_rep, check_bracket
+from .su2 import check_bracket
 
 
 @dataclass(frozen=True)
@@ -143,66 +145,52 @@ def check_oscillator(max_level: int = 18) -> CheckResult:
     return CheckResult("oscillator", None, ok, 0.0)
 
 
-# -- per-k checks --------------------------------------------------------
+# -- per-k checks: each reads one shared KContext ---------------------------
 
 
-def check_su2_bracket(k: int, mode: str = "both") -> CheckResult:
-    rep = build_rep(k)
+def check_su2_bracket(ctx: KContext, mode: str = "both") -> CheckResult:
     ok = True
     if mode in ("exact", "both"):
-        ok = ok and check_bracket(rep, mode="exact")
+        ok = ok and check_bracket(ctx.rep, mode="exact")
     if mode in ("float", "both"):
-        ok = ok and check_bracket(rep, mode="float", tol=1e-13)
-    return CheckResult("su2-bracket", k, ok, 0.0)
+        ok = ok and check_bracket(ctx.rep, mode="float", tol=1e-13)
+    return CheckResult("su2-bracket", ctx.k, ok, 0.0)
 
 
-def check_su2_weights(k: int) -> CheckResult:
-    """e0 is diagonal with the simple weights i(2j-k)."""
-    rep = build_rep(k)
-    ok = True
-    seen = set()
-    for r in range(k + 1):
-        for c in range(k + 1):
-            v = rep.e0[r][c]
-            if r == c:
-                if v != QQi(0, 2 * r - k):
-                    ok = False
-                seen.add((v.re, v.im))
-            elif v:
-                ok = False
-    if len(seen) != k + 1:
-        ok = False
+def check_su2_weights(ctx: KContext) -> CheckResult:
+    """e0, stored as its diagonal, holds the simple weights i(2j-k)."""
+    k, e0 = ctx.k, ctx.rep.e0
+    ok = len(e0) == k + 1 and all(v == QQi(0, 2 * j - k) for j, v in enumerate(e0))
+    ok = ok and len({(v.re, v.im) for v in e0}) == k + 1
     return CheckResult("su2-weights", k, ok, 0.0)
 
 
-def check_su2_structure(k: int) -> CheckResult:
-    """e1 real, e2 purely imaginary, both tridiagonal with zero diagonal."""
-    rep = build_rep(k)
-    ok = True
-    for r in range(k + 1):
-        for c in range(k + 1):
-            v1, v2 = rep.e1[r][c], rep.e2[r][c]
-            if abs(r - c) != 1:
-                if v1 or v2:
-                    ok = False
-            else:
-                if v1.im != 0 or v2.re != 0:
-                    ok = False
-    return CheckResult("su2-structure", k, ok, 0.0)
+def check_su2_structure(ctx: KContext) -> CheckResult:
+    """Every stored entry of e1 is real and of e2 purely imaginary; both are
+    tridiagonal with zero diagonal by storage, with k entries per
+    off-diagonal."""
+    rep = ctx.rep
+    ok = all(
+        len(diag) == ctx.k and all(getattr(v, part) == 0 for v in diag)
+        for band, part in ((rep.e1, "im"), (rep.e2, "re"))
+        for diag in band
+    )
+    return CheckResult("su2-structure", ctx.k, ok, 0.0)
 
 
-def check_hom_oracle(k: int) -> CheckResult:
+def check_hom_oracle(ctx: KContext) -> CheckResult:
     """Weight-matching dimensions equal brute-force null-space dimensions
     for l up to k+2."""
-    rep = build_rep(k)
+    k = ctx.k
     ok = all(
-        hom_space(k, l)[0] == hom_space_oracle(k, l, rep=rep)
+        hom_space(k, l)[0] == hom_space_oracle(k, l, rep=ctx.rep)
         for l in range(k + 3)
     )
     return CheckResult("hom-oracle", k, ok, 0.0)
 
 
-def check_hom_dim(k: int) -> CheckResult:
+def check_hom_dim(ctx: KContext) -> CheckResult:
+    k = ctx.k
     expected = (k + 1) ** 2 // 2 if k % 2 == 1 else 0
     try:
         ok = dim_invariant_space(k) == expected
@@ -213,51 +201,57 @@ def check_hom_dim(k: int) -> CheckResult:
     return CheckResult("hom-dim", k, ok, 0.0)
 
 
-def check_equivariance(k: int) -> CheckResult:
+def check_equivariance(ctx: KContext) -> CheckResult:
     """The canonical generators satisfy the full weight-intertwining
     identity exactly, not just by dimension count."""
+    k = ctx.k
     if k % 2 == 0:
         return CheckResult("equivariance", k, True, 0.0)
-    ok = all(equivariance_residual(k, l) for l in range((k - 1) // 2 + 1))
+    ok = all(equivariance_residual(k, l, rep=ctx.rep) for l in range((k - 1) // 2 + 1))
     return CheckResult("equivariance", k, ok, 0.0)
 
 
-def check_assembly(k: int, mode: str = "both", tol_match: float = 1e-12) -> CheckResult:
-    res = assembly_mismatch_float(k)
+def check_assembly(ctx: KContext, mode: str = "both", tol_match: float = 1e-12) -> CheckResult:
+    """First-principles assembly against the closed form.  The residual is
+    the float mismatch, which ``--mode exact`` does not compute (0)."""
+    res = 0.0
     ok = True
     if mode in ("float", "both"):
-        ok = ok and res <= tol_match
+        res = assembly_mismatch_float(ctx.k, rep=ctx.rep, blocks=ctx.blocks)
+        ok = res <= tol_match
     if mode in ("exact", "both"):
-        ok = ok and assembly_matches_exact(k)
-    return CheckResult("assembly-match", k, ok, res)
+        ok = ok and assembly_matches_exact(ctx.k, rep=ctx.rep)
+    return CheckResult("assembly-match", ctx.k, ok, res)
 
 
-def check_symmetry(k: int, tol_eig: float = 1e-10) -> CheckResult:
+def check_symmetry(ctx: KContext, tol_eig: float = 1e-10) -> CheckResult:
     """Spectrum symmetric about 0.  The eigensolver mirrors the positive
     half of every zero-diagonal block, so this float residual is 0 by
     construction; ``charpoly-parity`` certifies the symmetry exactly."""
-    d, _ = assemble_closed_form(k)
-    eigs = spectrum(d)
+    eigs = ctx.eigenvalues
     res = float(np.max(np.abs(eigs + eigs[::-1])))
-    return CheckResult("symmetry", k, res <= tol_eig, res)
+    return CheckResult("symmetry", ctx.k, res <= tol_eig, res)
 
 
-def check_coincide(k: int, tol_eig: float = 1e-10) -> CheckResult:
-    d, dt = assemble_closed_form(k)
-    res = float(np.max(np.abs(spectrum(d) - spectrum(dt))))
-    ok = res <= tol_eig and unitary_equivalence_exact(k)
-    return CheckResult("spectra-coincide", k, ok, res)
+def check_coincide(ctx: KContext) -> CheckResult:
+    """The two blocks are unitarily equivalent, exactly, and their
+    phase-stripped bands, which are what the eigensolver sees, are
+    identical; so their spectra are identical too.  The residual is the
+    largest entrywise deviation between the two bands, and it must be 0."""
+    (d0, b0), (d1, b1) = ctx.bands
+    res = float(max(np.max(np.abs(d0 - d1)), np.max(np.abs(b0 - b1), initial=0.0)))
+    ok = res == 0.0 and unitary_equivalence_exact(ctx.k, blocks=ctx.blocks)
+    return CheckResult("spectra-coincide", ctx.k, ok, res)
 
 
-def check_kernel_rule(k: int) -> CheckResult:
-    cp = charpoly_exact(k)
-    kdim = 1 if cp.coeffs[0] == 0 else 0
-    return CheckResult("kernel-rule", k, kdim == ((k + 1) // 2) % 2, 0.0)
+def check_kernel_rule(ctx: KContext) -> CheckResult:
+    kdim = 1 if ctx.charpoly.coeffs[0] == 0 else 0
+    return CheckResult("kernel-rule", ctx.k, kdim == ((ctx.k + 1) // 2) % 2, 0.0)
 
 
-def check_p_eigenvalues(k: int, tol_eig: float = 1e-10) -> CheckResult:
-    closed = p_diag_closed(k)
-    p = _commutator_numeric(k)
+def check_p_eigenvalues(ctx: KContext, tol_eig: float = 1e-10) -> CheckResult:
+    closed = p_diag_closed(ctx.k)
+    p = _commutator_numeric(*ctx.blocks)
     off = float(np.max(np.abs(p - np.diag(np.diag(p)))))
     diag = np.diag(p)
     ok = (
@@ -265,53 +259,54 @@ def check_p_eigenvalues(k: int, tol_eig: float = 1e-10) -> CheckResult:
         and float(np.max(np.abs(diag.imag))) < tol_eig
         and tuple(int(round(x)) for x in diag.real) == closed
     )
-    return CheckResult("p-eigenvalues", k, ok, off)
+    return CheckResult("p-eigenvalues", ctx.k, ok, off)
 
 
-def check_charpoly_parity(k: int) -> CheckResult:
-    cp = charpoly_exact(k)
+def check_charpoly_parity(ctx: KContext) -> CheckResult:
+    cp = ctx.charpoly
     m = cp.m
     ok = all(c == 0 for i, c in enumerate(cp.coeffs) if (i - m) % 2 != 0)
-    return CheckResult("charpoly-parity", k, ok, 0.0)
+    return CheckResult("charpoly-parity", ctx.k, ok, 0.0)
 
 
-def check_det_product(k: int) -> CheckResult:
-    m = (k + 1) // 2
-    if m % 2 == 1:
-        ok = charpoly_exact(k).coeffs[0] == 0
-        return CheckResult("det-product", k, ok, 0.0)
+def check_det_product(ctx: KContext) -> CheckResult:
+    k = ctx.k
+    if ((k + 1) // 2) % 2 == 1:
+        return CheckResult("det-product", k, ctx.charpoly.coeffs[0] == 0, 0.0)
     try:
-        abs_det(k)
+        abs_det(k, charpoly=ctx.charpoly)
         ok = True
     except AssertionError:
         ok = False
     return CheckResult("det-product", k, ok, 0.0)
 
 
-def check_charpoly_eigs(k: int, rel_width: float = 1e-13) -> CheckResult:
-    """Certify each bisection eigenvalue against the exact characteristic
-    polynomial: p must change sign, in rational arithmetic, across the
-    interval of relative half-width ``rel_width`` around the computed value.
-    Eigenvalue gaps here are at least ~4.9, so the brackets are disjoint and
-    each certifies its own simple root."""
-    cp = charpoly_exact(k)
-    d, _ = assemble_closed_form(k)
-    ok = True
-    for x in spectrum(d):
-        fx = Fraction(float(x))
-        delta = Fraction(rel_width) * max(Fraction(1), abs(fx))
-        if cp.eval_exact(fx - delta) * cp.eval_exact(fx + delta) > 0:
-            ok = False
-    return CheckResult("charpoly-eigs", k, ok, rel_width)
+def check_charpoly_eigs(ctx: KContext, rel_width: float = 1e-13) -> CheckResult:
+    """Certify each bisection eigenvalue x against the exact characteristic
+    polynomial p: p must change sign across x -+ rel_width * max(1, |x|),
+    the endpoints taken exactly.  Every float is a ratio of integers, so
+    the endpoints share the integer denominator of x times that of
+    rel_width, and the sign of p there is an integer computation
+    (:meth:`CharPoly.sign_at`).  Eigenvalue gaps here are at least ~4.9, so
+    the brackets are disjoint and each certifies its own simple root."""
+    cp = ctx.charpoly
+    nw, dw = float(rel_width).as_integer_ratio()
+
+    def brackets_root(x) -> bool:
+        nx, dx = float(x).as_integer_ratio()
+        centre, half, den = nx * dw, nw * max(dx, abs(nx)), dx * dw
+        return cp.sign_at(centre - half, den) * cp.sign_at(centre + half, den) <= 0
+
+    ok = all(brackets_root(x) for x in ctx.eigenvalues)
+    return CheckResult("charpoly-eigs", ctx.k, ok, rel_width)
 
 
-def check_norm_bound(k: int) -> CheckResult:
-    d, _ = assemble_closed_form(k)
-    mx = float(np.max(np.abs(spectrum(d))))
-    a1 = a_coeff(k, 1)
-    lower = (k - 1) // 2
+def check_norm_bound(ctx: KContext) -> CheckResult:
+    mx = float(np.max(np.abs(ctx.eigenvalues)))
+    a1 = a_coeff(ctx.k, 1)
+    lower = (ctx.k - 1) // 2
     ok = a1.square >= lower * lower and mx >= a1.value - 1e-9 * (1.0 + a1.value)
-    return CheckResult("norm-bound", k, ok, 0.0)
+    return CheckResult("norm-bound", ctx.k, ok, 0.0)
 
 
 GLOBAL_CHECKS = ("clifford-ladder", "clifford-grading", "clifford-linearity", "oscillator")
@@ -337,6 +332,27 @@ PER_K_CHECKS = (
 ALL_CHECKS = GLOBAL_CHECKS + PER_K_CHECKS
 
 
+def per_k_checks(mode: str = "both", tol_eig: float = 1e-10, tol_match: float = 1e-12) -> dict:
+    """Name -> check taking a KContext, with mode and tolerances bound."""
+    return {
+        "su2-bracket": lambda ctx: check_su2_bracket(ctx, mode=mode),
+        "su2-weights": check_su2_weights,
+        "su2-structure": check_su2_structure,
+        "hom-oracle": check_hom_oracle,
+        "hom-dim": check_hom_dim,
+        "equivariance": check_equivariance,
+        "assembly-match": lambda ctx: check_assembly(ctx, mode=mode, tol_match=tol_match),
+        "symmetry": lambda ctx: check_symmetry(ctx, tol_eig=tol_eig),
+        "spectra-coincide": check_coincide,
+        "kernel-rule": check_kernel_rule,
+        "p-eigenvalues": lambda ctx: check_p_eigenvalues(ctx, tol_eig=tol_eig),
+        "charpoly-parity": check_charpoly_parity,
+        "det-product": check_det_product,
+        "charpoly-eigs": check_charpoly_eigs,
+        "norm-bound": check_norm_bound,
+    }
+
+
 def run_checks(
     k_values,
     names=None,
@@ -345,7 +361,8 @@ def run_checks(
     tol_match: float = 1e-12,
 ):
     """Run the selected checks (all by default) over the given odd k values;
-    global checks run once.  Returns a list of CheckResult."""
+    global checks run once, and the per-k checks of one k share one
+    KContext.  Returns a list of CheckResult."""
     selected = tuple(names) if names else ALL_CHECKS
     unknown = [n for n in selected if n not in ALL_CHECKS]
     if unknown:
@@ -359,25 +376,10 @@ def run_checks(
         results.append(check_linearity())
     if "oscillator" in selected:
         results.append(check_oscillator())
-    per_k = {
-        "su2-bracket": lambda k: check_su2_bracket(k, mode=mode),
-        "su2-weights": check_su2_weights,
-        "su2-structure": check_su2_structure,
-        "hom-oracle": check_hom_oracle,
-        "hom-dim": check_hom_dim,
-        "equivariance": check_equivariance,
-        "assembly-match": lambda k: check_assembly(k, mode=mode, tol_match=tol_match),
-        "symmetry": lambda k: check_symmetry(k, tol_eig=tol_eig),
-        "spectra-coincide": lambda k: check_coincide(k, tol_eig=tol_eig),
-        "kernel-rule": check_kernel_rule,
-        "p-eigenvalues": lambda k: check_p_eigenvalues(k, tol_eig=tol_eig),
-        "charpoly-parity": check_charpoly_parity,
-        "det-product": check_det_product,
-        "charpoly-eigs": check_charpoly_eigs,
-        "norm-bound": check_norm_bound,
-    }
+    per_k = per_k_checks(mode=mode, tol_eig=tol_eig, tol_match=tol_match)
     for k in sorted(k_values):
+        ctx = KContext(k)
         for name in PER_K_CHECKS:
             if name in selected:
-                results.append(per_k[name](k))
+                results.append(per_k[name](ctx))
     return results

@@ -1,4 +1,4 @@
-"""Exact Gaussian-rational scalars and small dense exact linear algebra.
+"""Exact Gaussian-rational scalars and a sparse exact null-space count.
 
 Every coefficient appearing in the ladder formulas, the su(2) matrices and
 the intertwiner systems is of the form a + b*i with a, b rational, so a
@@ -22,13 +22,6 @@ class QQi:
     def __init__(self, re=0, im=0):
         self.re = re
         self.im = im
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def i_times(r) -> "QQi":
-        """The purely imaginary number i*r for a rational r."""
-        return QQi(0, r)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -111,67 +104,31 @@ class QQi:
 
 QQI_ZERO = QQi(0, 0)
 QQI_ONE = QQi(1, 0)
-QQI_I = QQi(0, 1)
 
 
-# ---------------------------------------------------------------------
-# Dense matrices as tuples of tuples of QQi (row major).  Sizes here are
-# tiny (at most a few hundred rows), so plain loops are fine.
-# ---------------------------------------------------------------------
+def nullspace_dim(rows, n_cols: int) -> int:
+    """Dimension of the kernel of an exact matrix with ``n_cols`` columns,
+    given as sparse rows: mappings column -> QQi or Fraction entry, where
+    absent and zero entries are zero.  Gaussian elimination with exact
+    division.
 
-
-def mat_mul(a, b):
-    n, p = len(a), len(b[0])
-    out = []
-    for i in range(n):
-        nz = [(t, x) for t, x in enumerate(a[i]) if x]
-        row = []
-        for j in range(p):
-            s = QQI_ZERO
-            for t, x in nz:
-                s = s + x * b[t][j]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_sub(a, b):
-    return tuple(
-        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def mat_scale(a, s):
-    return tuple(tuple(x * s for x in row) for row in a)
-
-
-def mat_is_zero(a) -> bool:
-    return all(not x for row in a for x in row)
-
-
-def nullspace_dim(a) -> int:
-    """Dimension of the kernel of an exact matrix, by fraction-free-ish
-    Gaussian elimination with exact division."""
-    rows = [list(row) for row in a]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if rows[r][col]:
-                pivot = r
+    Each row is reduced against the pivot rows kept so far, always at its
+    leading column, until it is zero or leads in a new column and becomes
+    a pivot row itself; the rank is the number of pivot rows."""
+    pivots = {}
+    for row in rows:
+        row = {c: x for c, x in row.items() if x}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
                 break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, n_rows):
-            x = rows[r][col]
-            if not x:
-                continue
-            factor = x / pv
-            for c in range(col, n_cols):
-                rows[r][c] = rows[r][c] - factor * rows[rank][c]
-        rank += 1
-    return n_cols - rank
+            factor = row[lead] / pivot[lead]
+            for c, x in pivot.items():
+                y = row.get(c, 0) - factor * x
+                if y:
+                    row[c] = y
+                else:
+                    row.pop(c, None)
+    return n_cols - len(pivots)

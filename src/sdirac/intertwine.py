@@ -4,8 +4,9 @@ A map L sending p_{k,j} to c_j * h_l intertwines the circle actions iff its
 coefficients satisfy the weight-matching condition 2j - k = 2l + 1, which
 pins down a one-dimensional space exactly when k is odd and l <= (k-1)/2.
 Two independent routes are implemented: the weight-matching closed form and
-a brute-force null-space computation of the equivariance system in exact
-arithmetic.
+an oracle that builds the full equivariance system (e0^T - w I) c = 0 from
+the stored band of e0 as sparse rows and counts its null space with the
+generic exact elimination :func:`sdirac.exact.nullspace_dim`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QQi, nullspace_dim
+from .exact import nullspace_dim
 from .hermite import weight_on_Wl
 from .su2 import RepMatrices, build_rep
 
@@ -40,12 +41,12 @@ class Intertwiner:
 @dataclass(frozen=True)
 class NormalizedIntertwiner:
     """Canonical generator rescaled so the assembled operators come out
-    Hermitian.  ``scale_sq`` keeps the exact square of the factor."""
+    Hermitian.  ``scale_sq`` is the exact square of the factor; it grows
+    like a factorial, so it is never converted to a float (at k >= 197 it
+    would overflow one)."""
 
     k: int
     l: int
-    row: tuple
-    scale: float
     scale_sq: Fraction
 
     @property
@@ -75,17 +76,11 @@ def hom_space_oracle(k: int, l: int, rep: RepMatrices | None = None) -> int:
     if rep is None:
         rep = build_rep(k)
     w = weight_on_Wl(l)
-    size = k + 1
-    # Row vector c of length k+1; equation columns j give
-    # sum_r c_r e0[r][j] - w c_j = 0, i.e. the matrix (e0^T - w I) acting on c.
-    system = tuple(
-        tuple(
-            rep.e0[r][j] - w if r == j else rep.e0[r][j]
-            for r in range(size)
-        )
-        for j in range(size)
-    )
-    return nullspace_dim(system)
+    # Row vector c of length k+1; equation j reads
+    # sum_r c_r e0[r][j] - w c_j = 0, i.e. the matrix (e0^T - w I) acting on
+    # c.  e0 is stored as its diagonal, so row j holds one entry.
+    system = [{j: x - w} for j, x in enumerate(rep.e0)]
+    return nullspace_dim(system, k + 1)
 
 
 def normalize(L: Intertwiner) -> NormalizedIntertwiner:
@@ -99,7 +94,7 @@ def normalize(L: Intertwiner) -> NormalizedIntertwiner:
         math.factorial((k + 1) // 2 + l) * math.factorial((k - 1) // 2 - l),
         2**l * math.factorial(l),
     )
-    return NormalizedIntertwiner(k, l, L.row, math.sqrt(scale_sq), scale_sq)
+    return NormalizedIntertwiner(k, l, scale_sq)
 
 
 def dim_invariant_space(k: int) -> int:
@@ -114,22 +109,16 @@ def dim_invariant_space(k: int) -> int:
     return closed
 
 
-def equivariance_residual(k: int, l: int):
-    """Exact residual matrix of the generator under the weight condition:
-    L o e0 - i(2l+1) L, flattened max check.  Returns True iff identically
-    zero (the full identity, not just dimension counting)."""
+def equivariance_residual(k: int, l: int, rep: RepMatrices | None = None):
+    """Exact residual of the generator under the weight condition:
+    L o e0 - i(2l+1) L.  Returns True iff it is identically zero (the full
+    identity, not just dimension counting)."""
     dim, gen = hom_space(k, l)
     if dim == 0 or gen is None:
         raise ValueError(f"no generator for (k={k}, l={l})")
-    rep = build_rep(k)
+    if rep is None:
+        rep = build_rep(k)
     w = weight_on_Wl(l)
-    size = k + 1
-    residual = []
-    for j in range(size):
-        # (L o e0)(p_j) = sum_r row[r] e0[r][j];  compare against w * row[j].
-        s = QQi(0, 0)
-        for r in range(size):
-            if gen.row[r]:
-                s = s + rep.e0[r][j] * gen.row[r]
-        residual.append(s - w * gen.row[j])
-    return all(not x for x in residual)
+    # (L o e0)(p_j) = sum_r row[r] e0[r][j], compared against w * row[j].
+    # e0 is diagonal, so only the columns j of nonzero row[j] can differ.
+    return all(not (x * rep.e0[j] - w * x) for j, x in enumerate(gen.row) if x)

@@ -11,14 +11,16 @@ assembled here along two independent routes:
 The module also produces exact integer characteristic polynomials, kernels,
 determinants, eigenvalues (Sturm bisection via :mod:`sdirac.tridiag`) and
 the diagonal second-order operator obtained as i times the commutator.
-Everything is pure per k; distinct k may be processed concurrently.
+:class:`KContext` holds one k's rep, charpoly, blocks, bands and spectrum,
+each built once, for the checks and the report.  Everything is pure per k;
+distinct k may be processed concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -80,11 +82,14 @@ class CharPoly:
     def m(self) -> int:
         return len(self.coeffs) - 1
 
-    def eval_exact(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def sign_at(self, num: int, den: int) -> int:
+        """Sign of p(num/den) for integers num and den > 0: the sign of the
+        integer den^m p(num/den), by homogeneous Horner without Fractions."""
+        acc, power = self.coeffs[-1], 1
+        for c in reversed(self.coeffs[:-1]):
+            power *= den
+            acc = acc * num + c * power
+        return (acc > 0) - (acc < 0)
 
 
 def assemble_closed_form(k: int):
@@ -133,18 +138,21 @@ def _pure_coeff(col: SpinorVector, level: int):
     return col.coeff((level,))
 
 
-def definition_coeffs(k: int, exact: bool = True):
+def definition_coeffs(k: int, exact: bool = True, rep=None):
     """Unnormalized ladder coefficients of both operators computed from the
     defining composite (Clifford multiplication after the generator action),
-    column by column.
+    column by column.  Row j0 of e1 and e2 is read from the bands of ``rep``
+    (built when not given) at its two stored columns j0 -+ 1.
 
     Returns two lists over l = 0..m-1 of (down, up) scalars; up is None at
     l = m-1, where no polynomial column exists for the raising target.
-    Raises AssertionError if any column fails to land in the two adjacent
-    Hermite levels, and checks that no truncation overflow occurred.
+    Raises AssertionError if either column fails to land in its adjacent
+    Hermite level, and checks that no truncation overflow occurred.
     """
     _require_odd(k)
-    rep = build_rep(k)
+    if rep is None:
+        rep = build_rep(k)
+    (sub1, sup1), (sub2, sup2) = rep.e1, rep.e2
     m = (k + 1) // 2
     x1 = MVector((1, 0))
     x2 = MVector((0, 1))
@@ -158,9 +166,11 @@ def definition_coeffs(k: int, exact: bool = True):
         e2h = clifford_apply(x2, h_l)
         down_d = down_dt = zero
         up_d = up_dt = None
-        for j in range(k + 1):
-            s1 = rep.e1[j0][j]
-            s2 = rep.e2[j0][j]
+        # Entry (j0, j0 - 1) is sub[j0 - 1]; (j0, j0 + 1) is sup[j0] when j0 < k.
+        columns = [(j0 - 1, sub1[j0 - 1], sub2[j0 - 1])]
+        if j0 < k:
+            columns.append((j0 + 1, sup1[j0], sup2[j0]))
+        for j, s1, s2 in columns:
             if not s1 and not s2:
                 continue
             if not exact:
@@ -176,13 +186,9 @@ def definition_coeffs(k: int, exact: bool = True):
                 else:
                     down_d = _pure_coeff(col_d, l - 1) or zero
                     down_dt = _pure_coeff(col_dt, l - 1) or zero
-            elif j == j0 + 1:
+            else:
                 up_d = _pure_coeff(col_d, l + 1)
                 up_dt = _pure_coeff(col_dt, l + 1)
-            elif not (col_d.is_zero() and col_dt.is_zero()):
-                raise AssertionError(
-                    f"unexpected nonzero column at j={j} (expected only j0 +- 1)"
-                )
         if l < m - 1 and (up_d is None or up_dt is None):
             raise AssertionError(f"missing raising column at l={l}")
         d_coeffs.append((down_d, up_d))
@@ -190,52 +196,62 @@ def definition_coeffs(k: int, exact: bool = True):
     return d_coeffs, dt_coeffs
 
 
-def assemble_from_definition(k: int):
+def _scale_sq(k: int) -> list:
+    """Exact squared normalization factors, l = 0..m-1."""
+    return [normalize(hom_space(k, l)[1]).scale_sq for l in range((k + 1) // 2)]
+
+
+def assemble_from_definition(k: int, rep=None):
     """Float-mode first-principles assembly of both blocks, expressed in the
-    normalized basis.  Agrees with :func:`assemble_closed_form` to roundoff;
-    the exact-arithmetic version of the comparison is
+    normalized basis.  Each entry is rescaled by the square root of an exact
+    ratio of consecutive squared scales, which stays a small number at
+    every k.  Agrees with :func:`assemble_closed_form` to roundoff; the
+    exact-arithmetic version of the comparison is
     :func:`assembly_matches_exact`."""
     _require_odd(k)
     m = (k + 1) // 2
-    d_coeffs, dt_coeffs = definition_coeffs(k, exact=False)
-    scales = [normalize(hom_space(k, l)[1]).scale for l in range(m)]
+    d_coeffs, dt_coeffs = definition_coeffs(k, exact=False, rep=rep)
+    scale_sq = _scale_sq(k)
     d = np.zeros((m, m), dtype=np.complex128)
     dt = np.zeros((m, m), dtype=np.complex128)
     for l in range(m):
         down_d, up_d = d_coeffs[l]
         down_dt, up_dt = dt_coeffs[l]
         if l >= 1:
-            d[l - 1, l] = down_d * scales[l] / scales[l - 1]
-            dt[l - 1, l] = down_dt * scales[l] / scales[l - 1]
+            r = math.sqrt(scale_sq[l] / scale_sq[l - 1])
+            d[l - 1, l] = down_d * r
+            dt[l - 1, l] = down_dt * r
         if l + 1 <= m - 1:
-            d[l + 1, l] = up_d * scales[l] / scales[l + 1]
-            dt[l + 1, l] = up_dt * scales[l] / scales[l + 1]
+            r = math.sqrt(scale_sq[l] / scale_sq[l + 1])
+            d[l + 1, l] = up_d * r
+            dt[l + 1, l] = up_dt * r
     return (
         DiracMatrix(k, m, "L-circ", d),
         DiracMatrix(k, m, "L-circ", dt),
     )
 
 
-def assembly_mismatch_float(k: int) -> float:
+def assembly_mismatch_float(k: int, rep=None, blocks=None) -> float:
     """Max entrywise deviation between the float first-principles assembly
-    and the closed form, over both blocks."""
-    d_def, dt_def = assemble_from_definition(k)
-    d_cf, dt_cf = assemble_closed_form(k)
+    and the closed-form ``blocks`` (assembled when not given), over both
+    blocks."""
+    if blocks is None:
+        blocks = assemble_closed_form(k)
     return float(
         max(
-            np.max(np.abs(d_def.entries - d_cf.entries)),
-            np.max(np.abs(dt_def.entries - dt_cf.entries)),
+            np.max(np.abs(defined.entries - closed.entries))
+            for defined, closed in zip(assemble_from_definition(k, rep=rep), blocks)
         )
     )
 
 
-def assembly_matches_exact(k: int) -> bool:
+def assembly_matches_exact(k: int, rep=None) -> bool:
     """Exact-arithmetic assembly equivalence: the first-principles ladder
     coefficients must reproduce the closed-form integers, and the squared
     normalized entries must equal the exact squares of a_{k,l}."""
     m = (k + 1) // 2
-    d_coeffs, dt_coeffs = definition_coeffs(k, exact=True)
-    scale_sq = [normalize(hom_space(k, l)[1]).scale_sq for l in range(m)]
+    d_coeffs, dt_coeffs = definition_coeffs(k, exact=True, rep=rep)
+    scale_sq = _scale_sq(k)
     for l in range(m):
         down, up = unnormalized_coeffs(k, l)
         down_d, up_d = d_coeffs[l]
@@ -301,16 +317,17 @@ def signed_det(k: int) -> int:
     return cp.coeffs[0] if m % 2 == 0 else -cp.coeffs[0]
 
 
-def abs_det(k: int) -> int:
+def abs_det(k: int, charpoly: CharPoly | None = None) -> int:
     """|det| as an exact integer for even m = (k+1)/2, asserted against the
-    product of the odd-indexed squared off-diagonals."""
+    product of the odd-indexed squared off-diagonals.  ``charpoly`` is the
+    exact charpoly of k, computed when not given."""
     _require_odd(k)
     m = (k + 1) // 2
     if m % 2 == 1:
         raise ValueError(
             f"determinant vanishes for k={k} ((k+1)/2 odd); use kernel_dim"
         )
-    c0 = charpoly_exact(k).coeffs[0]
+    c0 = (charpoly or charpoly_exact(k)).coeffs[0]
     prod = 1
     for r in range(1, m // 2 + 1):
         prod *= a_coeff(k, 2 * r - 1).square
@@ -333,8 +350,7 @@ def p_diag_closed(k: int) -> tuple:
     return closed
 
 
-def _commutator_numeric(k: int) -> np.ndarray:
-    d, dt = assemble_closed_form(k)
+def _commutator_numeric(d: DiracMatrix, dt: DiracMatrix) -> np.ndarray:
     return 1j * (dt.entries @ d.entries - d.entries @ dt.entries)
 
 
@@ -343,7 +359,7 @@ def p_operator(k: int, tol: float = 1e-10) -> tuple:
     the closed-form blocks must be diagonal within ``tol`` and round to the
     closed-form integers exactly."""
     closed = p_diag_closed(k)
-    p = _commutator_numeric(k)
+    p = _commutator_numeric(*assemble_closed_form(k))
     off = p - np.diag(np.diag(p))
     if np.max(np.abs(off)) >= tol:
         raise AssertionError(f"commutator is not diagonal at k={k}")
@@ -387,10 +403,11 @@ def spectrum(dm: DiracMatrix) -> np.ndarray:
     return eigvalsh_tridiagonal(d, b)
 
 
-def unitary_equivalence_exact(k: int) -> bool:
-    """Entrywise check that conjugating the first block by diag(i^l) yields
-    the second block exactly (hence equal spectra)."""
-    d, dt = assemble_closed_form(k)
+def unitary_equivalence_exact(k: int, blocks=None) -> bool:
+    """Entrywise check that conjugating the first closed-form block by
+    diag(i^l) yields the second block exactly (hence equal spectra);
+    ``blocks`` are assembled when not given."""
+    d, dt = assemble_closed_form(k) if blocks is None else blocks
     u = np.array([_I_POW[l % 4] for l in range(d.m)])
     conj = u[:, None] * d.entries * u.conj()[None, :]
     return bool(np.array_equal(conj, dt.entries))
@@ -414,6 +431,36 @@ def norm_growth(k_max: int):
             raise AssertionError(f"spectral radius fell below a_{{k,1}} at k={k}")
         rows.append((k, mx, a1.value, lower))
     return rows
+
+
+class KContext:
+    """One odd k's data shared by the per-k checks and the report.  Each
+    field is built on first use, once: the su(2) rep, the exact charpoly,
+    the closed-form blocks, their phase-stripped bands (diagonal,
+    off-diagonal magnitudes) and the eigenvalues of the first block."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    @cached_property
+    def rep(self):
+        return build_rep(self.k)
+
+    @cached_property
+    def charpoly(self) -> CharPoly:
+        return charpoly_exact(self.k)
+
+    @cached_property
+    def blocks(self):
+        return assemble_closed_form(self.k)
+
+    @cached_property
+    def bands(self):
+        return tuple(_phase_strip(block.entries) for block in self.blocks)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return spectrum(self.blocks[0])
 
 
 # ---------------------------------------------------------------------
@@ -450,59 +497,28 @@ def build_report(
     tol_match: float = 1e-12,
     mode: str = "both",
 ) -> SpectrumReport:
-    """Assemble, solve and verify one k; check failures are flagged, not
-    raised, so a sweep always completes."""
+    """Assemble, solve and verify one k with the registry checks of
+    CHECK_NAMES, all on one :class:`KContext`; check failures are flagged,
+    not raised, so a sweep always completes."""
+    from .checks import per_k_checks  # checks imports this module
+
     _require_odd(k)
     if mode not in ("float", "exact", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    m = (k + 1) // 2
-    cp = charpoly_exact(k)
-    d, dt = assemble_closed_form(k)
-    eig_d = spectrum(d)
-    eig_dt = spectrum(dt)
-
-    checks = {}
-    ok = True
-    if mode in ("float", "both"):
-        ok = ok and assembly_mismatch_float(k) <= tol_match
-    if mode in ("exact", "both"):
-        ok = ok and assembly_matches_exact(k)
-    checks["assembly-match"] = ok
-
-    checks["symmetry"] = bool(np.max(np.abs(eig_d + eig_d[::-1])) <= tol_eig)
-    checks["spectra-coincide"] = bool(
-        np.max(np.abs(eig_d - eig_dt)) <= tol_eig
-    ) and unitary_equivalence_exact(k)
-
-    kdim = 1 if cp.coeffs[0] == 0 else 0
-    checks["kernel-rule"] = kdim == ((k + 1) // 2) % 2
-
-    closed = p_diag_closed(k)
-    p = _commutator_numeric(k)
-    off_ok = float(np.max(np.abs(p - np.diag(np.diag(p))))) < tol_eig
-    diag = np.diag(p)
-    diag_ok = (
-        float(np.max(np.abs(diag.imag))) < tol_eig
-        and tuple(int(round(x)) for x in diag.real) == closed
-    )
-    checks["p-eigenvalues"] = off_ok and diag_ok
-
-    a1 = a_coeff(k, 1)
-    mx = float(np.max(np.abs(eig_d)))
-    lower = (k - 1) // 2
-    checks["norm-bound"] = (
-        a1.square >= lower * lower and mx >= a1.value - 1e-9 * (1.0 + a1.value)
-    )
-
+    ctx = KContext(k)
+    registry = per_k_checks(mode=mode, tol_eig=tol_eig, tol_match=tol_match)
+    checks = {name: registry[name](ctx).ok for name in CHECK_NAMES}
+    cp = ctx.charpoly
+    m = cp.m
     return SpectrumReport(
         k=k,
         m=m,
         basis="L-circ",
-        eigenvalues=tuple(float(x) for x in eig_d),
-        kernel_dim=kdim,
+        eigenvalues=tuple(float(x) for x in ctx.eigenvalues),
+        kernel_dim=1 if cp.coeffs[0] == 0 else 0,
         abs_det=abs(cp.coeffs[0]),
         charpoly=cp,
-        p_diag=closed,
+        p_diag=p_diag_closed(k),
         checks=checks,
         signed_det=cp.coeffs[0] if m % 2 == 0 else -cp.coeffs[0],
     )

@@ -6,9 +6,13 @@ Only the Lie-algebra-level matrices of the basis
     E0 = [[i, 0], [0, i]]-type weight generator,
     E1, E2 spanning the symplectic complement
 
-are built; the group-level action is never exponentiated.  Matrices are
-exact Gaussian integers (stored as :class:`sdirac.exact.QQi`) with float
-views derived on demand.
+are built; the group-level action is never exponentiated.  Each matrix is
+stored as its band of exact Gaussian integers (:class:`sdirac.exact.QQi`):
+the diagonal of e0 and the sub- and super-diagonals of e1 and e2.  So e0 is
+diagonal and e1, e2 are tridiagonal with zero diagonal by storage; the
+``su2-weights`` and ``su2-structure`` checks inspect every stored entry.
+The bracket check multiplies bands, in O(k).  Dense exact and complex128
+matrices are built only on request.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import QQi, mat_mul, mat_scale, mat_sub, mat_is_zero
+from .exact import QQI_ZERO, QQi
 
 
 @dataclass(frozen=True)
@@ -35,11 +39,12 @@ class PolyVector:
 
 @dataclass(frozen=True)
 class RepMatrices:
-    """Matrices of the three su(2) generators in the monomial basis.
+    """Bands of the three su(2) generators in the monomial basis.
 
-    e0 is diagonal with entries i*(2j - k); e1 is real tridiagonal with
-    zero diagonal; e2 is purely imaginary tridiagonal with zero diagonal.
-    Entries are exact (QQi, row-major tuples).
+    e0 holds the k+1 diagonal entries i*(2j - k).  e1 and e2 are each a
+    pair (sub, sup) of k entries: sub[j] is entry (j+1, j) and sup[j] is
+    entry (j, j+1).  e1 is real and e2 purely imaginary.  Entries are
+    exact (QQi).
     """
 
     k: int
@@ -47,16 +52,35 @@ class RepMatrices:
     e1: tuple
     e2: tuple
 
+    def bands(self):
+        """(e0, e1, e2) as mappings diagonal offset o -> entries; entry t
+        of offset o sits at row t + max(0, -o), column that + o."""
+        return (
+            {0: self.e0},
+            {-1: self.e1[0], 1: self.e1[1]},
+            {-1: self.e2[0], 1: self.e2[1]},
+        )
+
+    def dense(self):
+        """Exact dense (e0, e1, e2), row-major tuples of QQi."""
+        n = self.k + 1
+        out = []
+        for band in self.bands():
+            m = [[QQI_ZERO] * n for _ in range(n)]
+            for o, diag in band.items():
+                for t, x in enumerate(diag):
+                    r = t + max(0, -o)
+                    m[r][r + o] = x
+            out.append(tuple(map(tuple, m)))
+        return tuple(out)
+
     def as_arrays(self):
         """Complex128 copies of (e0, e1, e2)."""
-        return tuple(
-            np.array([[complex(x) for x in row] for row in m], dtype=np.complex128)
-            for m in (self.e0, self.e1, self.e2)
-        )
+        return tuple(np.array(m, dtype=np.complex128) for m in self.dense())
 
 
 def build_rep(k: int) -> RepMatrices:
-    """Matrices of the su(2) generators on degree-k polynomials:
+    """Bands of the su(2) generators on degree-k polynomials:
 
         e0 p_j = i(2j - k) p_j
         e1 p_j = (j - k) p_(j+1) + j p_(j-1)
@@ -66,29 +90,17 @@ def build_rep(k: int) -> RepMatrices:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    size = k + 1
-    zero = QQi(0, 0)
-    e0 = [[zero] * size for _ in range(size)]
-    e1 = [[zero] * size for _ in range(size)]
-    e2 = [[zero] * size for _ in range(size)]
-    for j in range(size):
-        e0[j][j] = QQi(0, 2 * j - k)
-        if j + 1 <= k:
-            e1[j + 1][j] = QQi(j - k, 0)
-            e2[j + 1][j] = QQi(0, j - k)
-        if j - 1 >= 0:
-            e1[j - 1][j] = QQi(j, 0)
-            e2[j - 1][j] = QQi(0, -j)
     return RepMatrices(
         k,
-        tuple(tuple(r) for r in e0),
-        tuple(tuple(r) for r in e1),
-        tuple(tuple(r) for r in e2),
+        tuple(QQi(0, 2 * j - k) for j in range(k + 1)),
+        (tuple(QQi(j - k, 0) for j in range(k)), tuple(QQi(j + 1, 0) for j in range(k))),
+        (tuple(QQi(0, j - k) for j in range(k)), tuple(QQi(0, -j - 1) for j in range(k))),
     )
 
 
 def apply_rep(m, p: PolyVector) -> PolyVector:
-    """Apply a generator matrix (exact, row-major) to a polynomial."""
+    """Apply a dense generator matrix (exact, row-major, as from
+    :meth:`RepMatrices.dense`) to a polynomial."""
     size = p.k + 1
     out = []
     for r in range(size):
@@ -101,30 +113,44 @@ def apply_rep(m, p: PolyVector) -> PolyVector:
     return PolyVector(p.k, tuple(out))
 
 
+def _band_mul_into(out, a, b, n: int, sign: int) -> None:
+    """Add sign * (a @ b) into ``out``; a, b and out are bands of n x n
+    matrices with numpy diagonals (object dtype for QQi)."""
+    for oa, da in a.items():
+        for ob, db in b.items():
+            o = oa + ob
+            # rows r with r, r + oa and r + o all inside the matrix
+            lo, hi = max(0, -oa, -o), min(n, n - oa, n - o)
+            if lo >= hi:
+                continue
+            sa, sb, so = max(0, -oa), max(0, -ob), max(0, -o)
+            prod = da[lo - sa:hi - sa] * db[lo + oa - sb:hi + oa - sb]
+            if o not in out:
+                out[o] = np.zeros(n - abs(o), dtype=prod.dtype)
+            out[o][lo - so:hi - so] += sign * prod
+
+
+def _bracket_defect(a, b, c, s: int, n: int):
+    """Band of [a, b] - s c."""
+    out = {o: -s * d for o, d in c.items()}
+    _band_mul_into(out, a, b, n, 1)
+    _band_mul_into(out, b, a, n, -1)
+    return out
+
+
 def check_bracket(rep: RepMatrices, mode: str = "exact", tol: float = 1e-13) -> bool:
     """True iff [e0,e1] = 2 e2, [e0,e2] = -2 e1, [e1,e2] = 2 e0.
 
-    Exact mode compares Gaussian rationals; float mode compares complex128
-    matrices entrywise within ``tol``.
+    The commutators are band products, O(k).  Exact mode compares Gaussian
+    rationals; float mode compares complex128 entries within ``tol``.
     """
+    if mode not in ("exact", "float"):
+        raise ValueError(f"unknown mode {mode!r}")
+    dtype = object if mode == "exact" else np.complex128
+    e0, e1, e2 = ({o: np.array(d, dtype=dtype) for o, d in b.items()} for b in rep.bands())
+    n = rep.k + 1
+    identities = ((e0, e1, e2, 2), (e0, e2, e1, -2), (e1, e2, e0, 2))
+    defects = [d for args in identities for d in _bracket_defect(*args, n).values()]
     if mode == "exact":
-        def comm(a, b):
-            return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-        return (
-            mat_is_zero(mat_sub(comm(rep.e0, rep.e1), mat_scale(rep.e2, 2)))
-            and mat_is_zero(mat_sub(comm(rep.e0, rep.e2), mat_scale(rep.e1, -2)))
-            and mat_is_zero(mat_sub(comm(rep.e1, rep.e2), mat_scale(rep.e0, 2)))
-        )
-    if mode == "float":
-        e0, e1, e2 = rep.as_arrays()
-
-        def comm(a, b):
-            return a @ b - b @ a
-
-        return (
-            np.max(np.abs(comm(e0, e1) - 2 * e2)) <= tol
-            and np.max(np.abs(comm(e0, e2) + 2 * e1)) <= tol
-            and np.max(np.abs(comm(e1, e2) - 2 * e0)) <= tol
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+        return not any(any(d) for d in defects)
+    return all(np.max(np.abs(d), initial=0.0) <= tol for d in defects)

@@ -157,6 +157,14 @@ class TestVerifyCommand:
         assert len(lines) == 1
         assert lines[0].startswith("PASS spectra-coincide k=3")
 
+    @pytest.mark.parametrize("mode", ["float", "exact", "both"])
+    def test_assembly_match_beyond_float_factorials(self, mode, capsys):
+        # k = 197 is the first k whose squared normalization factors
+        # overflow a float
+        argv = ["verify", "-k", "197", "--check", "assembly-match", "--mode", mode]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("PASS assembly-match k=197 ")
+
     def test_unknown_check_rejected(self, capsys):
         assert main(["verify", "-k", "3", "--check", "nonsense"]) == 2
         assert "unknown check" in capsys.readouterr().err

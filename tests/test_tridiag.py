@@ -5,6 +5,7 @@ import pytest
 
 from sdirac import tridiag
 from sdirac.checks import check_charpoly_eigs
+from sdirac.operators import KContext
 from sdirac.tridiag import (
     _MAX_BISECT_ITER,
     _PIVOT_FLOOR,
@@ -151,7 +152,7 @@ class TestZeroDiagonalFold:
 
     @pytest.mark.parametrize("k", [195, 199])
     def test_charpoly_certifies_beyond_verify_range(self, k):
-        assert check_charpoly_eigs(k).ok
+        assert check_charpoly_eigs(KContext(k)).ok
 
 
 class TestSturmCount:
