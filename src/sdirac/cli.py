@@ -276,6 +276,10 @@ def main(argv=None) -> int:
             tol_eig=args.tol_eig,
             tol_match=args.tol_match,
         )
+        # The exact charpoly's integers pass CPython's int -> str limit of
+        # 4300 digits from k ~ 1965.  The limit stays on while -k is parsed.
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(0)
         return args.func(cfg)
     except UserInputError as e:
         print(f"error: {e}", file=sys.stderr)

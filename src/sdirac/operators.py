@@ -8,9 +8,12 @@ assembled here along two independent routes:
   * first principles -- the defining combination of Clifford multiplication
     with the su(2) generator action, pushed through the intertwiners.
 
-The module also produces exact integer characteristic polynomials, kernels,
-determinants, eigenvalues (Sturm bisection via :mod:`sdirac.tridiag`) and
-the diagonal second-order operator obtained as i times the commutator.
+A block is stored as its band, in the offset -> diagonal format of
+:meth:`sdirac.su2.RepMatrices.bands`; the dense matrix is built only on
+request (:attr:`DiracMatrix.entries`).  The module also produces exact
+integer characteristic polynomials, kernels, determinants, eigenvalues
+(Sturm bisection via :mod:`sdirac.tridiag`) and the diagonal second-order
+operator obtained as i times the commutator, a band product of the blocks.
 :class:`KContext` holds one k's rep, charpoly, blocks, bands and spectrum,
 each built once, for the checks and the report.  Everything is pure per k;
 distinct k may be processed concurrently.
@@ -28,7 +31,7 @@ import numpy as np
 from .exact import QQi
 from .hermite import MVector, MultiIndex, SpinorVector, clifford_apply
 from .intertwine import hom_space, normalize
-from .su2 import build_rep
+from .su2 import _bracket_defect, _dense, build_rep
 from .tridiag import eigvalsh_tridiagonal
 
 # i^l for the diagonal unitary intertwining the two operators (exact values;
@@ -58,16 +61,28 @@ def a_coeff(k: int, l: int) -> ACoeff:
 
 @dataclass(frozen=True)
 class DiracMatrix:
-    """Hermitian tridiagonal block of one of the two Dirac operators."""
+    """Hermitian tridiagonal block of one of the two Dirac operators, of
+    size m = (k+1)/2 in the normalized basis, stored as its band: offset
+    -1, 0, 1 -> complex128 diagonal, entry t of offset o at row
+    t + max(0, -o), column that + o."""
 
     k: int
-    m: int
-    basis: str  # "L" (unnormalized) or "L-circ" (normalized)
-    entries: np.ndarray
+    band: dict
 
     def __post_init__(self):
-        if self.entries.shape != (self.m, self.m):
-            raise ValueError("entry matrix has the wrong shape")
+        _require_odd(self.k)
+        m = self.m
+        if {o: diag.shape for o, diag in self.band.items()} != {-1: (m - 1,), 0: (m,), 1: (m - 1,)}:
+            raise ValueError(f"a block of size {m} has diagonals -1, 0, 1 of lengths {m - 1}, {m}, {m - 1}")
+
+    @property
+    def m(self) -> int:
+        return (self.k + 1) // 2
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense m x m matrix, built on each request."""
+        return _dense(self.band, self.m, np.complex128)
 
 
 @dataclass(frozen=True)
@@ -81,6 +96,16 @@ class CharPoly:
     @property
     def m(self) -> int:
         return len(self.coeffs) - 1
+
+    @property
+    def kernel_dim(self) -> int:
+        """1 iff 0 is a root; the roots of a Jacobi matrix are simple."""
+        return 1 if self.coeffs[0] == 0 else 0
+
+    @property
+    def signed_det(self) -> int:
+        """det D_k = (-1)^m p(0)."""
+        return self.coeffs[0] if self.m % 2 == 0 else -self.coeffs[0]
 
     def sign_at(self, num: int, den: int) -> int:
         """Sign of p(num/den) for integers num and den > 0: the sign of the
@@ -98,17 +123,10 @@ def assemble_closed_form(k: int):
     superdiagonal -i*a_{k,l} and subdiagonal +i*a_{k,l}."""
     _require_odd(k)
     m = (k + 1) // 2
-    d = np.zeros((m, m), dtype=np.complex128)
-    dt = np.zeros((m, m), dtype=np.complex128)
-    for l in range(1, m):
-        v = a_coeff(k, l).value
-        d[l - 1, l] = v
-        d[l, l - 1] = v
-        dt[l - 1, l] = -1j * v
-        dt[l, l - 1] = 1j * v
+    a = np.array([a_coeff(k, l).value for l in range(1, m)], dtype=np.complex128)
     return (
-        DiracMatrix(k, m, "L-circ", d),
-        DiracMatrix(k, m, "L-circ", dt),
+        DiracMatrix(k, {-1: a, 0: np.zeros(m, dtype=np.complex128), 1: a.copy()}),
+        DiracMatrix(k, {-1: 1j * a, 0: np.zeros(m, dtype=np.complex128), 1: -1j * a}),
     )
 
 
@@ -212,35 +230,30 @@ def assemble_from_definition(k: int, rep=None):
     m = (k + 1) // 2
     d_coeffs, dt_coeffs = definition_coeffs(k, exact=False, rep=rep)
     scale_sq = _scale_sq(k)
-    d = np.zeros((m, m), dtype=np.complex128)
-    dt = np.zeros((m, m), dtype=np.complex128)
-    for l in range(m):
-        down_d, up_d = d_coeffs[l]
-        down_dt, up_dt = dt_coeffs[l]
-        if l >= 1:
-            r = math.sqrt(scale_sq[l] / scale_sq[l - 1])
-            d[l - 1, l] = down_d * r
-            dt[l - 1, l] = down_dt * r
-        if l + 1 <= m - 1:
-            r = math.sqrt(scale_sq[l] / scale_sq[l + 1])
-            d[l + 1, l] = up_d * r
-            dt[l + 1, l] = up_dt * r
-    return (
-        DiracMatrix(k, m, "L-circ", d),
-        DiracMatrix(k, m, "L-circ", dt),
-    )
+    # Column l holds (down, up) at entries (l-1, l) = sup[l-1] and (l+1, l) = sub[l].
+    down_r = [math.sqrt(scale_sq[l] / scale_sq[l - 1]) for l in range(1, m)]
+    up_r = [math.sqrt(scale_sq[l] / scale_sq[l + 1]) for l in range(m - 1)]
+
+    def block(coeffs):
+        sub = [up * r for (_, up), r in zip(coeffs, up_r)]
+        sup = [down * r for (down, _), r in zip(coeffs[1:], down_r)]
+        band = {-1: sub, 0: np.zeros(m), 1: sup}
+        return DiracMatrix(k, {o: np.array(diag, dtype=np.complex128) for o, diag in band.items()})
+
+    return block(d_coeffs), block(dt_coeffs)
 
 
 def assembly_mismatch_float(k: int, rep=None, blocks=None) -> float:
     """Max entrywise deviation between the float first-principles assembly
-    and the closed-form ``blocks`` (assembled when not given), over both
-    blocks."""
+    and the closed-form ``blocks`` (assembled when not given), over the
+    bands of both blocks."""
     if blocks is None:
         blocks = assemble_closed_form(k)
     return float(
         max(
-            np.max(np.abs(defined.entries - closed.entries))
+            np.max(np.abs(defined.band[o] - closed.band[o]), initial=0.0)
             for defined, closed in zip(assemble_from_definition(k, rep=rep), blocks)
+            for o in (-1, 0, 1)
         )
     )
 
@@ -302,19 +315,15 @@ def kernel_dim(k: int) -> int:
     """1 iff the exact characteristic polynomial has zero constant term,
     cross-checked against the parity rule ((k+1)/2 odd <=> kernel)."""
     cp = charpoly_exact(k)
-    dim = 1 if cp.coeffs[0] == 0 else 0
-    parity = ((k + 1) // 2) % 2
-    if dim != parity:
+    if cp.kernel_dim != cp.m % 2:
         raise AssertionError(f"kernel parity rule violated at k={k}")
-    return dim
+    return cp.kernel_dim
 
 
 def signed_det(k: int) -> int:
     """Determinant of the first block: (-1)^m times the charpoly constant
     term (zero whenever m is odd)."""
-    cp = charpoly_exact(k)
-    m = cp.m
-    return cp.coeffs[0] if m % 2 == 0 else -cp.coeffs[0]
+    return charpoly_exact(k).signed_det
 
 
 def abs_det(k: int, charpoly: CharPoly | None = None) -> int:
@@ -327,13 +336,13 @@ def abs_det(k: int, charpoly: CharPoly | None = None) -> int:
         raise ValueError(
             f"determinant vanishes for k={k} ((k+1)/2 odd); use kernel_dim"
         )
-    c0 = (charpoly or charpoly_exact(k)).coeffs[0]
+    det = abs((charpoly or charpoly_exact(k)).signed_det)
     prod = 1
     for r in range(1, m // 2 + 1):
         prod *= a_coeff(k, 2 * r - 1).square
-    if abs(c0) != prod:
+    if det != prod:
         raise AssertionError(f"determinant product identity failed at k={k}")
-    return abs(c0)
+    return det
 
 
 def p_diag_closed(k: int) -> tuple:
@@ -350,26 +359,30 @@ def p_diag_closed(k: int) -> tuple:
     return closed
 
 
-def _commutator_numeric(d: DiracMatrix, dt: DiracMatrix) -> np.ndarray:
-    return 1j * (dt.entries @ d.entries - d.entries @ dt.entries)
+def check_commutator(blocks, tol: float = 1e-10) -> tuple:
+    """Compare i[second, first] of the two ``blocks``, a band product in
+    O(m), with :func:`p_diag_closed`.  Returns (ok, off): off is the
+    largest modulus off the diagonal, and ok requires off and every
+    imaginary part on the diagonal below ``tol`` and the real parts to
+    round to the closed-form integers."""
+    d, dt = blocks
+    p = _bracket_defect(dt.band, d.band, {}, 0, d.m)
+    diag = 1j * p.pop(0)
+    off = max((float(np.max(np.abs(x), initial=0.0)) for x in p.values()), default=0.0)
+    ok = (
+        off < tol
+        and float(np.max(np.abs(diag.imag))) < tol
+        and tuple(int(round(x)) for x in diag.real) == p_diag_closed(d.k)
+    )
+    return ok, off
 
 
 def p_operator(k: int, tol: float = 1e-10) -> tuple:
-    """Diagonal of i[second, first] verified numerically: the commutator of
-    the closed-form blocks must be diagonal within ``tol`` and round to the
-    closed-form integers exactly."""
-    closed = p_diag_closed(k)
-    p = _commutator_numeric(*assemble_closed_form(k))
-    off = p - np.diag(np.diag(p))
-    if np.max(np.abs(off)) >= tol:
-        raise AssertionError(f"commutator is not diagonal at k={k}")
-    diag = np.diag(p)
-    if np.max(np.abs(diag.imag)) >= tol:
-        raise AssertionError(f"commutator diagonal is not real at k={k}")
-    rounded = tuple(int(round(x)) for x in diag.real)
-    if rounded != closed:
-        raise AssertionError(f"commutator diagonal mismatch at k={k}")
-    return closed
+    """Diagonal of i[second, first], verified by :func:`check_commutator`
+    on the closed-form blocks."""
+    if not check_commutator(assemble_closed_form(k), tol)[0]:
+        raise AssertionError(f"commutator differs from the closed-form diagonal at k={k}")
+    return p_diag_closed(k)
 
 
 # ---------------------------------------------------------------------
@@ -377,30 +390,14 @@ def p_operator(k: int, tol: float = 1e-10) -> tuple:
 # ---------------------------------------------------------------------
 
 
-def _phase_strip(entries: np.ndarray):
-    """Diagonal and off-diagonal magnitudes of a Hermitian tridiagonal
-    matrix; conjugation by the corresponding diagonal unitary makes it real
-    symmetric without moving eigenvalues."""
-    m = entries.shape[0]
-    band = np.zeros_like(entries)
-    idx = np.arange(m)
-    band[idx, idx] = entries[idx, idx]
-    band[idx[:-1], idx[:-1] + 1] = entries[idx[:-1], idx[:-1] + 1]
-    band[idx[:-1] + 1, idx[:-1]] = entries[idx[:-1] + 1, idx[:-1]]
-    if np.count_nonzero(entries - band):
-        raise ValueError("matrix is not tridiagonal")
-    if not np.allclose(entries, entries.conj().T, rtol=1e-10, atol=1e-12):
-        raise ValueError("matrix is not Hermitian")
-    d = np.ascontiguousarray(np.diag(entries).real)
-    b = np.abs(np.diagonal(entries, offset=1))
-    return d, np.ascontiguousarray(b)
-
-
 def spectrum(dm: DiracMatrix) -> np.ndarray:
     """All eigenvalues of a Hermitian tridiagonal block, ascending, by
-    Sturm bisection after phase-stripping to real symmetric form."""
-    d, b = _phase_strip(dm.entries)
-    return eigvalsh_tridiagonal(d, b)
+    Sturm bisection of the real symmetric band (diagonal, |superdiagonal|),
+    which conjugation by a diagonal unitary makes of the block without
+    moving its eigenvalues."""
+    if not all(np.allclose(dm.band[-o], dm.band[o].conj(), rtol=1e-10, atol=1e-12) for o in (0, 1)):
+        raise ValueError("matrix is not Hermitian")
+    return eigvalsh_tridiagonal(dm.band[0].real, np.abs(dm.band[1]))
 
 
 def unitary_equivalence_exact(k: int, blocks=None) -> bool:
@@ -409,35 +406,38 @@ def unitary_equivalence_exact(k: int, blocks=None) -> bool:
     ``blocks`` are assembled when not given."""
     d, dt = assemble_closed_form(k) if blocks is None else blocks
     u = np.array([_I_POW[l % 4] for l in range(d.m)])
-    conj = u[:, None] * d.entries * u.conj()[None, :]
-    return bool(np.array_equal(conj, dt.entries))
+    uc = u.conj()
+    conj = {-1: u[1:] * d.band[-1] * uc[:-1], 0: u * d.band[0] * uc, 1: u[:-1] * d.band[1] * uc[1:]}
+    return all(np.array_equal(conj[o], dt.band[o]) for o in conj)
+
+
+def norm_bound_holds(k: int, radius: float) -> bool:
+    """The chain radius >= a_{k,1} >= (k-1)/2, for the spectral radius of
+    D_k, that drives the spectral unboundedness."""
+    a1 = a_coeff(k, 1)
+    lower = (k - 1) // 2
+    return a1.square >= lower * lower and radius >= a1.value - 1e-9 * (1.0 + a1.value)
 
 
 def norm_growth(k_max: int):
     """For each odd k <= k_max: (k, max |eigenvalue|, a_{k,1}, (k-1)/2),
-    asserting the chain max|eig| >= a_{k,1} >= (k-1)/2 that drives the
-    spectral unboundedness."""
+    asserting :func:`norm_bound_holds`."""
     _require_odd(k_max)
     rows = []
     for k in range(1, k_max + 1, 2):
-        d, _ = assemble_closed_form(k)
-        eigs = spectrum(d)
-        mx = float(np.max(np.abs(eigs)))
-        a1 = a_coeff(k, 1)
-        lower = (k - 1) // 2
-        if a1.square < lower * lower:
-            raise AssertionError(f"a_{{k,1}} lower bound failed at k={k}")
-        if mx < a1.value - 1e-9 * (1.0 + a1.value):
-            raise AssertionError(f"spectral radius fell below a_{{k,1}} at k={k}")
-        rows.append((k, mx, a1.value, lower))
+        radius = float(np.max(np.abs(spectrum(assemble_closed_form(k)[0]))))
+        if not norm_bound_holds(k, radius):
+            raise AssertionError(f"spectral radius bound failed at k={k}")
+        rows.append((k, radius, a_coeff(k, 1).value, (k - 1) // 2))
     return rows
 
 
 class KContext:
     """One odd k's data shared by the per-k checks and the report.  Each
     field is built on first use, once: the su(2) rep, the exact charpoly,
-    the closed-form blocks, their phase-stripped bands (diagonal,
-    off-diagonal magnitudes) and the eigenvalues of the first block."""
+    the closed-form blocks, the real symmetric bands (diagonal,
+    |superdiagonal|) the eigensolver sees of them, and the eigenvalues of
+    the first block."""
 
     def __init__(self, k: int):
         self.k = k
@@ -456,7 +456,7 @@ class KContext:
 
     @cached_property
     def bands(self):
-        return tuple(_phase_strip(block.entries) for block in self.blocks)
+        return tuple((block.band[0].real, np.abs(block.band[1])) for block in self.blocks)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -509,16 +509,15 @@ def build_report(
     registry = per_k_checks(mode=mode, tol_eig=tol_eig, tol_match=tol_match)
     checks = {name: registry[name](ctx).ok for name in CHECK_NAMES}
     cp = ctx.charpoly
-    m = cp.m
     return SpectrumReport(
         k=k,
-        m=m,
+        m=cp.m,
         basis="L-circ",
         eigenvalues=tuple(float(x) for x in ctx.eigenvalues),
-        kernel_dim=1 if cp.coeffs[0] == 0 else 0,
-        abs_det=abs(cp.coeffs[0]),
+        kernel_dim=cp.kernel_dim,
+        abs_det=abs(cp.signed_det),
         charpoly=cp,
         p_diag=p_diag_closed(k),
         checks=checks,
-        signed_det=cp.coeffs[0] if m % 2 == 0 else -cp.coeffs[0],
+        signed_det=cp.signed_det,
     )

@@ -63,20 +63,13 @@ class RepMatrices:
 
     def dense(self):
         """Exact dense (e0, e1, e2), row-major tuples of QQi."""
-        n = self.k + 1
-        out = []
-        for band in self.bands():
-            m = [[QQI_ZERO] * n for _ in range(n)]
-            for o, diag in band.items():
-                for t, x in enumerate(diag):
-                    r = t + max(0, -o)
-                    m[r][r + o] = x
-            out.append(tuple(map(tuple, m)))
-        return tuple(out)
+        return tuple(
+            tuple(map(tuple, _dense(band, self.k + 1, object, QQI_ZERO))) for band in self.bands()
+        )
 
     def as_arrays(self):
         """Complex128 copies of (e0, e1, e2)."""
-        return tuple(np.array(m, dtype=np.complex128) for m in self.dense())
+        return tuple(_dense(band, self.k + 1, np.complex128) for band in self.bands())
 
 
 def build_rep(k: int) -> RepMatrices:
@@ -111,6 +104,15 @@ def apply_rep(m, p: PolyVector) -> PolyVector:
                 s = s + x * p.coeffs[c]
         out.append(s)
     return PolyVector(p.k, tuple(out))
+
+
+def _dense(band, n: int, dtype, fill=0) -> np.ndarray:
+    """The n x n matrix of a band, ``fill`` off the band."""
+    out = np.full((n, n), fill, dtype=dtype)
+    for o, diag in band.items():
+        rows = np.arange(len(diag)) + max(0, -o)
+        out[rows, rows + o] = diag
+    return out
 
 
 def _band_mul_into(out, a, b, n: int, sign: int) -> None:

@@ -3,11 +3,13 @@
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 from sdirac.cli import dumps_canonical, main, parse_k_values, worker_count
+from sdirac.operators import charpoly_exact
 
 DATA = Path(__file__).parent / "data"
 
@@ -132,6 +134,18 @@ class TestCharpolyCommand:
         assert main(["charpoly", "-k", k]) == 0
         assert capsys.readouterr().out == expected + "\n"
 
+    def test_integers_beyond_the_str_digit_limit(self, capsys):
+        # from k ~ 1965 the coefficients pass CPython's 4300-digit limit,
+        # which main lifts for the whole process (Python >= 3.10.7)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        try:
+            assert main(["charpoly", "-k", "1999"]) == 0
+            out = capsys.readouterr().out
+            assert json.loads(out) == list(charpoly_exact(1999).coeffs)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
     def test_multiple_k_one_line_each(self, capsys):
         assert main(["charpoly", "-k", "1..5"]) == 0
         assert capsys.readouterr().out.splitlines() == [
@@ -164,6 +178,14 @@ class TestVerifyCommand:
         argv = ["verify", "-k", "197", "--check", "assembly-match", "--mode", mode]
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("PASS assembly-match k=197 ")
+
+    def test_assembly_match_tolerance_scales_with_the_entries(self, capsys):
+        # the residual is about one ulp of the largest entry, 1.8e-12 here
+        argv = ["verify", "-k", "887,1001", "--check", "assembly-match", "--mode", "float"]
+        assert main(argv) == 0
+        assert main(argv + ["--tol-match", "1e-20"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["PASS", "PASS", "FAIL", "FAIL"]
 
     def test_unknown_check_rejected(self, capsys):
         assert main(["verify", "-k", "3", "--check", "nonsense"]) == 2

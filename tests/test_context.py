@@ -1,5 +1,6 @@
 """Tests for the per-k context shared by the checks and the report."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -76,13 +77,13 @@ class TestSpectraCoincide:
     def test_band_deviation_is_the_residual(self):
         ctx = KContext(9)
         d, dt = ctx.blocks
-        entries = dt.entries.copy()
-        entries[1, 2] *= 1 + 1e-15
-        entries[2, 1] = np.conj(entries[1, 2])
-        ctx.blocks = (d, DiracMatrix(9, d.m, "L-circ", entries))
+        band = {o: diag.copy() for o, diag in dt.band.items()}
+        band[1][1] *= 1 + 1e-15
+        band[-1][1] = np.conj(band[1][1])
+        ctx.blocks = (d, DiracMatrix(9, band))
         result = check_coincide(ctx)
         assert not result.ok
-        assert result.residual == abs(abs(entries[1, 2]) - d.entries[1, 2].real) > 0
+        assert result.residual == abs(abs(band[1][1]) - d.band[1][1].real) > 0
 
 
     def test_bands_must_be_identical(self):
@@ -96,6 +97,22 @@ class TestSpectraCoincide:
         result = check_coincide(ctx)
         assert not result.ok
         assert result.residual == moved[2] - b0[2] > 0
+
+
+class TestBandMemory:
+    def test_float_checks_build_no_dense_block(self):
+        k = 1999
+        m = (k + 1) // 2
+        ctx = KContext(k)
+        registry = checks.per_k_checks()
+        tracemalloc.start()
+        try:
+            results = [registry[name](ctx) for name in ("symmetry", "spectra-coincide", "p-eigenvalues", "norm-bound")]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.ok for r in results)
+        assert peak < m * m * 16  # one dense complex128 block
 
 
 class TestCharpolyCertificate:

@@ -17,6 +17,7 @@ from sdirac.operators import (
     charpoly_exact,
     definition_coeffs,
     kernel_dim,
+    norm_bound_holds,
     norm_growth,
     p_operator,
     signed_det,
@@ -158,18 +159,38 @@ class TestSpectrum:
             d, dt = assemble_closed_form(k)
             assert np.array_equal(spectrum(d), spectrum(dt))
 
-    def test_rejects_non_tridiagonal(self):
-        m = np.zeros((3, 3), dtype=complex)
-        m[0, 2] = m[2, 0] = 1.0
-        with pytest.raises(ValueError, match="tridiagonal"):
-            spectrum(DiracMatrix(5, 3, "L-circ", m))
-
     def test_rejects_non_hermitian(self):
-        m = np.zeros((2, 2), dtype=complex)
-        m[0, 1] = 1.0
-        m[1, 0] = 2.0
-        with pytest.raises(ValueError, match="Hermitian"):
-            spectrum(DiracMatrix(3, 2, "L-circ", m))
+        zero = np.zeros(2, dtype=complex)
+        asymmetric = {-1: np.array([2.0 + 0j]), 0: zero, 1: np.array([1.0 + 0j])}
+        complex_diagonal = {-1: np.array([1j]), 0: np.array([0, 1e-6j]), 1: np.array([-1j])}
+        for band in (asymmetric, complex_diagonal):
+            with pytest.raises(ValueError, match="Hermitian"):
+                spectrum(DiracMatrix(3, band))
+        assert np.allclose(spectrum(DiracMatrix(3, {-1: np.array([1j]), 0: zero, 1: np.array([-1j])})), [-1, 1])
+
+
+class TestDiracMatrix:
+    @pytest.mark.parametrize("k", list(range(1, 42, 2)) + [999])
+    def test_entries_equal_dense_reference(self, k):
+        m = (k + 1) // 2
+        d_ref = np.zeros((m, m), dtype=complex)
+        dt_ref = np.zeros((m, m), dtype=complex)
+        for l in range(1, m):
+            v = a_coeff(k, l).value
+            d_ref[l - 1, l] = d_ref[l, l - 1] = v
+            dt_ref[l - 1, l], dt_ref[l, l - 1] = -1j * v, 1j * v
+        d, dt = assemble_closed_form(k)
+        assert np.array_equal(d.entries, d_ref) and np.array_equal(dt.entries, dt_ref)
+
+    def test_rejects_wrong_band_length(self):
+        zero = np.zeros(3, dtype=complex)
+        good = {-1: np.ones(2, dtype=complex), 0: zero, 1: np.ones(2, dtype=complex)}
+        assert DiracMatrix(5, good).m == 3
+        bad = [{**good, o: np.zeros(length, dtype=complex)} for o, length in ((-1, 3), (0, 2), (1, 1), (2, 1))]
+        bad.append({o: good[o] for o in (0, 1)})
+        for band in bad:
+            with pytest.raises(ValueError, match="of lengths 2, 3, 2"):
+                DiracMatrix(5, band)
 
 
 class TestUnitaryEquivalence:
@@ -224,6 +245,11 @@ class TestNormGrowth:
         assert k3[2] == pytest.approx(SQRT6, rel=1e-15) and k3[3] == 1
         assert k5[1] == pytest.approx(6, abs=1e-10)
         assert k5[2] == 4.0 and k5[3] == 2
+
+    def test_bound_predicate(self):
+        # a_{5,1} = 4: the spectral radius 6 passes, anything below 4 fails
+        assert norm_bound_holds(5, 6.0) and norm_bound_holds(5, 4.0)
+        assert not norm_bound_holds(5, 3.9)
 
     def test_rejects_even_bound(self):
         with pytest.raises(ValueError):
