@@ -42,7 +42,7 @@ from .operators import (
     spectrum,
     unnormalized_coeffs,
 )
-from .su2 import PolyVector, RepMatrices, build_rep, check_bracket
+from .su2 import RepMatrices, build_rep, check_bracket
 from .tridiag import eigvalsh_tridiagonal
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -36,13 +37,13 @@ class RunConfig:
     out: str | None = None
     jobs: int = 0
     checks: tuple = field(default_factory=tuple)
-    tol_eig: float = 1e-10
     tol_match: float = 1e-12
 
 
 def parse_k_values(arg: str) -> list:
     """Parse '-k' values: an inclusive range 'a..b' keeps only its odd
-    members; an explicit list '1,3,7' must already be odd."""
+    members; an explicit list '1,3,7' must already be odd and name each k
+    once."""
     arg = arg.strip()
     if ".." in arg:
         parts = arg.split("..")
@@ -68,6 +69,8 @@ def parse_k_values(arg: str) -> list:
             raise UserInputError("k must be odd: U_k is trivial for even k")
         if k < 1:
             raise UserInputError(f"k must be >= 1, got {k}")
+    if len(set(ks)) != len(ks):
+        raise UserInputError(f"a k is listed twice: {arg!r}")
     return ks
 
 
@@ -155,8 +158,8 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def _report_worker(payload):
-    k, tol_eig, tol_match, mode = payload
-    return report_to_dict(build_report(k, tol_eig=tol_eig, tol_match=tol_match, mode=mode))
+    k, tol_match, mode = payload
+    return report_to_dict(build_report(k, tol_match=tol_match, mode=mode))
 
 
 def worker_count(jobs: int, n_items: int) -> int:
@@ -168,7 +171,7 @@ def worker_count(jobs: int, n_items: int) -> int:
 
 def _compute_report_dicts(cfg: RunConfig) -> list:
     ks = sorted(cfg.k_values)
-    payloads = [(k, cfg.tol_eig, cfg.tol_match, cfg.mode) for k in ks]
+    payloads = [(k, cfg.tol_match, cfg.mode) for k in ks]
     jobs = worker_count(cfg.jobs, len(ks))
     if jobs <= 1:
         return [_report_worker(p) for p in payloads]
@@ -198,7 +201,6 @@ def cmd_verify(cfg: RunConfig) -> int:
             sorted(cfg.k_values),
             names=cfg.checks or None,
             mode=cfg.mode,
-            tol_eig=cfg.tol_eig,
             tol_match=cfg.tol_match,
         )
     except ValueError as e:
@@ -219,6 +221,35 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------
 
 
+# Each option as (flags, argparse keywords); every dest but k is a RunConfig
+# field.
+_OPTIONS = {
+    "k": (("-k", "--k"), dict(
+        required=True, metavar="RANGE|LIST",
+        help="odd degrees, e.g. '5', '1,3,7' or '1..31' (ranges skip even values)",
+    )),
+    "format": (("--format",), dict(choices=("json", "csv", "table"), default="json")),
+    "mode": (("--mode",), dict(choices=("float", "exact", "both"), default="both")),
+    "out": (("--out",), dict(metavar="PATH", help="write output to a file instead of stdout")),
+    "jobs": (("--jobs",), dict(type=int, default=0, metavar="N", help="worker count, 0 = auto")),
+    "check": (("--check",), dict(
+        action="append", default=[], dest="checks", metavar="NAME",
+        help="run only the named check (repeatable)",
+    )),
+    "tol-match": (("--tol-match",), dict(type=float, default=1e-12, metavar="X")),
+}
+
+# The options each command reads; any other is a usage error (exit 2).
+_COMMANDS = (
+    ("spectrum", "emit spectrum reports per k", cmd_spectrum,
+     ("k", "format", "mode", "out", "jobs", "tol-match")),
+    ("charpoly", "emit exact charpoly coefficients, lowest degree first", cmd_charpoly,
+     ("k", "out")),
+    ("verify", "run the invariant checks over a k range", cmd_verify,
+     ("k", "mode", "out", "jobs", "check", "tol-match")),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdirac",
@@ -226,61 +257,31 @@ def _build_parser() -> argparse.ArgumentParser:
         "spectra, exact characteristic polynomials, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument(
-            "-k", "--k", required=True, metavar="RANGE|LIST",
-            help="odd degrees, e.g. '5', '1,3,7' or '1..31' (ranges skip even values)",
-        )
-        p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-        p.add_argument("--mode", choices=("float", "exact", "both"), default="both")
-        p.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
-        p.add_argument("--jobs", type=int, default=0, metavar="N", help="worker count, 0 = auto")
-        p.add_argument(
-            "--check", action="append", default=[], metavar="NAME",
-            help="restrict 'verify' to the named check (repeatable)",
-        )
-        p.add_argument("--tol-eig", type=float, default=1e-10, metavar="X")
-        p.add_argument("--tol-match", type=float, default=1e-12, metavar="X")
-
-    p_spec = sub.add_parser("spectrum", help="emit spectrum reports per k")
-    common(p_spec)
-    p_spec.set_defaults(func=cmd_spectrum)
-
-    p_char = sub.add_parser("charpoly", help="emit exact charpoly coefficients, lowest degree first")
-    common(p_char)
-    p_char.set_defaults(func=cmd_charpoly)
-
-    p_ver = sub.add_parser("verify", help="run the invariant checks over a k range")
-    common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
-
+    for name, help_text, func, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            flags, kwargs = _OPTIONS[option]
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
+    func = args.pop("func")
+    del args["command"]
     try:
-        if args.tol_eig <= 0 or args.tol_match <= 0:
-            raise UserInputError("tolerances must be strictly positive")
-        if args.jobs < 0:
+        cfg = RunConfig(k_values=parse_k_values(args.pop("k")), **args)
+        if not (math.isfinite(cfg.tol_match) and cfg.tol_match > 0):
+            raise UserInputError("--tol-match must be finite and strictly positive")
+        if cfg.jobs < 0:
             raise UserInputError("--jobs must be >= 0")
-        cfg = RunConfig(
-            k_values=parse_k_values(args.k),
-            mode=args.mode,
-            format=args.format,
-            out=args.out,
-            jobs=args.jobs,
-            checks=tuple(args.check),
-            tol_eig=args.tol_eig,
-            tol_match=args.tol_match,
-        )
         # The exact charpoly's integers pass CPython's int -> str limit of
         # 4300 digits from k ~ 1965.  The limit stays on while -k is parsed.
         if hasattr(sys, "set_int_max_str_digits"):
             sys.set_int_max_str_digits(0)
-        return args.func(cfg)
+        return func(cfg)
     except UserInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

@@ -1,11 +1,13 @@
-"""Exact Gaussian-rational scalars and a sparse exact null-space count.
+"""Exact Gaussian-rational scalars.
 
 Every coefficient appearing in the ladder formulas, the su(2) matrices and
-the intertwiner systems is of the form a + b*i with a, b rational, so a
+the intertwiner weights is of the form a + b*i with a, b rational, so a
 tiny exact scalar type is enough to run all verification paths without
 rounding.  Components are kept as plain ``int`` whenever possible (int and
 ``fractions.Fraction`` mix transparently) so that the common integer-only
-paths stay fast.
+paths stay fast.  No linear system is solved: the one the checks pose, the
+intertwiner equivariance system, is diagonal, and :mod:`sdirac.intertwine`
+counts its null space by comparing weights.
 """
 
 from __future__ import annotations
@@ -104,31 +106,3 @@ class QQi:
 
 QQI_ZERO = QQi(0, 0)
 QQI_ONE = QQi(1, 0)
-
-
-def nullspace_dim(rows, n_cols: int) -> int:
-    """Dimension of the kernel of an exact matrix with ``n_cols`` columns,
-    given as sparse rows: mappings column -> QQi or Fraction entry, where
-    absent and zero entries are zero.  Gaussian elimination with exact
-    division.
-
-    Each row is reduced against the pivot rows kept so far, always at its
-    leading column, until it is zero or leads in a new column and becomes
-    a pivot row itself; the rank is the number of pivot rows."""
-    pivots = {}
-    for row in rows:
-        row = {c: x for c, x in row.items() if x}
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row
-                break
-            factor = row[lead] / pivot[lead]
-            for c, x in pivot.items():
-                y = row.get(c, 0) - factor * x
-                if y:
-                    row[c] = y
-                else:
-                    row.pop(c, None)
-    return n_cols - len(pivots)

@@ -10,13 +10,15 @@ for the symplectic basis X_1..X_2n (X_j acts as i*x_j, X_(n+j) as d/dx_j).
 No pointwise evaluation on R^n ever happens.
 
 Coefficients are dual mode: exact Gaussian rationals (:class:`sdirac.exact.QQi`)
-on verification paths, complex doubles on spectral paths.  All operations
-here are pure and every value is immutable after construction.
+on verification paths, complex doubles on spectral paths.  A spinor's
+``trunc`` bounds the degrees it may hold; Clifford multiplication raises
+it by one, so no term is ever clipped.  All operations here are pure and
+every value is immutable after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import QQi, QQI_ONE
@@ -94,17 +96,11 @@ def omega0(x: MVector, y: MVector):
 @dataclass(frozen=True)
 class SpinorVector:
     """A finite linear combination of Hermite basis functions h_alpha
-    with total degree at most ``trunc``.
-
-    ``overflow`` records raising terms clipped at an explicitly requested
-    truncation window; it is empty unless a caller forced a window smaller
-    than the natural one.
-    """
+    with total degree at most ``trunc``."""
 
     n: int
     trunc: int
     coeffs: dict
-    overflow: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         cleaned = {}
@@ -129,27 +125,16 @@ class SpinorVector:
         one = QQI_ONE if exact else (1 + 0j)
         return cls(n, trunc, {mi: one})
 
-    @classmethod
-    def zero(cls, n: int, trunc: int = 0) -> "SpinorVector":
-        return cls(n, trunc, {})
-
     def __add__(self, other: "SpinorVector") -> "SpinorVector":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         merged = dict(self.coeffs)
         for alpha, c in other.coeffs.items():
             merged[alpha] = merged[alpha] + c if alpha in merged else c
-        return SpinorVector(
-            self.n, max(self.trunc, other.trunc), merged,
-            self.overflow + other.overflow,
-        )
+        return SpinorVector(self.n, max(self.trunc, other.trunc), merged)
 
     def scaled(self, s) -> "SpinorVector":
-        return SpinorVector(
-            self.n, self.trunc,
-            {alpha: c * s for alpha, c in self.coeffs.items()},
-            self.overflow,
-        )
+        return SpinorVector(self.n, self.trunc, {alpha: c * s for alpha, c in self.coeffs.items()})
 
     def coeff(self, alpha):
         mi = alpha if isinstance(alpha, MultiIndex) else MultiIndex(tuple(alpha))
@@ -173,22 +158,14 @@ def _accum(acc: dict, alpha: MultiIndex, term) -> None:
     acc[alpha] = acc[alpha] + term if alpha in acc else term
 
 
-def clifford_apply(x: MVector, phi: SpinorVector, trunc: int | None = None) -> SpinorVector:
-    """Apply the symplectic Clifford multiplication by x to phi.
-
-    By default the truncation window grows by one degree, so a single
-    application never clips.  Passing an explicit ``trunc`` caps the result
-    window; raising terms beyond it are then recorded on the result's
-    ``overflow`` instead of being silently dropped.
-    """
+def clifford_apply(x: MVector, phi: SpinorVector) -> SpinorVector:
+    """Apply the symplectic Clifford multiplication by x to phi.  The
+    truncation window grows by one degree, so nothing is ever clipped."""
     n = phi.n
     if x.n != n:
         raise ValueError(f"dimension mismatch: vector has n={x.n}, spinor has n={n}")
-    out_trunc = phi.trunc + 1 if trunc is None else trunc
     acc: dict = {}
-    clipped = []
     for alpha, c in phi.coeffs.items():
-        deg = alpha.degree
         for j in range(n):
             pos = x.coords[j]
             der = x.coords[n + j]
@@ -201,20 +178,13 @@ def clifford_apply(x: MVector, phi: SpinorVector, trunc: int | None = None) -> S
                     _accum(acc, low, _times_i(c, -aj) * pos)
                 if der != 0:
                     _accum(acc, low, c * (-aj) * der)
-            hi = alpha.raised(j)
-            if pos != 0:
-                up_term = _times_i(c, -_HALF) * pos
-            else:
-                up_term = None
+            # pos or der is nonzero, so the raising term is set
+            up_term = _times_i(c, -_HALF) * pos if pos != 0 else None
             if der != 0:
                 t = c * _HALF * der
                 up_term = t if up_term is None else up_term + t
-            if deg + 1 > out_trunc:
-                if up_term is not None and up_term != 0:
-                    clipped.append((hi, up_term))
-            elif up_term is not None:
-                _accum(acc, hi, up_term)
-    return SpinorVector(n, out_trunc, acc, phi.overflow + tuple(clipped))
+            _accum(acc, alpha.raised(j), up_term)
+    return SpinorVector(n, phi.trunc + 1, acc)
 
 
 def oscillator_apply(phi: SpinorVector) -> SpinorVector:

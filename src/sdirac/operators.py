@@ -38,6 +38,11 @@ from .tridiag import eigvalsh_tridiagonal
 # complex exponentiation would round).
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
+# Absolute bound on float residuals that are exact zeros of the band
+# arithmetic: the imaginary and off-diagonal parts of the commutator and
+# the asymmetry of the mirrored spectrum.
+FLOAT_TOL = 1e-10
+
 
 def _require_odd(k: int) -> None:
     if not isinstance(k, int) or k < 1 or k % 2 == 0:
@@ -165,7 +170,7 @@ def definition_coeffs(k: int, exact: bool = True, rep=None):
     Returns two lists over l = 0..m-1 of (down, up) scalars; up is None at
     l = m-1, where no polynomial column exists for the raising target.
     Raises AssertionError if either column fails to land in its adjacent
-    Hermite level, and checks that no truncation overflow occurred.
+    Hermite level.
     """
     _require_odd(k)
     if rep is None:
@@ -195,8 +200,6 @@ def definition_coeffs(k: int, exact: bool = True, rep=None):
                 s1, s2 = complex(s1), complex(s2)
             col_d = e1h.scaled(-s2) + e2h.scaled(s1)
             col_dt = e1h.scaled(-s1) + e2h.scaled(-s2)
-            if col_d.overflow or col_dt.overflow:
-                raise AssertionError("unexpected truncation overflow in assembly")
             if j == j0 - 1:
                 if l == 0:
                     if not (col_d.is_zero() and col_dt.is_zero()):
@@ -359,28 +362,28 @@ def p_diag_closed(k: int) -> tuple:
     return closed
 
 
-def check_commutator(blocks, tol: float = 1e-10) -> tuple:
+def check_commutator(blocks) -> tuple:
     """Compare i[second, first] of the two ``blocks``, a band product in
     O(m), with :func:`p_diag_closed`.  Returns (ok, off): off is the
     largest modulus off the diagonal, and ok requires off and every
-    imaginary part on the diagonal below ``tol`` and the real parts to
+    imaginary part on the diagonal below FLOAT_TOL and the real parts to
     round to the closed-form integers."""
     d, dt = blocks
     p = _bracket_defect(dt.band, d.band, {}, 0, d.m)
     diag = 1j * p.pop(0)
     off = max((float(np.max(np.abs(x), initial=0.0)) for x in p.values()), default=0.0)
     ok = (
-        off < tol
-        and float(np.max(np.abs(diag.imag))) < tol
+        off < FLOAT_TOL
+        and float(np.max(np.abs(diag.imag))) < FLOAT_TOL
         and tuple(int(round(x)) for x in diag.real) == p_diag_closed(d.k)
     )
     return ok, off
 
 
-def p_operator(k: int, tol: float = 1e-10) -> tuple:
+def p_operator(k: int) -> tuple:
     """Diagonal of i[second, first], verified by :func:`check_commutator`
     on the closed-form blocks."""
-    if not check_commutator(assemble_closed_form(k), tol)[0]:
+    if not check_commutator(assemble_closed_form(k))[0]:
         raise AssertionError(f"commutator differs from the closed-form diagonal at k={k}")
     return p_diag_closed(k)
 
@@ -491,12 +494,7 @@ class SpectrumReport:
     signed_det: int
 
 
-def build_report(
-    k: int,
-    tol_eig: float = 1e-10,
-    tol_match: float = 1e-12,
-    mode: str = "both",
-) -> SpectrumReport:
+def build_report(k: int, tol_match: float = 1e-12, mode: str = "both") -> SpectrumReport:
     """Assemble, solve and verify one k with the registry checks of
     CHECK_NAMES, all on one :class:`KContext`; check failures are flagged,
     not raised, so a sweep always completes."""
@@ -506,7 +504,7 @@ def build_report(
     if mode not in ("float", "exact", "both"):
         raise ValueError(f"unknown mode {mode!r}")
     ctx = KContext(k)
-    registry = per_k_checks(mode=mode, tol_eig=tol_eig, tol_match=tol_match)
+    registry = per_k_checks(mode=mode, tol_match=tol_match)
     checks = {name: registry[name](ctx).ok for name in CHECK_NAMES}
     cp = ctx.charpoly
     return SpectrumReport(

@@ -12,7 +12,9 @@ the diagonal of e0 and the sub- and super-diagonals of e1 and e2.  So e0 is
 diagonal and e1, e2 are tridiagonal with zero diagonal by storage; the
 ``su2-weights`` and ``su2-structure`` checks inspect every stored entry.
 The bracket check multiplies bands, in O(k).  Dense exact and complex128
-matrices are built only on request.
+matrices are built only on request: tests multiply :meth:`RepMatrices.dense`
+by hand, and the benchmark under ``bench/`` times
+:meth:`RepMatrices.as_arrays`.  No polynomial is ever stored.
 """
 
 from __future__ import annotations
@@ -22,19 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import QQI_ZERO, QQi
-
-
-@dataclass(frozen=True)
-class PolyVector:
-    """A degree-k homogeneous polynomial in two complex variables, as
-    coefficients against the monomial basis p_{k,j}."""
-
-    k: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.k + 1:
-            raise ValueError(f"need {self.k + 1} coefficients, got {len(self.coeffs)}")
 
 
 @dataclass(frozen=True)
@@ -68,7 +57,8 @@ class RepMatrices:
         )
 
     def as_arrays(self):
-        """Complex128 copies of (e0, e1, e2)."""
+        """Complex128 copies of (e0, e1, e2).  No command reads them; the
+        benchmark under ``bench/`` times this call."""
         return tuple(_dense(band, self.k + 1, np.complex128) for band in self.bands())
 
 
@@ -89,21 +79,6 @@ def build_rep(k: int) -> RepMatrices:
         (tuple(QQi(j - k, 0) for j in range(k)), tuple(QQi(j + 1, 0) for j in range(k))),
         (tuple(QQi(0, j - k) for j in range(k)), tuple(QQi(0, -j - 1) for j in range(k))),
     )
-
-
-def apply_rep(m, p: PolyVector) -> PolyVector:
-    """Apply a dense generator matrix (exact, row-major, as from
-    :meth:`RepMatrices.dense`) to a polynomial."""
-    size = p.k + 1
-    out = []
-    for r in range(size):
-        s = QQi(0, 0)
-        for c in range(size):
-            x = m[r][c]
-            if x:
-                s = s + x * p.coeffs[c]
-        out.append(s)
-    return PolyVector(p.k, tuple(out))
 
 
 def _dense(band, n: int, dtype, fill=0) -> np.ndarray:
@@ -144,7 +119,9 @@ def check_bracket(rep: RepMatrices, mode: str = "exact", tol: float = 1e-13) -> 
     """True iff [e0,e1] = 2 e2, [e0,e2] = -2 e1, [e1,e2] = 2 e0.
 
     The commutators are band products, O(k).  Exact mode compares Gaussian
-    rationals; float mode compares complex128 entries within ``tol``.
+    rationals; float mode compares complex128 entries within ``tol``.  The
+    float mode is what ``verify --mode float`` runs, and the benchmark
+    under ``bench/`` times both.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")

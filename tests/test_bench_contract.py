@@ -3,12 +3,16 @@ the argument shapes it passes (``bench/layers.py``, ``bench/selftest.py``,
 ``bench/run.py``).  The benchmark is kept fixed between its own changes, so
 a rename or a changed signature here would break it silently."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from sdirac import checks, cli, hermite, intertwine, su2, tridiag
 from sdirac import operators as op
 
 K = 5
+REFERENCE = Path(__file__).parent.parent / "bench" / "reference.json"
 
 
 def test_operators_calls():
@@ -42,3 +46,13 @@ def test_checks_and_cli_names():
         results = checks.run_checks([K], names=[name])
         assert len(results) == 1 and results[0].ok
     assert cli.dumps_canonical({"k": K, "m": 3}) == '{"k": 5, "m": 3}'
+
+
+def test_check_names_match_the_reference():
+    # the benchmark fails an operation for each verify line or report flag
+    # it misses, so a renamed or folded check would lower its ok_frac
+    reference = json.loads(REFERENCE.read_text())
+    assert list(checks.GLOBAL_CHECKS) == reference["verify_checks"]["global"]
+    assert list(checks.PER_K_CHECKS) == reference["verify_checks"]["per_k"]
+    for report in reference["spectrum"].values():
+        assert sorted(op.CHECK_NAMES) == sorted(report["checks"])

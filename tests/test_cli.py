@@ -40,6 +40,16 @@ class TestParseK:
             with pytest.raises(ValueError):
                 parse_k_values(bad)
 
+    def test_repeated_k_is_error(self):
+        for bad in ("3,3", "1,5,3,5"):
+            with pytest.raises(ValueError, match="listed twice"):
+                parse_k_values(bad)
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_repeated_k_exits_2(self, command, capsys):
+        assert main([command, "-k", "3,3"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_range_without_odd_k_is_error(self):
         with pytest.raises(ValueError):
             parse_k_values("2..2")
@@ -123,7 +133,7 @@ class TestSpectrumCommand:
         assert got == (DATA / "spectrum_k1_7.json").read_bytes()
 
     def test_bad_tolerance(self, capsys):
-        assert main(["spectrum", "-k", "3", "--tol-eig", "-1"]) == 2
+        assert main(["spectrum", "-k", "3", "--tol-match", "-1"]) == 2
 
 
 class TestCharpolyCommand:
@@ -187,12 +197,51 @@ class TestVerifyCommand:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines] == ["PASS", "PASS", "FAIL", "FAIL"]
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_tol_match_must_be_finite_and_positive(self, tol, capsys):
+        # nan failed working code and inf passed anything
+        argv = ["verify", "-k", "5", "--check", "assembly-match", "--tol-match", tol]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol-match" in captured.err
+
     def test_unknown_check_rejected(self, capsys):
         assert main(["verify", "-k", "3", "--check", "nonsense"]) == 2
         assert "unknown check" in capsys.readouterr().err
 
     def test_even_k_rejected(self):
         assert main(["verify", "-k", "2"]) == 2
+
+
+class TestOptionsPerCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["charpoly", "-k", "3", "--format", "csv"],
+            ["charpoly", "-k", "3", "--mode", "float"],
+            ["charpoly", "-k", "3", "--check", "nonsense"],
+            ["charpoly", "-k", "3", "--jobs", "9"],
+            ["charpoly", "-k", "3", "--tol-match", "1e-12"],
+            ["spectrum", "-k", "3", "--check", "nonsense"],
+            ["verify", "-k", "3", "--format", "json"],
+            ["verify", "-k", "3", "--tol-eig", "1e-10"],
+            ["spectrum", "-k", "3", "--tol-eig", "1e-10"],
+        ],
+    )
+    def test_option_the_command_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_options_each_command_reads(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        assert main(["charpoly", "-k", "3", "--out", out]) == 0
+        spectrum = ["--format", "csv", "--mode", "float", "--jobs", "1", "--tol-match", "1e-9"]
+        assert main(["spectrum", "-k", "3", "--out", out] + spectrum) == 0
+        verify = ["--check", "symmetry", "--mode", "float", "--jobs", "1", "--tol-match", "1e-9"]
+        assert main(["verify", "-k", "3", "--out", out] + verify) == 0
 
 
 class TestOutputFile:

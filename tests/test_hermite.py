@@ -26,7 +26,6 @@ class TestLadderExamples:
         # X_1 . h_0 = -(i/2) h_1, the lowering term vanishes at alpha = 0
         out = clifford_apply(MVector((1, 0)), SpinorVector.basis(1, (0,)))
         assert coeff_map(out) == {(1,): QQi(0, Fraction(-1, 2))}
-        assert out.overflow == ()
 
     def test_derivative_on_first_level(self):
         # X_2 . h_1 = -h_0 + (1/2) h_2
@@ -46,17 +45,7 @@ class TestLadderExamples:
         phi = SpinorVector.basis(1, (2,), trunc=5)
         out = clifford_apply(MVector((1, 0)), phi)
         assert out.trunc == 6
-        assert out.overflow == ()
-
-    def test_explicit_trunc_records_overflow(self):
-        phi = SpinorVector.basis(1, (2,))
-        out = clifford_apply(MVector((1, 0)), phi, trunc=2)
-        assert out.overflow
-        (alpha, c), = out.overflow
-        assert alpha.entries == (3,)
-        assert c == QQi(0, Fraction(-1, 2))
-        # the lowering part survives
-        assert coeff_map(out) == {(1,): QQi(0, -2)}
+        assert coeff_map(out) == {(1,): QQi(0, -2), (3,): QQi(0, Fraction(-1, 2))}
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):

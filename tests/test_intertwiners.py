@@ -1,10 +1,14 @@
 """Tests for the equivariant-map spaces and their normalization."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
+from sdirac.checks import check_equivariance, check_hom_oracle
+from sdirac.exact import QQi
+from sdirac.hermite import weight_on_Wl
 from sdirac.intertwine import (
     Intertwiner,
     dim_invariant_space,
@@ -13,14 +17,43 @@ from sdirac.intertwine import (
     hom_space_oracle,
     normalize,
 )
+from sdirac.operators import KContext
+from sdirac.su2 import build_rep
+
+
+def dense_nullity(a) -> int:
+    """Reference: textbook dense Gaussian elimination over all columns."""
+    rows = [list(row) for row in a]
+    n_cols = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if not rows[r][col]:
+                continue
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return n_cols - rank
+
+
+def with_wrong_weight(k: int, j: int):
+    """The rep of degree k with e0[j] replaced by its neighbour's weight."""
+    rep = build_rep(k)
+    e0 = list(rep.e0)
+    e0[j] = QQi(0, 2 * j - k + 2)
+    return dataclasses.replace(rep, e0=tuple(e0))
 
 
 class TestHomSpace:
     def test_k3_l0_generator(self):
         dim, gen = hom_space(3, 0)
         assert dim == 1
-        assert gen.row == (0, 0, 1, 0)  # p_{3,2} -> h_0
-        assert gen.support == 2
+        assert gen == Intertwiner(3, 0)
+        assert gen.support == 2  # p_{3,2} -> h_0
 
     def test_even_k_trivial(self):
         assert hom_space(2, 0) == (0, None)
@@ -47,6 +80,31 @@ class TestOracle:
             for l in range(k + 3):
                 assert hom_space(k, l)[0] == hom_space_oracle(k, l), (k, l)
 
+    def test_matches_dense_elimination(self):
+        # the nullity of the dense (e0^T - w I), by elimination, for odd and
+        # even k
+        for k in range(22):
+            rep = build_rep(k)
+            e0 = rep.dense()[0]
+            for l in range(k + 3):
+                w = weight_on_Wl(l)
+                system = [
+                    [e0[c][r] - (w if r == c else 0) for c in range(k + 1)]
+                    for r in range(k + 1)
+                ]
+                assert hom_space_oracle(k, l, rep=rep) == dense_nullity(system), (k, l)
+
+    @pytest.mark.parametrize("j", [5, 7, 9])
+    def test_one_wrong_weight_fails_oracle_and_equivariance(self, j):
+        # j is the support of h_(j-5) at k = 9; its weight moves onto the
+        # next one, so h_(j-5) finds no weight and h_(j-4) two
+        k = 9
+        ctx = KContext(k)
+        ctx.rep = with_wrong_weight(k, j)
+        assert hom_space_oracle(k, j - 5, rep=ctx.rep) == 0
+        assert not check_hom_oracle(ctx).ok
+        assert not check_equivariance(ctx).ok
+
 
 class TestNormalize:
     @pytest.mark.parametrize(
@@ -58,14 +116,9 @@ class TestNormalize:
         assert norm.scale_sq == scale_sq
         assert isinstance(norm.scale_sq, Fraction)
 
-    def test_rejects_non_generator(self):
-        bogus = Intertwiner(3, 0, (1, 0, 0, 0))
-        with pytest.raises(ValueError):
-            normalize(bogus)
-
     def test_rejects_invalid_pair(self):
         with pytest.raises(ValueError):
-            normalize(Intertwiner(2, 0, (0, 0, 0)))
+            normalize(Intertwiner(2, 0))
 
 
 class TestDimensions:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdirac.exact import QQi
-from sdirac.su2 import PolyVector, RepMatrices, apply_rep, build_rep, check_bracket
+from sdirac.su2 import RepMatrices, build_rep, check_bracket
 
 
 class TestBuildRep:
@@ -15,10 +15,10 @@ class TestBuildRep:
 
     def test_k1_raising_lowering(self):
         e1 = build_rep(1).dense()[1]
-        p10 = PolyVector(1, (QQi(1, 0), QQi(0, 0)))
-        p11 = PolyVector(1, (QQi(0, 0), QQi(1, 0)))
-        assert apply_rep(e1, p10).coeffs == (QQi(0, 0), QQi(-1, 0))  # -p_{1,1}
-        assert apply_rep(e1, p11).coeffs == (QQi(1, 0), QQi(0, 0))  # +p_{1,0}
+        # e1 p_{1,0} = -p_{1,1} and e1 p_{1,1} = +p_{1,0}: column c of e1
+        # holds the image of p_{1,c}
+        images = [tuple(e1[r][c] for r in range(2)) for c in range(2)]
+        assert images == [(QQi(0, 0), QQi(-1, 0)), (QQi(1, 0), QQi(0, 0))]
 
     def test_k0_trivial(self):
         rep = build_rep(0)
@@ -130,7 +130,3 @@ class TestStructure:
                 else:
                     assert e1[r][c].im == 0
                     assert e2[r][c].re == 0
-
-    def test_polyvector_length_check(self):
-        with pytest.raises(ValueError):
-            PolyVector(2, (QQi(1, 0),))
