@@ -253,12 +253,13 @@ _COMMANDS = (
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdirac",
+        allow_abbrev=False,
         description="Symplectic Dirac operator blocks on the projective line: "
         "spectra, exact characteristic polynomials, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, func, options in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for option in options:
             flags, kwargs = _OPTIONS[option]
             p.add_argument(*flags, **kwargs)

@@ -106,3 +106,4 @@ class QQi:
 
 QQI_ZERO = QQi(0, 0)
 QQI_ONE = QQi(1, 0)
+QQI_I = QQi(0, 1)

@@ -7,7 +7,11 @@ multi-index alpha and all operators act through the ladder relations
     X_(n+j) . h_alpha =   -alpha_j * h_(alpha-<j>)  +  1/2 * h_(alpha+<j>)
 
 for the symplectic basis X_1..X_2n (X_j acts as i*x_j, X_(n+j) as d/dx_j).
-No pointwise evaluation on R^n ever happens.
+No pointwise evaluation on R^n ever happens.  :func:`ladder` is the one
+implementation of these relations: :func:`clifford_apply` calls it for
+each term of a spinor, and first-principles assembly
+(:func:`sdirac.operators.definition_coeffs`) calls it once per k over
+arrays of all levels l = 0..m-1.
 
 Coefficients are dual mode: exact Gaussian rationals (:class:`sdirac.exact.QQi`)
 on verification paths, complex doubles on spectral paths.  A spinor's
@@ -20,8 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .exact import QQi, QQI_ONE
+from .exact import QQi, QQI_I, QQI_ONE
 
 _HALF = Fraction(1, 2)
 
@@ -147,11 +152,22 @@ class SpinorVector:
         return not self.coeffs
 
 
-def _times_i(c, r):
-    """c * (i*r), staying in the scalar mode of c (QQi or complex)."""
-    if isinstance(c, QQi):
-        return c * QQi(0, r)
-    return c * complex(0.0, float(r))
+def _is_float(x) -> bool:
+    """True for float or complex scalars and for float or complex arrays."""
+    return isinstance(x, (float, complex)) or getattr(getattr(x, "dtype", None), "kind", None) in ("f", "c")
+
+
+def ladder(pos, der, l):
+    """Coefficients (down, up) of h_(l-1) and h_(l+1) in (pos X_1 + der X_2) . h_l:
+
+        down = -l (der + i pos),   up = (der - i pos) / 2.
+
+    Elementwise on numpy arrays of levels and coordinates.  Float or
+    complex inputs give complex doubles; anything else (int, Fraction,
+    QQi, or integer and object arrays of them) stays exact."""
+    i, half = (1j, 0.5) if _is_float(pos) or _is_float(der) else (QQI_I, _HALF)
+    i_pos = i * pos
+    return -l * (der + i_pos), (der - i_pos) * half
 
 
 def _accum(acc: dict, alpha: MultiIndex, term) -> None:
@@ -160,7 +176,10 @@ def _accum(acc: dict, alpha: MultiIndex, term) -> None:
 
 def clifford_apply(x: MVector, phi: SpinorVector) -> SpinorVector:
     """Apply the symplectic Clifford multiplication by x to phi.  The
-    truncation window grows by one degree, so nothing is ever clipped."""
+    truncation window grows by one degree, so nothing is ever clipped.
+    Each term c h_alpha and direction j goes through :func:`ladder`, which
+    is linear in (pos, der), so c is folded into the coordinates; a zero
+    coordinate is passed as the int 0, not as the product c * 0."""
     n = phi.n
     if x.n != n:
         raise ValueError(f"dimension mismatch: vector has n={x.n}, spinor has n={n}")
@@ -172,18 +191,10 @@ def clifford_apply(x: MVector, phi: SpinorVector) -> SpinorVector:
             if pos == 0 and der == 0:
                 continue
             aj = alpha.entries[j]
+            down, up = ladder(c * pos if pos else 0, c * der if der else 0, aj)
             if aj:
-                low = alpha.lowered(j)
-                if pos != 0:
-                    _accum(acc, low, _times_i(c, -aj) * pos)
-                if der != 0:
-                    _accum(acc, low, c * (-aj) * der)
-            # pos or der is nonzero, so the raising term is set
-            up_term = _times_i(c, -_HALF) * pos if pos != 0 else None
-            if der != 0:
-                t = c * _HALF * der
-                up_term = t if up_term is None else up_term + t
-            _accum(acc, alpha.raised(j), up_term)
+                _accum(acc, alpha.lowered(j), down)
+            _accum(acc, alpha.raised(j), up)
     return SpinorVector(n, phi.trunc + 1, acc)
 
 
@@ -199,10 +210,12 @@ def oscillator_apply(phi: SpinorVector) -> SpinorVector:
     return out.scaled(_HALF)
 
 
+@cache
 def weight_on_Wl(l: int) -> QQi:
     """Eigenvalue i*(2l+1) of the circle generator's action on the degree-l
     Hermite line, derived from the oscillator eigenvalue and cross-checked
-    against the closed form."""
+    against the closed form.  A pure function of l, so each l is derived
+    once per process; callers must not mutate the shared result."""
     if l < 0:
         raise ValueError("l must be non-negative")
     h_l = SpinorVector.basis(1, (l,), exact=True)

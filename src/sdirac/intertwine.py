@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .hermite import weight_on_Wl
 from .su2 import RepMatrices, build_rep
 
@@ -86,6 +88,17 @@ def normalize(L: Intertwiner) -> NormalizedIntertwiner:
         2**l * math.factorial(l),
     )
     return NormalizedIntertwiner(k, l, scale_sq)
+
+
+def scale_sq_ratio(k: int):
+    """(num, den), object arrays of ints over l = 1..m-1 with m = (k+1)/2:
+    the ratio scale_sq(l)/scale_sq(l-1) of :func:`normalize` is num/den =
+    (m+l)/(2l(m-l)).  Term by term from its factorials,
+    (m+l)!/(m+l-1)! = m+l, (m-1-l)!/(m-l)! = 1/(m-l) and
+    2^(l-1)(l-1)!/(2^l l!) = 1/(2l), so no factorial is built."""
+    m = (k + 1) // 2
+    l = np.arange(1, m, dtype=object)
+    return m + l, 2 * l * (m - l)
 
 
 def dim_invariant_space(k: int) -> int:

@@ -6,7 +6,11 @@ assembled here along two independent routes:
 
   * closed form -- off-diagonals a_{k,l} = sqrt(2l((k+1)^2/4 - l^2));
   * first principles -- the defining combination of Clifford multiplication
-    with the su(2) generator action, pushed through the intertwiners.
+    with the su(2) generator action, pushed through the intertwiners.  It
+    runs the n = 1 ladder relations (:func:`sdirac.hermite.ladder`) once
+    per k over the arrays of all levels l = 0..m-1, exactly or in complex
+    doubles, and normalizes with the ratio of consecutive squared scales
+    (:func:`sdirac.intertwine.scale_sq_ratio`), a ratio of small integers.
 
 A block is stored as its band, in the offset -> diagonal format of
 :meth:`sdirac.su2.RepMatrices.bands`; the dense matrix is built only on
@@ -28,9 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import QQi
-from .hermite import MVector, MultiIndex, SpinorVector, clifford_apply
-from .intertwine import hom_space, normalize
+from .exact import QQI_I
+from .hermite import ladder
+from .intertwine import scale_sq_ratio
 from .su2 import _bracket_defect, _dense, build_rep
 from .tridiag import eigvalsh_tridiagonal
 
@@ -149,101 +153,57 @@ def unnormalized_coeffs(k: int, l: int):
 # ---------------------------------------------------------------------
 
 
-def _pure_coeff(col: SpinorVector, level: int):
-    """Coefficient of h_level in a spinor required to be a pure multiple of
-    it; None for the zero spinor.  Anything else is an assembly bug."""
-    if col.is_zero():
-        return None
-    if set(col.coeffs) != {MultiIndex((level,))}:
-        raise AssertionError(
-            f"first-principles column is not a pure multiple of h_{level}: {col.coeffs}"
-        )
-    return col.coeff((level,))
-
-
 def definition_coeffs(k: int, exact: bool = True, rep=None):
     """Unnormalized ladder coefficients of both operators computed from the
     defining composite (Clifford multiplication after the generator action),
-    column by column.  Row j0 of e1 and e2 is read from the bands of ``rep``
-    (built when not given) at its two stored columns j0 -+ 1.
+    over all levels at once.  Column l of an operator is its composite on
+    h_l at row j0 = (k+1)/2 + l of e1 and e2, whose two stored entries,
+    columns j0 -+ 1, are read as arrays from the bands of ``rep`` (built
+    when not given).  Entry j of row j0 turns h_l into
+    (e1[j0, j] X_2 - e2[j0, j] X_1) h_l for the first operator and
+    -(e1[j0, j] X_1 + e2[j0, j] X_2) h_l for the second.
 
-    Returns two lists over l = 0..m-1 of (down, up) scalars; up is None at
-    l = m-1, where no polynomial column exists for the raising target.
-    Raises AssertionError if either column fails to land in its adjacent
-    Hermite level.
+    Returns ((down, up), (down, up)), one pair per operator: down[l], for
+    l = 0..m-1, is the coefficient of h_(l-1) from column j0 - 1 (0 at
+    l = 0), and up[l], for l = 0..m-2, that of h_(l+1) from column j0 + 1
+    (at l = m-1 no raising column exists).  Arrays of QQi when ``exact``,
+    else complex128.  Raises AssertionError if either column has a part
+    off its adjacent Hermite level.
     """
     _require_odd(k)
     if rep is None:
         rep = build_rep(k)
-    (sub1, sup1), (sub2, sup2) = rep.e1, rep.e2
-    m = (k + 1) // 2
-    x1 = MVector((1, 0))
-    x2 = MVector((0, 1))
-    zero = QQi(0, 0) if exact else 0j
-    d_coeffs = []
-    dt_coeffs = []
-    for l in range(m):
-        j0 = (k + 1) // 2 + l
-        h_l = SpinorVector.basis(1, (l,), exact=exact)
-        e1h = clifford_apply(x1, h_l)
-        e2h = clifford_apply(x2, h_l)
-        down_d = down_dt = zero
-        up_d = up_dt = None
-        # Entry (j0, j0 - 1) is sub[j0 - 1]; (j0, j0 + 1) is sup[j0] when j0 < k.
-        columns = [(j0 - 1, sub1[j0 - 1], sub2[j0 - 1])]
-        if j0 < k:
-            columns.append((j0 + 1, sup1[j0], sup2[j0]))
-        for j, s1, s2 in columns:
-            if not s1 and not s2:
-                continue
-            if not exact:
-                s1, s2 = complex(s1), complex(s2)
-            col_d = e1h.scaled(-s2) + e2h.scaled(s1)
-            col_dt = e1h.scaled(-s1) + e2h.scaled(-s2)
-            if j == j0 - 1:
-                if l == 0:
-                    if not (col_d.is_zero() and col_dt.is_zero()):
-                        raise AssertionError("lowering column at l=0 did not vanish")
-                else:
-                    down_d = _pure_coeff(col_d, l - 1) or zero
-                    down_dt = _pure_coeff(col_dt, l - 1) or zero
-            else:
-                up_d = _pure_coeff(col_d, l + 1)
-                up_dt = _pure_coeff(col_dt, l + 1)
-        if l < m - 1 and (up_d is None or up_dt is None):
-            raise AssertionError(f"missing raising column at l={l}")
-        d_coeffs.append((down_d, up_d))
-        dt_coeffs.append((down_dt, up_dt))
-    return d_coeffs, dt_coeffs
-
-
-def _scale_sq(k: int) -> list:
-    """Exact squared normalization factors, l = 0..m-1."""
-    return [normalize(hom_space(k, l)[1]).scale_sq for l in range((k + 1) // 2)]
+    h = (k + 1) // 2
+    dtype = object if exact else np.complex128
+    # Entry (j0, j0 - 1) is sub[j0 - 1]; (j0, j0 + 1) is sup[j0], for j0 < k.
+    (lo1, hi1), (lo2, hi2) = (
+        (np.array(sub[h - 1:], dtype=dtype), np.array(sup[h:], dtype=dtype)) for sub, sup in (rep.e1, rep.e2)
+    )
+    levels = np.arange(h)
+    lowering = (ladder(-lo2, lo1, levels), ladder(-lo1, -lo2, levels))
+    raising = (ladder(-hi2, hi1, levels[:-1]), ladder(-hi1, -hi2, levels[:-1]))
+    if any(any(low[1]) or any(high[0]) for low, high in zip(lowering, raising)):
+        raise AssertionError(f"a first-principles column at k={k} leaves its adjacent Hermite level")
+    return tuple((low[0], high[1]) for low, high in zip(lowering, raising))
 
 
 def assemble_from_definition(k: int, rep=None):
     """Float-mode first-principles assembly of both blocks, expressed in the
-    normalized basis.  Each entry is rescaled by the square root of an exact
-    ratio of consecutive squared scales, which stays a small number at
-    every k.  Agrees with :func:`assemble_closed_form` to roundoff; the
+    normalized basis.  Column l holds down[l] at entry (l-1, l) = sup[l-1]
+    and up[l] at entry (l+1, l) = sub[l], rescaled by the square roots of
+    scale_sq[l]/scale_sq[l-1] and scale_sq[l]/scale_sq[l+1], each a ratio
+    of small integers (:func:`sdirac.intertwine.scale_sq_ratio`) rounded
+    once.  Agrees with :func:`assemble_closed_form` to roundoff; the
     exact-arithmetic version of the comparison is
     :func:`assembly_matches_exact`."""
     _require_odd(k)
     m = (k + 1) // 2
-    d_coeffs, dt_coeffs = definition_coeffs(k, exact=False, rep=rep)
-    scale_sq = _scale_sq(k)
-    # Column l holds (down, up) at entries (l-1, l) = sup[l-1] and (l+1, l) = sub[l].
-    down_r = [math.sqrt(scale_sq[l] / scale_sq[l - 1]) for l in range(1, m)]
-    up_r = [math.sqrt(scale_sq[l] / scale_sq[l + 1]) for l in range(m - 1)]
-
-    def block(coeffs):
-        sub = [up * r for (_, up), r in zip(coeffs, up_r)]
-        sup = [down * r for (down, _), r in zip(coeffs[1:], down_r)]
-        band = {-1: sub, 0: np.zeros(m), 1: sup}
-        return DiracMatrix(k, {o: np.array(diag, dtype=np.complex128) for o, diag in band.items()})
-
-    return block(d_coeffs), block(dt_coeffs)
+    num, den = scale_sq_ratio(k)
+    lower, upper = (np.sqrt((a / b).astype(np.float64)) for a, b in ((num, den), (den, num)))
+    return tuple(
+        DiracMatrix(k, {-1: up * upper, 0: np.zeros(m, dtype=np.complex128), 1: down[1:] * lower})
+        for down, up in definition_coeffs(k, exact=False, rep=rep)
+    )
 
 
 def assembly_mismatch_float(k: int, rep=None, blocks=None) -> float:
@@ -264,30 +224,24 @@ def assembly_mismatch_float(k: int, rep=None, blocks=None) -> float:
 def assembly_matches_exact(k: int, rep=None) -> bool:
     """Exact-arithmetic assembly equivalence: the first-principles ladder
     coefficients must reproduce the closed-form integers, and the squared
-    normalized entries must equal the exact squares of a_{k,l}."""
+    normalized entries must equal the exact squares of a_{k,l}.  With
+    scale_sq[l]/scale_sq[l-1] = num/den, those are the integer identities
+    down^2 num = a_l^2 den and up^2 den = a_(l+1)^2 num."""
     m = (k + 1) // 2
-    d_coeffs, dt_coeffs = definition_coeffs(k, exact=True, rep=rep)
-    scale_sq = _scale_sq(k)
-    for l in range(m):
-        down, up = unnormalized_coeffs(k, l)
-        down_d, up_d = d_coeffs[l]
-        down_dt, up_dt = dt_coeffs[l]
-        if down_d != QQi(down, 0) or down_dt != QQi(0, -down):
-            return False
-        if l < m - 1:
-            if up_d != QQi(up, 0) or up_dt != QQi(0, up):
-                return False
-        # Consistency of the two closed forms: down(l) * up(l-1) = a^2
-        if l >= 1:
-            if down * (unnormalized_coeffs(k, l - 1)[1]) != a_coeff(k, l).square:
-                return False
-            # Normalized entry squared, exactly.
-            if down * down * scale_sq[l] / scale_sq[l - 1] != a_coeff(k, l).square:
-                return False
-        if l + 1 <= m - 1:
-            if up * up * scale_sq[l] / scale_sq[l + 1] != a_coeff(k, l + 1).square:
-                return False
-    return True
+    (down_d, up_d), (down_dt, up_dt) = definition_coeffs(k, exact=True, rep=rep)
+    closed = [unnormalized_coeffs(k, l) for l in range(m)]
+    down = np.array([d for d, _ in closed], dtype=object)
+    up = np.array([u for _, u in closed[:-1]], dtype=object)
+    a_sq = np.array([a_coeff(k, l).square for l in range(1, m)], dtype=object)
+    num, den = scale_sq_ratio(k)
+    expected = ((down_d, down), (down_dt, -QQI_I * down), (up_d, up), (up_dt, QQI_I * up))
+    return bool(
+        all(np.all(x == y) for x, y in expected)
+        # consistency of the two closed forms: down(l) * up(l-1) = a_l^2
+        and np.all(down[1:] * up == a_sq)
+        and np.all(down[1:] ** 2 * num == a_sq * den)
+        and np.all(up**2 * den == a_sq * num)
+    )
 
 
 # ---------------------------------------------------------------------

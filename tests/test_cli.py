@@ -189,6 +189,12 @@ class TestVerifyCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("PASS assembly-match k=197 ")
 
+    @pytest.mark.parametrize("k,mode", [(1999, "float"), (1999, "exact"), (1999, "both"), (3999, "float")])
+    def test_assembly_match_at_large_k(self, k, mode, capsys):
+        argv = ["verify", "-k", str(k), "--check", "assembly-match", "--mode", mode]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(f"PASS assembly-match k={k} ")
+
     def test_assembly_match_tolerance_scales_with_the_entries(self, capsys):
         # the residual is about one ulp of the largest entry, 1.8e-12 here
         argv = ["verify", "-k", "887,1001", "--check", "assembly-match", "--mode", "float"]
@@ -227,6 +233,9 @@ class TestOptionsPerCommand:
             ["verify", "-k", "3", "--format", "json"],
             ["verify", "-k", "3", "--tol-eig", "1e-10"],
             ["spectrum", "-k", "3", "--tol-eig", "1e-10"],
+            # prefixes of an option's name are not read as the option
+            ["verify", "-k", "5", "--check", "assembly-match", "--tol", "1e-30"],
+            ["spectrum", "-k", "3", "--form", "csv"],
         ],
     )
     def test_option_the_command_does_not_read_exits_2(self, argv, capsys):

@@ -3,18 +3,22 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
+from sdirac import checks, hermite, operators
 from sdirac.exact import QQi
 from sdirac.hermite import (
     MultiIndex,
     MVector,
     SpinorVector,
     clifford_apply,
+    ladder,
     omega0,
     oscillator_apply,
     weight_on_Wl,
 )
+from sdirac.operators import KContext
 
 
 def coeff_map(phi):
@@ -54,6 +58,45 @@ class TestLadderExamples:
     def test_float_mode(self):
         out = clifford_apply(MVector((0, 1)), SpinorVector.basis(1, (1,), exact=False))
         assert coeff_map(out) == {(0,): -1 + 0j, (2,): 0.5 + 0j}
+
+
+class TestLadderFunction:
+    def test_relations(self):
+        # X1 . h_3 = -3i h_2 - (i/2) h_4;  X2 . h_3 = -3 h_2 + (1/2) h_4
+        assert ladder(1, 0, 3) == (QQi(0, -3), QQi(0, Fraction(-1, 2)))
+        assert ladder(0, 1, 3) == (QQi(-3, 0), QQi(Fraction(1, 2), 0))
+        assert ladder(1.0, 0.0, 3) == (-3j, -0.5j)
+
+    def test_arrays_match_scalars(self):
+        rng = np.random.default_rng(7)
+        pos, der = rng.integers(-9, 10, (2, 20))
+        qqi = np.array([QQi(p, d) for p, d in zip(pos.tolist(), der.tolist())], dtype=object)
+        levels = np.arange(20)
+        for args, dtype in (((pos, der), object), ((qqi, 2 * qqi), object), ((pos + 0j, der + 0j), np.complex128)):
+            down, up = ladder(*args, levels)
+            assert down.dtype == up.dtype == dtype
+            scalar = [ladder(p, d, l) for p, d, l in zip(args[0].tolist(), args[1].tolist(), levels.tolist())]
+            assert list(down) == [s[0] for s in scalar] and list(up) == [s[1] for s in scalar]
+
+
+class TestOneLadder:
+    """clifford_apply and first-principles assembly share hermite.ladder, so
+    the global Clifford checks test the code that assembly runs."""
+
+    @pytest.fixture
+    def wrong_raising(self, monkeypatch):
+        def wrong(pos, der, l):
+            down, up = ladder(pos, der, l)
+            return down, 2 * up
+
+        for module in (hermite, operators):
+            if getattr(module, "ladder", None) is ladder:
+                monkeypatch.setattr(module, "ladder", wrong)
+
+    @pytest.mark.parametrize("mode", ["float", "exact", "both"])
+    def test_wrong_raising_coefficient_fails_both_checks(self, wrong_raising, mode):
+        assert not checks.check_ladder_commutator(trunc=4).ok
+        assert not checks.check_assembly(KContext(5), mode=mode).ok
 
 
 class TestLadderProperties:
@@ -131,6 +174,19 @@ class TestWeights:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             weight_on_Wl(-1)
+
+    def test_derived_once_per_level(self, monkeypatch):
+        runs = []
+
+        def counted(phi):
+            runs.append(phi)
+            return oscillator_apply(phi)
+
+        monkeypatch.setattr(hermite, "oscillator_apply", counted)
+        weight_on_Wl.cache_clear()
+        for _ in range(2):
+            assert checks.check_hom_oracle(KContext(99)).ok
+        assert len(runs) == 99 + 3
 
 
 class TestTypes:

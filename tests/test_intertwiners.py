@@ -16,6 +16,7 @@ from sdirac.intertwine import (
     hom_space,
     hom_space_oracle,
     normalize,
+    scale_sq_ratio,
 )
 from sdirac.operators import KContext
 from sdirac.su2 import build_rep
@@ -119,6 +120,14 @@ class TestNormalize:
     def test_rejects_invalid_pair(self):
         with pytest.raises(ValueError):
             normalize(Intertwiner(2, 0))
+
+    def test_ratio_matches_factorials(self):
+        for k in range(1, 42, 2):
+            scale_sq = [normalize(Intertwiner(k, l)).scale_sq for l in range((k + 1) // 2)]
+            num, den = scale_sq_ratio(k)
+            assert len(num) == len(den) == len(scale_sq) - 1
+            for l in range(1, (k + 1) // 2):
+                assert Fraction(num[l - 1], den[l - 1]) == scale_sq[l] / scale_sq[l - 1], (k, l)
 
 
 class TestDimensions:

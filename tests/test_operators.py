@@ -1,10 +1,12 @@
 """Tests for the assembled operator blocks and their spectral data."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from sdirac import operators
 from sdirac.exact import QQi
 from sdirac.operators import (
     DiracMatrix,
@@ -25,6 +27,7 @@ from sdirac.operators import (
     unitary_equivalence_exact,
     unnormalized_coeffs,
 )
+from sdirac.su2 import build_rep
 
 SQRT6 = math.sqrt(6)
 
@@ -81,18 +84,41 @@ class TestClosedForm:
 
 class TestFirstPrinciples:
     def test_k3_unnormalized_ladder(self):
-        d_coeffs, dt_coeffs = definition_coeffs(3, exact=True)
+        (down_d, up_d), (down_dt, up_dt) = definition_coeffs(3, exact=True)
         # D(L_{3,0}) = 3 L_{3,1};  D(L_{3,1}) = 2 L_{3,0}
-        assert d_coeffs[0] == (QQi(0, 0), QQi(3, 0))
-        assert d_coeffs[1][0] == QQi(2, 0)
-        assert d_coeffs[1][1] is None  # raising target space is trivial
-        assert dt_coeffs[0] == (QQi(0, 0), QQi(0, 3))
-        assert dt_coeffs[1][0] == QQi(0, -2)
+        assert list(down_d) == [QQi(0, 0), QQi(2, 0)]
+        assert list(up_d) == [QQi(3, 0)]  # no raising column at l = m-1 = 1
+        assert list(down_dt) == [QQi(0, 0), QQi(0, -2)]
+        assert list(up_dt) == [QQi(0, 3)]
+
+    def test_k3_float_ladder(self):
+        (down_d, up_d), (down_dt, up_dt) = definition_coeffs(3, exact=False)
+        assert down_d.dtype == up_d.dtype == np.complex128
+        assert list(down_d) == [0, 2] and list(up_d) == [3]
+        assert list(down_dt) == [0, -2j] and list(up_dt) == [3j]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("side,j", [(0, 4), (1, 5)])
+    def test_column_off_its_level_is_rejected(self, side, j, exact):
+        # k = 7: row j0 = 4 + l; sub[4] is the lowering entry of l = 1 and
+        # sup[5] the raising entry of l = 1.  Doubling an entry of e2 there
+        # leaves a part of the column on the other neighbouring level.
+        rep = build_rep(7)
+        band = list(rep.e2)
+        band[side] = band[side][:j] + (2 * band[side][j],) + band[side][j + 1:]
+        rep = dataclasses.replace(rep, e2=tuple(band))
+        with pytest.raises(AssertionError, match="adjacent Hermite level"):
+            definition_coeffs(7, exact=exact, rep=rep)
 
     def test_k1_single_cell(self):
         d, dt = assemble_from_definition(1)
         assert np.array_equal(d.entries, np.zeros((1, 1)))
         assert np.array_equal(dt.entries, np.zeros((1, 1)))
+
+    def test_exact_route_checks_the_normalization(self, monkeypatch):
+        num, den = operators.scale_sq_ratio(9)
+        monkeypatch.setattr(operators, "scale_sq_ratio", lambda k: (num, den + 1))
+        assert not assembly_matches_exact(9)
 
     @pytest.mark.parametrize("k", [1, 3, 5, 9, 17])
     def test_matches_closed_form(self, k):
