@@ -8,15 +8,7 @@ computes exact and numerical spectral data.
 """
 
 from .exact import QQi
-from .hermite import (
-    MultiIndex,
-    MVector,
-    SpinorVector,
-    clifford_apply,
-    omega0,
-    oscillator_apply,
-    weight_on_Wl,
-)
+from .hermite import clifford_band, omega0, oscillator_band, weight_on_Wl
 from .intertwine import (
     Intertwiner,
     NormalizedIntertwiner,

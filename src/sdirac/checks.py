@@ -2,12 +2,16 @@
 ``checks`` of every spectrum report.
 
 Each check returns pass/fail plus a measured residual so failures are
-diagnosable from the command line.  Global checks are k-independent
-(Clifford ladder algebra, oscillator eigenvalues) and exact; per-k checks
-cover the representation matrices, the intertwiner spaces and the
-assembled operator blocks.  All per-k checks of one k read one
-:class:`sdirac.operators.KContext`, so its rep, charpoly, blocks, bands and
-spectrum are each built once per k.
+diagnosable from the command line.  Global checks are k-independent: the
+Clifford relations, grading and linearity and the oscillator eigenvalues,
+each read off bands of Clifford multiplication
+(:func:`sdirac.hermite.clifford_band`) multiplied by the one band product
+of :mod:`sdirac.su2`.  ``clifford-ladder`` computes in complex128 and
+guards that every value it forms is held exactly; the other three compute
+in exact arithmetic.  Per-k checks cover the representation matrices, the
+intertwiner spaces and the assembled operator blocks.  All per-k checks of
+one k read one :class:`sdirac.operators.KContext`, so its rep, charpoly,
+blocks, bands and spectrum are each built once per k.
 
 The check names are a contract: ``verify`` prints one line per check (and
 k), and the benchmark under ``bench/`` fails an operation for each line or
@@ -27,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from .exact import QQi
-from .hermite import MVector, SpinorVector, clifford_apply, omega0, oscillator_apply, weight_on_Wl
+from .hermite import clifford_band, omega0, oscillator_band, weight_on_Wl
 from .intertwine import dim_invariant_space, equivariance_residual, hom_space
 from .operators import (
     FLOAT_TOL,
@@ -40,7 +44,7 @@ from .operators import (
     spectrum,  # noqa: F401 - kept importable from here; bench/selftest.py reads it
     unitary_equivalence_exact,
 )
-from .su2 import check_bracket
+from .su2 import _bracket_defect, check_bracket
 
 
 @dataclass(frozen=True)
@@ -51,103 +55,99 @@ class CheckResult:
     residual: float
 
 
-def _interior_indices(n: int, max_degree: int):
-    """All multi-indices with n entries and total degree <= max_degree."""
-    if n == 1:
-        return [(d,) for d in range(max_degree + 1)]
-    out = []
-    for a in range(max_degree + 1):
-        for b in range(max_degree + 1 - a):
-            out.append((a, b))
-    return out
+def _box_degrees(n: int, size: int) -> np.ndarray:
+    """Total degree of each multi-index of the n-dimensional box
+    0..size-1, in the row-major order of :func:`clifford_band`."""
+    return np.indices((size,) * n).reshape(n, -1).sum(axis=0)
 
 
-def _spinor_diff_max(u: SpinorVector, v: SpinorVector) -> float:
-    d = u + v.scaled(-1)
-    if not d.coeffs:
-        return 0.0
-    return max(abs(complex(c)) for c in d.coeffs.values())
+def _columns(band):
+    """Offset -> column index of each stored entry: entry t of offset o
+    sits at column t + max(0, o)."""
+    return {o: np.arange(len(d)) + max(0, o) for o, d in band.items()}
+
+
+def _exact_in_double(band) -> bool:
+    """Every entry has real and imaginary parts in (1/2)Z below 2**20."""
+    parts = [p for d in band.values() for p in (2 * d.real, 2 * d.imag)]
+    return all(np.array_equal(p, np.round(p)) and np.all(np.abs(p) < 2**21) for p in parts)
 
 
 # -- global checks ------------------------------------------------------
 
 
 def check_ladder_commutator(trunc: int = 20) -> CheckResult:
-    """[X_a., X_b.] = -i omega0(X_a, X_b) id on all interior basis vectors,
-    in exact rational arithmetic.
+    """[X_a., X_b.] = -i omega0(X_a, X_b) id for n = 1, 2 and every pair of
+    basis vectors, read on the columns of total degree <= trunc - 2 of the
+    bands on levels 0..trunc-1, where no term of the products leaves the
+    box.  The residual is the largest defect modulus there.
 
-    There is no float pass: it would compute the same numbers.  Each
-    coefficient compared is a sum of two products of two ladder factors
-    (-i alpha_j, -alpha_j, -i/2 or 1/2, with alpha_j <= trunc - 1 = 19),
-    so a multiple of 1/4 below 800 in modulus, which a double holds
-    exactly; a float pass agrees with this one bit for bit."""
+    The bands are complex128, and the result is exact: every band entry
+    has real and imaginary parts in (1/2)Z below 2**20 (checked; the check
+    fails otherwise), so every product of two entries is in (1/4)Z below
+    2**40, and each defect entry, a sum of at most five such terms, is
+    held exactly by a double.  The check runs the same way in every
+    ``--mode``."""
     worst = 0.0
-    ok = True
+    exact = True
     for n in (1, 2):
-        basis_vecs = [MVector.basis(n, a) for a in range(2 * n)]
-        for alpha in _interior_indices(n, trunc - 2):
-            phi = SpinorVector.basis(n, alpha)
-            for a, b in product(range(2 * n), repeat=2):
-                xa, xb = basis_vecs[a], basis_vecs[b]
-                lhs = clifford_apply(xa, clifford_apply(xb, phi)) + clifford_apply(
-                    xb, clifford_apply(xa, phi)
-                ).scaled(-1)
-                rhs = phi.scaled(QQi(0, -omega0(xa, xb)))
-                if not (lhs + rhs.scaled(-1)).is_zero():
-                    ok = False
-                    worst = max(worst, _spinor_diff_max(lhs, rhs))
-    return CheckResult("clifford-ladder", None, ok, worst)
+        size = trunc ** n
+        interior = _box_degrees(n, trunc) <= trunc - 2
+        basis = [tuple(float(a == c) for c in range(2 * n)) for a in range(2 * n)]
+        bands = [clifford_band(x, range(trunc)) for x in basis]
+        exact = exact and all(_exact_in_double(band) for band in bands)
+        identity = {0: np.ones(size)}
+        for (xa, band_a), (xb, band_b) in product(zip(basis, bands), repeat=2):
+            defect = _bracket_defect(band_a, band_b, identity, -1j * omega0(xa, xb), size)
+            cols = _columns(defect)
+            worst = max(worst, *(np.max(np.abs(d[interior[cols[o]]]), initial=0.0) for o, d in defect.items()))
+    return CheckResult("clifford-ladder", None, exact and worst == 0.0, float(worst))
 
 
 def check_grading(trunc: int = 20) -> CheckResult:
-    """A single Clifford multiplication moves a pure degree-l vector into
-    degrees {l-1, l+1} only."""
+    """A single Clifford multiplication moves a degree-l Hermite function
+    into degrees l-1 and l+1 only: every nonzero entry of the band of a
+    basis vector joins multi-indices whose degrees differ by one."""
     ok = True
     for n in (1, 2):
+        deg = _box_degrees(n, trunc)
         for a in range(2 * n):
-            x = MVector.basis(n, a)
-            for alpha in _interior_indices(n, trunc - 2):
-                phi = SpinorVector.basis(n, alpha)
-                out = clifford_apply(x, phi)
-                deg = sum(alpha)
-                if not out.degrees() <= {deg - 1, deg + 1}:
-                    ok = False
+            band = clifford_band(tuple(int(a == c) for c in range(2 * n)), range(trunc))
+            for o, cols in _columns(band).items():
+                nonzero = band[o].astype(bool)
+                ok = ok and bool(np.all(np.abs(deg[cols - o] - deg[cols])[nonzero] == 1))
     return CheckResult("clifford-grading", None, ok, 0.0)
 
 
 def check_linearity() -> CheckResult:
-    """clifford_apply(aX + bY, phi) = a X.phi + b Y.phi on a fixed sample of
-    exact vectors and spinors."""
-    ok = True
-    n = 2
-    x = MVector((1, 0, Fraction(2, 3), 0))
-    y = MVector((0, -2, 0, Fraction(1, 2)))
+    """band(a x + b y) = a band(x) + b band(y), exactly, on a fixed sample of
+    exact vectors and scalars.  The residual is the largest |lhs - rhs|
+    entry."""
+    x = (1, 0, Fraction(2, 3), 0)
+    y = (0, -2, 0, Fraction(1, 2))
     a, b = Fraction(3, 4), -5
-    phi = (
-        SpinorVector.basis(n, (1, 2))
-        + SpinorVector.basis(n, (0, 0)).scaled(QQi(2, -1))
-        + SpinorVector.basis(n, (3, 1)).scaled(QQi(Fraction(1, 3), 0))
-    )
-    lhs = clifford_apply(x.scaled(a) + y.scaled(b), phi)
-    rhs = clifford_apply(x, phi).scaled(a) + clifford_apply(y, phi).scaled(b)
-    if not (lhs + rhs.scaled(-1)).is_zero():
-        ok = False
-    return CheckResult("clifford-linearity", None, ok, 0.0)
+    levels = range(5)
+    lhs = clifford_band(tuple(a * p + b * q for p, q in zip(x, y)), levels)
+    bx, by = clifford_band(x, levels), clifford_band(y, levels)
+    diff = [lhs.get(o, 0) - a * bx.get(o, 0) - b * by.get(o, 0) for o in {*lhs, *bx, *by}]
+    worst = max(abs(complex(v)) for d in diff for v in d)
+    return CheckResult("clifford-linearity", None, worst == 0.0, worst)
 
 
 def check_oscillator(max_level: int = 18) -> CheckResult:
-    """Oscillator eigenvalue -(2l+1)/2 on h_l, exact, plus the derived
-    circle weight i(2l+1)."""
-    ok = True
-    for l in range(max_level + 1):
-        phi = SpinorVector.basis(1, (l,))
-        out = oscillator_apply(phi)
-        expect = phi.scaled(Fraction(-(2 * l + 1), 2))
-        if not (out + expect.scaled(-1)).is_zero():
-            ok = False
-        if weight_on_Wl(l) != QQi(0, 2 * l + 1):
-            ok = False
-    return CheckResult("oscillator", None, ok, 0.0)
+    """The exact oscillator band on levels 0..max_level+1 has -(2l+1)/2 on
+    its diagonal and 0 off it in every column l <= max_level, and the
+    derived circle weight is i(2l+1).  The residual is the largest
+    deviation of the band from that closed form."""
+    worst = 0.0
+    for o, d in oscillator_band(range(max_level + 2)).items():
+        for t, v in enumerate(d):
+            col = t + max(0, o)
+            if col <= max_level:
+                expect = Fraction(-(2 * col + 1), 2) if o == 0 else 0
+                worst = max(worst, abs(complex(v - expect)))
+    ok = worst == 0.0 and all(weight_on_Wl(l) == QQi(0, 2 * l + 1) for l in range(max_level + 1))
+    return CheckResult("oscillator", None, ok, worst)
 
 
 # -- per-k checks: each reads one shared KContext ---------------------------
@@ -335,6 +335,16 @@ PER_K_CHECKS = (
 ALL_CHECKS = GLOBAL_CHECKS + PER_K_CHECKS
 
 
+def global_checks() -> dict:
+    """Name -> k-independent check, in GLOBAL_CHECKS order."""
+    return {
+        "clifford-ladder": check_ladder_commutator,
+        "clifford-grading": check_grading,
+        "clifford-linearity": check_linearity,
+        "oscillator": check_oscillator,
+    }
+
+
 def per_k_checks(mode: str = "both", tol_match: float = 1e-12) -> dict:
     """Name -> check taking a KContext, with mode and tolerances bound."""
     return {
@@ -364,15 +374,7 @@ def run_checks(k_values, names=None, mode: str = "both", tol_match: float = 1e-1
     unknown = [n for n in selected if n not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown check name(s): {', '.join(unknown)}")
-    results = []
-    if "clifford-ladder" in selected:
-        results.append(check_ladder_commutator())
-    if "clifford-grading" in selected:
-        results.append(check_grading())
-    if "clifford-linearity" in selected:
-        results.append(check_linearity())
-    if "oscillator" in selected:
-        results.append(check_oscillator())
+    results = [check() for name, check in global_checks().items() if name in selected]
     per_k = per_k_checks(mode=mode, tol_match=tol_match)
     for k in sorted(k_values):
         ctx = KContext(k)

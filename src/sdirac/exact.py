@@ -5,9 +5,12 @@ the intertwiner weights is of the form a + b*i with a, b rational, so a
 tiny exact scalar type is enough to run all verification paths without
 rounding.  Components are kept as plain ``int`` whenever possible (int and
 ``fractions.Fraction`` mix transparently) so that the common integer-only
-paths stay fast.  No linear system is solved: the one the checks pose, the
-intertwiner equivariance system, is diagonal, and :mod:`sdirac.intertwine`
-counts its null space by comparing weights.
+paths stay fast.  The type is a ring: it adds, subtracts, negates and
+multiplies, and compares with itself and with rationals.  Nothing divides
+by a Gaussian rational: no linear system is solved (the one the checks
+pose, the intertwiner equivariance system, is diagonal, and
+:mod:`sdirac.intertwine` counts its null space by comparing weights), and
+the exact assembly check compares squares on integers.
 """
 
 from __future__ import annotations
@@ -60,23 +63,8 @@ class QQi:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Rational):
-            return QQi(Fraction(self.re, 1) / other, Fraction(self.im, 1) / other)
-        if isinstance(other, QQi):
-            n = other.re * other.re + other.im * other.im
-            if n == 0:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            conj = QQi(other.re, -other.im)
-            p = self * conj
-            return QQi(Fraction(p.re, 1) / n, Fraction(p.im, 1) / n)
-        return NotImplemented
-
     def __neg__(self):
         return QQi(-self.re, -self.im)
-
-    def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
 
     # -- comparisons / conversions --------------------------------------
 
@@ -85,8 +73,6 @@ class QQi:
             return self.re == other.re and self.im == other.im
         if isinstance(other, Rational):
             return self.im == 0 and self.re == other
-        if isinstance(other, complex):
-            return complex(self) == other
         return NotImplemented
 
     def __bool__(self):

@@ -104,7 +104,7 @@ def _band_mul_into(out, a, b, n: int, sign: int) -> None:
             prod = da[lo - sa:hi - sa] * db[lo + oa - sb:hi + oa - sb]
             if o not in out:
                 out[o] = np.zeros(n - abs(o), dtype=prod.dtype)
-            out[o][lo - so:hi - so] += sign * prod
+            out[o][lo - so:hi - so] += prod if sign == 1 else -prod
 
 
 def _bracket_defect(a, b, c, s: int, n: int):

@@ -6,14 +6,12 @@ lines and timings.
 
 import math
 import time
-from itertools import product
 
 import numpy as np
 import pytest
 
 from sdirac.cli import main
-from sdirac.exact import QQi
-from sdirac.hermite import MVector, SpinorVector, clifford_apply, omega0, oscillator_apply
+from sdirac.checks import check_grading, check_ladder_commutator, check_linearity, check_oscillator
 from sdirac.intertwine import dim_invariant_space, hom_space, hom_space_oracle
 from sdirac.operators import (
     a_coeff,
@@ -25,7 +23,6 @@ from sdirac.operators import (
     spectrum,
 )
 from sdirac.su2 import build_rep
-from fractions import Fraction
 
 
 def _report(num, name, detail=""):
@@ -114,28 +111,9 @@ def test_criterion_6_hom_space_oracle():
 
 
 def test_criterion_7_clifford_property_suite():
-    trunc = 20
-    for n in (1, 2):
-        basis_vecs = [MVector.basis(n, a) for a in range(2 * n)]
-        if n == 1:
-            alphas = [(deg,) for deg in range(trunc - 1)]
-        else:
-            alphas = [
-                (a, b) for a in range(trunc - 1) for b in range(trunc - 1 - a)
-            ]
-        for alpha in alphas:
-            phi = SpinorVector.basis(n, alpha)
-            for a, b in product(range(2 * n), repeat=2):
-                xa, xb = basis_vecs[a], basis_vecs[b]
-                lhs = clifford_apply(xa, clifford_apply(xb, phi)) + clifford_apply(
-                    xb, clifford_apply(xa, phi)
-                ).scaled(-1)
-                rhs = phi.scaled(QQi(0, -omega0(xa, xb)))
-                assert (lhs + rhs.scaled(-1)).is_zero(), (n, alpha, a, b)
-    for l in range(19):
-        out = oscillator_apply(SpinorVector.basis(1, (l,)))
-        expect = SpinorVector.basis(1, (l,)).scaled(Fraction(-(2 * l + 1), 2))
-        assert (out + expect.scaled(-1)).is_zero(), l
+    for check in (check_ladder_commutator, check_grading, check_linearity, check_oscillator):
+        result = check()
+        assert result.ok and result.residual == 0.0, result
     _report(7, "clifford-property-suite")
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sdirac import checks, cli, hermite, intertwine, operators, su2
+from sdirac import checks, cli, intertwine, operators, su2
 from sdirac.checks import PER_K_CHECKS, check_charpoly_eigs, check_coincide, run_checks
 from sdirac.operators import DiracMatrix, KContext, build_report
 
@@ -97,22 +97,6 @@ class TestSpectraCoincide:
         result = check_coincide(ctx)
         assert not result.ok
         assert result.residual == moved[2] - b0[2] > 0
-
-
-class TestAssemblyOverLevels:
-    def test_builds_no_spinor(self, monkeypatch):
-        built = Counter()
-        post_init = hermite.SpinorVector.__post_init__
-
-        def counted(self):
-            built["SpinorVector"] += 1
-            post_init(self)
-
-        monkeypatch.setattr(hermite.SpinorVector, "__post_init__", counted)
-        hermite.SpinorVector.basis(1, (0,))
-        assert built["SpinorVector"] == 1
-        assert checks.check_assembly(KContext(999)).ok
-        assert built["SpinorVector"] == 1
 
 
 class TestBandMemory:
