@@ -36,6 +36,7 @@ from .intertwine import dim_invariant_space, equivariance_residual, hom_space
 from .operators import (
     FLOAT_TOL,
     KContext,
+    a_coeff,
     abs_det,
     assembly_matches_exact,
     assembly_mismatch_float,
@@ -45,6 +46,7 @@ from .operators import (
     unitary_equivalence_exact,
 )
 from .su2 import _bracket_defect, check_bracket
+from .tridiag import _PIVOT_FLOOR, count_below
 
 
 @dataclass(frozen=True)
@@ -287,24 +289,111 @@ def check_det_product(ctx: KContext) -> CheckResult:
     return CheckResult("det-product", k, ok, 0.0)
 
 
-def check_charpoly_eigs(ctx: KContext, rel_width: float = 1e-13) -> CheckResult:
-    """Certify each bisection eigenvalue x against the exact characteristic
-    polynomial p: p must change sign across x -+ rel_width * max(1, |x|),
-    the endpoints taken exactly.  Every float is a ratio of integers, so
-    the endpoints share the integer denominator of x times that of
-    rel_width, and the sign of p there is an integer computation
-    (:meth:`CharPoly.sign_at`).  Eigenvalue gaps here are at least ~4.9, so
-    the brackets are disjoint and each certifies its own simple root."""
+# Half-width of the certificate's bracket around an exact 0 eigenvalue.  A
+# count's absolute error is below the pivot floor or, where a quotient
+# overflows instead, below the largest pivot that can overflow it,
+# 2**53 / DBL_MAX < 5e-293 for squares below 2**53 (check_charpoly_eigs).
+_ZERO_HALF_WIDTH = 1e10 * _PIVOT_FLOOR
+
+# Significant bits of the dyadic endpoints of the exact tie, widest first.
+_TIE_BITS = (16, 32, 53)
+
+
+def _dyadic(v, bits, rounding):
+    """Each entry of the positive array v rounded by ``rounding`` (np.floor
+    or np.ceil) to a float of at most ``bits`` significant bits."""
+    frac, exp = np.frexp(v)
+    return np.ldexp(rounding(np.ldexp(frac, bits)), exp - bits)
+
+
+def _worst_margin(x, lo, hi) -> float:
+    """The largest share of the gap between a computed eigenvalue x[i] and
+    a neighbour that its bracket [lo[i], hi[i]] covers: below 1, no
+    bracket reaches a neighbouring eigenvalue."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        below = (x - lo) / np.diff(x, prepend=-np.inf)
+        above = (hi - x) / np.diff(x, append=np.inf)
+    return float(np.max(np.maximum(below, above), initial=0.0))
+
+
+def _exact_tie(ctx: KContext, d, bsq, lo, hi):
+    """Tie the positive brackets [lo, hi] to the exact charpoly p.
+
+    Each end is rounded outward to a dyadic of 16 significant bits, which
+    keeps the integers of the Horner steps short.  If the brackets then
+    touch, or the float count at the dyadics does not give each bracket
+    its own eigenvalue alone, the next entry of _TIE_BITS is tried: the
+    width follows the count, as the relative gaps shrink like 1/k (2e-3
+    at k = 1999).  Then p must change sign (or vanish) across every
+    dyadic bracket (:meth:`CharPoly.sign_at`, integer Horner in x^2).  p has the parity of m, so p = x^(m%2) q(x^2) and q,
+    of degree m//2, has no more positive roots than there are brackets;
+    disjoint brackets each holding a root thus isolate every positive root
+    of p, exactly.  Returns (ok, lo, hi) with the dyadic brackets in the
+    positive places."""
     cp = ctx.charpoly
-    nw, dw = float(rel_width).as_integer_ratio()
+    m = cp.m
+    first = m - m // 2
+    want = np.concatenate([np.arange(first, m), np.arange(first, m) + 1])
+    for bits in _TIE_BITS:
+        left, right = _dyadic(lo[first:], bits, np.floor), _dyadic(hi[first:], bits, np.ceil)
+        disjoint = np.all(left[:1] > 0) and np.all(right[:-1] < left[1:])
+        if disjoint and np.array_equal(count_below(d, bsq, np.concatenate([left, right])), want):
+            break
+    else:
+        return False, lo, hi
+    lo, hi = lo.copy(), hi.copy()
+    lo[first:], hi[first:] = left, right
+    parity = not any(cp.coeffs[1 - m % 2 :: 2])
+    ok = parity and all(cp.sign_at(a) * cp.sign_at(b) <= 0 for a, b in zip(left, right))
+    return ok, lo, hi
 
-    def brackets_root(x) -> bool:
-        nx, dx = float(x).as_integer_ratio()
-        centre, half, den = nx * dw, nw * max(dx, abs(nx)), dx * dw
-        return cp.sign_at(centre - half, den) * cp.sign_at(centre + half, den) <= 0
 
-    ok = all(brackets_root(x) for x in ctx.eigenvalues)
-    return CheckResult("charpoly-eigs", ctx.k, ok, rel_width)
+def check_charpoly_eigs(ctx: KContext, mode: str = "both") -> CheckResult:
+    """Certify the computed eigenvalues x[0] < ... < x[m-1] of the first
+    block by one Sturm count (:func:`sdirac.tridiag.count_below`) at the 2m
+    points x[i] -+ h[i], h[i] = delta |x[i]| + _ZERO_HALF_WIDTH: the count
+    must be i below the bracket and i + 1 above it.  That certifies each
+    value, the ordering and completeness at once.  The count runs on the
+    zero diagonal of the block and the exact squares a_{k,l}^2 as float64,
+    exact while they stay below 2**53 (0.77 ((k+1)/2)^3 < 2**53; the check
+    fails above).
+
+    Why delta = 4 m eps (eps = 2**-52, u = eps/2).  (1) A float Sturm
+    count at y is the exact count of a matrix whose b^2 move by a relative
+    2u (Kahan 1966; Demmel, Dhillon & Ren 1995): d - y is exact on a zero
+    diagonal, and the division and the subtraction round once each.  A
+    floored pivot adds a diagonal term below _PIVOT_FLOOR, and a quotient
+    that overflows, only from a pivot below 2**53 / DBL_MAX, a term below
+    that pivot.  (2) A zero-diagonal tridiagonal matrix is a permuted
+    Golub-Kahan form of a bidiagonal matrix holding its m - 1 off-diagonal
+    entries; scaling one entry by alpha moves every singular value, so
+    every eigenvalue, by a factor within [1/alpha, alpha], and an exact 0
+    stays 0 (Demmel & Kahan 1990).  So the count errs by at most
+    (m-1) u |lambda| plus the absolute term, and bisection, which also
+    squares rounded square roots (b^2 off by 5u in all), returns x within
+    2.5 (m-1) u |lambda| plus one ulp, 2u |x|.  delta |x| = 8 m u |x| is
+    over twice their sum with the rounding of the points x -+ h,
+    (3.5 (m-1) + 3) u |x| to first order.  The exact
+    middle 0 of an odd m needs the absolute term alone; _ZERO_HALF_WIDTH
+    is above it and far below every nonzero eigenvalue.
+
+    ``--mode exact`` and ``both`` add :func:`_exact_tie` to the exact
+    charpoly on the positive half; ``--mode float`` does not build the
+    charpoly.  The residual is the worst certificate margin
+    (:func:`_worst_margin`) over every bracket tested."""
+    k, x, d = ctx.k, ctx.eigenvalues, ctx.bands[0][0]
+    m = d.shape[0]
+    squares = [a_coeff(k, l).square for l in range(1, m)]
+    if max(squares, default=0) >= 2**53:
+        return CheckResult("charpoly-eigs", k, False, np.inf)
+    bsq = np.array(squares, dtype=np.float64)
+    half = 4 * m * np.finfo(np.float64).eps * np.abs(x) + _ZERO_HALF_WIDTH
+    lo, hi = x - half, x + half
+    idx = np.arange(m)
+    ok = np.array_equal(count_below(d, bsq, np.concatenate([lo, hi])), np.concatenate([idx, idx + 1]))
+    if ok and mode in ("exact", "both"):
+        ok, lo, hi = _exact_tie(ctx, d, bsq, lo, hi)
+    return CheckResult("charpoly-eigs", k, bool(ok), _worst_margin(x, lo, hi))
 
 
 def check_norm_bound(ctx: KContext) -> CheckResult:
@@ -361,7 +450,7 @@ def per_k_checks(mode: str = "both", tol_match: float = 1e-12) -> dict:
         "p-eigenvalues": check_p_eigenvalues,
         "charpoly-parity": check_charpoly_parity,
         "det-product": check_det_product,
-        "charpoly-eigs": check_charpoly_eigs,
+        "charpoly-eigs": lambda ctx: check_charpoly_eigs(ctx, mode=mode),
         "norm-bound": check_norm_bound,
     }
 

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .checks import run_checks
@@ -119,37 +120,44 @@ def report_to_dict(r: SpectrumReport) -> dict:
     }
 
 
-def _render_json(dicts) -> str:
-    if len(dicts) == 1:
-        return dumps_canonical(dicts[0]) + "\n"
-    return "[\n" + ",\n".join(dumps_canonical(d) for d in dicts) + "\n]\n"
+# Each renderer yields its output in pieces, one per report where it can, so
+# a sweep is written as its reports complete.  The pieces concatenate to the
+# same bytes for any ``--jobs``.
 
 
-def _render_csv(dicts) -> str:
-    lines = []
+def _render_json(dicts, count: int):
+    if count == 1:
+        yield dumps_canonical(next(dicts)) + "\n"
+        return
+    for i, d in enumerate(dicts):
+        yield ("[\n" if i == 0 else ",\n") + dumps_canonical(d)
+    yield "\n]\n"
+
+
+def _render_csv(dicts, count: int):
     for d in dicts:
         eigs = ";".join(repr(float(e)) for e in d["eigenvalues"])
-        lines.append(f'{d["k"]},{d["kernel_dim"]},{d["abs_det"]},{eigs}')
-    return "\n".join(lines) + "\n"
+        yield f'{d["k"]},{d["kernel_dim"]},{d["abs_det"]},{eigs}\n'
 
 
-def _render_table(dicts) -> str:
-    header = f'{"k":>4} {"m":>4} {"ker":>4} {"|det|":>14}  eigenvalues'
-    lines = [header]
+def _render_table(dicts, count: int):
+    yield f'{"k":>4} {"m":>4} {"ker":>4} {"|det|":>14}  eigenvalues\n'
     for d in dicts:
         eigs = ", ".join(format(e, ".6g") for e in d["eigenvalues"])
-        lines.append(
-            f'{d["k"]:>4} {d["m"]:>4} {d["kernel_dim"]:>4} {d["abs_det"]:>14}  [{eigs}]'
-        )
-    return "\n".join(lines) + "\n"
+        yield f'{d["k"]:>4} {d["m"]:>4} {d["kernel_dim"]:>4} {d["abs_det"]:>14}  [{eigs}]\n'
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(cfg: RunConfig, pieces) -> None:
+    """Write the pieces to ``--out`` or stdout as each is produced.  If
+    one fails, what was written stays written."""
+    fh = open(cfg.out, "w", encoding="utf-8") if cfg.out else sys.stdout
+    try:
+        for piece in pieces:
+            fh.write(piece)
+            fh.flush()
+    finally:
+        if cfg.out:
+            fh.close()
 
 
 # ---------------------------------------------------------------------
@@ -169,29 +177,24 @@ def worker_count(jobs: int, n_items: int) -> int:
     return min(jobs or cpus, n_items, cpus)
 
 
-def _compute_report_dicts(cfg: RunConfig) -> list:
-    ks = sorted(cfg.k_values)
-    payloads = [(k, cfg.tol_match, cfg.mode) for k in ks]
-    jobs = worker_count(cfg.jobs, len(ks))
-    if jobs <= 1:
-        return [_report_worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_report_worker, payloads))
+def _report_dicts(cfg: RunConfig, pool):
+    """The report dicts in ascending k, each yielded as soon as it and
+    every smaller k are done; computed by ``pool`` when given."""
+    payloads = [(k, cfg.tol_match, cfg.mode) for k in sorted(cfg.k_values)]
+    return pool.map(_report_worker, payloads) if pool else map(_report_worker, payloads)
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    dicts = _compute_report_dicts(cfg)
     render = {"json": _render_json, "csv": _render_csv, "table": _render_table}[cfg.format]
-    _emit(cfg, render(dicts))
+    count = len(cfg.k_values)
+    jobs = worker_count(cfg.jobs, count)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        _emit(cfg, render(_report_dicts(cfg, pool), count))
     return EXIT_OK
 
 
 def cmd_charpoly(cfg: RunConfig) -> int:
-    lines = []
-    for k in sorted(cfg.k_values):
-        coeffs = charpoly_exact(k).coeffs
-        lines.append("[" + ", ".join(str(c) for c in coeffs) + "]")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(cfg, ("[" + ", ".join(map(str, charpoly_exact(k).coeffs)) + "]\n" for k in sorted(cfg.k_values)))
     return EXIT_OK
 
 
@@ -212,7 +215,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         where = f"k={r.k}" if r.k is not None else "k=*"
         lines.append(f"{status} {r.name} {where} residual={r.residual:.3e}")
         failed = failed or not r.ok
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(cfg, ["\n".join(lines) + "\n"])
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 

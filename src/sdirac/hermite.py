@@ -31,7 +31,15 @@ import numpy as np
 from .exact import QQi, QQI_I
 from .su2 import _band_mul_into
 
-_HALF = Fraction(1, 2)
+
+def _half_rational(a):
+    """a / 2, an int when a is an even int, else a Fraction."""
+    return a >> 1 if isinstance(a, int) and not a & 1 else Fraction(a, 2)
+
+
+# Exact halving, elementwise on object arrays: integral halves stay ints, so
+# the exact band products downstream run int arithmetic where they can.
+_halve = np.frompyfunc(lambda v: QQi(_half_rational(v.re), _half_rational(v.im)), 1, 1)
 
 
 def omega0(x, y):
@@ -55,10 +63,12 @@ def ladder(pos, der, l):
 
     Elementwise on numpy arrays of levels and coordinates.  Float or
     complex inputs give complex doubles; anything else (int, Fraction,
-    QQi, or integer and object arrays of them) stays exact."""
-    i, half = (1j, 0.5) if _is_float(pos) or _is_float(der) else (QQI_I, _HALF)
-    i_pos = i * pos
-    return -l * (der + i_pos), (der - i_pos) * half
+    QQi, or integer and object arrays of them) stays exact, with QQi
+    results whose integral components are ints."""
+    if _is_float(pos) or _is_float(der):
+        return -l * (der + 1j * pos), (der - 1j * pos) * 0.5
+    i_pos = QQI_I * pos
+    return -l * (der + i_pos), _halve(der - i_pos)
 
 
 def clifford_band(x, levels):
@@ -100,7 +110,7 @@ def oscillator_band(levels):
     for x in ((1, 0), (0, 1)):
         band = clifford_band(x, levels)
         _band_mul_into(out, band, band, len(levels), 1)
-    return {o: d * _HALF for o, d in out.items()}
+    return {o: _halve(d) for o, d in out.items()}
 
 
 @cache

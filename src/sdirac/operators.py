@@ -116,14 +116,24 @@ class CharPoly:
         """det D_k = (-1)^m p(0)."""
         return self.coeffs[0] if self.m % 2 == 0 else -self.coeffs[0]
 
-    def sign_at(self, num: int, den: int) -> int:
-        """Sign of p(num/den) for integers num and den > 0: the sign of the
-        integer den^m p(num/den), by homogeneous Horner without Fractions."""
-        acc, power = self.coeffs[-1], 1
-        for c in reversed(self.coeffs[:-1]):
-            power *= den
-            acc = acc * num + c * power
-        return (acc > 0) - (acc < 0)
+    def sign_at(self, x: float) -> int:
+        """Sign of p(x) at the float x, exactly.  x = n / 2^s is a dyadic
+        rational; with p(x) = e(x^2) + x o(x^2), the sign is that of the
+        integer 2^(s m) p(x), summed from e and o, each by Horner in
+        y = n^2 with its coefficients shifted, not multiplied, by powers of
+        2^(2s).  For the parity polynomials here one half is zero, so the
+        cost is m/2 steps, each growing by the bits of n^2."""
+        n, den = float(x).as_integer_ratio()
+        s = den.bit_length() - 1
+        y, m = n * n, self.m
+        total = 0
+        for r in (0, 1):
+            half = self.coeffs[r::2]
+            acc = 0
+            for t, c in enumerate(reversed(half)):
+                acc = acc * y + (c << 2 * s * t)
+            total += (n**r * acc) << s * (m - r - 2 * (len(half) - 1))
+        return (total > 0) - (total < 0)
 
 
 def assemble_closed_form(k: int):

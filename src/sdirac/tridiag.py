@@ -9,7 +9,8 @@ accuracy).  Every lane performs the same IEEE operations whichever other
 indices are bisected with it, so the result is deterministic and does not
 depend on which indices are requested.  A pass sweeps the rows in
 cache-sized blocks, and is redone with the zero-pivot floor only when it
-meets a pivot that is exactly zero.
+meets a pivot that is exactly zero.  ``count_below`` runs the same pass once
+over any set of points; the ``charpoly-eigs`` certificate is one such pass.
 
 A tridiagonal matrix with zero diagonal, which every phase-stripped Dirac
 block is, is similar to its own negative (Golub & Kahan, 1965): its
@@ -35,17 +36,20 @@ _MAX_BISECT_ITER = 200
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _sturm_signs(d, bsq, mid, q, rows, neg, careful):
-    """Set neg[i] to (pivot i < 0) for every row i of the Sturm recurrence
-    q[i] = (d[i] - mid) - bsq[i-1] / q[i-1], one lane per entry of mid.
+def _sturm_counts(d, bsq, mid, q, rows, careful):
+    """Number of negative pivots of the Sturm recurrence
+    q[i] = (d[i] - mid) - bsq[i-1] / q[i-1], one lane per entry of mid:
+    the number of eigenvalues below each mid.
 
     The rows are swept in blocks of q's height; ``rows`` lists q's row
     views.  With ``careful`` an exactly-zero pivot is replaced by
-    _PIVOT_FLOOR before it divides.  Without, the sweep returns False at
+    _PIVOT_FLOOR before it divides.  Without, the sweep returns None at
     the first block holding a zero pivot, whose quotient is inf or nan."""
     m, height = d.shape[0], q.shape[0]
     r = np.empty(q.shape[1])
     carry = np.empty(q.shape[1])
+    neg = np.empty(q.shape, dtype=bool)
+    counts = np.zeros(q.shape[1], dtype=np.intp)
     for start in range(0, m, height):
         size = min(height, m - start)
         np.subtract.outer(d[start : start + size], mid, out=q[:size])
@@ -60,10 +64,25 @@ def _sturm_signs(d, bsq, mid, q, rows, neg, careful):
             np.subtract(row, r, out=row)
             prev = row
         if not careful and not q[: min(size, m - 1 - start)].all():
-            return False
-        np.less(q[:size], 0.0, out=neg[start : start + size])
+            return None
+        np.less(q[:size], 0.0, out=neg[:size])
+        counts += neg[:size].sum(axis=0)
         np.copyto(carry, prev)
-    return True
+    return counts
+
+
+def _pivot_block(m: int, lanes: int) -> np.ndarray:
+    """Scratch pivots for one pass: at most _BLOCK_ENTRIES of them."""
+    return np.empty((max(1, min(m, _BLOCK_ENTRIES // max(lanes, 1))), lanes))
+
+
+def _count_pass(d, bsq, mid, q, rows):
+    """Eigenvalues below each mid.  A zero pivot is rare (the first
+    midpoint of a zero-diagonal matrix is one); only then is the pass
+    redone with the floor.  Callers silence the floating-point warnings
+    of inf and nan pivots."""
+    counts = _sturm_counts(d, bsq, mid, q, rows, careful=False)
+    return _sturm_counts(d, bsq, mid, q, rows, careful=True) if counts is None else counts
 
 
 def _bisect(d, bsq, lo0, hi0, idx):
@@ -71,11 +90,10 @@ def _bisect(d, bsq, lo0, hi0, idx):
     each, all starting from the bracket [lo0, hi0].  A lane stops when its
     midpoint equals an end of its bracket, or after _MAX_BISECT_ITER
     halvings."""
-    m, n = d.shape[0], idx.shape[0]
+    n = idx.shape[0]
     lo = np.full(n, lo0)
     hi = np.full(n, hi0)
-    q = np.empty((max(1, min(m, _BLOCK_ENTRIES // max(n, 1))), n))
-    neg = np.empty((m, n), dtype=bool)
+    q = _pivot_block(d.shape[0], n)
     rows = list(q)
     bsq = bsq.tolist()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -84,11 +102,7 @@ def _bisect(d, bsq, lo0, hi0, idx):
             active = (mid != lo) & (mid != hi)
             if not active.any():
                 break
-            # A zero pivot is rare (the first midpoint of a zero-diagonal
-            # matrix is one); only then is the pass redone with the floor.
-            if not _sturm_signs(d, bsq, mid, q, rows, neg, careful=False):
-                _sturm_signs(d, bsq, mid, q, rows, neg, careful=True)
-            below = neg.sum(axis=0) <= idx
+            below = _count_pass(d, bsq, mid, q, rows) <= idx
             lo = np.where(active & below, mid, lo)
             hi = np.where(active & ~below, mid, hi)
     return 0.5 * (lo + hi)
@@ -116,16 +130,25 @@ def _as_tridiagonal(diag, offdiag):
     return d, b
 
 
-def sturm_count(diag, offdiag, x: float) -> int:
-    """Number of eigenvalues strictly below x."""
+def count_below(d, bsq, points) -> np.ndarray:
+    """Number of eigenvalues strictly below each of ``points``, for the
+    float64 diagonal ``d`` and squared off-diagonal ``bsq``, in one
+    vectorized Sturm pass over all the points."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    q = _pivot_block(d.shape[0], points.shape[0])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _count_pass(d, np.asarray(bsq, dtype=np.float64).tolist(), points, q, list(q))
+
+
+def sturm_count(diag, offdiag, x):
+    """Number of eigenvalues strictly below x; for an array x, an array of
+    the counts below each of its points, all counted in one pass."""
     d, b = _as_tridiagonal(diag, offdiag)
     if d.shape[0] == 0:
         raise ValueError("the matrix is empty")
-    q = np.empty((d.shape[0], 1))
-    neg = np.empty((d.shape[0], 1), dtype=bool)
-    with np.errstate(over="ignore"):
-        _sturm_signs(d, (b * b).tolist(), np.array([float(x)]), q, list(q), neg, careful=True)
-    return int(neg.sum())
+    points = np.asarray(x, dtype=np.float64)
+    counts = count_below(d, b * b, points.ravel())
+    return int(counts[0]) if points.ndim == 0 else counts.reshape(points.shape)
 
 
 def eigvalsh_tridiagonal(diag, offdiag) -> np.ndarray:

@@ -1,5 +1,7 @@
 """CLI behaviour: formats, exit codes, determinism, golden output."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from sdirac import cli
 from sdirac.cli import dumps_canonical, main, parse_k_values, worker_count
 from sdirac.operators import charpoly_exact
 
@@ -135,6 +138,35 @@ class TestSpectrumCommand:
     def test_bad_tolerance(self, capsys):
         assert main(["spectrum", "-k", "3", "--tol-match", "-1"]) == 2
 
+    def test_reports_are_written_as_they_complete(self, monkeypatch):
+        # when the report of k is computed, every smaller k is on stdout
+        written, out, worker = {}, io.StringIO(), cli._report_worker
+
+        def recording(payload):
+            written[payload[0]] = out.getvalue().count('{"k": ')
+            return worker(payload)
+
+        monkeypatch.setattr(cli, "_report_worker", recording)
+        with contextlib.redirect_stdout(out):
+            assert main(["spectrum", "-k", "1..7", "--jobs", "1"]) == 0
+        assert written == {1: 0, 3: 1, 5: 2, 7: 3}
+        assert out.getvalue() == (DATA / "spectrum_k1_7.json").read_text()
+
+    def test_a_failure_mid_sweep_leaves_the_reports_before_it(self, monkeypatch, capsys):
+        worker = cli._report_worker
+
+        def failing(payload):
+            if payload[0] == 5:
+                raise RuntimeError("no report")
+            return worker(payload)
+
+        monkeypatch.setattr(cli, "_report_worker", failing)
+        assert main(["spectrum", "-k", "1..7", "--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        golden = (DATA / "spectrum_k1_7.json").read_text()
+        assert captured.out == golden[: golden.index(',\n{"k": 5, ')]
+        assert "internal error: no report" in captured.err
+
 
 class TestCharpolyCommand:
     @pytest.mark.parametrize(
@@ -166,6 +198,11 @@ class TestCharpolyCommand:
 
 
 class TestVerifyCommand:
+    def test_golden_output(self, capsys):
+        # all checks, --mode both; the residual column is part of the bytes
+        assert main(["verify", "-k", "1..15", "--mode", "both"]) == 0
+        assert capsys.readouterr().out == (DATA / "verify_k1_15_both.txt").read_text()
+
     def test_small_range_passes(self, capsys):
         assert main(["verify", "-k", "1..7"]) == 0
         out = capsys.readouterr().out

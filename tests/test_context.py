@@ -115,18 +115,25 @@ class TestBandMemory:
         assert peak < m * m * 16  # one dense complex128 block
 
 
+def delta(m):
+    """The certificate's relative half-width, 4 m eps."""
+    return 4 * m * np.finfo(np.float64).eps
+
+
 class TestCharpolyCertificate:
     @pytest.mark.parametrize("k", [3, 7, 21])
     def test_sign_at_matches_fraction_horner(self, k):
         cp = operators.charpoly_exact(k)
         rng = np.random.default_rng(k)
-        for _ in range(40):
-            num, den = int(rng.integers(-10**6, 10**6)), int(rng.integers(1, 10**4))
-            value = sum(Fraction(num, den) ** i * c for i, c in enumerate(cp.coeffs))
-            assert cp.sign_at(num, den) == (value > 0) - (value < 0)
+        short = [float(np.ldexp(rng.integers(-2**16, 2**16), int(e))) for e in rng.integers(-20, 8, 20)]
+        for x in [0.0, *rng.normal(scale=30, size=20), *short]:
+            value = sum(Fraction(x) ** i * c for i, c in enumerate(cp.coeffs))
+            assert cp.sign_at(x) == (value > 0) - (value < 0)
 
     def test_root_gives_zero_sign(self):
-        assert operators.charpoly_exact(5).sign_at(12, 2) == 0  # p5 = x(x^2 - 36)
+        cp = operators.charpoly_exact(5)  # p5 = x(x^2 - 36)
+        assert cp.sign_at(6.0) == cp.sign_at(-6.0) == cp.sign_at(0.0) == 0
+        assert cp.sign_at(6.5) == 1 and cp.sign_at(-6.5) == -1
 
     @pytest.mark.parametrize("k", [5, 31])
     def test_rejects_a_moved_eigenvalue(self, k):
@@ -136,3 +143,89 @@ class TestCharpolyCertificate:
         eigs[-1] *= 1 + 1e-11
         ctx.eigenvalues = eigs
         assert not check_charpoly_eigs(ctx).ok
+
+    @pytest.mark.parametrize("mode", ["float", "exact", "both"])
+    @pytest.mark.parametrize("k", [31, 199, 1001])
+    def test_rejects_a_move_of_ten_delta(self, k, mode):
+        ctx = KContext(k)
+        eigs = ctx.eigenvalues
+        m = len(eigs)
+        assert check_charpoly_eigs(ctx, mode=mode).ok
+        for i in (0, m // 3, m - 1):
+            for sign in (-1, 1):
+                moved = eigs.copy()
+                moved[i] += sign * 10 * delta(m) * abs(moved[i])
+                ctx.eigenvalues = moved
+                assert not check_charpoly_eigs(ctx, mode=mode).ok
+
+    @pytest.mark.parametrize("mode", ["float", "both"])
+    @pytest.mark.parametrize("k", [15, 201])
+    def test_rejects_swapped_or_duplicated_eigenvalues(self, k, mode):
+        ctx = KContext(k)
+        eigs = ctx.eigenvalues
+        i = len(eigs) - 3
+        swapped, duplicated = eigs.copy(), eigs.copy()
+        swapped[[i, i + 1]] = swapped[[i + 1, i]]
+        duplicated[i + 1] = duplicated[i]
+        for wrong in (swapped, duplicated):
+            ctx.eigenvalues = wrong
+            assert not check_charpoly_eigs(ctx, mode=mode).ok
+
+    @pytest.mark.parametrize("k", [5, 33, 201])
+    def test_rejects_a_displaced_zero(self, k):
+        ctx = KContext(k)
+        eigs = ctx.eigenvalues
+        mid = len(eigs) // 2
+        assert len(eigs) % 2 == 1 and eigs[mid] == 0.0
+        for shift in (10 * checks._ZERO_HALF_WIDTH, -1e-9, 1e-3):
+            moved = eigs.copy()
+            moved[mid] = shift
+            ctx.eigenvalues = moved
+            assert not check_charpoly_eigs(ctx, mode="float").ok
+
+    @pytest.mark.parametrize("k", [7, 97])
+    def test_exact_tie_rejects_another_charpoly(self, k):
+        ctx = KContext(k)
+        coeffs = list(ctx.charpoly.coeffs)
+        m = len(coeffs) - 1
+        for wrong in ({m - 2: 2 * coeffs[m - 2]}, {m - 1: 1}):  # roots moved; parity broken
+            ctx.charpoly = operators.CharPoly(k, tuple(wrong.get(i, c) for i, c in enumerate(coeffs)))
+            assert check_charpoly_eigs(ctx, mode="float").ok
+            assert not check_charpoly_eigs(ctx, mode="exact").ok
+
+    def test_exact_tie_needs_disjoint_brackets(self):
+        # two sign changes prove two roots only across disjoint brackets;
+        # these overlap in a gap that holds no eigenvalue, so the count passes
+        ctx = KContext(15)
+        x, d = ctx.eigenvalues, ctx.bands[0][0]
+        bsq = np.array([operators.a_coeff(15, l).square for l in range(1, len(x))], dtype=np.float64)
+        lo, hi = x - 1e-9 * np.abs(x), x + 1e-9 * np.abs(x)
+        assert checks._exact_tie(ctx, d, bsq, lo, hi)[0]
+        middle = 0.5 * (x[-2] + x[-1])
+        hi[-2], lo[-1] = middle * 1.001, middle * 0.999
+        assert not checks._exact_tie(ctx, d, bsq, lo, hi)[0]
+
+    def test_count_and_exact_tie_agree_up_to_399(self):
+        for k in range(1, 400, 2):
+            ctx = KContext(k)
+            float_only = check_charpoly_eigs(ctx, mode="float")
+            assert "charpoly" not in vars(ctx)  # float mode builds no charpoly
+            tied = check_charpoly_eigs(ctx, mode="exact")
+            assert float_only.ok and tied.ok, k
+            # the dyadic brackets of the tie hold the float brackets
+            assert tied.residual >= float_only.residual
+
+    @pytest.mark.parametrize("k", [1001, 4001])
+    def test_float_path_envelope(self, k):
+        ctx = KContext(k)
+        result = check_charpoly_eigs(ctx, mode="float")
+        assert result.ok and 0 < result.residual < 1e-6
+        assert "charpoly" not in vars(ctx)
+        assert all(r.ok for r in run_checks([k], names=["symmetry", "norm-bound"], mode="float"))
+
+    def test_squares_beyond_double_precision_fail(self, monkeypatch):
+        ctx = KContext(7)
+        ctx.eigenvalues
+        monkeypatch.setattr(checks, "a_coeff", lambda k, l: operators.ACoeff(2**53, 2.0**26.5))
+        result = check_charpoly_eigs(ctx, mode="float")
+        assert not result.ok and result.residual == float("inf")

@@ -84,6 +84,15 @@ class TestLadderFunction:
         assert ladder(0, 1, 3) == (QQi(-3, 0), QQi(Fraction(1, 2), 0))
         assert ladder(1.0, 0.0, 3) == (-3j, -0.5j)
 
+    def test_integral_halves_stay_ints(self):
+        # up = (der - i pos)/2: an even component halves to an int, so exact
+        # band products run int arithmetic where they can
+        _, up = ladder(2, 3, 1)
+        assert up == QQi(Fraction(3, 2), -1) and type(up.im) is int
+        _, up = ladder(np.array([QQi(2, 0), QQi(0, 2)], dtype=object), np.array([4, 6], dtype=object), np.arange(2))
+        assert [(type(v.re), type(v.im)) for v in up] == [(int, int)] * 2
+        assert list(up) == [QQi(2, -1), QQi(4, 0)]
+
     def test_arrays_match_scalars(self):
         rng = np.random.default_rng(7)
         pos, der = rng.integers(-9, 10, (2, 20))

@@ -163,6 +163,25 @@ class TestSturmCount:
         for x in (-50.0, -1.0, 0.0, 2.5, 50.0):
             assert sturm_count(d, b, x) == int(np.sum(eigs < x))
 
+    def test_array_counts_equal_per_point_calls(self):
+        rng = np.random.default_rng(11)
+        for d, b in (random_tridiag(rng, 40), (np.zeros(9), rng.normal(size=8))):
+            eigs = np.linalg.eigvalsh(np.diag(d) + np.diag(b, 1) + np.diag(b, -1))
+            # eigenvalues and diagonal entries as points meet zero pivots
+            points = np.concatenate([rng.normal(scale=30, size=50), eigs, d, [0.0, -0.0, 1e300, -1e300]])
+            counts = sturm_count(d, b, points)
+            assert counts.tolist() == [sturm_count(d, b, x) for x in points]
+            assert sturm_count(d, b, points.reshape(2, -1)).tolist() == counts.reshape(2, -1).tolist()
+
+    def test_counts_across_pivot_blocks(self, monkeypatch):
+        # a pass sweeps the rows in blocks; the count must not depend on it
+        rng = np.random.default_rng(12)
+        d, b = random_tridiag(rng, 50)
+        points = rng.normal(scale=30, size=64)
+        whole = sturm_count(d, b, points)
+        monkeypatch.setattr(tridiag, "_BLOCK_ENTRIES", 7 * 64)
+        assert sturm_count(d, b, points).tolist() == whole.tolist()
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             sturm_count([], [], 0.0)
