@@ -88,8 +88,7 @@ def check_ladder_commutator(trunc: int = 20) -> CheckResult:
     has real and imaginary parts in (1/2)Z below 2**20 (checked; the check
     fails otherwise), so every product of two entries is in (1/4)Z below
     2**40, and each defect entry, a sum of at most five such terms, is
-    held exactly by a double.  The check runs the same way in every
-    ``--mode``."""
+    held exactly by a double."""
     worst = 0.0
     exact = True
     for n in (1, 2):
@@ -155,13 +154,8 @@ def check_oscillator(max_level: int = 18) -> CheckResult:
 # -- per-k checks: each reads one shared KContext ---------------------------
 
 
-def check_su2_bracket(ctx: KContext, mode: str = "both") -> CheckResult:
-    ok = True
-    if mode in ("exact", "both"):
-        ok = ok and check_bracket(ctx.rep, mode="exact")
-    if mode in ("float", "both"):
-        ok = ok and check_bracket(ctx.rep, mode="float", tol=1e-13)
-    return CheckResult("su2-bracket", ctx.k, ok, 0.0)
+def check_su2_bracket(ctx: KContext) -> CheckResult:
+    return CheckResult("su2-bracket", ctx.k, check_bracket(ctx.rep), 0.0)
 
 
 def check_su2_weights(ctx: KContext) -> CheckResult:
@@ -202,13 +196,11 @@ def check_hom_oracle(ctx: KContext) -> CheckResult:
 
 def check_hom_dim(ctx: KContext) -> CheckResult:
     k = ctx.k
-    expected = (k + 1) ** 2 // 2 if k % 2 == 1 else 0
     try:
-        ok = dim_invariant_space(k) == expected
+        ok = dim_invariant_space(k) == (k + 1) ** 2 // 2
     except AssertionError:
         ok = False
-    if k % 2 == 1:
-        ok = ok and sum(hom_space(k, l)[0] for l in range(k + 1)) == (k + 1) // 2
+    ok = ok and sum(hom_space(k, l)[0] for l in range(k + 1)) == (k + 1) // 2
     return CheckResult("hom-dim", k, ok, 0.0)
 
 
@@ -216,25 +208,22 @@ def check_equivariance(ctx: KContext) -> CheckResult:
     """The canonical generators satisfy the full weight-intertwining
     identity exactly, not just by dimension count."""
     k = ctx.k
-    if k % 2 == 0:
-        return CheckResult("equivariance", k, True, 0.0)
     ok = all(equivariance_residual(k, l, rep=ctx.rep) for l in range((k - 1) // 2 + 1))
     return CheckResult("equivariance", k, ok, 0.0)
 
 
-def check_assembly(ctx: KContext, mode: str = "both", tol_match: float = 1e-12) -> CheckResult:
-    """First-principles assembly against the closed form.  The residual is
-    the float mismatch, which ``--mode exact`` does not compute (0).  It
-    passes up to ``tol_match`` times the largest closed-form entry (at
-    least 1): the entries grow like k^1.5, and so does one ulp of them."""
-    res = 0.0
-    ok = True
-    if mode in ("float", "both"):
-        res = assembly_mismatch_float(ctx.k, rep=ctx.rep, blocks=ctx.blocks)
-        largest = float(np.max(np.abs(ctx.blocks[0].band[1]), initial=0.0))
-        ok = res <= tol_match * max(1.0, largest)
-    if mode in ("exact", "both"):
-        ok = ok and assembly_matches_exact(ctx.k, rep=ctx.rep)
+# Share of the largest closed-form entry (at least 1) that float assembly may
+# miss by: the entries grow like k^1.5, and so does one ulp of them.
+TOL_MATCH = 1e-12
+
+
+def check_assembly(ctx: KContext) -> CheckResult:
+    """First-principles assembly against the closed form, in floats within
+    TOL_MATCH and exactly (:func:`assembly_matches_exact`).  The residual
+    is the float mismatch."""
+    res = assembly_mismatch_float(ctx.k, rep=ctx.rep, blocks=ctx.blocks)
+    largest = float(np.max(np.abs(ctx.blocks[0].band[1]), initial=0.0))
+    ok = res <= TOL_MATCH * max(1.0, largest) and assembly_matches_exact(ctx.k, rep=ctx.rep)
     return CheckResult("assembly-match", ctx.k, ok, res)
 
 
@@ -348,7 +337,7 @@ def _exact_tie(ctx: KContext, d, bsq, lo, hi):
     return ok, lo, hi
 
 
-def check_charpoly_eigs(ctx: KContext, mode: str = "both") -> CheckResult:
+def _count_certificate(ctx: KContext):
     """Certify the computed eigenvalues x[0] < ... < x[m-1] of the first
     block by one Sturm count (:func:`sdirac.tridiag.count_below`) at the 2m
     points x[i] -+ h[i], h[i] = delta |x[i]| + _ZERO_HALF_WIDTH: the count
@@ -377,23 +366,32 @@ def check_charpoly_eigs(ctx: KContext, mode: str = "both") -> CheckResult:
     middle 0 of an odd m needs the absolute term alone; _ZERO_HALF_WIDTH
     is above it and far below every nonzero eigenvalue.
 
-    ``--mode exact`` and ``both`` add :func:`_exact_tie` to the exact
-    charpoly on the positive half; ``--mode float`` does not build the
-    charpoly.  The residual is the worst certificate margin
-    (:func:`_worst_margin`) over every bracket tested."""
+    Builds no charpoly.  Returns (ok, d, bsq, lo, hi), the brackets and
+    the band they were counted on, or None if a square reaches 2**53."""
     k, x, d = ctx.k, ctx.eigenvalues, ctx.bands[0][0]
     m = d.shape[0]
     squares = [a_coeff(k, l).square for l in range(1, m)]
     if max(squares, default=0) >= 2**53:
-        return CheckResult("charpoly-eigs", k, False, np.inf)
+        return None
     bsq = np.array(squares, dtype=np.float64)
     half = 4 * m * np.finfo(np.float64).eps * np.abs(x) + _ZERO_HALF_WIDTH
     lo, hi = x - half, x + half
     idx = np.arange(m)
     ok = np.array_equal(count_below(d, bsq, np.concatenate([lo, hi])), np.concatenate([idx, idx + 1]))
-    if ok and mode in ("exact", "both"):
+    return ok, d, bsq, lo, hi
+
+
+def check_charpoly_eigs(ctx: KContext) -> CheckResult:
+    """:func:`_count_certificate`, then :func:`_exact_tie`.  The residual
+    is the worst margin (:func:`_worst_margin`) of the brackets tested, inf
+    if a square reaches 2**53."""
+    certificate = _count_certificate(ctx)
+    if certificate is None:
+        return CheckResult("charpoly-eigs", ctx.k, False, np.inf)
+    ok, d, bsq, lo, hi = certificate
+    if ok:
         ok, lo, hi = _exact_tie(ctx, d, bsq, lo, hi)
-    return CheckResult("charpoly-eigs", k, bool(ok), _worst_margin(x, lo, hi))
+    return CheckResult("charpoly-eigs", ctx.k, bool(ok), _worst_margin(ctx.eigenvalues, lo, hi))
 
 
 def check_norm_bound(ctx: KContext) -> CheckResult:
@@ -401,61 +399,38 @@ def check_norm_bound(ctx: KContext) -> CheckResult:
     return CheckResult("norm-bound", ctx.k, ok, 0.0)
 
 
-GLOBAL_CHECKS = ("clifford-ladder", "clifford-grading", "clifford-linearity", "oscillator")
+# Name -> check, in ``verify`` order; a per-k check takes one KContext.
+GLOBAL_REGISTRY = {
+    "clifford-ladder": check_ladder_commutator,
+    "clifford-grading": check_grading,
+    "clifford-linearity": check_linearity,
+    "oscillator": check_oscillator,
+}
 
-PER_K_CHECKS = (
-    "su2-bracket",
-    "su2-weights",
-    "su2-structure",
-    "hom-oracle",
-    "hom-dim",
-    "equivariance",
-    "assembly-match",
-    "symmetry",
-    "spectra-coincide",
-    "kernel-rule",
-    "p-eigenvalues",
-    "charpoly-parity",
-    "det-product",
-    "charpoly-eigs",
-    "norm-bound",
-)
+PER_K_REGISTRY = {
+    "su2-bracket": check_su2_bracket,
+    "su2-weights": check_su2_weights,
+    "su2-structure": check_su2_structure,
+    "hom-oracle": check_hom_oracle,
+    "hom-dim": check_hom_dim,
+    "equivariance": check_equivariance,
+    "assembly-match": check_assembly,
+    "symmetry": check_symmetry,
+    "spectra-coincide": check_coincide,
+    "kernel-rule": check_kernel_rule,
+    "p-eigenvalues": check_p_eigenvalues,
+    "charpoly-parity": check_charpoly_parity,
+    "det-product": check_det_product,
+    "charpoly-eigs": check_charpoly_eigs,
+    "norm-bound": check_norm_bound,
+}
 
+GLOBAL_CHECKS = tuple(GLOBAL_REGISTRY)
+PER_K_CHECKS = tuple(PER_K_REGISTRY)
 ALL_CHECKS = GLOBAL_CHECKS + PER_K_CHECKS
 
 
-def global_checks() -> dict:
-    """Name -> k-independent check, in GLOBAL_CHECKS order."""
-    return {
-        "clifford-ladder": check_ladder_commutator,
-        "clifford-grading": check_grading,
-        "clifford-linearity": check_linearity,
-        "oscillator": check_oscillator,
-    }
-
-
-def per_k_checks(mode: str = "both", tol_match: float = 1e-12) -> dict:
-    """Name -> check taking a KContext, with mode and tolerances bound."""
-    return {
-        "su2-bracket": lambda ctx: check_su2_bracket(ctx, mode=mode),
-        "su2-weights": check_su2_weights,
-        "su2-structure": check_su2_structure,
-        "hom-oracle": check_hom_oracle,
-        "hom-dim": check_hom_dim,
-        "equivariance": check_equivariance,
-        "assembly-match": lambda ctx: check_assembly(ctx, mode=mode, tol_match=tol_match),
-        "symmetry": check_symmetry,
-        "spectra-coincide": check_coincide,
-        "kernel-rule": check_kernel_rule,
-        "p-eigenvalues": check_p_eigenvalues,
-        "charpoly-parity": check_charpoly_parity,
-        "det-product": check_det_product,
-        "charpoly-eigs": lambda ctx: check_charpoly_eigs(ctx, mode=mode),
-        "norm-bound": check_norm_bound,
-    }
-
-
-def run_checks(k_values, names=None, mode: str = "both", tol_match: float = 1e-12):
+def run_checks(k_values, names=None):
     """Run the selected checks (all by default) over the given odd k values;
     global checks run once, and the per-k checks of one k share one
     KContext.  Returns a list of CheckResult."""
@@ -463,11 +438,8 @@ def run_checks(k_values, names=None, mode: str = "both", tol_match: float = 1e-1
     unknown = [n for n in selected if n not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown check name(s): {', '.join(unknown)}")
-    results = [check() for name, check in global_checks().items() if name in selected]
-    per_k = per_k_checks(mode=mode, tol_match=tol_match)
+    results = [check() for name, check in GLOBAL_REGISTRY.items() if name in selected]
     for k in sorted(k_values):
         ctx = KContext(k)
-        for name in PER_K_CHECKS:
-            if name in selected:
-                results.append(per_k[name](ctx))
+        results += [check(ctx) for name, check in PER_K_REGISTRY.items() if name in selected]
     return results

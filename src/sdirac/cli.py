@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from .checks import run_checks
+from .checks import ALL_CHECKS, run_checks
 from .operators import SpectrumReport, build_report, charpoly_exact
 
 EXIT_OK = 0
@@ -33,12 +32,10 @@ class UserInputError(ValueError):
 @dataclass
 class RunConfig:
     k_values: list
-    mode: str = "both"
     format: str = "json"
     out: str | None = None
     jobs: int = 0
     checks: tuple = field(default_factory=tuple)
-    tol_match: float = 1e-12
 
 
 def parse_k_values(arg: str) -> list:
@@ -165,9 +162,8 @@ def _emit(cfg: RunConfig, pieces) -> None:
 # ---------------------------------------------------------------------
 
 
-def _report_worker(payload):
-    k, tol_match, mode = payload
-    return report_to_dict(build_report(k, tol_match=tol_match, mode=mode))
+def _report_worker(k):
+    return report_to_dict(build_report(k))
 
 
 def worker_count(jobs: int, n_items: int) -> int:
@@ -180,8 +176,7 @@ def worker_count(jobs: int, n_items: int) -> int:
 def _report_dicts(cfg: RunConfig, pool):
     """The report dicts in ascending k, each yielded as soon as it and
     every smaller k are done; computed by ``pool`` when given."""
-    payloads = [(k, cfg.tol_match, cfg.mode) for k in sorted(cfg.k_values)]
-    return pool.map(_report_worker, payloads) if pool else map(_report_worker, payloads)
+    return (pool.map if pool else map)(_report_worker, sorted(cfg.k_values))
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
@@ -199,15 +194,7 @@ def cmd_charpoly(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    try:
-        results = run_checks(
-            sorted(cfg.k_values),
-            names=cfg.checks or None,
-            mode=cfg.mode,
-            tol_match=cfg.tol_match,
-        )
-    except ValueError as e:
-        raise UserInputError(str(e)) from None
+    results = run_checks(sorted(cfg.k_values), names=cfg.checks or None)
     lines = []
     failed = False
     for r in results:
@@ -232,24 +219,22 @@ _OPTIONS = {
         help="odd degrees, e.g. '5', '1,3,7' or '1..31' (ranges skip even values)",
     )),
     "format": (("--format",), dict(choices=("json", "csv", "table"), default="json")),
-    "mode": (("--mode",), dict(choices=("float", "exact", "both"), default="both")),
     "out": (("--out",), dict(metavar="PATH", help="write output to a file instead of stdout")),
     "jobs": (("--jobs",), dict(type=int, default=0, metavar="N", help="worker count, 0 = auto")),
     "check": (("--check",), dict(
-        action="append", default=[], dest="checks", metavar="NAME",
+        action="append", default=[], dest="checks", metavar="NAME", choices=ALL_CHECKS,
         help="run only the named check (repeatable)",
     )),
-    "tol-match": (("--tol-match",), dict(type=float, default=1e-12, metavar="X")),
 }
 
 # The options each command reads; any other is a usage error (exit 2).
 _COMMANDS = (
     ("spectrum", "emit spectrum reports per k", cmd_spectrum,
-     ("k", "format", "mode", "out", "jobs", "tol-match")),
+     ("k", "format", "out", "jobs")),
     ("charpoly", "emit exact charpoly coefficients, lowest degree first", cmd_charpoly,
      ("k", "out")),
     ("verify", "run the invariant checks over a k range", cmd_verify,
-     ("k", "mode", "out", "jobs", "check", "tol-match")),
+     ("k", "out", "jobs", "check")),
 )
 
 
@@ -277,8 +262,6 @@ def main(argv=None) -> int:
     del args["command"]
     try:
         cfg = RunConfig(k_values=parse_k_values(args.pop("k")), **args)
-        if not (math.isfinite(cfg.tol_match) and cfg.tol_match > 0):
-            raise UserInputError("--tol-match must be finite and strictly positive")
         if cfg.jobs < 0:
             raise UserInputError("--jobs must be >= 0")
         # The exact charpoly's integers pass CPython's int -> str limit of

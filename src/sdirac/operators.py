@@ -404,9 +404,10 @@ class KContext:
     field is built on first use, once: the su(2) rep, the exact charpoly,
     the closed-form blocks, the real symmetric bands (diagonal,
     |superdiagonal|) the eigensolver sees of them, and the eigenvalues of
-    the first block."""
+    the first block.  Raises ValueError unless k is an odd integer >= 1."""
 
     def __init__(self, k: int):
+        _require_odd(k)
         self.k = k
 
     @cached_property
@@ -458,18 +459,14 @@ class SpectrumReport:
     signed_det: int
 
 
-def build_report(k: int, tol_match: float = 1e-12, mode: str = "both") -> SpectrumReport:
+def build_report(k: int) -> SpectrumReport:
     """Assemble, solve and verify one k with the registry checks of
     CHECK_NAMES, all on one :class:`KContext`; check failures are flagged,
     not raised, so a sweep always completes."""
-    from .checks import per_k_checks  # checks imports this module
+    from .checks import PER_K_REGISTRY  # checks imports this module
 
-    _require_odd(k)
-    if mode not in ("float", "exact", "both"):
-        raise ValueError(f"unknown mode {mode!r}")
     ctx = KContext(k)
-    registry = per_k_checks(mode=mode, tol_match=tol_match)
-    checks = {name: registry[name](ctx).ok for name in CHECK_NAMES}
+    checks = {name: PER_K_REGISTRY[name](ctx).ok for name in CHECK_NAMES}
     cp = ctx.charpoly
     return SpectrumReport(
         k=k,

@@ -120,8 +120,8 @@ def check_bracket(rep: RepMatrices, mode: str = "exact", tol: float = 1e-13) -> 
 
     The commutators are band products, O(k).  Exact mode compares Gaussian
     rationals; float mode compares complex128 entries within ``tol``.  The
-    float mode is what ``verify --mode float`` runs, and the benchmark
-    under ``bench/`` times both.
+    ``su2-bracket`` check runs the exact mode; the float mode stays because
+    the benchmark under ``bench/`` times both.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -1,16 +1,18 @@
 """CLI behaviour: formats, exit codes, determinism, golden output."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from sdirac import cli
+from sdirac import checks, cli
 from sdirac.cli import dumps_canonical, main, parse_k_values, worker_count
 from sdirac.operators import charpoly_exact
 
@@ -136,15 +138,19 @@ class TestSpectrumCommand:
         assert got == (DATA / "spectrum_k1_7.json").read_bytes()
 
     def test_bad_tolerance(self, capsys):
-        assert main(["spectrum", "-k", "3", "--tol-match", "-1"]) == 2
+        # the float assembly tolerance is a constant, not an option
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "-k", "3", "--tol-match", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_reports_are_written_as_they_complete(self, monkeypatch):
         # when the report of k is computed, every smaller k is on stdout
         written, out, worker = {}, io.StringIO(), cli._report_worker
 
-        def recording(payload):
-            written[payload[0]] = out.getvalue().count('{"k": ')
-            return worker(payload)
+        def recording(k):
+            written[k] = out.getvalue().count('{"k": ')
+            return worker(k)
 
         monkeypatch.setattr(cli, "_report_worker", recording)
         with contextlib.redirect_stdout(out):
@@ -155,10 +161,10 @@ class TestSpectrumCommand:
     def test_a_failure_mid_sweep_leaves_the_reports_before_it(self, monkeypatch, capsys):
         worker = cli._report_worker
 
-        def failing(payload):
-            if payload[0] == 5:
+        def failing(k):
+            if k == 5:
                 raise RuntimeError("no report")
-            return worker(payload)
+            return worker(k)
 
         monkeypatch.setattr(cli, "_report_worker", failing)
         assert main(["spectrum", "-k", "1..7", "--jobs", "1"]) == 1
@@ -199,8 +205,8 @@ class TestCharpolyCommand:
 
 class TestVerifyCommand:
     def test_golden_output(self, capsys):
-        # all checks, --mode both; the residual column is part of the bytes
-        assert main(["verify", "-k", "1..15", "--mode", "both"]) == 0
+        # all checks; the residual column is part of the bytes
+        assert main(["verify", "-k", "1..15"]) == 0
         assert capsys.readouterr().out == (DATA / "verify_k1_15_both.txt").read_text()
 
     def test_small_range_passes(self, capsys):
@@ -218,40 +224,54 @@ class TestVerifyCommand:
         assert len(lines) == 1
         assert lines[0].startswith("PASS spectra-coincide k=3")
 
-    @pytest.mark.parametrize("mode", ["float", "exact", "both"])
-    def test_assembly_match_beyond_float_factorials(self, mode, capsys):
+    @staticmethod
+    def _assembly_route_passes(k, route, monkeypatch, capsys):
+        """assembly-match passes at k by the float route alone ("float",
+        the exact identities passed by fiat), by the exact route alone
+        ("exact", the float mismatch zeroed) or by both."""
+        if route == "float":
+            monkeypatch.setattr(checks, "assembly_matches_exact", lambda k, rep=None: True)
+        elif route == "exact":
+            monkeypatch.setattr(checks, "assembly_mismatch_float", lambda k, rep=None, blocks=None: 0.0)
+        code = main(["verify", "-k", str(k), "--check", "assembly-match"])
+        return code == 0 and capsys.readouterr().out.startswith(f"PASS assembly-match k={k} ")
+
+    @pytest.mark.parametrize("route", ["float", "exact", "both"])
+    def test_assembly_match_beyond_float_factorials(self, route, monkeypatch, capsys):
         # k = 197 is the first k whose squared normalization factors
         # overflow a float
-        argv = ["verify", "-k", "197", "--check", "assembly-match", "--mode", mode]
-        assert main(argv) == 0
-        assert capsys.readouterr().out.startswith("PASS assembly-match k=197 ")
+        assert self._assembly_route_passes(197, route, monkeypatch, capsys)
 
-    @pytest.mark.parametrize("k,mode", [(1999, "float"), (1999, "exact"), (1999, "both"), (3999, "float")])
-    def test_assembly_match_at_large_k(self, k, mode, capsys):
-        argv = ["verify", "-k", str(k), "--check", "assembly-match", "--mode", mode]
-        assert main(argv) == 0
-        assert capsys.readouterr().out.startswith(f"PASS assembly-match k={k} ")
+    @pytest.mark.parametrize("k,route", [(1999, "float"), (1999, "exact"), (1999, "both"), (3999, "float")])
+    def test_assembly_match_at_large_k(self, k, route, monkeypatch, capsys):
+        assert self._assembly_route_passes(k, route, monkeypatch, capsys)
 
-    def test_assembly_match_tolerance_scales_with_the_entries(self, capsys):
+    def test_assembly_match_tolerance_scales_with_the_entries(self, monkeypatch, capsys):
         # the residual is about one ulp of the largest entry, 1.8e-12 here
-        argv = ["verify", "-k", "887,1001", "--check", "assembly-match", "--mode", "float"]
+        argv = ["verify", "-k", "887,1001", "--check", "assembly-match"]
         assert main(argv) == 0
-        assert main(argv + ["--tol-match", "1e-20"]) == 3
+        monkeypatch.setattr(checks, "TOL_MATCH", 1e-20)
+        assert main(argv) == 3
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines] == ["PASS", "PASS", "FAIL", "FAIL"]
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
-    def test_tol_match_must_be_finite_and_positive(self, tol, capsys):
-        # nan failed working code and inf passed anything
-        argv = ["verify", "-k", "5", "--check", "assembly-match", "--tol-match", tol]
-        assert main(argv) == 2
+    def test_unknown_check_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "-k", "3", "--check", "nonsense"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--tol-match" in captured.err
+        assert "invalid choice: 'nonsense'" in captured.err
 
-    def test_unknown_check_rejected(self, capsys):
-        assert main(["verify", "-k", "3", "--check", "nonsense"]) == 2
-        assert "unknown check" in capsys.readouterr().err
+    def test_value_error_inside_a_check_is_internal(self, monkeypatch, capsys):
+        def broken(ctx):
+            raise ValueError("matrix is not Hermitian")
+
+        monkeypatch.setitem(checks.PER_K_REGISTRY, "symmetry", broken)
+        assert main(["verify", "-k", "3", "--check", "symmetry"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: matrix is not Hermitian\n"
 
     def test_even_k_rejected(self):
         assert main(["verify", "-k", "2"]) == 2
@@ -273,6 +293,9 @@ class TestOptionsPerCommand:
             # prefixes of an option's name are not read as the option
             ["verify", "-k", "5", "--check", "assembly-match", "--tol", "1e-30"],
             ["spectrum", "-k", "3", "--form", "csv"],
+            # every check runs its full route; the float tolerance is a constant
+            ["verify", "-k", "5", "--mode", "float"],
+            ["spectrum", "-k", "5", "--tol-match", "1e-9"],
         ],
     )
     def test_option_the_command_does_not_read_exits_2(self, argv, capsys):
@@ -284,10 +307,42 @@ class TestOptionsPerCommand:
     def test_options_each_command_reads(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         assert main(["charpoly", "-k", "3", "--out", out]) == 0
-        spectrum = ["--format", "csv", "--mode", "float", "--jobs", "1", "--tol-match", "1e-9"]
+        spectrum = ["--format", "csv", "--jobs", "1"]
         assert main(["spectrum", "-k", "3", "--out", out] + spectrum) == 0
-        verify = ["--check", "symmetry", "--mode", "float", "--jobs", "1", "--tol-match", "1e-9"]
+        verify = ["--check", "symmetry", "--jobs", "1"]
         assert main(["verify", "-k", "3", "--out", out] + verify) == 0
+
+
+class TestReadmeOptionTable:
+    """The README's option table marks with a check the options each
+    command takes; it must name exactly the parser's."""
+
+    @staticmethod
+    def readme_table():
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        # cells split at each "|" that is not escaped as "\|"
+        rows = [re.split(r"(?<!\\)\|", line)[1:-1] for line in readme.splitlines() if line.startswith("|")]
+        header = [cell.strip(" `") for cell in rows[0]]
+        table = {command: set() for command in header[1:]}
+        for row in rows[2:]:
+            option, *marks = (cell.strip() for cell in row)
+            flags = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", option.split("<")[0]))
+            for command, mark in zip(header[1:], marks):
+                if mark == "✓":
+                    table[command] |= flags
+        return table
+
+    @staticmethod
+    def parser_options():
+        parser = cli._build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        return {
+            name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+            for name, sub in commands.items()
+        }
+
+    def test_table_names_the_options_of_each_command(self):
+        assert self.readme_table() == self.parser_options()
 
 
 class TestOutputFile:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sdirac import checks, cli, intertwine, operators, su2
-from sdirac.checks import PER_K_CHECKS, check_charpoly_eigs, check_coincide, run_checks
+from sdirac.checks import ALL_CHECKS, PER_K_CHECKS, check_charpoly_eigs, check_coincide, run_checks
 from sdirac.operators import DiracMatrix, KContext, build_report
 
 COUNTED = {
@@ -47,11 +47,18 @@ class TestBuiltOncePerK:
         assert all(r.ok for r in run_checks([3, 5, 11]))
         assert calls == {name: 3 for name in COUNTED}
 
-    @pytest.mark.parametrize("mode", ["float", "exact", "both"])
     @pytest.mark.parametrize("k", [1, 7])
-    def test_build_report(self, calls, k, mode):
-        assert all(build_report(k, mode=mode).checks.values())
+    def test_build_report(self, calls, k):
+        assert all(build_report(k).checks.values())
         assert calls == {name: 1 for name in COUNTED}
+
+
+class TestOddK:
+    @pytest.mark.parametrize("name", ALL_CHECKS)
+    def test_every_check_rejects_a_k_that_is_not_odd_and_positive(self, name):
+        for k in (4, 0, -3):
+            with pytest.raises(ValueError, match="odd"):
+                run_checks([k], names=[name])
 
 
 class TestReport:
@@ -63,9 +70,8 @@ class TestReport:
         assert report.kernel_dim == 1 and report.eigenvalues[49] == 0.0
 
     def test_flags_are_the_registry_checks(self):
-        registry = checks.per_k_checks()
         ctx = KContext(13)
-        expected = {name: registry[name](ctx).ok for name in operators.CHECK_NAMES}
+        expected = {name: checks.PER_K_REGISTRY[name](ctx).ok for name in operators.CHECK_NAMES}
         assert build_report(13).checks == expected
 
 
@@ -104,10 +110,10 @@ class TestBandMemory:
         k = 1999
         m = (k + 1) // 2
         ctx = KContext(k)
-        registry = checks.per_k_checks()
         tracemalloc.start()
         try:
-            results = [registry[name](ctx) for name in ("symmetry", "spectra-coincide", "p-eigenvalues", "norm-bound")]
+            names = ("symmetry", "spectra-coincide", "p-eigenvalues", "norm-bound")
+            results = [checks.PER_K_REGISTRY[name](ctx) for name in names]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -118,6 +124,13 @@ class TestBandMemory:
 def delta(m):
     """The certificate's relative half-width, 4 m eps."""
     return 4 * m * np.finfo(np.float64).eps
+
+
+def certified(ctx, route):
+    """Whether ctx's eigenvalues pass the count certificate alone
+    ("float") or the whole charpoly-eigs check, count and exact tie
+    ("both")."""
+    return checks._count_certificate(ctx)[0] if route == "float" else check_charpoly_eigs(ctx).ok
 
 
 class TestCharpolyCertificate:
@@ -144,23 +157,23 @@ class TestCharpolyCertificate:
         ctx.eigenvalues = eigs
         assert not check_charpoly_eigs(ctx).ok
 
-    @pytest.mark.parametrize("mode", ["float", "exact", "both"])
+    @pytest.mark.parametrize("route", ["float", "both"])
     @pytest.mark.parametrize("k", [31, 199, 1001])
-    def test_rejects_a_move_of_ten_delta(self, k, mode):
+    def test_rejects_a_move_of_ten_delta(self, k, route):
         ctx = KContext(k)
         eigs = ctx.eigenvalues
         m = len(eigs)
-        assert check_charpoly_eigs(ctx, mode=mode).ok
+        assert certified(ctx, route)
         for i in (0, m // 3, m - 1):
             for sign in (-1, 1):
                 moved = eigs.copy()
                 moved[i] += sign * 10 * delta(m) * abs(moved[i])
                 ctx.eigenvalues = moved
-                assert not check_charpoly_eigs(ctx, mode=mode).ok
+                assert not certified(ctx, route)
 
-    @pytest.mark.parametrize("mode", ["float", "both"])
+    @pytest.mark.parametrize("route", ["float", "both"])
     @pytest.mark.parametrize("k", [15, 201])
-    def test_rejects_swapped_or_duplicated_eigenvalues(self, k, mode):
+    def test_rejects_swapped_or_duplicated_eigenvalues(self, k, route):
         ctx = KContext(k)
         eigs = ctx.eigenvalues
         i = len(eigs) - 3
@@ -169,7 +182,7 @@ class TestCharpolyCertificate:
         duplicated[i + 1] = duplicated[i]
         for wrong in (swapped, duplicated):
             ctx.eigenvalues = wrong
-            assert not check_charpoly_eigs(ctx, mode=mode).ok
+            assert not certified(ctx, route)
 
     @pytest.mark.parametrize("k", [5, 33, 201])
     def test_rejects_a_displaced_zero(self, k):
@@ -181,7 +194,8 @@ class TestCharpolyCertificate:
             moved = eigs.copy()
             moved[mid] = shift
             ctx.eigenvalues = moved
-            assert not check_charpoly_eigs(ctx, mode="float").ok
+            assert not certified(ctx, "float")
+            assert not certified(ctx, "both")
 
     @pytest.mark.parametrize("k", [7, 97])
     def test_exact_tie_rejects_another_charpoly(self, k):
@@ -190,8 +204,10 @@ class TestCharpolyCertificate:
         m = len(coeffs) - 1
         for wrong in ({m - 2: 2 * coeffs[m - 2]}, {m - 1: 1}):  # roots moved; parity broken
             ctx.charpoly = operators.CharPoly(k, tuple(wrong.get(i, c) for i, c in enumerate(coeffs)))
-            assert check_charpoly_eigs(ctx, mode="float").ok
-            assert not check_charpoly_eigs(ctx, mode="exact").ok
+            ok, d, bsq, lo, hi = checks._count_certificate(ctx)
+            assert ok
+            assert not checks._exact_tie(ctx, d, bsq, lo, hi)[0]
+            assert not check_charpoly_eigs(ctx).ok
 
     def test_exact_tie_needs_disjoint_brackets(self):
         # two sign changes prove two roots only across disjoint brackets;
@@ -208,24 +224,28 @@ class TestCharpolyCertificate:
     def test_count_and_exact_tie_agree_up_to_399(self):
         for k in range(1, 400, 2):
             ctx = KContext(k)
-            float_only = check_charpoly_eigs(ctx, mode="float")
-            assert "charpoly" not in vars(ctx)  # float mode builds no charpoly
-            tied = check_charpoly_eigs(ctx, mode="exact")
-            assert float_only.ok and tied.ok, k
+            counted, d, bsq, lo, hi = checks._count_certificate(ctx)
+            assert "charpoly" not in vars(ctx)  # the count builds no charpoly
+            tied, tie_lo, tie_hi = checks._exact_tie(ctx, d, bsq, lo, hi)
+            assert counted and tied, k
             # the dyadic brackets of the tie hold the float brackets
-            assert tied.residual >= float_only.residual
+            x = ctx.eigenvalues
+            assert np.all(tie_lo <= lo) and np.all(tie_hi >= hi)
+            assert checks._worst_margin(x, tie_lo, tie_hi) >= checks._worst_margin(x, lo, hi)
 
     @pytest.mark.parametrize("k", [1001, 4001])
     def test_float_path_envelope(self, k):
+        # the count alone: with the exact tie, k = 4001 takes about 10 s
         ctx = KContext(k)
-        result = check_charpoly_eigs(ctx, mode="float")
-        assert result.ok and 0 < result.residual < 1e-6
+        ok, _, _, lo, hi = checks._count_certificate(ctx)
+        assert ok and 0 < checks._worst_margin(ctx.eigenvalues, lo, hi) < 1e-6
         assert "charpoly" not in vars(ctx)
-        assert all(r.ok for r in run_checks([k], names=["symmetry", "norm-bound"], mode="float"))
+        assert all(r.ok for r in run_checks([k], names=["symmetry", "norm-bound"]))
 
     def test_squares_beyond_double_precision_fail(self, monkeypatch):
         ctx = KContext(7)
         ctx.eigenvalues
         monkeypatch.setattr(checks, "a_coeff", lambda k, l: operators.ACoeff(2**53, 2.0**26.5))
-        result = check_charpoly_eigs(ctx, mode="float")
+        assert checks._count_certificate(ctx) is None
+        result = check_charpoly_eigs(ctx)
         assert not result.ok and result.residual == float("inf")

@@ -128,10 +128,16 @@ class TestOneLadder:
 
         patch_ladder(wrong)
 
-    @pytest.mark.parametrize("mode", ["float", "exact", "both"])
-    def test_wrong_raising_coefficient_fails_both_checks(self, wrong_raising, mode):
+    @pytest.mark.parametrize("route", ["float", "exact", "both"])
+    def test_wrong_raising_coefficient_fails_both_checks(self, wrong_raising, route, monkeypatch):
+        # assembly-match catches it by each route alone: "float" passes the
+        # exact identities by fiat, "exact" zeroes the float mismatch
         assert not checks.check_ladder_commutator(trunc=4).ok
-        assert not checks.check_assembly(KContext(5), mode=mode).ok
+        if route == "float":
+            monkeypatch.setattr(checks, "assembly_matches_exact", lambda k, rep=None: True)
+        elif route == "exact":
+            monkeypatch.setattr(checks, "assembly_mismatch_float", lambda k, rep=None, blocks=None: 0.0)
+        assert not checks.check_assembly(KContext(5)).ok
 
     def test_broken_ladder_has_a_residual(self, wrong_raising):
         assert checks.check_ladder_commutator().residual > 0
@@ -273,11 +279,11 @@ class TestTypes:
 
 class TestGlobalChecks:
     def test_registry_order(self):
-        assert tuple(checks.global_checks()) == checks.GLOBAL_CHECKS
+        assert tuple(checks.GLOBAL_REGISTRY) == checks.GLOBAL_CHECKS
         results = checks.run_checks([], names=list(reversed(checks.GLOBAL_CHECKS)))
         assert [r.name for r in results] == list(checks.GLOBAL_CHECKS)
 
     def test_passing_checks_measure_zero(self):
-        for check in checks.global_checks().values():
+        for check in checks.GLOBAL_REGISTRY.values():
             result = check()
             assert result.ok and result.residual == 0.0, result
