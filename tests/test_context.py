@@ -47,10 +47,24 @@ class TestBuiltOncePerK:
         assert all(r.ok for r in run_checks([3, 5, 11]))
         assert calls == {name: 3 for name in COUNTED}
 
+    @pytest.mark.parametrize("part", ["float", "exact", "both"])
     @pytest.mark.parametrize("k", [1, 7])
-    def test_build_report(self, calls, k):
-        assert all(build_report(k).checks.values())
+    def test_build_report(self, calls, k, part):
+        # then the report's float fields match a fresh solve, its exact
+        # fields a fresh charpoly, and ("both") the two halves agree
+        report = build_report(k)
+        assert all(report.checks.values())
         assert calls == {name: 1 for name in COUNTED}
+        x = np.array(report.eigenvalues)
+        if part == "float":
+            assert np.array_equal(x, operators.spectrum(operators.assemble_closed_form(k)[0]))
+        elif part == "exact":
+            cp = operators.charpoly_exact(k)
+            assert report.charpoly == cp and report.m == cp.m
+            assert (report.kernel_dim, report.signed_det) == (cp.kernel_dim, cp.signed_det)
+        else:
+            assert report.m == len(x) and report.kernel_dim == np.count_nonzero(x == 0.0)
+            assert report.abs_det == pytest.approx(np.prod(np.abs(x)), rel=1e-12)
 
 
 class TestOddK:
@@ -157,19 +171,30 @@ class TestCharpolyCertificate:
         ctx.eigenvalues = eigs
         assert not check_charpoly_eigs(ctx).ok
 
-    @pytest.mark.parametrize("route", ["float", "both"])
+    @pytest.mark.parametrize("route", ["float", "exact", "both"])
     @pytest.mark.parametrize("k", [31, 199, 1001])
     def test_rejects_a_move_of_ten_delta(self, k, route):
+        # "exact": the exact charpoly changes sign across the count's
+        # bracket of each tested eigenvalue, so the bracket holds a true
+        # root, and no longer does once the eigenvalue moves by 10 delta
         ctx = KContext(k)
         eigs = ctx.eigenvalues
         m = len(eigs)
-        assert certified(ctx, route)
-        for i in (0, m // 3, m - 1):
+        tested = (0, m // 3, m - 1)
+
+        def passes():
+            if route != "exact":
+                return certified(ctx, route)
+            lo, hi = checks._count_certificate(ctx)[3:]
+            return all(ctx.charpoly.sign_at(lo[i]) * ctx.charpoly.sign_at(hi[i]) <= 0 for i in tested)
+
+        assert passes()
+        for i in tested:
             for sign in (-1, 1):
                 moved = eigs.copy()
                 moved[i] += sign * 10 * delta(m) * abs(moved[i])
                 ctx.eigenvalues = moved
-                assert not certified(ctx, route)
+                assert not passes()
 
     @pytest.mark.parametrize("route", ["float", "both"])
     @pytest.mark.parametrize("k", [15, 201])
