@@ -255,7 +255,7 @@ def check_kernel_rule(ctx: KContext) -> CheckResult:
 
 
 def check_p_eigenvalues(ctx: KContext) -> CheckResult:
-    ok, off = check_commutator(ctx.blocks)
+    ok, off = check_commutator(ctx.blocks, ctx.p_diag)
     return CheckResult("p-eigenvalues", ctx.k, ok, off)
 
 

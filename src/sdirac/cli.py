@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -183,8 +182,14 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     render = {"json": _render_json, "csv": _render_csv, "table": _render_table}[cfg.format]
     count = len(cfg.k_values)
     jobs = worker_count(cfg.jobs, count)
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        _emit(cfg, render(_report_dicts(cfg, pool), count))
+    pool = nullcontext()
+    if jobs > 1:
+        # imported here: it adds about 30 modules to every start-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=jobs)
+    with pool as executor:
+        _emit(cfg, render(_report_dicts(cfg, executor), count))
     return EXIT_OK
 
 

@@ -326,12 +326,12 @@ def p_diag_closed(k: int) -> tuple:
     return closed
 
 
-def check_commutator(blocks) -> tuple:
+def check_commutator(blocks, closed) -> tuple:
     """Compare i[second, first] of the two ``blocks``, a band product in
-    O(m), with :func:`p_diag_closed`.  Returns (ok, off): off is the
-    largest modulus off the diagonal, and ok requires off and every
-    imaginary part on the diagonal below FLOAT_TOL and the real parts to
-    round to the closed-form integers."""
+    O(m), with ``closed``, their k's :func:`p_diag_closed`.  Returns
+    (ok, off): off is the largest modulus off the diagonal, and ok requires
+    off and every imaginary part on the diagonal below FLOAT_TOL and the
+    real parts to round to the closed-form integers."""
     d, dt = blocks
     p = _bracket_defect(dt.band, d.band, {}, 0, d.m)
     diag = 1j * p.pop(0)
@@ -339,7 +339,7 @@ def check_commutator(blocks) -> tuple:
     ok = (
         off < FLOAT_TOL
         and float(np.max(np.abs(diag.imag))) < FLOAT_TOL
-        and tuple(int(round(x)) for x in diag.real) == p_diag_closed(d.k)
+        and tuple(int(round(x)) for x in diag.real) == closed
     )
     return ok, off
 
@@ -347,9 +347,10 @@ def check_commutator(blocks) -> tuple:
 def p_operator(k: int) -> tuple:
     """Diagonal of i[second, first], verified by :func:`check_commutator`
     on the closed-form blocks."""
-    if not check_commutator(assemble_closed_form(k))[0]:
+    closed = p_diag_closed(k)
+    if not check_commutator(assemble_closed_form(k), closed)[0]:
         raise AssertionError(f"commutator differs from the closed-form diagonal at k={k}")
-    return p_diag_closed(k)
+    return closed
 
 
 # ---------------------------------------------------------------------
@@ -403,8 +404,9 @@ class KContext:
     """One odd k's data shared by the per-k checks and the report.  Each
     field is built on first use, once: the su(2) rep, the exact charpoly,
     the closed-form blocks, the real symmetric bands (diagonal,
-    |superdiagonal|) the eigensolver sees of them, and the eigenvalues of
-    the first block.  Raises ValueError unless k is an odd integer >= 1."""
+    |superdiagonal|) the eigensolver sees of them, the eigenvalues of the
+    first block, and the closed-form diagonal of i[second, first].  Raises
+    ValueError unless k is an odd integer >= 1."""
 
     def __init__(self, k: int):
         _require_odd(k)
@@ -429,6 +431,10 @@ class KContext:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         return spectrum(self.blocks[0])
+
+    @cached_property
+    def p_diag(self) -> tuple:
+        return p_diag_closed(self.k)
 
 
 # ---------------------------------------------------------------------
@@ -476,7 +482,7 @@ def build_report(k: int) -> SpectrumReport:
         kernel_dim=cp.kernel_dim,
         abs_det=abs(cp.signed_det),
         charpoly=cp,
-        p_diag=p_diag_closed(k),
+        p_diag=ctx.p_diag,
         checks=checks,
         signed_det=cp.signed_det,
     )

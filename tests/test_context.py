@@ -16,6 +16,7 @@ COUNTED = {
     "charpoly_exact": operators.charpoly_exact,
     "spectrum": operators.spectrum,
     "assemble_closed_form": operators.assemble_closed_form,
+    "p_diag_closed": operators.p_diag_closed,
 }
 
 

@@ -11,6 +11,7 @@ from sdirac.tridiag import (
     _PIVOT_FLOOR,
     _bisect,
     _gershgorin_bracket,
+    _pass_depth,
     eigvalsh_tridiagonal,
     sturm_count,
 )
@@ -87,6 +88,11 @@ class TestReferenceLoop:
         # The vectorized kernel against the plain-loop reference.  1 << 16
         # holds every case here in one block; the smaller sizes split the
         # rows into blocks, so pivots and zero pivots cross block boundaries.
+        # At the default pass width a pass resolves 2 to 9 levels of the
+        # bisection trees, by lane count; the second loop forces 1, 2, 4 and
+        # 9.  The iteration cap of 200 is a multiple of neither 9 nor 7, the
+        # default depth of the 3-row case that reaches the cap, so a capped
+        # lane there ends in a shorter walk.
         rng = np.random.default_rng(77)
         cases = [random_tridiag(rng, int(rng.integers(2, 80))) for _ in range(20)]
         cases += [
@@ -113,16 +119,45 @@ class TestReferenceLoop:
             for block_entries in (1 << 16, 1, 50, 333):
                 monkeypatch.setattr(tridiag, "_BLOCK_ENTRIES", block_entries)
                 assert np.array_equal(bisect_all(d, b), ref)
+            for depth in (1, 2, 4, 9):
+                monkeypatch.setattr(tridiag, "_PASS_POINTS", ((1 << depth) - 1) * d.shape[0])
+                assert _pass_depth(d.shape[0]) == depth
+                assert np.array_equal(bisect_all(d, b), ref)
+            monkeypatch.undo()
 
-    def test_index_subset_matches_full_run(self):
-        # a lane's result does not depend on which other lanes run with it
+    def test_index_subset_matches_full_run(self, monkeypatch):
+        # a lane's result depends neither on which other lanes run with it
+        # nor on how many levels a pass resolves, which the lane count sets
         rng = np.random.default_rng(3)
         d, b = random_tridiag(rng, 40)
         lo0, hi0 = _gershgorin_bracket(d, b)
         full = bisect_all(d, b)
-        for idx in ([0], [39], [5, 17, 18], list(range(0, 40, 3))):
-            got = _bisect(d, b * b, lo0, hi0, np.array(idx))
-            assert np.array_equal(got, full[idx])
+        for points in (1, 3 * 40, 15 * 40, 511 * 40):
+            monkeypatch.setattr(tridiag, "_PASS_POINTS", points)
+            for idx in ([0], [39], [5, 17, 18], list(range(0, 40, 3)), list(range(40))):
+                got = _bisect(d, b * b, lo0, hi0, np.array(idx))
+                assert np.array_equal(got, full[idx])
+
+    @pytest.mark.parametrize(
+        "lanes, depth", [(1, 9), (31, 4), (34, 4), (35, 3), (49, 3), (170, 2), (171, 1), (2000, 1)]
+    )
+    def test_pass_depth(self, lanes, depth):
+        assert _pass_depth(lanes) == depth
+
+    def test_passes_at_k195(self, monkeypatch):
+        # 49 lanes resolve 3 levels a pass: 20 passes where plain bisection
+        # takes 60
+        passes = []
+        count_pass = tridiag._count_pass
+
+        def counted(*args):
+            passes.append(args[2].shape[0])
+            return count_pass(*args)
+
+        monkeypatch.setattr(tridiag, "_count_pass", counted)
+        eigvalsh_tridiagonal(*KContext(195).bands[0])
+        assert len(passes) <= 23
+        assert set(passes) == {7 * 49}
 
 
 class TestZeroDiagonalFold:
@@ -186,6 +221,11 @@ class TestSturmCount:
         with pytest.raises(ValueError):
             sturm_count([], [], 0.0)
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, [0.0, -np.inf]])
+    def test_non_finite_point_rejected(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            sturm_count([0.0, 0.0, 0.0], [1.0, 1.0], x)
+
     def test_wrong_offdiag_length_rejected(self):
         with pytest.raises(ValueError):
             sturm_count([1.0, 2.0], [1.0, 2.0, 3.0], 0.0)
@@ -202,3 +242,17 @@ class TestValidation:
 
     def test_empty(self):
         assert eigvalsh_tridiagonal([], []).size == 0
+
+    def test_non_finite_diagonal(self):
+        with pytest.raises(ValueError, match="finite"):
+            eigvalsh_tridiagonal([np.nan], [])
+
+    def test_non_finite_offdiagonal(self):
+        with pytest.raises(ValueError, match="finite"):
+            eigvalsh_tridiagonal([1.0, 2.0], [np.inf])
+
+    def test_offdiagonal_square_overflows(self):
+        # b * b is inf: bisection would converge to the Gershgorin bound
+        # 2e200 instead of the true +-sqrt(2) * 1e200
+        with pytest.raises(ValueError, match="finite"):
+            eigvalsh_tridiagonal([0.0, 0.0, 0.0], [1e200, 1e200])
