@@ -7,7 +7,6 @@ from their closed tridiagonal form, verifies the routes agree, and
 computes exact and numerical spectral data.
 """
 
-from .exact import QQi
 from .hermite import clifford_band, omega0, oscillator_band, weight_on_Wl
 from .intertwine import (
     Intertwiner,

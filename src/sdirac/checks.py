@@ -6,10 +6,10 @@ diagnosable from the command line.  Global checks are k-independent: the
 Clifford relations, grading and linearity and the oscillator eigenvalues,
 each read off bands of Clifford multiplication
 (:func:`sdirac.hermite.clifford_band`) multiplied by the one band product
-of :mod:`sdirac.su2`.  ``clifford-ladder`` computes in complex128 and
-guards that every value it forms is held exactly; the other three compute
-in exact arithmetic.  Per-k checks cover the representation matrices, the
-intertwiner spaces and the assembled operator blocks.  All per-k checks of
+of :mod:`sdirac.su2`, in complex128 behind the exactness guard of
+:mod:`sdirac.exact`.  Per-k checks cover the representation matrices, the
+intertwiner spaces and the assembled operator blocks; the su(2) and weight
+checks compare int64 arrays and report exact defects.  All per-k checks of
 one k read one :class:`sdirac.operators.KContext`, so its rep, charpoly,
 blocks, bands and spectrum are each built once per k.
 
@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from .exact import QQi
+from .exact import exact_in_double
 from .hermite import clifford_band, omega0, oscillator_band, weight_on_Wl
 from .intertwine import dim_invariant_space, equivariance_residual, hom_space
 from .operators import (
@@ -45,7 +44,7 @@ from .operators import (
     spectrum,  # noqa: F401 - kept importable from here; bench/selftest.py reads it
     unitary_equivalence_exact,
 )
-from .su2 import _bracket_defect, check_bracket
+from .su2 import _bracket_defect, bracket_defect
 from .tridiag import _PIVOT_FLOOR, count_below
 
 
@@ -69,10 +68,13 @@ def _columns(band):
     return {o: np.arange(len(d)) + max(0, o) for o, d in band.items()}
 
 
-def _exact_in_double(band) -> bool:
-    """Every entry has real and imaginary parts in (1/2)Z below 2**20."""
-    parts = [p for d in band.values() for p in (2 * d.real, 2 * d.imag)]
-    return all(np.array_equal(p, np.round(p)) and np.all(np.abs(p) < 2**21) for p in parts)
+def _wrong_entries(got, want) -> int:
+    """Number of entries of ``got`` that differ from the array ``want``;
+    all of them if the lengths differ."""
+    got = np.asarray(got)
+    if got.shape != want.shape:
+        return max(got.size, want.size)
+    return int(np.count_nonzero(got != want))
 
 
 # -- global checks ------------------------------------------------------
@@ -84,11 +86,9 @@ def check_ladder_commutator(trunc: int = 20) -> CheckResult:
     bands on levels 0..trunc-1, where no term of the products leaves the
     box.  The residual is the largest defect modulus there.
 
-    The bands are complex128, and the result is exact: every band entry
-    has real and imaginary parts in (1/2)Z below 2**20 (checked; the check
-    fails otherwise), so every product of two entries is in (1/4)Z below
-    2**40, and each defect entry, a sum of at most five such terms, is
-    held exactly by a double."""
+    The result is exact: every band entry passes the guard of
+    :mod:`sdirac.exact` (the check fails otherwise), so each defect entry,
+    a sum of at most five products of two entries, is held by a double."""
     worst = 0.0
     exact = True
     for n in (1, 2):
@@ -96,7 +96,7 @@ def check_ladder_commutator(trunc: int = 20) -> CheckResult:
         interior = _box_degrees(n, trunc) <= trunc - 2
         basis = [tuple(float(a == c) for c in range(2 * n)) for a in range(2 * n)]
         bands = [clifford_band(x, range(trunc)) for x in basis]
-        exact = exact and all(_exact_in_double(band) for band in bands)
+        exact = exact and exact_in_double(*bands)
         identity = {0: np.ones(size)}
         for (xa, band_a), (xb, band_b) in product(zip(basis, bands), repeat=2):
             defect = _bracket_defect(band_a, band_b, identity, -1j * omega0(xa, xb), size)
@@ -115,39 +115,39 @@ def check_grading(trunc: int = 20) -> CheckResult:
         for a in range(2 * n):
             band = clifford_band(tuple(int(a == c) for c in range(2 * n)), range(trunc))
             for o, cols in _columns(band).items():
-                nonzero = band[o].astype(bool)
+                nonzero = band[o] != 0
                 ok = ok and bool(np.all(np.abs(deg[cols - o] - deg[cols])[nonzero] == 1))
     return CheckResult("clifford-grading", None, ok, 0.0)
 
 
 def check_linearity() -> CheckResult:
-    """band(a x + b y) = a band(x) + b band(y), exactly, on a fixed sample of
-    exact vectors and scalars.  The residual is the largest |lhs - rhs|
-    entry."""
-    x = (1, 0, Fraction(2, 3), 0)
-    y = (0, -2, 0, Fraction(1, 2))
-    a, b = Fraction(3, 4), -5
+    """band(a x + b y) = a band(x) + b band(y), exactly, on the sample
+    x = (2, 0, -4, 0), y = (0, -2, 0, 1), a = 3/2, b = -5, whose integral
+    a x + b y keeps every band entry in (1/2)Z.  The scalars and the bands
+    they multiply must pass the guard of :mod:`sdirac.exact` (the check
+    fails otherwise).  The residual is the largest |lhs - rhs| entry."""
+    x = (2, 0, -4, 0)
+    y = (0, -2, 0, 1)
+    a, b = 1.5, -5
     levels = range(5)
     lhs = clifford_band(tuple(a * p + b * q for p, q in zip(x, y)), levels)
     bx, by = clifford_band(x, levels), clifford_band(y, levels)
     diff = [lhs.get(o, 0) - a * bx.get(o, 0) - b * by.get(o, 0) for o in {*lhs, *bx, *by}]
-    worst = max(abs(complex(v)) for d in diff for v in d)
-    return CheckResult("clifford-linearity", None, worst == 0.0, worst)
+    worst = float(max(np.max(np.abs(d)) for d in diff))
+    return CheckResult("clifford-linearity", None, exact_in_double(a, b, bx, by) and worst == 0.0, worst)
 
 
 def check_oscillator(max_level: int = 18) -> CheckResult:
     """The exact oscillator band on levels 0..max_level+1 has -(2l+1)/2 on
     its diagonal and 0 off it in every column l <= max_level, and the
-    derived circle weight is i(2l+1).  The residual is the largest
-    deviation of the band from that closed form."""
+    derived circle weight (:func:`sdirac.hermite.weight_on_Wl`) is 2l+1.
+    The residual is the largest deviation of the band from that form."""
     worst = 0.0
-    for o, d in oscillator_band(range(max_level + 2)).items():
-        for t, v in enumerate(d):
-            col = t + max(0, o)
-            if col <= max_level:
-                expect = Fraction(-(2 * col + 1), 2) if o == 0 else 0
-                worst = max(worst, abs(complex(v - expect)))
-    ok = worst == 0.0 and all(weight_on_Wl(l) == QQi(0, 2 * l + 1) for l in range(max_level + 1))
+    band = oscillator_band(range(max_level + 2))
+    for o, cols in _columns(band).items():
+        expect = -(2 * cols + 1) / 2 if o == 0 else 0
+        worst = max(worst, float(np.max(np.abs(band[o] - expect)[cols <= max_level], initial=0.0)))
+    ok = worst == 0.0 and all(weight_on_Wl(l) == 2 * l + 1 for l in range(max_level + 1))
     return CheckResult("oscillator", None, ok, worst)
 
 
@@ -155,43 +155,46 @@ def check_oscillator(max_level: int = 18) -> CheckResult:
 
 
 def check_su2_bracket(ctx: KContext) -> CheckResult:
-    return CheckResult("su2-bracket", ctx.k, check_bracket(ctx.rep), 0.0)
+    """The su(2) brackets hold exactly on the int64 bands.  The residual is
+    :func:`sdirac.su2.bracket_defect`, an exact defect, 0 when passing."""
+    defect = bracket_defect(ctx.rep)
+    return CheckResult("su2-bracket", ctx.k, defect == 0, float(defect))
 
 
 def check_su2_weights(ctx: KContext) -> CheckResult:
-    """e0, stored as its diagonal, holds the simple weights i(2j-k).  Kept
-    although :func:`sdirac.su2.build_rep` writes exactly these: it is one
-    of the benchmark's verify lines, and it inspects the weights that
-    ``hom-oracle`` and ``equivariance`` read."""
-    k, e0 = ctx.k, ctx.rep.e0
-    ok = len(e0) == k + 1 and all(v == QQi(0, 2 * j - k) for j, v in enumerate(e0))
-    ok = ok and len({(v.re, v.im) for v in e0}) == k + 1
-    return CheckResult("su2-weights", k, ok, 0.0)
+    """e0 = i W holds the simple weights W[j] = 2j - k.  Kept although
+    :func:`sdirac.su2.build_rep` writes exactly these: it is one of the
+    benchmark's verify lines, and it inspects the weights that
+    ``hom-oracle`` and ``equivariance`` read.  The residual is the number
+    of wrong entries, an exact defect count."""
+    k = ctx.k
+    wrong = _wrong_entries(ctx.rep.w, 2 * np.arange(k + 1) - k)
+    return CheckResult("su2-weights", k, wrong == 0, float(wrong))
 
 
 def check_su2_structure(ctx: KContext) -> CheckResult:
-    """Every stored entry of e1 is real and of e2 purely imaginary; both are
-    tridiagonal with zero diagonal by storage, with k entries per
-    off-diagonal.  Kept although true by construction: it is one of the
-    benchmark's verify lines."""
-    rep = ctx.rep
-    ok = all(
-        len(diag) == ctx.k and all(getattr(v, part) == 0 for v in diag)
-        for band, part in ((rep.e1, "im"), (rep.e2, "re"))
-        for diag in band
-    )
-    return CheckResult("su2-structure", ctx.k, ok, 0.0)
+    """e1 = R is real and e2 = i S imaginary, both tridiagonal with zero
+    diagonal, by storage; the check compares the 4k stored integers with
+    the formulas of :func:`sdirac.su2.build_rep`: sub-diagonals j - k,
+    super-diagonals j + 1 in R and -(j + 1) in S.  Kept although true by
+    construction: it is one of the benchmark's verify lines.  The residual
+    is the number of wrong entries, an exact defect count."""
+    k, rep = ctx.k, ctx.rep
+    j = np.arange(k)
+    wrong = sum(map(_wrong_entries, (*rep.r, *rep.s), (j - k, j + 1, j - k, -j - 1)))
+    return CheckResult("su2-structure", k, wrong == 0, float(wrong))
 
 
 def check_hom_oracle(ctx: KContext) -> CheckResult:
     """Weight-matching dimensions equal the oracle's for l up to k+2: the
-    nullity of the diagonal system e0 - i(2l+1) I, the number of weights
-    of e0 equal to i(2l+1) (:func:`sdirac.intertwine.hom_space_oracle`),
-    read for every l from one count of the weights, in O(k)."""
+    number of weights W[j] equal to the circle weight 2l+1 of h_l
+    (:func:`sdirac.intertwine.hom_space_oracle`), read for every l from one
+    count of W, in O(k).  The residual is the number of l whose dimensions
+    differ, an exact defect count."""
     k = ctx.k
-    counts = Counter(ctx.rep.e0)
-    ok = all(hom_space(k, l)[0] == counts[weight_on_Wl(l)] for l in range(k + 3))
-    return CheckResult("hom-oracle", k, ok, 0.0)
+    counts = Counter(ctx.rep.w.tolist())
+    wrong = sum(hom_space(k, l)[0] != counts[weight_on_Wl(l)] for l in range(k + 3))
+    return CheckResult("hom-oracle", k, wrong == 0, float(wrong))
 
 
 def check_hom_dim(ctx: KContext) -> CheckResult:
@@ -206,10 +209,11 @@ def check_hom_dim(ctx: KContext) -> CheckResult:
 
 def check_equivariance(ctx: KContext) -> CheckResult:
     """The canonical generators satisfy the full weight-intertwining
-    identity exactly, not just by dimension count."""
+    identity exactly, not just by dimension count.  The residual is the
+    number of l whose generator fails it, an exact defect count."""
     k = ctx.k
-    ok = all(equivariance_residual(k, l, rep=ctx.rep) for l in range((k - 1) // 2 + 1))
-    return CheckResult("equivariance", k, ok, 0.0)
+    wrong = sum(not equivariance_residual(k, l, rep=ctx.rep) for l in range((k - 1) // 2 + 1))
+    return CheckResult("equivariance", k, wrong == 0, float(wrong))
 
 
 # Share of the largest closed-form entry (at least 1) that float assembly may

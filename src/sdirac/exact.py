@@ -1,95 +1,37 @@
-"""Exact Gaussian-rational scalars.
+"""The exactness guard of the complex128 routes that claim exact values.
 
-Every coefficient appearing in the ladder formulas, the su(2) matrices and
-the intertwiner weights is of the form a + b*i with a, b rational, so a
-tiny exact scalar type is enough to run all verification paths without
-rounding.  Components are kept as plain ``int`` whenever possible (int and
-``fractions.Fraction`` mix transparently) so that the common integer-only
-paths stay fast.  The type is a ring: it adds, subtracts, negates and
-multiplies, and compares with itself and with rationals.  Nothing divides
-by a Gaussian rational: no linear system is solved (the one the checks
-pose, the intertwiner equivariance system, is diagonal, and
-:mod:`sdirac.intertwine` counts its null space by comparing weights), and
-the exact assembly check compares squares on integers.
+Every exact value here is a Gaussian integer or half-integer of small
+modulus, so it runs in int64 or complex128.  If every operand of a product
+has real and imaginary parts in (1/2)Z below 2**20, each product is in
+(1/4)Z below 2**40, and a double holds it, and a sum of a few of them,
+exactly.  The routes that claim exactness test their operands with
+:func:`exact_in_double` and refuse or fail outside it, so no rounded value
+passes as exact.  The int64 su(2) bracket has its own guard
+(:func:`sdirac.su2.bracket_defect`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from numbers import Rational
+import numpy as np
+
+# Real and imaginary parts of a guarded operand are below this in modulus.
+EXACT_BOUND = 2**20
 
 
-class QQi:
-    """A Gaussian rational a + b*i with exact rational components."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re
-        self.im = im
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, QQi):
-            return QQi(self.re + other.re, self.im + other.im)
-        if isinstance(other, Rational):
-            return QQi(self.re + other, self.im)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, QQi):
-            return QQi(self.re - other.re, self.im - other.im)
-        if isinstance(other, Rational):
-            return QQi(self.re - other, self.im)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, Rational):
-            return QQi(other - self.re, -self.im)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, QQi):
-            return QQi(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if isinstance(other, Rational):
-            return QQi(self.re * other, self.im * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return QQi(-self.re, -self.im)
-
-    # -- comparisons / conversions --------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, QQi):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, Rational):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((Fraction(self.re), Fraction(self.im)))
-
-    def __complex__(self):
-        return float(self.re) + 1j * float(self.im)
-
-    def __repr__(self):
-        return f"QQi({self.re!r}, {self.im!r})"
+def exact_in_double(*operands) -> bool:
+    """True iff every real and imaginary part of every entry of the
+    operands (numbers, arrays or offset -> diagonal bands) is in (1/2)Z
+    below EXACT_BOUND in modulus; a non-number, such as a Fraction, fails."""
+    arrays = [np.asarray(a) for x in operands for a in (x.values() if isinstance(x, dict) else (x,))]
+    if any(a.dtype.kind not in "biufc" for a in arrays):
+        return False
+    parts = np.concatenate([np.zeros(0)] + [p.ravel() for a in arrays for p in (a.real, a.imag)])
+    # an integer that rounds on conversion is far above the bound
+    twice = 2 * parts.astype(np.float64)
+    return bool(np.array_equal(twice, np.round(twice)) and np.all(np.abs(twice) < 2 * EXACT_BOUND))
 
 
-QQI_ZERO = QQi(0, 0)
-QQI_ONE = QQi(1, 0)
-QQI_I = QQi(0, 1)
+def require_exact(*operands) -> None:
+    """Raise ValueError unless :func:`exact_in_double` holds."""
+    if not exact_in_double(*operands):
+        raise ValueError("an operand is outside (1/2)Z or not below 2**20 in modulus, so a double would not hold it exactly")

@@ -4,10 +4,11 @@ A map L sending p_{k,j} to c_j * h_l intertwines the circle actions iff its
 coefficients satisfy the weight-matching condition 2j - k = 2l + 1, which
 pins down a one-dimensional space exactly when k is odd and l <= (k-1)/2.
 Two independent routes are implemented: the weight-matching closed form and
-an oracle that reads the stored weights.  e0 is stored as its diagonal, so
-the equivariance system (e0^T - w I) c = 0 is diagonal and its nullity is
-the number of entries of e0 equal to the weight w of h_l: the oracle counts
-them instead of eliminating.
+an oracle that reads the stored weights.  e0 = i W is stored as the
+integer diagonal W, so the equivariance system (e0^T - i w I) c = 0 is
+diagonal and its nullity is the number of entries of W equal to the
+integer weight w of h_l (:func:`sdirac.hermite.weight_on_Wl`): the oracle
+counts them instead of eliminating.
 """
 
 from __future__ import annotations
@@ -66,15 +67,14 @@ def hom_space(k: int, l: int):
 def hom_space_oracle(k: int, l: int, rep: RepMatrices | None = None) -> int:
     """Dimension of the equivariant-map space read from the rep: the nullity
     of the system  L o e0 = i(2l+1) L  over all k+1 unknown coefficients.
-    Equation j reads c_j (e0[j] - w) = 0, because e0 is stored as its
-    diagonal, so the nullity is the number of j with e0[j] == w, counted
-    in exact arithmetic."""
+    Equation j reads c_j i (W[j] - w) = 0 with w = 2l+1, because e0 = i W
+    is stored as its integer diagonal, so the nullity is the number of j
+    with W[j] == w."""
     if k < 0 or l < 0:
         raise ValueError("k and l must be non-negative")
     if rep is None:
         rep = build_rep(k)
-    w = weight_on_Wl(l)
-    return sum(x == w for x in rep.e0)
+    return int(np.count_nonzero(rep.w == weight_on_Wl(l)))
 
 
 def normalize(L: Intertwiner) -> NormalizedIntertwiner:
@@ -117,11 +117,12 @@ def equivariance_residual(k: int, l: int, rep: RepMatrices | None = None):
     """Exact residual of the generator under the weight condition:
     L o e0 - i(2l+1) L.  Returns True iff it is identically zero (the full
     identity, not just dimension counting).  The generator has one nonzero
-    coefficient, at its support j, and e0 is diagonal, so the residual is
-    (e0[j] - i(2l+1)) h_l on p_j and zero on every other basis vector."""
+    coefficient, at its support j, and e0 = i W is diagonal, so the
+    residual is i (W[j] - (2l+1)) h_l on p_j and zero on every other basis
+    vector; the integers are compared."""
     dim, gen = hom_space(k, l)
     if dim == 0 or gen is None:
         raise ValueError(f"no generator for (k={k}, l={l})")
     if rep is None:
         rep = build_rep(k)
-    return rep.e0[gen.support] == weight_on_Wl(l)
+    return rep.w.item(gen.support) == weight_on_Wl(l)

@@ -8,9 +8,10 @@ assembled here along two independent routes:
   * first principles -- the defining combination of Clifford multiplication
     with the su(2) generator action, pushed through the intertwiners.  It
     runs the n = 1 ladder relations (:func:`sdirac.hermite.ladder`) once
-    per k over the arrays of all levels l = 0..m-1, exactly or in complex
-    doubles, and normalizes with the ratio of consecutive squared scales
-    (:func:`sdirac.intertwine.scale_sq_ratio`), a ratio of small integers.
+    per k over the arrays of all levels l = 0..m-1, in complex doubles
+    exact behind the guard of :mod:`sdirac.exact`, and normalizes with the
+    ratio of consecutive squared scales
+    (:func:`sdirac.intertwine.scale_sq_ratio`), of small integers.
 
 A block is stored as its band, in the offset -> diagonal format of
 :meth:`sdirac.su2.RepMatrices.bands`; the dense matrix is built only on
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import QQI_I
+from .exact import require_exact
 from .hermite import ladder
 from .intertwine import scale_sq_ratio
 from .su2 import _bracket_defect, _dense, build_rep
@@ -167,32 +168,34 @@ def definition_coeffs(k: int, exact: bool = True, rep=None):
     """Unnormalized ladder coefficients of both operators computed from the
     defining composite (Clifford multiplication after the generator action),
     over all levels at once.  Column l of an operator is its composite on
-    h_l at row j0 = (k+1)/2 + l of e1 and e2, whose two stored entries,
-    columns j0 -+ 1, are read as arrays from the bands of ``rep`` (built
-    when not given).  Entry j of row j0 turns h_l into
+    h_l at row j0 = (k+1)/2 + l of e1 = R and e2 = i S, whose two stored
+    entries, columns j0 -+ 1, are read as arrays from the bands of ``rep``
+    (built when not given).  Entry j of row j0 turns h_l into
     (e1[j0, j] X_2 - e2[j0, j] X_1) h_l for the first operator and
     -(e1[j0, j] X_1 + e2[j0, j] X_2) h_l for the second.
 
-    Returns ((down, up), (down, up)), one pair per operator: down[l], for
-    l = 0..m-1, is the coefficient of h_(l-1) from column j0 - 1 (0 at
-    l = 0), and up[l], for l = 0..m-2, that of h_(l+1) from column j0 + 1
-    (at l = m-1 no raising column exists).  Arrays of QQi when ``exact``,
-    else complex128.  Raises AssertionError if either column has a part
-    off its adjacent Hermite level.
+    Returns ((down, up), (down, up)), one pair per operator, as complex128:
+    down[l], for l = 0..m-1, is the coefficient of h_(l-1) from column
+    j0 - 1 (0 at l = 0), and up[l], for l = 0..m-2, that of h_(l+1) from
+    column j0 + 1 (at l = m-1 no raising column exists).  With ``exact``
+    the entries read and the levels must pass the guard of
+    :mod:`sdirac.exact`, which makes the values exact, or ValueError.
+    Raises AssertionError if either column has a part off its adjacent
+    Hermite level.
     """
     _require_odd(k)
     if rep is None:
         rep = build_rep(k)
     h = (k + 1) // 2
-    dtype = object if exact else np.complex128
     # Entry (j0, j0 - 1) is sub[j0 - 1]; (j0, j0 + 1) is sup[j0], for j0 < k.
-    (lo1, hi1), (lo2, hi2) = (
-        (np.array(sub[h - 1:], dtype=dtype), np.array(sup[h:], dtype=dtype)) for sub, sup in (rep.e1, rep.e2)
-    )
+    lo1, hi1 = rep.r[0][h - 1:], rep.r[1][h:]
+    lo2, hi2 = 1j * rep.s[0][h - 1:], 1j * rep.s[1][h:]
     levels = np.arange(h)
+    if exact:
+        require_exact(lo1, hi1, lo2, hi2, levels)
     lowering = (ladder(-lo2, lo1, levels), ladder(-lo1, -lo2, levels))
     raising = (ladder(-hi2, hi1, levels[:-1]), ladder(-hi1, -hi2, levels[:-1]))
-    if any(any(low[1]) or any(high[0]) for low, high in zip(lowering, raising)):
+    if any(np.any(low[1]) or np.any(high[0]) for low, high in zip(lowering, raising)):
         raise AssertionError(f"a first-principles column at k={k} leaves its adjacent Hermite level")
     return tuple((low[0], high[1]) for low, high in zip(lowering, raising))
 
@@ -233,10 +236,11 @@ def assembly_mismatch_float(k: int, rep=None, blocks=None) -> float:
 
 def assembly_matches_exact(k: int, rep=None) -> bool:
     """Exact-arithmetic assembly equivalence: the first-principles ladder
-    coefficients must reproduce the closed-form integers, and the squared
-    normalized entries must equal the exact squares of a_{k,l}.  With
-    scale_sq[l]/scale_sq[l-1] = num/den, those are the integer identities
-    down^2 num = a_l^2 den and up^2 den = a_(l+1)^2 num."""
+    coefficients (exact :func:`definition_coeffs`) must equal the
+    closed-form integers, and the squared normalized entries the exact
+    squares of a_{k,l}.  With scale_sq[l]/scale_sq[l-1] = num/den, those
+    are the identities down^2 num = a_l^2 den and up^2 den = a_(l+1)^2 num,
+    on Python ints, as they reach about k^5."""
     m = (k + 1) // 2
     (down_d, up_d), (down_dt, up_dt) = definition_coeffs(k, exact=True, rep=rep)
     closed = [unnormalized_coeffs(k, l) for l in range(m)]
@@ -244,9 +248,12 @@ def assembly_matches_exact(k: int, rep=None) -> bool:
     up = np.array([u for _, u in closed[:-1]], dtype=object)
     a_sq = np.array([a_coeff(k, l).square for l in range(1, m)], dtype=object)
     num, den = scale_sq_ratio(k)
-    expected = ((down_d, down), (down_dt, -QQI_I * down), (up_d, up), (up_dt, QQI_I * up))
+    # the guard keeps k below 2**21, so the closed forms, below k^2, are
+    # doubles exactly
+    down_c, up_c = down.astype(np.float64), up.astype(np.float64)
+    expected = ((down_d, down_c), (down_dt, -1j * down_c), (up_d, up_c), (up_dt, 1j * up_c))
     return bool(
-        all(np.all(x == y) for x, y in expected)
+        all(np.array_equal(x, y) for x, y in expected)
         # consistency of the two closed forms: down(l) * up(l-1) = a_l^2
         and np.all(down[1:] * up == a_sq)
         and np.all(down[1:] ** 2 * num == a_sq * den)

@@ -7,14 +7,12 @@ Only the Lie-algebra-level matrices of the basis
     E1, E2 spanning the symplectic complement
 
 are built; the group-level action is never exponentiated.  Each matrix is
-stored as its band of exact Gaussian integers (:class:`sdirac.exact.QQi`):
-the diagonal of e0 and the sub- and super-diagonals of e1 and e2.  So e0 is
-diagonal and e1, e2 are tridiagonal with zero diagonal by storage; the
-``su2-weights`` and ``su2-structure`` checks inspect every stored entry.
-The bracket check multiplies bands, in O(k).  Dense exact and complex128
-matrices are built only on request: tests multiply :meth:`RepMatrices.dense`
-by hand, and the benchmark under ``bench/`` times
-:meth:`RepMatrices.as_arrays`.  No polynomial is ever stored.
+stored as the int64 band of its integer part: e0 = i W with W diagonal,
+e1 = R and e2 = i S with R, S tridiagonal with zero diagonal, so e0 is
+diagonal, e1 real and e2 imaginary by storage.  The bracket check
+multiplies these bands, in O(k).  Dense complex128 matrices are built only
+on request (:meth:`RepMatrices.as_arrays`, which the benchmark under
+``bench/`` times).  No polynomial is ever stored.
 """
 
 from __future__ import annotations
@@ -23,43 +21,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import QQI_ZERO, QQi
-
 
 @dataclass(frozen=True)
 class RepMatrices:
-    """Bands of the three su(2) generators in the monomial basis.
-
-    e0 holds the k+1 diagonal entries i*(2j - k).  e1 and e2 are each a
-    pair (sub, sup) of k entries: sub[j] is entry (j+1, j) and sup[j] is
-    entry (j, j+1).  e1 is real and e2 purely imaginary.  Entries are
-    exact (QQi).
-    """
+    """int64 bands of the su(2) generators in the monomial basis, as their
+    integer parts: e0 = i diag(w), e1 = R and e2 = i S.  w holds the k+1
+    weights 2j - k; r and s are each a pair (sub, sup) of the k entries
+    (j+1, j) and (j, j+1) of R and S."""
 
     k: int
-    e0: tuple
-    e1: tuple
-    e2: tuple
+    w: np.ndarray
+    r: tuple
+    s: tuple
 
     def bands(self):
-        """(e0, e1, e2) as mappings diagonal offset o -> entries; entry t
+        """(W, R, S) as mappings diagonal offset o -> int64 entries; entry t
         of offset o sits at row t + max(0, -o), column that + o."""
-        return (
-            {0: self.e0},
-            {-1: self.e1[0], 1: self.e1[1]},
-            {-1: self.e2[0], 1: self.e2[1]},
-        )
-
-    def dense(self):
-        """Exact dense (e0, e1, e2), row-major tuples of QQi."""
-        return tuple(
-            tuple(map(tuple, _dense(band, self.k + 1, object, QQI_ZERO))) for band in self.bands()
-        )
+        return {0: self.w}, dict(zip((-1, 1), self.r)), dict(zip((-1, 1), self.s))
 
     def as_arrays(self):
-        """Complex128 copies of (e0, e1, e2).  No command reads them; the
-        benchmark under ``bench/`` times this call."""
-        return tuple(_dense(band, self.k + 1, np.complex128) for band in self.bands())
+        """Complex128 dense (e0, e1, e2) = (i W, R, i S)."""
+        return tuple(
+            scale * _dense(band, self.k + 1, np.complex128) for scale, band in zip((1j, 1, 1j), self.bands())
+        )
 
 
 def build_rep(k: int) -> RepMatrices:
@@ -73,17 +57,14 @@ def build_rep(k: int) -> RepMatrices:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    return RepMatrices(
-        k,
-        tuple(QQi(0, 2 * j - k) for j in range(k + 1)),
-        (tuple(QQi(j - k, 0) for j in range(k)), tuple(QQi(j + 1, 0) for j in range(k))),
-        (tuple(QQi(0, j - k) for j in range(k)), tuple(QQi(0, -j - 1) for j in range(k))),
-    )
+    j = np.arange(k + 1, dtype=np.int64)
+    lower, upper = j[:-1] - k, j[1:]
+    return RepMatrices(k, 2 * j - k, (lower, upper), (lower.copy(), -upper))
 
 
-def _dense(band, n: int, dtype, fill=0) -> np.ndarray:
-    """The n x n matrix of a band, ``fill`` off the band."""
-    out = np.full((n, n), fill, dtype=dtype)
+def _dense(band, n: int, dtype) -> np.ndarray:
+    """The n x n matrix of a band, 0 off the band."""
+    out = np.zeros((n, n), dtype=dtype)
     for o, diag in band.items():
         rows = np.arange(len(diag)) + max(0, -o)
         out[rows, rows + o] = diag
@@ -92,7 +73,7 @@ def _dense(band, n: int, dtype, fill=0) -> np.ndarray:
 
 def _band_mul_into(out, a, b, n: int, sign: int) -> None:
     """Add sign * (a @ b) into ``out``; a, b and out are bands of n x n
-    matrices with numpy diagonals (object dtype for QQi)."""
+    matrices with numpy diagonals."""
     for oa, da in a.items():
         for ob, db in b.items():
             o = oa + ob
@@ -107,7 +88,7 @@ def _band_mul_into(out, a, b, n: int, sign: int) -> None:
             out[o][lo - so:hi - so] += prod if sign == 1 else -prod
 
 
-def _bracket_defect(a, b, c, s: int, n: int):
+def _bracket_defect(a, b, c, s, n: int):
     """Band of [a, b] - s c."""
     out = {o: -s * d for o, d in c.items()}
     _band_mul_into(out, a, b, n, 1)
@@ -115,21 +96,32 @@ def _bracket_defect(a, b, c, s: int, n: int):
     return out
 
 
-def check_bracket(rep: RepMatrices, mode: str = "exact", tol: float = 1e-13) -> bool:
-    """True iff [e0,e1] = 2 e2, [e0,e2] = -2 e1, [e1,e2] = 2 e0.
+def bracket_defect(rep: RepMatrices, dtype=np.int64):
+    """Largest modulus of an entry of [W,R] - 2S, [W,S] - 2R and
+    [R,S] - 2W, that is of [e0,e1] - 2e2, -([e0,e2] + 2e1) and
+    -i([e1,e2] - 2e0), computed in ``dtype``.  A partial sum of a defect
+    entry holds at most four products of stored entries and a doubled one,
+    so int64 is exact while 4 M (M + 1) < 2**63 for the largest stored
+    modulus M (M = k for build_rep(k)); beyond it the int64 route falls
+    back to Python ints, so a wrapped product never passes as 0."""
+    bands = rep.bands()
+    if dtype is np.int64:
+        big = max((max(int(d.max()), -int(d.min())) for band in bands for d in band.values() if d.size), default=0)
+        if 4 * big * (big + 1) >= 2**63:
+            dtype = object
+    w, r, s = ({o: np.asarray(d, dtype=dtype) for o, d in band.items()} for band in bands)
+    n = rep.k + 1
+    defects = (_bracket_defect(*args, 2, n) for args in ((w, r, s), (w, s, r), (r, s, w)))
+    return max((np.max(np.abs(d)) for band in defects for d in band.values() if d.size), default=0)
 
-    The commutators are band products, O(k).  Exact mode compares Gaussian
-    rationals; float mode compares complex128 entries within ``tol``.  The
-    ``su2-bracket`` check runs the exact mode; the float mode stays because
-    the benchmark under ``bench/`` times both.
-    """
+
+def check_bracket(rep: RepMatrices, mode: str = "exact", tol: float = 1e-13) -> bool:
+    """True iff [e0,e1] = 2 e2, [e0,e2] = -2 e1, [e1,e2] = 2 e0: the int64
+    :func:`bracket_defect` is 0 (exact mode) or its float64 value is at
+    most ``tol`` (float mode, kept because the benchmark under ``bench/``
+    times both)."""
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    dtype = object if mode == "exact" else np.complex128
-    e0, e1, e2 = ({o: np.array(d, dtype=dtype) for o, d in b.items()} for b in rep.bands())
-    n = rep.k + 1
-    identities = ((e0, e1, e2, 2), (e0, e2, e1, -2), (e1, e2, e0, 2))
-    defects = [d for args in identities for d in _bracket_defect(*args, n).values()]
     if mode == "exact":
-        return not any(any(d) for d in defects)
-    return all(np.max(np.abs(d), initial=0.0) <= tol for d in defects)
+        return bracket_defect(rep) == 0
+    return bracket_defect(rep, np.float64) <= tol

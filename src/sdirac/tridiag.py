@@ -159,12 +159,18 @@ def _bisect(d, bsq, lo0, hi0, idx):
 
 
 def _gershgorin_bracket(d, b) -> tuple[float, float]:
-    """Interval [lo, hi] holding every eigenvalue (Gershgorin discs)."""
+    """Interval [lo, hi] holding every eigenvalue (Gershgorin discs).
+    Raises ValueError unless twice its larger end is finite, which keeps
+    every bisection midpoint 0.5 * (lo + hi) inside it finite."""
     radius = np.zeros(d.shape[0])
     ab = np.abs(b)
     radius[:-1] += ab
     radius[1:] += ab
-    return float(np.min(d - radius)), float(np.max(d + radius))
+    with np.errstate(over="ignore"):
+        lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
+        if not np.isfinite(2 * max(-lo, hi)):
+            raise ValueError("the Gershgorin bracket of the matrix must stay below half the float64 maximum")
+    return lo, hi
 
 
 def _as_tridiagonal(diag, offdiag):

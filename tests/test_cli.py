@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from sdirac import checks, cli
+from sdirac import checks, cli, operators, su2
 from sdirac.cli import dumps_canonical, main, parse_k_values, worker_count
 from sdirac.operators import charpoly_exact
 
@@ -208,6 +209,32 @@ class TestVerifyCommand:
         # all checks; the residual column is part of the bytes
         assert main(["verify", "-k", "1..15"]) == 0
         assert capsys.readouterr().out == (DATA / "verify_k1_15_both.txt").read_text()
+
+    def test_verify_99_stdout_is_pinned(self, capsys):
+        # sha256 of `verify -k 1..99 --jobs 1` stdout, every check on every
+        # odd k <= 99 with its residual column (md5 prefix 9c919e2c67c7)
+        assert main(["verify", "-k", "1..99", "--jobs", "1"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "ef79fafdb5c9f622483c4edc98cc1f59662069f678584c7cffc5fe031f08dc0a"
+
+    @pytest.mark.parametrize(
+        "name,field,index",
+        [("su2-bracket", "r", 2), ("su2-weights", "w", 3), ("su2-structure", "s", 2), ("hom-oracle", "w", 5)],
+    )
+    def test_one_corrupted_rep_entry_fails_with_a_residual(self, name, field, index, monkeypatch, capsys):
+        # one stored integer of the rep at k = 7 moves by 1: W[3] or W[5],
+        # the weight of h_1, or entry 2 of the super-diagonal of R or S.
+        # Each check prints FAIL with a nonzero exact defect.
+        def corrupted(k):
+            rep = su2.build_rep(k)
+            (rep.w if field == "w" else getattr(rep, field)[1])[index] += 1
+            return rep
+
+        monkeypatch.setattr(operators, "build_rep", corrupted)
+        assert main(["verify", "-k", "7", "--check", name]) == 3
+        line = capsys.readouterr().out
+        assert line.startswith(f"FAIL {name} k=7 ")
+        assert float(line.split("residual=")[1]) > 0
 
     def test_small_range_passes(self, capsys):
         assert main(["verify", "-k", "1..7"]) == 0

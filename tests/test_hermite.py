@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from sdirac import checks, hermite, operators
-from sdirac.exact import QQi
+from sdirac.exact import exact_in_double
 from sdirac.hermite import clifford_band, ladder, omega0, oscillator_band, weight_on_Wl
 from sdirac.operators import KContext
 from sdirac.su2 import _bracket_defect, _dense
 
-I, HALF = QQi(0, 1), Fraction(1, 2)
+I, HALF = 1j, 0.5
 
 
 def as_lists(band):
@@ -20,7 +20,7 @@ def as_lists(band):
 
 def column(band, size, col):
     """Row -> entry of one column of a band, zeros left out."""
-    dense = _dense(band, size, object)
+    dense = _dense(band, size, np.complex128)
     return {r: dense[r, col] for r in range(size) if dense[r, col] != 0}
 
 
@@ -57,6 +57,19 @@ class TestLadderExamples:
         assert all(d.dtype == np.complex128 for d in band.values())
         assert as_lists(band) == {1: [-1, -2], -1: [0.5, 0.5]}
 
+    @pytest.mark.parametrize("x", [(1 / 3, 0), (0, 0.25), (2.0**20, 0), (0, Fraction(1, 2))])
+    def test_coordinate_outside_the_guard_is_refused(self, x):
+        # 1/3 and 1/4 are off (1/2)Z, 2**20 is at the bound, and a Fraction
+        # is not a double: no band is built from them
+        with pytest.raises(ValueError, match="outside"):
+            clifford_band(x, range(3))
+
+    def test_level_at_the_bound_is_refused(self):
+        with pytest.raises(ValueError, match="outside"):
+            clifford_band((1, 0), [2**20 - 1, 2**20])
+        with pytest.raises(ValueError, match="outside"):
+            oscillator_band([2**20 - 2, 2**20 - 1, 2**20])
+
 
 class TestBandLayout:
     def test_two_dimensional_box_is_row_major(self):
@@ -80,27 +93,27 @@ class TestBandLayout:
 class TestLadderFunction:
     def test_relations(self):
         # X1 . h_3 = -3i h_2 - (i/2) h_4;  X2 . h_3 = -3 h_2 + (1/2) h_4
-        assert ladder(1, 0, 3) == (QQi(0, -3), QQi(0, Fraction(-1, 2)))
-        assert ladder(0, 1, 3) == (QQi(-3, 0), QQi(Fraction(1, 2), 0))
+        assert ladder(1, 0, 3) == (-3j, -0.5j)
+        assert ladder(0, 1, 3) == (-3, 0.5)
         assert ladder(1.0, 0.0, 3) == (-3j, -0.5j)
 
     def test_integral_halves_stay_ints(self):
-        # up = (der - i pos)/2: an even component halves to an int, so exact
-        # band products run int arithmetic where they can
+        # up = (der - i pos)/2 is exact in complex128: an even component
+        # halves to an integer, an odd one to an exact half
         _, up = ladder(2, 3, 1)
-        assert up == QQi(Fraction(3, 2), -1) and type(up.im) is int
-        _, up = ladder(np.array([QQi(2, 0), QQi(0, 2)], dtype=object), np.array([4, 6], dtype=object), np.arange(2))
-        assert [(type(v.re), type(v.im)) for v in up] == [(int, int)] * 2
-        assert list(up) == [QQi(2, -1), QQi(4, 0)]
+        assert up == 1.5 - 1j
+        _, up = ladder(np.array([2, 2j]), np.array([4, 6]), np.arange(2))
+        assert up.tolist() == [2 - 1j, 4 + 0j]
+        assert exact_in_double(up) and np.array_equal(up.real, np.round(up.real))
 
     def test_arrays_match_scalars(self):
         rng = np.random.default_rng(7)
         pos, der = rng.integers(-9, 10, (2, 20))
-        qqi = np.array([QQi(p, d) for p, d in zip(pos.tolist(), der.tolist())], dtype=object)
+        gaussian = pos + 1j * der
         levels = np.arange(20)
-        for args, dtype in (((pos, der), object), ((qqi, 2 * qqi), object), ((pos + 0j, der + 0j), np.complex128)):
+        for args in ((pos, der), (gaussian, 2 * gaussian), (pos + 0j, der + 0j)):
             down, up = ladder(*args, levels)
-            assert down.dtype == up.dtype == dtype
+            assert down.dtype == up.dtype == np.complex128
             scalar = [ladder(p, d, l) for p, d, l in zip(args[0].tolist(), args[1].tolist(), levels.tolist())]
             assert list(down) == [s[0] for s in scalar] and list(up) == [s[1] for s in scalar]
 
@@ -116,9 +129,9 @@ class TestOneLadder:
                 if getattr(module, "ladder", None) is ladder:
                     monkeypatch.setattr(module, "ladder", wrong)
 
-        hermite.weight_on_Wl.cache_clear()
+        hermite._weight_table.cache_clear()
         yield patch
-        hermite.weight_on_Wl.cache_clear()
+        hermite._weight_table.cache_clear()
 
     @pytest.fixture
     def wrong_raising(self, patch_ladder):
@@ -153,9 +166,9 @@ class TestOneLadder:
         patch_ladder(rescaled)
         result = checks.check_ladder_commutator()
         assert not result.ok and result.residual < 1e-12
-        assert not checks._exact_in_double({0: np.array([1 / 3])})
-        assert not checks._exact_in_double({0: np.array([2.0**20 + 0.5j])})
-        assert checks._exact_in_double({0: np.array([2.0**20 - 0.5 - 7.5j])})
+        assert not exact_in_double({0: np.array([1 / 3])})
+        assert not exact_in_double({0: np.array([2.0**20 + 0.5j])})
+        assert exact_in_double({0: np.array([2.0**20 - 0.5 - 7.5j])})
 
     def test_wrapped_raising_entry_fails_grading(self, monkeypatch):
         # keep the raising terms of direction 1 at the top of the box: they
@@ -176,17 +189,18 @@ class TestOneLadder:
 class TestLadderProperties:
     @pytest.mark.parametrize("n", [1, 2])
     def test_commutator_identity_exact(self, n):
-        # [X_a., X_b.] = -i omega0(X_a, X_b) id in Gaussian rationals, on the
-        # columns of total degree <= trunc - 2, where no term leaves the box
+        # [X_a., X_b.] = -i omega0(X_a, X_b) id exactly, on the columns of
+        # total degree <= trunc - 2, where no term leaves the box
         trunc = 12
         size = trunc**n
         interior = checks._box_degrees(n, trunc) <= trunc - 2
         basis = [tuple(int(a == c) for c in range(2 * n)) for a in range(2 * n)]
         bands = [clifford_band(x, range(trunc)) for x in basis]
-        identity = {0: np.ones(size, dtype=object)}
+        assert exact_in_double(*bands)
+        identity = {0: np.ones(size)}
         for xa, band_a in zip(basis, bands):
             for xb, band_b in zip(basis, bands):
-                defect = _bracket_defect(band_a, band_b, identity, QQi(0, -omega0(xa, xb)), size)
+                defect = _bracket_defect(band_a, band_b, identity, -1j * omega0(xa, xb), size)
                 cols = checks._columns(defect)
                 for o, d in defect.items():
                     assert all(v == 0 for v in d[interior[cols[o]]]), (n, xa, xb, o)
@@ -205,7 +219,7 @@ class TestLadderProperties:
 
     def test_linearity(self):
         x, y = (1, 0), (0, 1)
-        a, b = Fraction(2, 3), -4
+        a, b = 1.5, -4
         lhs = clifford_band((a, b), range(4))
         bx, by = clifford_band(x, range(4)), clifford_band(y, range(4))
         assert as_lists(lhs) == {o: list(a * bx[o] + b * by[o]) for o in (1, -1)}
@@ -214,25 +228,25 @@ class TestLadderProperties:
 
 class TestOscillator:
     def test_ground_state(self):
-        assert oscillator_band(range(3))[0][0] == Fraction(-1, 2)
+        assert oscillator_band(range(3))[0][0] == -0.5
 
     def test_level_three(self):
-        assert column(oscillator_band(range(6)), 6, 3) == {3: Fraction(-7, 2)}
+        assert column(oscillator_band(range(6)), 6, 3) == {3: -3.5}
 
     def test_linearity_on_mixture(self):
         # h_0 + 2 h_1 -> -(1/2) h_0 - 3 h_1
-        out = _dense(oscillator_band(range(4)), 4, object) @ np.array([1, 2, 0, 0], dtype=object)
-        assert list(out) == [Fraction(-1, 2), -3, 0, 0]
+        out = _dense(oscillator_band(range(4)), 4, np.complex128) @ np.array([1, 2, 0, 0])
+        assert list(out) == [-0.5, -3, 0, 0]
 
     @pytest.mark.parametrize("l", range(19))
     def test_eigenvalue_closed_form(self, l):
-        assert column(oscillator_band(range(l + 3)), l + 3, l) == {l: Fraction(-(2 * l + 1), 2)}
+        assert column(oscillator_band(range(l + 3)), l + 3, l) == {l: -(2 * l + 1) / 2}
 
 
 class TestWeights:
     @pytest.mark.parametrize("l,expected", [(0, 1), (1, 3), (4, 9)])
     def test_small_weights(self, l, expected):
-        assert weight_on_Wl(l) == QQi(0, expected)
+        assert weight_on_Wl(l) == expected and type(weight_on_Wl(l)) is int
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -245,12 +259,18 @@ class TestWeights:
             runs.append(levels)
             return oscillator_band(levels)
 
+        # each table, of a power of two of levels, is derived once: the
+        # k + 3 = 102 levels of hom-oracle at k = 99 read the tables of 1, 2,
+        # 4, ..., 128 levels, 255 in all
         monkeypatch.setattr(hermite, "oscillator_band", counted)
-        weight_on_Wl.cache_clear()
-        for _ in range(2):
-            assert checks.check_hom_oracle(KContext(99)).ok
-        assert len(runs) == 99 + 3
-        assert max(len(levels) for levels in runs) == 5
+        hermite._weight_table.cache_clear()
+        try:
+            for _ in range(2):
+                assert checks.check_hom_oracle(KContext(99)).ok
+                assert [weight_on_Wl(l) for l in range(102)] == list(range(1, 204, 2))
+            assert sorted(len(levels) for levels in runs) == [2**j + 1 for j in range(8)]
+        finally:
+            hermite._weight_table.cache_clear()
 
     def test_wrong_diagonal_is_caught(self, monkeypatch):
         def shifted(levels):
@@ -259,12 +279,12 @@ class TestWeights:
             return band
 
         monkeypatch.setattr(hermite, "oscillator_band", shifted)
-        weight_on_Wl.cache_clear()
+        hermite._weight_table.cache_clear()
         try:
             with pytest.raises(AssertionError, match="weight mismatch"):
                 weight_on_Wl(7)
         finally:
-            weight_on_Wl.cache_clear()
+            hermite._weight_table.cache_clear()
 
 
 class TestTypes:

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from sdirac.checks import check_equivariance, check_hom_oracle
-from sdirac.exact import QQi
 from sdirac.hermite import weight_on_Wl
 from sdirac.intertwine import (
     Intertwiner,
@@ -42,11 +41,11 @@ def dense_nullity(a) -> int:
 
 
 def with_wrong_weight(k: int, j: int):
-    """The rep of degree k with e0[j] replaced by its neighbour's weight."""
+    """The rep of degree k with weight W[j] replaced by its neighbour's."""
     rep = build_rep(k)
-    e0 = list(rep.e0)
-    e0[j] = QQi(0, 2 * j - k + 2)
-    return dataclasses.replace(rep, e0=tuple(e0))
+    w = rep.w.copy()
+    w[j] = 2 * j - k + 2
+    return dataclasses.replace(rep, w=w)
 
 
 class TestHomSpace:
@@ -82,13 +81,13 @@ class TestOracle:
                 assert hom_space(k, l)[0] == hom_space_oracle(k, l), (k, l)
 
     def test_matches_dense_elimination(self):
-        # the nullity of the dense (e0^T - w I), by elimination, for odd and
-        # even k
+        # the nullity of the dense (e0^T - i w I), by elimination, for odd
+        # and even k
         for k in range(22):
             rep = build_rep(k)
-            e0 = rep.dense()[0]
+            e0 = rep.as_arrays()[0].tolist()
             for l in range(k + 3):
-                w = weight_on_Wl(l)
+                w = 1j * weight_on_Wl(l)
                 system = [
                     [e0[c][r] - (w if r == c else 0) for c in range(k + 1)]
                     for r in range(k + 1)
@@ -104,7 +103,9 @@ class TestOracle:
         ctx.rep = with_wrong_weight(k, j)
         assert hom_space_oracle(k, j - 5, rep=ctx.rep) == 0
         assert not check_hom_oracle(ctx).ok
-        assert not check_equivariance(ctx).ok
+        # the two l that move, h_(j-5) and h_(j-4), as counted defects
+        assert check_hom_oracle(ctx).residual == 2.0
+        assert check_equivariance(ctx).residual == 1.0 and not check_equivariance(ctx).ok
 
 
 class TestNormalize:

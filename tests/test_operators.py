@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from sdirac import operators
-from sdirac.exact import QQi
 from sdirac.operators import (
     DiracMatrix,
     a_coeff,
@@ -86,10 +85,11 @@ class TestFirstPrinciples:
     def test_k3_unnormalized_ladder(self):
         (down_d, up_d), (down_dt, up_dt) = definition_coeffs(3, exact=True)
         # D(L_{3,0}) = 3 L_{3,1};  D(L_{3,1}) = 2 L_{3,0}
-        assert list(down_d) == [QQi(0, 0), QQi(2, 0)]
-        assert list(up_d) == [QQi(3, 0)]  # no raising column at l = m-1 = 1
-        assert list(down_dt) == [QQi(0, 0), QQi(0, -2)]
-        assert list(up_dt) == [QQi(0, 3)]
+        assert down_d.dtype == up_dt.dtype == np.complex128
+        assert list(down_d) == [0, 2]
+        assert list(up_d) == [3]  # no raising column at l = m-1 = 1
+        assert list(down_dt) == [0, -2j]
+        assert list(up_dt) == [3j]
 
     def test_k3_float_ladder(self):
         (down_d, up_d), (down_dt, up_dt) = definition_coeffs(3, exact=False)
@@ -104,11 +104,29 @@ class TestFirstPrinciples:
         # sup[5] the raising entry of l = 1.  Doubling an entry of e2 there
         # leaves a part of the column on the other neighbouring level.
         rep = build_rep(7)
-        band = list(rep.e2)
-        band[side] = band[side][:j] + (2 * band[side][j],) + band[side][j + 1:]
-        rep = dataclasses.replace(rep, e2=tuple(band))
+        band = [d.copy() for d in rep.s]
+        band[side][j] *= 2
+        rep = dataclasses.replace(rep, s=tuple(band))
         with pytest.raises(AssertionError, match="adjacent Hermite level"):
             definition_coeffs(7, exact=exact, rep=rep)
+
+    @pytest.mark.parametrize("value", [2**20, 2**53 + 1])
+    def test_exact_route_refuses_entries_outside_the_guard(self, value):
+        # raise the raising entries of l = 1 at k = 7, R sup[5] and -S sup[5],
+        # to ``value``, which keeps the column on its adjacent level.  An
+        # operand at 2**20 could make a product round; 2**53 + 1 rounds on
+        # conversion to a double, as the float route shows.  The exact route
+        # refuses both rather than return a rounded coefficient.
+        rep = build_rep(7)
+        r, s = ([d.copy() for d in pair] for pair in (rep.r, rep.s))
+        r[1][5], s[1][5] = value, -value
+        rep = dataclasses.replace(rep, r=tuple(r), s=tuple(s))
+        with pytest.raises(ValueError, match="outside"):
+            definition_coeffs(7, exact=True, rep=rep)
+        with pytest.raises(ValueError, match="outside"):
+            assembly_matches_exact(7, rep=rep)
+        (_, up), _ = definition_coeffs(7, exact=False, rep=rep)
+        assert up[1] == float(value)
 
     def test_k1_single_cell(self):
         d, dt = assemble_from_definition(1)

@@ -256,3 +256,14 @@ class TestValidation:
         # 2e200 instead of the true +-sqrt(2) * 1e200
         with pytest.raises(ValueError, match="finite"):
             eigvalsh_tridiagonal([0.0, 0.0, 0.0], [1e200, 1e200])
+
+    @pytest.mark.parametrize("diag,offdiag", [([1.7e308, 1.7e308], [0.0]), ([1e308, 1e308], [1e154])])
+    def test_bracket_beyond_half_the_maximum_rejected(self, diag, offdiag):
+        # twice the Gershgorin bound overflows, and with it the sum lo + hi
+        # of the bisection midpoint: the result would be [inf, inf]
+        with pytest.raises(ValueError, match="half the float64 maximum"):
+            eigvalsh_tridiagonal(diag, offdiag)
+
+    def test_bracket_below_half_the_maximum_solves(self):
+        assert eigvalsh_tridiagonal([8e307, 8e307], [0.0]).tolist() == [8e307, 8e307]
+        assert eigvalsh_tridiagonal([-8e307, -8e307], [0.0]).tolist() == [-8e307, -8e307]
