@@ -29,7 +29,7 @@ from itertools import product
 
 import numpy as np
 
-from .exact import exact_in_double
+from .exact import EXACT_BOUND, exact_in_double
 from .hermite import clifford_band, omega0, oscillator_band, weight_on_Wl
 from .intertwine import dim_invariant_space, equivariance_residual, hom_space
 from .operators import (
@@ -40,6 +40,7 @@ from .operators import (
     assembly_matches_exact,
     assembly_mismatch_float,
     check_commutator,
+    definition_coeffs,
     norm_bound_holds,
     spectrum,  # noqa: F401 - kept importable from here; bench/selftest.py reads it
     unitary_equivalence_exact,
@@ -223,11 +224,13 @@ TOL_MATCH = 1e-12
 
 def check_assembly(ctx: KContext) -> CheckResult:
     """First-principles assembly against the closed form, in floats within
-    TOL_MATCH and exactly (:func:`assembly_matches_exact`).  The residual
-    is the float mismatch."""
-    res = assembly_mismatch_float(ctx.k, rep=ctx.rep, blocks=ctx.blocks)
+    TOL_MATCH and exactly (:func:`assembly_matches_exact`), both from one
+    :func:`definition_coeffs` of the context's rep.  The residual is the
+    float mismatch."""
+    coeffs = definition_coeffs(ctx.k, rep=ctx.rep)
+    res = assembly_mismatch_float(ctx.k, coeffs=coeffs, blocks=ctx.blocks)
     largest = float(np.max(np.abs(ctx.blocks[0].band[1]), initial=0.0))
-    ok = res <= TOL_MATCH * max(1.0, largest) and assembly_matches_exact(ctx.k, rep=ctx.rep)
+    ok = res <= TOL_MATCH * max(1.0, largest) and assembly_matches_exact(ctx.k, coeffs=coeffs)
     return CheckResult("assembly-match", ctx.k, ok, res)
 
 
@@ -402,6 +405,13 @@ def check_norm_bound(ctx: KContext) -> CheckResult:
     ok = norm_bound_holds(ctx.k, float(np.max(np.abs(ctx.eigenvalues))))
     return CheckResult("norm-bound", ctx.k, ok, 0.0)
 
+
+# The largest k of each check with a guarded exact route: past it a level
+# or rep entry of the route reaches the 2**20 of :mod:`sdirac.exact`.
+# hom-oracle reads the weights of l <= k + 2 and equivariance those of
+# l <= (k - 1)/2, each needing l + 1 < 2**20 (weight_on_Wl), and
+# assembly-match reads rep entries of modulus up to k.
+K_LIMITS = {"hom-oracle": EXACT_BOUND - 5, "equivariance": 2 * EXACT_BOUND - 3, "assembly-match": EXACT_BOUND - 1}
 
 # Name -> check, in ``verify`` order; a per-k check takes one KContext.
 GLOBAL_REGISTRY = {

@@ -15,8 +15,8 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from .checks import ALL_CHECKS, run_checks
-from .operators import SpectrumReport, build_report, charpoly_exact
+from .checks import ALL_CHECKS, K_LIMITS, run_checks
+from .operators import CHECK_NAMES, SpectrumReport, build_report, charpoly_exact
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -161,6 +161,13 @@ def _emit(cfg: RunConfig, pieces) -> None:
 # ---------------------------------------------------------------------
 
 
+def _require_k_limits(k_values, names) -> None:
+    """UserInputError if a k is above the K_LIMITS of a check in ``names``."""
+    for name in names:
+        if name in K_LIMITS and max(k_values) > K_LIMITS[name]:
+            raise UserInputError(f"{name} takes k <= {K_LIMITS[name]}: its exact route keeps levels and entries below 2**20")
+
+
 def _report_worker(k):
     return report_to_dict(build_report(k))
 
@@ -179,6 +186,7 @@ def _report_dicts(cfg: RunConfig, pool):
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
+    _require_k_limits(cfg.k_values, CHECK_NAMES)
     render = {"json": _render_json, "csv": _render_csv, "table": _render_table}[cfg.format]
     count = len(cfg.k_values)
     jobs = worker_count(cfg.jobs, count)
@@ -199,6 +207,7 @@ def cmd_charpoly(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    _require_k_limits(cfg.k_values, cfg.checks or ALL_CHECKS)
     results = run_checks(sorted(cfg.k_values), names=cfg.checks or None)
     lines = []
     failed = False

@@ -27,7 +27,7 @@ from functools import cache
 
 import numpy as np
 
-from .exact import require_exact
+from .exact import EXACT_BOUND, require_exact
 from .su2 import _band_mul_into
 
 
@@ -94,28 +94,38 @@ def oscillator_band(levels):
     return {o: 0.5 * d for o, d in out.items()}
 
 
+# Levels per weight table: table c holds the weights of l = 256c .. 256c + 255.
+_TABLE_LEVELS = 256
+
+
 @cache
-def _weight_table(n: int) -> tuple:
-    """The circle weights w_l of :func:`weight_on_Wl` for l = 0..n-1, read
-    off one oscillator band on levels 0..n, whose column l must hold -w_l/2
-    on its diagonal and nothing else, and cross-checked against the closed
-    form 2l + 1."""
-    band = oscillator_band(range(n + 1))
-    # entry t of offset o sits at column t + max(0, o); columns 0..n-1
-    if any(np.any(d[: n - max(0, o)]) for o, d in band.items() if o != 0):
+def _weight_table(c: int) -> tuple:
+    """The circle weights w_l of :func:`weight_on_Wl` for the l of table c
+    below EXACT_BOUND - 1, read off one oscillator band on their levels and
+    the two next to them, whose column l must hold -w_l/2 on its diagonal
+    and nothing else, and cross-checked against the closed form 2l + 1."""
+    first = c * _TABLE_LEVELS
+    stop = min(first + _TABLE_LEVELS, EXACT_BOUND - 1)
+    lo = max(0, first - 1)
+    band = oscillator_band(range(lo, stop + 1))
+    # entry t of offset o sits at column t + max(0, o); columns a..b-1 hold l = first..stop-1
+    a, b = first - lo, stop - lo
+    if any(np.any(d[max(0, a - max(0, o)) : b - max(0, o)]) for o, d in band.items() if o != 0):
         raise AssertionError("oscillator action on a Hermite line is not diagonal")
-    derived, closed = -2 * band[0][:n], 2 * np.arange(n, dtype=np.int64) + 1
+    derived, closed = -2 * band[0][a:b], 2 * np.arange(first, stop, dtype=np.int64) + 1
     wrong = np.flatnonzero(derived != closed)
     if wrong.size:
-        raise AssertionError(f"weight mismatch at l={wrong[0]}: {derived[wrong[0]]} vs {closed[wrong[0]]}")
+        raise AssertionError(f"weight mismatch at l={first + wrong[0]}: {derived[wrong[0]]} vs {closed[wrong[0]]}")
     return tuple(closed.tolist())
 
 
 def weight_on_Wl(l: int) -> int:
     """The integer w = 2l+1 with i w the eigenvalue of the circle
     generator's action on the degree-l Hermite line, read from the
-    :func:`_weight_table` of 2**l.bit_length() > l levels.  Each table is
-    derived once, so the weights of all l <= L cost O(L) in all."""
-    if l < 0:
-        raise ValueError("l must be non-negative")
-    return _weight_table(1 << l.bit_length())[l]
+    :func:`_weight_table` of its l.  Each table is derived once, so the
+    weights of all l <= L cost O(L) in all.  The oscillator on h_l reaches
+    h_(l+1), a level the guard of :mod:`sdirac.exact` keeps below 2**20, so
+    l must be in 0..2**20 - 2 (ValueError otherwise)."""
+    if not 0 <= l < EXACT_BOUND - 1:
+        raise ValueError(f"l must be in 0..{EXACT_BOUND - 2}, got {l}")
+    return _weight_table(l // _TABLE_LEVELS)[l % _TABLE_LEVELS]

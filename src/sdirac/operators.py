@@ -164,7 +164,7 @@ def unnormalized_coeffs(k: int, l: int):
 # ---------------------------------------------------------------------
 
 
-def definition_coeffs(k: int, exact: bool = True, rep=None):
+def definition_coeffs(k: int, rep=None):
     """Unnormalized ladder coefficients of both operators computed from the
     defining composite (Clifford multiplication after the generator action),
     over all levels at once.  Column l of an operator is its composite on
@@ -177,10 +177,9 @@ def definition_coeffs(k: int, exact: bool = True, rep=None):
     Returns ((down, up), (down, up)), one pair per operator, as complex128:
     down[l], for l = 0..m-1, is the coefficient of h_(l-1) from column
     j0 - 1 (0 at l = 0), and up[l], for l = 0..m-2, that of h_(l+1) from
-    column j0 + 1 (at l = m-1 no raising column exists).  With ``exact``
-    the entries read and the levels must pass the guard of
-    :mod:`sdirac.exact`, which makes the values exact, or ValueError.
-    Raises AssertionError if either column has a part off its adjacent
+    column j0 + 1 (at l = m-1 no raising column exists).  The entries read
+    and the levels must pass the guard of :mod:`sdirac.exact`, which makes
+    the values exact, or ValueError.  Raises AssertionError if either column has a part off its adjacent
     Hermite level.
     """
     _require_odd(k)
@@ -191,8 +190,7 @@ def definition_coeffs(k: int, exact: bool = True, rep=None):
     lo1, hi1 = rep.r[0][h - 1:], rep.r[1][h:]
     lo2, hi2 = 1j * rep.s[0][h - 1:], 1j * rep.s[1][h:]
     levels = np.arange(h)
-    if exact:
-        require_exact(lo1, hi1, lo2, hi2, levels)
+    require_exact(lo1, hi1, lo2, hi2, levels)
     lowering = (ladder(-lo2, lo1, levels), ladder(-lo1, -lo2, levels))
     raising = (ladder(-hi2, hi1, levels[:-1]), ladder(-hi1, -hi2, levels[:-1]))
     if any(np.any(low[1]) or np.any(high[0]) for low, high in zip(lowering, raising)):
@@ -200,9 +198,10 @@ def definition_coeffs(k: int, exact: bool = True, rep=None):
     return tuple((low[0], high[1]) for low, high in zip(lowering, raising))
 
 
-def assemble_from_definition(k: int, rep=None):
+def assemble_from_definition(k: int, coeffs=None):
     """Float-mode first-principles assembly of both blocks, expressed in the
-    normalized basis.  Column l holds down[l] at entry (l-1, l) = sup[l-1]
+    normalized basis, from the :func:`definition_coeffs` of k (computed
+    when ``coeffs`` is not given).  Column l holds down[l] at entry (l-1, l) = sup[l-1]
     and up[l] at entry (l+1, l) = sub[l], rescaled by the square roots of
     scale_sq[l]/scale_sq[l-1] and scale_sq[l]/scale_sq[l+1], each a ratio
     of small integers (:func:`sdirac.intertwine.scale_sq_ratio`) rounded
@@ -215,34 +214,34 @@ def assemble_from_definition(k: int, rep=None):
     lower, upper = (np.sqrt((a / b).astype(np.float64)) for a, b in ((num, den), (den, num)))
     return tuple(
         DiracMatrix(k, {-1: up * upper, 0: np.zeros(m, dtype=np.complex128), 1: down[1:] * lower})
-        for down, up in definition_coeffs(k, exact=False, rep=rep)
+        for down, up in (definition_coeffs(k) if coeffs is None else coeffs)
     )
 
 
-def assembly_mismatch_float(k: int, rep=None, blocks=None) -> float:
+def assembly_mismatch_float(k: int, coeffs=None, blocks=None) -> float:
     """Max entrywise deviation between the float first-principles assembly
-    and the closed-form ``blocks`` (assembled when not given), over the
-    bands of both blocks."""
+    from ``coeffs`` and the closed-form ``blocks`` (each computed when not
+    given), over the bands of both blocks."""
     if blocks is None:
         blocks = assemble_closed_form(k)
     return float(
         max(
             np.max(np.abs(defined.band[o] - closed.band[o]), initial=0.0)
-            for defined, closed in zip(assemble_from_definition(k, rep=rep), blocks)
+            for defined, closed in zip(assemble_from_definition(k, coeffs), blocks)
             for o in (-1, 0, 1)
         )
     )
 
 
-def assembly_matches_exact(k: int, rep=None) -> bool:
+def assembly_matches_exact(k: int, coeffs=None) -> bool:
     """Exact-arithmetic assembly equivalence: the first-principles ladder
-    coefficients (exact :func:`definition_coeffs`) must equal the
-    closed-form integers, and the squared normalized entries the exact
+    coefficients ``coeffs`` (:func:`definition_coeffs` of k, computed when
+    not given) must equal the closed-form integers, and the squared normalized entries the exact
     squares of a_{k,l}.  With scale_sq[l]/scale_sq[l-1] = num/den, those
     are the identities down^2 num = a_l^2 den and up^2 den = a_(l+1)^2 num,
     on Python ints, as they reach about k^5."""
     m = (k + 1) // 2
-    (down_d, up_d), (down_dt, up_dt) = definition_coeffs(k, exact=True, rep=rep)
+    (down_d, up_d), (down_dt, up_dt) = definition_coeffs(k) if coeffs is None else coeffs
     closed = [unnormalized_coeffs(k, l) for l in range(m)]
     down = np.array([d for d, _ in closed], dtype=object)
     up = np.array([u for _, u in closed[:-1]], dtype=object)

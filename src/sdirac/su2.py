@@ -102,13 +102,13 @@ def bracket_defect(rep: RepMatrices, dtype=np.int64):
     -i([e1,e2] - 2e0), computed in ``dtype``.  A partial sum of a defect
     entry holds at most four products of stored entries and a doubled one,
     so int64 is exact while 4 M (M + 1) < 2**63 for the largest stored
-    modulus M (M = k for build_rep(k)); beyond it the int64 route falls
-    back to Python ints, so a wrapped product never passes as 0."""
+    modulus M (M = k for build_rep(k)); beyond it the int64 route raises
+    ValueError, so a wrapped product never passes as 0."""
     bands = rep.bands()
     if dtype is np.int64:
         big = max((max(int(d.max()), -int(d.min())) for band in bands for d in band.values() if d.size), default=0)
         if 4 * big * (big + 1) >= 2**63:
-            dtype = object
+            raise ValueError(f"a stored entry of modulus {big} could overflow the int64 bracket")
     w, r, s = ({o: np.asarray(d, dtype=dtype) for o, d in band.items()} for band in bands)
     n = rep.k + 1
     defects = (_bracket_defect(*args, 2, n) for args in ((w, r, s), (w, s, r), (r, s, w)))

@@ -15,6 +15,8 @@ import pytest
 
 from sdirac import checks, cli, operators, su2
 from sdirac.cli import dumps_canonical, main, parse_k_values, worker_count
+from sdirac.exact import exact_in_double
+from sdirac.hermite import weight_on_Wl
 from sdirac.operators import charpoly_exact
 
 DATA = Path(__file__).parent / "data"
@@ -257,9 +259,9 @@ class TestVerifyCommand:
         the exact identities passed by fiat), by the exact route alone
         ("exact", the float mismatch zeroed) or by both."""
         if route == "float":
-            monkeypatch.setattr(checks, "assembly_matches_exact", lambda k, rep=None: True)
+            monkeypatch.setattr(checks, "assembly_matches_exact", lambda k, coeffs=None: True)
         elif route == "exact":
-            monkeypatch.setattr(checks, "assembly_mismatch_float", lambda k, rep=None, blocks=None: 0.0)
+            monkeypatch.setattr(checks, "assembly_mismatch_float", lambda k, coeffs=None, blocks=None: 0.0)
         code = main(["verify", "-k", str(k), "--check", "assembly-match"])
         return code == 0 and capsys.readouterr().out.startswith(f"PASS assembly-match k={k} ")
 
@@ -302,6 +304,37 @@ class TestVerifyCommand:
 
     def test_even_k_rejected(self):
         assert main(["verify", "-k", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["verify", "-k", "1048573", "--check", "hom-oracle"], "hom-oracle"),
+            (["verify", "-k", "1,2097151", "--check", "equivariance"], "equivariance"),
+            (["verify", "-k", "1048577", "--check", "assembly-match"], "assembly-match"),
+            (["verify", "-k", "1048573"], "hom-oracle"),
+            (["spectrum", "-k", "1048577"], "assembly-match"),
+        ],
+    )
+    def test_k_past_a_guard_is_refused_as_input(self, argv, name, capsys):
+        # refused before any k is built
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} takes k <= {checks.K_LIMITS[name]}: ")
+
+    def test_k_limits_are_those_of_the_guards(self):
+        # at each limit the route's largest level or entry passes its guard,
+        # and at the next odd k it does not
+        top = checks.K_LIMITS["hom-oracle"] + 2  # hom-oracle reads l <= k + 2
+        assert weight_on_Wl(top) == 2 * top + 1
+        with pytest.raises(ValueError):
+            weight_on_Wl(top + 2)
+        top = (checks.K_LIMITS["equivariance"] - 1) // 2  # equivariance reads l <= (k - 1)/2
+        assert weight_on_Wl(top) == 2 * top + 1
+        with pytest.raises(ValueError):
+            weight_on_Wl(top + 1)
+        k = checks.K_LIMITS["assembly-match"]  # its largest rep entry is k
+        assert exact_in_double(k) and not exact_in_double(k + 2)
 
 
 class TestOptionsPerCommand:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sdirac import checks, hermite, operators
-from sdirac.exact import exact_in_double
+from sdirac.exact import EXACT_BOUND, exact_in_double
 from sdirac.hermite import clifford_band, ladder, omega0, oscillator_band, weight_on_Wl
 from sdirac.operators import KContext
 from sdirac.su2 import _bracket_defect, _dense
@@ -147,9 +147,9 @@ class TestOneLadder:
         # exact identities by fiat, "exact" zeroes the float mismatch
         assert not checks.check_ladder_commutator(trunc=4).ok
         if route == "float":
-            monkeypatch.setattr(checks, "assembly_matches_exact", lambda k, rep=None: True)
+            monkeypatch.setattr(checks, "assembly_matches_exact", lambda k, coeffs=None: True)
         elif route == "exact":
-            monkeypatch.setattr(checks, "assembly_mismatch_float", lambda k, rep=None, blocks=None: 0.0)
+            monkeypatch.setattr(checks, "assembly_mismatch_float", lambda k, coeffs=None, blocks=None: 0.0)
         assert not checks.check_assembly(KContext(5)).ok
 
     def test_broken_ladder_has_a_residual(self, wrong_raising):
@@ -259,18 +259,29 @@ class TestWeights:
             runs.append(levels)
             return oscillator_band(levels)
 
-        # each table, of a power of two of levels, is derived once: the
-        # k + 3 = 102 levels of hom-oracle at k = 99 read the tables of 1, 2,
-        # 4, ..., 128 levels, 255 in all
+        # each table of 256 weights is derived once: the k + 3 = 102 levels
+        # of hom-oracle at k = 99 read table 0, a band on levels 0..256, and
+        # l = 256..511 table 1, on levels 255..512
         monkeypatch.setattr(hermite, "oscillator_band", counted)
         hermite._weight_table.cache_clear()
         try:
             for _ in range(2):
                 assert checks.check_hom_oracle(KContext(99)).ok
-                assert [weight_on_Wl(l) for l in range(102)] == list(range(1, 204, 2))
-            assert sorted(len(levels) for levels in runs) == [2**j + 1 for j in range(8)]
+                assert [weight_on_Wl(l) for l in range(512)] == list(range(1, 1024, 2))
+            assert [(levels.start, levels.stop) for levels in runs] == [(0, 257), (255, 513)]
         finally:
             hermite._weight_table.cache_clear()
+
+    def test_levels_past_the_guard_are_refused(self):
+        # the weight of h_l reads h_(l+1), and levels stay below 2**20; the
+        # last table holds l = 2**20 - 256 .. 2**20 - 2 only
+        top = EXACT_BOUND - 2
+        assert weight_on_Wl(2**19) == 2**20 + 1
+        assert weight_on_Wl(top) == 2 * top + 1 and type(weight_on_Wl(top)) is int
+        assert len(hermite._weight_table(top // 256)) == 255
+        for l in (top + 1, 2**21):
+            with pytest.raises(ValueError, match="l must be in"):
+                weight_on_Wl(l)
 
     def test_wrong_diagonal_is_caught(self, monkeypatch):
         def shifted(levels):

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from sdirac import operators
+from sdirac import checks, operators
 from sdirac.operators import (
     DiracMatrix,
+    KContext,
     a_coeff,
     abs_det,
     assemble_closed_form,
@@ -83,7 +84,7 @@ class TestClosedForm:
 
 class TestFirstPrinciples:
     def test_k3_unnormalized_ladder(self):
-        (down_d, up_d), (down_dt, up_dt) = definition_coeffs(3, exact=True)
+        (down_d, up_d), (down_dt, up_dt) = definition_coeffs(3)
         # D(L_{3,0}) = 3 L_{3,1};  D(L_{3,1}) = 2 L_{3,0}
         assert down_d.dtype == up_dt.dtype == np.complex128
         assert list(down_d) == [0, 2]
@@ -92,41 +93,45 @@ class TestFirstPrinciples:
         assert list(up_dt) == [3j]
 
     def test_k3_float_ladder(self):
-        (down_d, up_d), (down_dt, up_dt) = definition_coeffs(3, exact=False)
-        assert down_d.dtype == up_d.dtype == np.complex128
-        assert list(down_d) == [0, 2] and list(up_d) == [3]
-        assert list(down_dt) == [0, -2j] and list(up_dt) == [3j]
+        # the ladder normalized in floats: 2 sqrt(3/2) and 3 sqrt(2/3) are
+        # both a_{3,1} = sqrt(6) up to roundoff
+        d, dt = assemble_from_definition(3)
+        a = np.sqrt(6)
+        assert np.allclose(d.entries, [[0, a], [a, 0]], rtol=1e-15, atol=0)
+        assert np.allclose(dt.entries, [[0, -1j * a], [1j * a, 0]], rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("in_check", [True, False])
     @pytest.mark.parametrize("side,j", [(0, 4), (1, 5)])
-    def test_column_off_its_level_is_rejected(self, side, j, exact):
+    def test_column_off_its_level_is_rejected(self, side, j, in_check):
         # k = 7: row j0 = 4 + l; sub[4] is the lowering entry of l = 1 and
         # sup[5] the raising entry of l = 1.  Doubling an entry of e2 there
-        # leaves a part of the column on the other neighbouring level.
+        # leaves a part of the column on the other neighbouring level.  The
+        # assembly-match check reads its coefficients from the context's rep.
         rep = build_rep(7)
         band = [d.copy() for d in rep.s]
         band[side][j] *= 2
         rep = dataclasses.replace(rep, s=tuple(band))
+        ctx = KContext(7)
+        ctx.rep = rep
         with pytest.raises(AssertionError, match="adjacent Hermite level"):
-            definition_coeffs(7, exact=exact, rep=rep)
+            checks.check_assembly(ctx) if in_check else definition_coeffs(7, rep=rep)
 
     @pytest.mark.parametrize("value", [2**20, 2**53 + 1])
     def test_exact_route_refuses_entries_outside_the_guard(self, value):
         # raise the raising entries of l = 1 at k = 7, R sup[5] and -S sup[5],
         # to ``value``, which keeps the column on its adjacent level.  An
-        # operand at 2**20 could make a product round; 2**53 + 1 rounds on
-        # conversion to a double, as the float route shows.  The exact route
-        # refuses both rather than return a rounded coefficient.
+        # operand at 2**20 could make a product round, and 2**53 + 1 rounds
+        # on conversion to a double.  The coefficients, and so the
+        # assembly-match check, refuse both rather than round.
         rep = build_rep(7)
         r, s = ([d.copy() for d in pair] for pair in (rep.r, rep.s))
         r[1][5], s[1][5] = value, -value
         rep = dataclasses.replace(rep, r=tuple(r), s=tuple(s))
-        with pytest.raises(ValueError, match="outside"):
-            definition_coeffs(7, exact=True, rep=rep)
-        with pytest.raises(ValueError, match="outside"):
-            assembly_matches_exact(7, rep=rep)
-        (_, up), _ = definition_coeffs(7, exact=False, rep=rep)
-        assert up[1] == float(value)
+        ctx = KContext(7)
+        ctx.rep = rep
+        for route in (lambda: definition_coeffs(7, rep=rep), lambda: checks.check_assembly(ctx)):
+            with pytest.raises(ValueError, match="outside"):
+                route()
 
     def test_k1_single_cell(self):
         d, dt = assemble_from_definition(1)

@@ -120,18 +120,27 @@ class TestBrackets:
         with pytest.raises(ValueError):
             check_bracket(build_rep(1), mode="symbolic")
 
-    def test_int64_overflow_falls_back_to_python_ints(self):
+    def test_int64_overflow_is_refused(self):
         # c = 2**63 - 1 has c*c = 1 modulo 2**64, so R and S scaled by c keep
         # every bracket identity in wrapped int64 arithmetic, while
         # [cR, cS] - 2W = 2(c*c - 1)W.  4 c (c + 1) reaches 2**63, so the
-        # defect is computed on Python ints and the scaled rep fails.
+        # int64 route refuses the scaled rep instead of passing it.
         c = 2**63 - 1
         rep = build_rep(1)
         r, s = (tuple(c * d for d in pair) for pair in (rep.r, rep.s))
         broken = RepMatrices(1, rep.w, r, s)
         assert all(d.dtype == np.int64 for d in (*r, *s))
-        assert bracket_defect(broken) == 2 * (c * c - 1)
-        assert not check_bracket(broken, mode="exact")
+        for call in (bracket_defect, check_bracket):
+            with pytest.raises(ValueError, match="overflow"):
+                call(broken)
+        # M = 1518500249 is the largest modulus with 4 M (M + 1) < 2**63:
+        # weights -+M give [R, S] - 2W = 2W_1 - 2W, of modulus 2(M - 1)
+        big = 1518500249
+        assert 4 * big * (big + 1) < 2**63 <= 4 * (big + 1) * (big + 2)
+        edge = RepMatrices(1, np.array([-big, big]), rep.r, rep.s)
+        assert bracket_defect(edge) == 2 * (big - 1)
+        with pytest.raises(ValueError, match="overflow"):
+            bracket_defect(RepMatrices(1, edge.w * (big + 1) // big, rep.r, rep.s))
 
     def test_int64_route_below_the_bound(self):
         # the largest stored modulus M = k keeps 4 M (M + 1) far below 2**63
