@@ -268,20 +268,22 @@ def assembly_matches_exact(k: int, coeffs=None) -> bool:
 def charpoly_exact(k: int) -> CharPoly:
     """Integer characteristic polynomial via the three-term recurrence for
     zero-diagonal Jacobi matrices: p_0 = 1, p_1 = x,
-    p_j = x p_(j-1) - a_{k,j-1}^2 p_(j-2), all in big-integer arithmetic."""
+    p_j = x p_(j-1) - a_{k,j-1}^2 p_(j-2), all in big-integer arithmetic.
+
+    p_j has the parity of j, so only its nonzero coefficients are kept,
+    lowest degree first: p_j = x^(j%2) sum_r Q_j[r] x^(2r), and
+    Q_j[r] = Q_(j-1)[r - 1 + j%2] - a_{k,j-1}^2 Q_(j-2)[r].  Building each
+    Q_j from its lowest-degree coefficient, the largest, up keeps the peak
+    heap at that of the full recurrence."""
     _require_odd(k)
     m = (k + 1) // 2
-    p_prev = [1]
-    p_cur = [0, 1]
+    q_prev, q_cur = [1], [1]
     for j in range(2, m + 1):
         s = a_coeff(k, j - 1).square
-        shifted = [0] + p_cur
-        p_next = [
-            shifted[i] - (s * p_prev[i] if i < len(p_prev) else 0)
-            for i in range(len(shifted))
-        ]
-        p_prev, p_cur = p_cur, p_next
-    return CharPoly(k, tuple(p_cur))
+        q_prev, q_cur = q_cur, [c - s * b for c, b in zip(q_cur if j % 2 else [0] + q_cur, q_prev + [0])]
+    coeffs = [0] * (m + 1)
+    coeffs[m % 2 :: 2] = q_cur
+    return CharPoly(k, tuple(coeffs))
 
 
 def kernel_dim(k: int) -> int:

@@ -10,8 +10,10 @@ the sizes of the Dirac blocks it costs about the same whatever its width.
 Each pass therefore counts at the midpoints of the next few levels of every
 lane's bisection tree (multisection; Demmel, Dhillon & Ren, 1995), as many
 levels as fit _PASS_POINTS midpoints, and then walks those levels with the
-decision of plain bisection.  Large blocks have many lanes and resolve one
-level a pass.
+decision of plain bisection.  Every lane starts from the same bracket, so
+the first pass counts one tree, shared by all lanes and as deep as the
+width of the later passes allows.  Large blocks have many lanes and
+resolve one level a pass after it.
 
 The eigenvalues are bit-identical to plain bisection, one level a pass.
 Each tree midpoint is formed as 0.5 * (lo + hi) from the bracket plain
@@ -24,8 +26,11 @@ assumed.  Once a lane stops, its midpoint is its result, whichever way the
 walk goes (see ``_bisect``).  The result depends neither on which indices
 are requested nor on how many levels a pass resolves.
 
-A pass sweeps the rows in cache-sized blocks, and is redone with the
-zero-pivot floor only when it meets a pivot that is exactly zero.
+A pass sweeps the rows in cache-sized blocks of one scratch buffer per
+solve.  On a zero diagonal every row starts from one 0.0 - mid array, not
+an outer product with the diagonal.  The first row's zero pivots are
+floored before the sweep, and a pass is redone with the zero-pivot floor
+only when it meets a later pivot that is exactly zero.
 ``count_below`` runs the same pass once over any set of points; the
 ``charpoly-eigs`` certificate is one such pass.
 
@@ -45,8 +50,6 @@ import numpy as np
 # benign (the count recurrence is IEEE-stable through +-inf).
 _PIVOT_FLOOR = 1e-300
 
-_MAX_BISECT_ITER = 200
-
 # Float64 pivots one bisection pass holds at once.  Larger problems sweep
 # their rows in blocks of this many entries, which keeps the block in cache
 # and the scratch memory small.
@@ -61,29 +64,39 @@ _PASS_POINTS = 512
 def _sturm_counts(d, bsq, mid, q, rows, careful):
     """Number of negative pivots of the Sturm recurrence
     q[i] = (d[i] - mid) - bsq[i-1] / q[i-1], one lane per entry of mid:
-    the number of eigenvalues below each mid.
+    the number of eigenvalues below each mid.  ``d`` is None for a zero
+    diagonal: every row then starts from the one array 0.0 - mid.  ``bsq``
+    lists 0-d float64 arrays, which a ufunc takes faster than floats.
 
     The rows are swept in blocks of q's height; ``rows`` lists q's row
-    views.  With ``careful`` an exactly-zero pivot is replaced by
-    _PIVOT_FLOOR before it divides.  Without, the sweep returns None at
-    the first block holding a zero pivot, whose quotient is inf or nan."""
-    m, height = d.shape[0], q.shape[0]
+    views.  The first row's zero pivots are replaced by _PIVOT_FLOOR up
+    front.  With ``careful`` every exactly-zero pivot is, before it
+    divides.  Without, the sweep returns None at the first block holding
+    a zero pivot, whose quotient is inf or nan.  A zero of either sign
+    counts as nonnegative, so the floor changes no tally and a zero
+    diagonal's 0.0 - mid gives the counts of d[i] - mid bit for bit."""
+    m, height = len(bsq) + 1, q.shape[0]
     r = np.empty(q.shape[1])
     carry = np.empty(q.shape[1])
     neg = np.empty(q.shape, dtype=bool)
     counts = np.zeros(q.shape[1], dtype=np.intp)
+    base = None if d is not None else 0.0 - mid
     for start in range(0, m, height):
         size = min(height, m - start)
-        np.subtract.outer(d[start : start + size], mid, out=q[:size])
+        if base is None:
+            np.subtract.outer(d[start : start + size], mid, out=q[:size])
+        elif start == 0:
+            np.copyto(rows[0], base)
         if start == 0:
+            np.copyto(rows[0], _PIVOT_FLOOR, where=rows[0] == 0.0)
             prev, todo, coeffs = rows[0], rows[1:size], bsq
         else:
             prev, todo, coeffs = carry, rows[:size], bsq[start - 1 : start - 1 + size]
-        for b, row in zip(coeffs, todo):
+        for b, row, head in zip(coeffs, todo, todo if base is None else [base] * len(todo)):
             if careful:
                 np.copyto(prev, _PIVOT_FLOOR, where=prev == 0.0)
-            np.divide(b, prev, out=r)
-            np.subtract(row, r, out=row)
+            np.divide(b, prev, r)
+            np.subtract(head, r, row)
             prev = row
         if not careful and not q[: min(size, m - 1 - start)].all():
             return None
@@ -93,16 +106,19 @@ def _sturm_counts(d, bsq, mid, q, rows, careful):
     return counts
 
 
-def _pivot_block(m: int, lanes: int) -> np.ndarray:
-    """Scratch pivots for one pass: at most _BLOCK_ENTRIES of them."""
-    return np.empty((max(1, min(m, _BLOCK_ENTRIES // max(lanes, 1))), lanes))
+def _pivot_rows(m: int, points: int, buf=None):
+    """The pivot block of a pass over ``points`` points, and its rows: a
+    view of the scratch ``buf`` as tall as it holds, or of a new one of at
+    most _BLOCK_ENTRIES pivots (or one row); at most m rows either way."""
+    height = max(1, min(m, (_BLOCK_ENTRIES if buf is None else buf.shape[0]) // max(points, 1)))
+    q = (np.empty(height * points) if buf is None else buf[: height * points]).reshape(height, points)
+    return q, list(q)
 
 
 def _count_pass(d, bsq, mid, q, rows):
-    """Eigenvalues below each mid.  A zero pivot is rare (the first
-    midpoint of a zero-diagonal matrix is one); only then is the pass
-    redone with the floor.  Callers silence the floating-point warnings
-    of inf and nan pivots."""
+    """Eigenvalues below each mid.  A zero pivot past the first row is
+    rare; only then is the pass redone with the floor.  Callers silence
+    the floating-point warnings of inf and nan pivots."""
     counts = _sturm_counts(d, bsq, mid, q, rows, careful=False)
     return _sturm_counts(d, bsq, mid, q, rows, careful=True) if counts is None else counts
 
@@ -117,8 +133,10 @@ def _pass_depth(lanes: int) -> int:
 def _bisect(d, bsq, lo0, hi0, idx):
     """Eigenvalues with the ascending indices ``idx``, one bisection lane
     each, all starting from the bracket [lo0, hi0].  A lane stops when its
-    midpoint equals an end of its bracket, or after _MAX_BISECT_ITER
-    halvings.
+    midpoint equals an end of its bracket.  Every halving that does not
+    stop keeps a strict subset of the floats, and a finite bracket below
+    2**1024 collapses to adjacent floats within about 2,100 halvings, so
+    no iteration cap is needed.
 
     Each pass counts at the midpoints of the next ``depth`` levels of
     every lane's bisection tree, then walks those levels with the decision
@@ -127,34 +145,39 @@ def _bisect(d, bsq, lo0, hi0, idx):
     half) and p + 2**j (the upper half) of level j + 1.  A stopped bracket
     [lo, hi], whose midpoint equals lo or hi, has as children itself and
     the point [mid, mid]; both are stopped and end at mid, the value plain
-    bisection returns, so the walk may take either."""
-    n = idx.shape[0]
+    bisection returns, so the walk may take either.  Every lane starts
+    from the same bracket, so the first pass counts one tree, shared by
+    all lanes and as deep as the width of the later passes allows, and
+    each lane walks it with its own index."""
+    m, n = d.shape[0], idx.shape[0]
     depth = _pass_depth(n)
-    lo = np.full(n, lo0)
-    hi = np.full(n, hi0)
-    lanes = np.arange(n)
-    q = _pivot_block(d.shape[0], ((1 << depth) - 1) * n)
-    rows = list(q)
-    bsq = bsq.tolist()
+    width = ((1 << depth) - 1) * max(n, 1)
+    wide = _pivot_rows(m, width)
+    diag = d if d.any() else None
+    bsq = list(map(np.asarray, bsq))
+    lo, hi, lanes = np.full(n, lo0), np.full(n, hi0), np.arange(n)
+    trees, cols, levels = 1, np.zeros(n, dtype=np.intp), (width + 1).bit_length() - 1
+    q, rows = _pivot_rows(m, (1 << levels) - 1, wide[0].ravel())
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for levels in range(0, _MAX_BISECT_ITER, depth):
-            los, his, mids = [lo[None]], [hi[None]], []
-            for _ in range(depth):
+        while True:
+            los, his, mids = [lo[None, :trees]], [hi[None, :trees]], []
+            for _ in range(levels):
                 l, h = los[-1], his[-1]
                 mid = 0.5 * (l + h)
                 mids.append(mid)
                 los.append(np.concatenate((l, mid)))
                 his.append(np.concatenate((mid, h)))
-            if not ((mids[0] != lo) & (mids[0] != hi)).any():
+            if not ((mids[0] != los[0]) & (mids[0] != his[0])).any():
                 break
             tree = np.concatenate(mids)
-            up = _count_pass(d, bsq, tree.ravel(), q, rows).reshape(tree.shape) <= idx
-            walk = min(depth, _MAX_BISECT_ITER - levels)
+            counts = _count_pass(diag, bsq, tree.ravel(), q, rows).reshape(tree.shape)
             node = np.zeros(n, dtype=np.intp)
-            for j in range(walk):
-                node += up[(1 << j) - 1 + node, lanes] << j
-            lo = los[walk][node, lanes]
-            hi = his[walk][node, lanes]
+            for j in range(levels):
+                node += (counts[(1 << j) - 1 + node, cols] <= idx) << j
+            lo = los[levels][node, cols]
+            hi = his[levels][node, cols]
+            if cols is not lanes:
+                trees, cols, levels, (q, rows) = n, lanes, depth, wide
     return 0.5 * (lo + hi)
 
 
@@ -198,9 +221,10 @@ def count_below(d, bsq, points) -> np.ndarray:
     float64 diagonal ``d`` and squared off-diagonal ``bsq``, in one
     vectorized Sturm pass over all the points."""
     points = np.ascontiguousarray(points, dtype=np.float64)
-    q = _pivot_block(d.shape[0], points.shape[0])
+    q, rows = _pivot_rows(d.shape[0], points.shape[0])
+    bsq = list(map(np.asarray, np.asarray(bsq, dtype=np.float64)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _count_pass(d, np.asarray(bsq, dtype=np.float64).tolist(), points, q, list(q))
+        return _count_pass(d if d.any() else None, bsq, points, q, rows)
 
 
 def sturm_count(diag, offdiag, x):

@@ -177,6 +177,14 @@ class TestSpectrumCommand:
         assert "internal error: no report" in captured.err
 
 
+    def test_spectrum_195_stdout_is_pinned(self, capsys):
+        # sha256 of `spectrum -k 1..195 --jobs 1` stdout: 98 reports whose
+        # eigenvalues print to full float64 precision
+        assert main(["spectrum", "-k", "1..195", "--jobs", "1"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "08ee4588dfdfc74d95a94949e5d84ea8ef4e1d311342245476a4cc10b6c0dcfc"
+
+
 class TestCharpolyCommand:
     @pytest.mark.parametrize(
         "k,expected", [("3", "[-6, 0, 1]"), ("5", "[0, -36, 0, 1]"), ("1", "[0, 1]")]

@@ -1,6 +1,7 @@
 """Tests for the assembled operator blocks and their spectral data."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -179,6 +180,18 @@ class TestCharPoly:
         for i, c in enumerate(cp.coeffs):
             if (i - cp.m) % 2 != 0:
                 assert c == 0
+
+    @pytest.mark.parametrize(
+        "k, digest",
+        [
+            (1001, "765e20ed5d3bb7eff1858cc66c1dfa05cde71137f091e67212023890194513cc"),
+            (1999, "71afb26b94c776620f9f53ffa838b21daa93d2187c5be959078412ccc5f04782"),
+        ],
+    )
+    def test_large_k_coefficients_are_pinned(self, k, digest):
+        # sha256 of the coefficients in hex, odd m = 501 and even m = 1000
+        coeffs = ",".join(map(hex, charpoly_exact(k).coeffs))
+        assert hashlib.sha256(coeffs.encode()).hexdigest() == digest
 
     def test_matches_numpy_charpoly(self):
         # float cross-check against the characteristic polynomial of the

@@ -1,5 +1,7 @@
 """Tests for the Sturm-bisection eigensolver and its zero-diagonal fold."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from sdirac import tridiag
 from sdirac.checks import check_charpoly_eigs
 from sdirac.operators import KContext
 from sdirac.tridiag import (
-    _MAX_BISECT_ITER,
     _PIVOT_FLOOR,
     _bisect,
     _gershgorin_bracket,
@@ -27,6 +28,21 @@ def bisect_all(d, b):
     return _bisect(d, b * b, lo0, hi0, np.arange(d.shape[0]))
 
 
+def count_loop(d, bsq, x):
+    """Reference: the Sturm count below x, one pivot at a time."""
+    cnt = 0
+    q = d[0] - x
+    if q < 0:
+        cnt += 1
+    for i in range(1, d.shape[0]):
+        if q == 0.0:
+            q = _PIVOT_FLOOR
+        q = d[i] - x - bsq[i - 1] / q
+        if q < 0:
+            cnt += 1
+    return cnt
+
+
 def bisect_loop(d, bsq, lo0, hi0):
     """Reference: the same bisection written as plain loops, one eigenvalue
     and one pivot at a time."""
@@ -35,21 +51,11 @@ def bisect_loop(d, bsq, lo0, hi0):
     for idx in range(m):
         lo = lo0
         hi = hi0
-        for _ in range(_MAX_BISECT_ITER):
+        while True:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            cnt = 0
-            q = d[0] - mid
-            if q < 0:
-                cnt += 1
-            for i in range(1, m):
-                if q == 0.0:
-                    q = _PIVOT_FLOOR
-                q = d[i] - mid - bsq[i - 1] / q
-                if q < 0:
-                    cnt += 1
-            if cnt <= idx:
+            if count_loop(d, bsq, mid) <= idx:
                 lo = mid
             else:
                 hi = mid
@@ -89,10 +95,8 @@ class TestReferenceLoop:
         # holds every case here in one block; the smaller sizes split the
         # rows into blocks, so pivots and zero pivots cross block boundaries.
         # At the default pass width a pass resolves 2 to 9 levels of the
-        # bisection trees, by lane count; the second loop forces 1, 2, 4 and
-        # 9.  The iteration cap of 200 is a multiple of neither 9 nor 7, the
-        # default depth of the 3-row case that reaches the cap, so a capped
-        # lane there ends in a shorter walk.
+        # bisection trees, by lane count, after a first pass over one
+        # shared tree; the second loop forces 1, 2, 4 and 9.
         rng = np.random.default_rng(77)
         cases = [random_tridiag(rng, int(rng.integers(2, 80))) for _ in range(20)]
         cases += [
@@ -107,10 +111,13 @@ class TestReferenceLoop:
             # floor would drop a negative pivot from the count
             (np.array([1.0, 0.0, -1.0]), np.zeros(2)),
             (np.array([2.0, 1.0, 0.0, -1.0, -2.0]), np.zeros(4)),
-            # an exact zero eigenvalue runs bisection to its iteration cap;
-            # the bracket [-1.7, 2.3] is off-centre, so the last bits
-            # depend on every midpoint
+            # an exact zero eigenvalue runs bisection down to the
+            # subnormals, about 1,080 levels; the bracket [-1.7, 2.3] is
+            # off-centre, so the last bits depend on every midpoint
             (np.array([0.0, 0.3, 0.0]), np.array([1.0, 1.0])),
+            # eigenvalues of very different sizes: the small one takes
+            # about 1,050 levels
+            (np.array([-1e300, 1.0]), np.array([0.0])),
         ]
         for d, b in cases:
             lo0, hi0 = _gershgorin_bracket(d, b)
@@ -145,19 +152,37 @@ class TestReferenceLoop:
         assert _pass_depth(lanes) == depth
 
     def test_passes_at_k195(self, monkeypatch):
-        # 49 lanes resolve 3 levels a pass: 20 passes where plain bisection
-        # takes 60
+        # 49 lanes resolve 3 levels a pass (7 * 49 = 343 points), and the
+        # first pass resolves 8 levels of the one tree they share (255
+        # points): 19 passes, one sweep each, where plain bisection takes
+        # 60 passes
         passes = []
-        count_pass = tridiag._count_pass
+        sweeps = []
+        count_pass, sturm_counts = tridiag._count_pass, tridiag._sturm_counts
 
         def counted(*args):
             passes.append(args[2].shape[0])
             return count_pass(*args)
 
+        def swept(*args, **kwargs):
+            sweeps.append(args[2].shape[0])
+            return sturm_counts(*args, **kwargs)
+
         monkeypatch.setattr(tridiag, "_count_pass", counted)
+        monkeypatch.setattr(tridiag, "_sturm_counts", swept)
         eigvalsh_tridiagonal(*KContext(195).bands[0])
-        assert len(passes) <= 23
-        assert set(passes) == {7 * 49}
+        assert passes == [255] + [7 * 49] * 18
+        assert sweeps == passes
+
+    def test_lanes_run_until_their_brackets_collapse(self):
+        # a lane runs until its bracket holds adjacent floats, however far
+        # below the bracket's width its eigenvalue lies; the result is one
+        # of the two, so a huge eigenvalue may come out one ulp inside
+        assert eigvalsh_tridiagonal([-1e300, 1.0], [0.0]).tolist() == [-1e300, 1.0]
+        for d in ([-8e307, 0.0], [-8e307, 0.0, 8e307]):
+            got = eigvalsh_tridiagonal(d, np.zeros(len(d) - 1))
+            assert got[1] == 0.0
+            assert np.all(np.abs(got - d) <= np.spacing(8e307))
 
 
 class TestZeroDiagonalFold:
@@ -185,6 +210,18 @@ class TestZeroDiagonalFold:
         assert got[1] == 0.0 and np.array_equal(got, -got[::-1])
         assert np.allclose(got, [-5.0, 0.0, 5.0], atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "k, digest",
+        [
+            (1001, "eed26420cf20f0eab4f2cd3043916ee0f1187e89e329a8748112376416217f5d"),
+            (1999, "8d1364a6ba2f4f063ee9c40dc2a123160b0920306a56ed6341132be7697da17a"),
+        ],
+    )
+    def test_large_k_eigenvalues_are_pinned(self, k, digest):
+        # sha256 of the float64 bytes of the first block's spectrum, odd
+        # m = 501 and even m = 1000
+        assert hashlib.sha256(KContext(k).eigenvalues.tobytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("k", [195, 199])
     def test_charpoly_certifies_beyond_verify_range(self, k):
         assert check_charpoly_eigs(KContext(k)).ok
@@ -207,6 +244,40 @@ class TestSturmCount:
             counts = sturm_count(d, b, points)
             assert counts.tolist() == [sturm_count(d, b, x) for x in points]
             assert sturm_count(d, b, points.reshape(2, -1)).tolist() == counts.reshape(2, -1).tolist()
+
+    @pytest.mark.parametrize("scale", [1e5, 0.0])
+    @pytest.mark.parametrize("diag", [np.zeros(9), np.array([-0.0, 0.0] * 4 + [-0.0])])
+    def test_zero_diagonal_matches_reference_loop(self, scale, diag, monkeypatch):
+        # a zero diagonal starts every row from 0.0 - x; the counts match
+        # d[i] - x pivot for pivot, with either sign of zero in d, at the
+        # points that make pivots zero or overflow their quotients
+        b = np.random.default_rng(21).normal(size=8) * scale
+        bsq = b * b
+        eigs = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
+        points = np.concatenate([[0.0, -0.0, 1e300, -1e300], eigs, -eigs])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            want = [count_loop(diag, bsq, x) for x in points]
+        for block_entries in (1 << 16, 1, 50):
+            monkeypatch.setattr(tridiag, "_BLOCK_ENTRIES", block_entries)
+            assert tridiag.count_below(diag, bsq, points).tolist() == want
+
+    def test_pass_at_first_diagonal_entry_takes_one_sweep(self, monkeypatch):
+        # x == d[0] makes the first pivot zero; it is floored before the
+        # sweep, as the careful sweep would, so no sweep is redone
+        sweeps = []
+        sturm_counts = tridiag._sturm_counts
+
+        def swept(*args, **kwargs):
+            sweeps.append(kwargs["careful"])
+            return sturm_counts(*args, **kwargs)
+
+        monkeypatch.setattr(tridiag, "_sturm_counts", swept)
+        d, b = np.array([2.0, -1.0, 3.0, 0.5]), np.array([1.5, 0.25, 2.0])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            want = count_loop(d, b * b, 2.0)
+        assert sturm_count(d, b, 2.0) == want
+        assert sturm_count(np.zeros(4), b, 0.0) == 2
+        assert sweeps == [False, False]
 
     def test_counts_across_pivot_blocks(self, monkeypatch):
         # a pass sweeps the rows in blocks; the count must not depend on it
