@@ -69,6 +69,14 @@ def a_coeff(k: int, l: int) -> ACoeff:
     return ACoeff(square, math.sqrt(square))
 
 
+def a_squares(k: int) -> list:
+    """The exact squares a_{k,l}^2 = 2l((k+1)^2/4 - l^2) of
+    :func:`a_coeff`, Python ints, for l = 0..m in one list."""
+    _require_odd(k)
+    m = (k + 1) // 2
+    return [2 * l * (m * m - l * l) for l in range(m + 1)]
+
+
 @dataclass(frozen=True)
 class DiracMatrix:
     """Hermitian tridiagonal block of one of the two Dirac operators, of
@@ -143,7 +151,8 @@ def assemble_closed_form(k: int):
     superdiagonal -i*a_{k,l} and subdiagonal +i*a_{k,l}."""
     _require_odd(k)
     m = (k + 1) // 2
-    a = np.array([a_coeff(k, l).value for l in range(1, m)], dtype=np.complex128)
+    # np.sqrt rounds the float64 squares correctly, as math.sqrt does
+    a = np.sqrt(np.array(a_squares(k)[1:m], dtype=np.float64)).astype(np.complex128)
     return (
         DiracMatrix(k, {-1: a, 0: np.zeros(m, dtype=np.complex128), 1: a.copy()}),
         DiracMatrix(k, {-1: 1j * a, 0: np.zeros(m, dtype=np.complex128), 1: -1j * a}),
@@ -245,7 +254,7 @@ def assembly_matches_exact(k: int, coeffs=None) -> bool:
     closed = [unnormalized_coeffs(k, l) for l in range(m)]
     down = np.array([d for d, _ in closed], dtype=object)
     up = np.array([u for _, u in closed[:-1]], dtype=object)
-    a_sq = np.array([a_coeff(k, l).square for l in range(1, m)], dtype=object)
+    a_sq = np.array(a_squares(k)[1:m], dtype=object)
     num, den = scale_sq_ratio(k)
     # the guard keeps k below 2**21, so the closed forms, below k^2, are
     # doubles exactly
@@ -278,8 +287,7 @@ def charpoly_exact(k: int) -> CharPoly:
     _require_odd(k)
     m = (k + 1) // 2
     q_prev, q_cur = [1], [1]
-    for j in range(2, m + 1):
-        s = a_coeff(k, j - 1).square
+    for j, s in zip(range(2, m + 1), a_squares(k)[1:m]):
         q_prev, q_cur = q_cur, [c - s * b for c, b in zip(q_cur if j % 2 else [0] + q_cur, q_prev + [0])]
     coeffs = [0] * (m + 1)
     coeffs[m % 2 :: 2] = q_cur
@@ -312,10 +320,7 @@ def abs_det(k: int, charpoly: CharPoly | None = None) -> int:
             f"determinant vanishes for k={k} ((k+1)/2 odd); use kernel_dim"
         )
     det = abs((charpoly or charpoly_exact(k)).signed_det)
-    prod = 1
-    for r in range(1, m // 2 + 1):
-        prod *= a_coeff(k, 2 * r - 1).square
-    if det != prod:
+    if det != math.prod(a_squares(k)[1:m:2]):
         raise AssertionError(f"determinant product identity failed at k={k}")
     return det
 
@@ -326,9 +331,8 @@ def p_diag_closed(k: int) -> tuple:
     _require_odd(k)
     m = (k + 1) // 2
     closed = tuple((k + 1) ** 2 - 3 * (2 * l + 1) ** 2 - 1 for l in range(m))
-    alt = tuple(
-        2 * (a_coeff(k, l + 1).square - a_coeff(k, l).square) for l in range(m)
-    )
+    sq = a_squares(k)
+    alt = tuple(2 * (up - down) for down, up in zip(sq, sq[1:]))
     if closed != alt:
         raise AssertionError(f"second-order diagonal identities disagree at k={k}")
     return closed

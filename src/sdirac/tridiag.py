@@ -15,6 +15,19 @@ the first pass counts one tree, shared by all lanes and as deep as the
 width of the later passes allows.  Large blocks have many lanes and
 resolve one level a pass after it.
 
+Up to _SEED_MAX_M rows the first pass is seeded instead:
+``eigvalsh_tridiagonal`` takes approximate eigenvalues from LAPACK
+(``np.linalg.eigvalsh`` of the matrix written out dense, one transient
+float64 m x m array), and one pass counts, for every lane, the whole
+plain-bisection path from the Gershgorin bracket toward its seed, up to
+_SEED_LEVELS levels.  Each lane keeps the levels whose counts agree with
+the path, and the first level where they disagree, decided by its own
+count; the multisection passes finish from there.  A seed only chooses
+where that pass counts, so a wrong or missing one costs passes, never
+bits.  Larger blocks keep the unseeded first pass: their passes are bound
+more by their points than by numpy's call overhead, and LAPACK's time and
+memory grow as m^3 and m^2.
+
 The eigenvalues are bit-identical to plain bisection, one level a pass.
 Each tree midpoint is formed as 0.5 * (lo + hi) from the bracket plain
 bisection would hold at that node, the walk takes the same decisions, and
@@ -24,15 +37,16 @@ with it.  So every count that moves a bracket is taken at exactly the
 point plain bisection evaluates, and no monotonicity of the counts is
 assumed.  Once a lane stops, its midpoint is its result, whichever way the
 walk goes (see ``_bisect``).  The result depends neither on which indices
-are requested nor on how many levels a pass resolves.
+are requested, nor on how many levels a pass resolves, nor on the seeds.
 
 A pass sweeps the rows in cache-sized blocks of one scratch buffer per
-solve.  On a zero diagonal every row starts from one 0.0 - mid array, not
-an outer product with the diagonal.  The first row's zero pivots are
-floored before the sweep, and a pass is redone with the zero-pivot floor
-only when it meets a later pivot that is exactly zero.
-``count_below`` runs the same pass once over any set of points; the
-``charpoly-eigs`` certificate is one such pass.
+solve and tallies each block's negative pivots as uint8 sums.  On a zero
+diagonal every row starts from one 0.0 - mid array, not an outer product
+with the diagonal.  The first row's zero pivots are floored before the
+sweep, and a pass is redone with the zero-pivot floor only when it meets a
+later pivot that is exactly zero.  ``count_below`` runs the same pass once
+over any set of points; the ``charpoly-eigs`` certificate is one such
+pass.
 
 A tridiagonal matrix with zero diagonal, which every phase-stripped Dirac
 block is, is similar to its own negative (Golub & Kahan, 1965): its
@@ -60,6 +74,16 @@ _BLOCK_ENTRIES = 1 << 16
 # few lanes resolves several levels of their bisection trees.
 _PASS_POINTS = 512
 
+# Largest size whose first bisection pass is seeded from LAPACK.  Small
+# passes cost mostly numpy call overhead, so the passes a seed saves
+# outweigh LAPACK's O(m^3) solve, and the transient dense matrix stays
+# within 0.32 MB.  CHANGES.md records the measured crossover.
+_SEED_MAX_M = 200
+
+# Levels of each lane's predicted path the seeded first pass counts, at
+# most; the paths of the Dirac blocks it seeds (k <= 399) stop within 62.
+_SEED_LEVELS = 64
+
 
 def _sturm_counts(d, bsq, mid, q, rows, careful):
     """Number of negative pivots of the Sturm recurrence
@@ -68,8 +92,9 @@ def _sturm_counts(d, bsq, mid, q, rows, careful):
     diagonal: every row then starts from the one array 0.0 - mid.  ``bsq``
     lists 0-d float64 arrays, which a ufunc takes faster than floats.
 
-    The rows are swept in blocks of q's height; ``rows`` lists q's row
-    views.  The first row's zero pivots are replaced by _PIVOT_FLOOR up
+    The rows are swept in blocks of q's height, at most 255 rows, so each
+    block's negative pivots are tallied as uint8 sums; ``rows`` lists q's
+    row views.  The first row's zero pivots are replaced by _PIVOT_FLOOR up
     front.  With ``careful`` every exactly-zero pivot is, before it
     divides.  Without, the sweep returns None at the first block holding
     a zero pivot, whose quotient is inf or nan.  A zero of either sign
@@ -78,7 +103,7 @@ def _sturm_counts(d, bsq, mid, q, rows, careful):
     m, height = len(bsq) + 1, q.shape[0]
     r = np.empty(q.shape[1])
     carry = np.empty(q.shape[1])
-    neg = np.empty(q.shape, dtype=bool)
+    flags = np.empty(q.shape, dtype=bool)
     counts = np.zeros(q.shape[1], dtype=np.intp)
     base = None if d is not None else 0.0 - mid
     for start in range(0, m, height):
@@ -98,19 +123,26 @@ def _sturm_counts(d, bsq, mid, q, rows, careful):
             np.divide(b, prev, r)
             np.subtract(head, r, row)
             prev = row
-        if not careful and not q[: min(size, m - 1 - start)].all():
+        divisors = min(size, m - 1 - start)
+        if not careful and np.equal(q[:divisors], 0.0, out=flags[:divisors]).any():
             return None
-        np.less(q[:size], 0.0, out=neg[:size])
-        counts += neg[:size].sum(axis=0)
+        np.less(q[:size], 0.0, out=flags[:size])
+        counts += np.add.reduce(flags[:size].view(np.uint8), axis=0, dtype=np.uint8)
         np.copyto(carry, prev)
     return counts
+
+
+def _pivot_height(m: int, points: int, entries: int = _BLOCK_ENTRIES) -> int:
+    """Rows of a block of ``entries`` pivots over ``points`` points: at
+    least one, and at most m and 255, the most a uint8 tally holds."""
+    return max(1, min(m, 255, entries // max(points, 1)))
 
 
 def _pivot_rows(m: int, points: int, buf=None):
     """The pivot block of a pass over ``points`` points, and its rows: a
     view of the scratch ``buf`` as tall as it holds, or of a new one of at
-    most _BLOCK_ENTRIES pivots (or one row); at most m rows either way."""
-    height = max(1, min(m, (_BLOCK_ENTRIES if buf is None else buf.shape[0]) // max(points, 1)))
+    most _BLOCK_ENTRIES pivots (or one row)."""
+    height = _pivot_height(m, points, _BLOCK_ENTRIES if buf is None else buf.shape[0])
     q = (np.empty(height * points) if buf is None else buf[: height * points]).reshape(height, points)
     return q, list(q)
 
@@ -130,7 +162,39 @@ def _pass_depth(lanes: int) -> int:
     return max(1, (_PASS_POINTS // max(lanes, 1) + 1).bit_length() - 1)
 
 
-def _bisect(d, bsq, lo0, hi0, idx):
+def _seeded_pass(d, bsq, lo, hi, idx, seeds, buf):
+    """The brackets [lo, hi] of the lanes ``idx`` after the first pass of
+    a seeded solve.  The pass counts the midpoints of every lane's
+    plain-bisection path toward its seed, which predicts the decision
+    count <= index at each midpoint as seed >= midpoint (a nan seed
+    predicts every decision down).  The paths run _SEED_LEVELS levels and
+    are cut after the last level where some lane's midpoint lies strictly
+    inside its bracket: a stopped bracket's children are stopped, so the
+    levels that hold one form a prefix.  Each lane keeps the levels whose
+    counted decisions agree with the predicted ones and the first level
+    where they disagree, decided by that level's own count: up to there
+    each midpoint is the one plain bisection evaluates."""
+    los, his, mids, ups = [], [], [], []
+    for _ in range(_SEED_LEVELS):
+        mid = 0.5 * (lo + hi)
+        up = seeds >= mid
+        los.append(lo), his.append(hi), mids.append(mid), ups.append(up)
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    los, his, tree = np.array(los), np.array(his), np.array(mids)
+    levels = ((tree != los) & (tree != his)).any(axis=1).sum()
+    if not levels:
+        return los[0], his[0]
+    tree = tree[:levels]
+    q, rows = _pivot_rows(len(bsq) + 1, tree.size, buf)
+    taken = _count_pass(d, bsq, tree.ravel(), q, rows).reshape(tree.shape) <= idx
+    miss = taken != ups[:levels]
+    miss[-1] = True
+    j, lanes = miss.argmax(axis=0), np.arange(idx.shape[0])
+    up, mid = taken[j, lanes], tree[j, lanes]
+    return np.where(up, mid, los[j, lanes]), np.where(up, his[j, lanes], mid)
+
+
+def _bisect(d, bsq, lo0, hi0, idx, seeds=None):
     """Eigenvalues with the ascending indices ``idx``, one bisection lane
     each, all starting from the bracket [lo0, hi0].  A lane stops when its
     midpoint equals an end of its bracket.  Every halving that does not
@@ -148,17 +212,30 @@ def _bisect(d, bsq, lo0, hi0, idx):
     bisection returns, so the walk may take either.  Every lane starts
     from the same bracket, so the first pass counts one tree, shared by
     all lanes and as deep as the width of the later passes allows, and
-    each lane walks it with its own index."""
+    each lane walks it with its own index.
+
+    ``seeds``, one approximate eigenvalue per lane, replace that first
+    pass with :func:`_seeded_pass`, which counts each lane's whole
+    predicted path.  They only choose the points it counts, and every
+    bracket move still comes from a count at a midpoint of plain
+    bisection, so the result does not depend on them."""
     m, n = d.shape[0], idx.shape[0]
     depth = _pass_depth(n)
     width = ((1 << depth) - 1) * max(n, 1)
-    wide = _pivot_rows(m, width)
+    # the seeded pass sweeps in blocks of this buffer too: up to
+    # _SEED_MAX_M rows it holds at least _SEED_LEVELS * n pivots
+    buf = np.empty(_pivot_height(m, width) * width)
+    wide = _pivot_rows(m, width, buf)
     diag = d if d.any() else None
     bsq = list(map(np.asarray, bsq))
     lo, hi, lanes = np.full(n, lo0), np.full(n, hi0), np.arange(n)
-    trees, cols, levels = 1, np.zeros(n, dtype=np.intp), (width + 1).bit_length() - 1
-    q, rows = _pivot_rows(m, (1 << levels) - 1, wide[0].ravel())
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if seeds is None:
+            trees, cols, levels = 1, np.zeros(n, dtype=np.intp), (width + 1).bit_length() - 1
+            q, rows = _pivot_rows(m, (1 << levels) - 1, buf)
+        else:
+            lo, hi = _seeded_pass(diag, bsq, lo, hi, idx, seeds, buf)
+            trees, cols, levels, (q, rows) = n, lanes, depth, wide
         while True:
             los, his, mids = [lo[None, :trees]], [hi[None, :trees]], []
             for _ in range(levels):
@@ -194,6 +271,24 @@ def _gershgorin_bracket(d, b) -> tuple[float, float]:
         if not np.isfinite(2 * max(-lo, hi)):
             raise ValueError("the Gershgorin bracket of the matrix must stay below half the float64 maximum")
     return lo, hi
+
+
+def _seeds(d, b, idx):
+    """Approximate eigenvalues with the indices ``idx``, from LAPACK on
+    the matrix written out dense in one float64 array, or None when m
+    exceeds _SEED_MAX_M or LAPACK does not converge."""
+    m = d.shape[0]
+    if m > _SEED_MAX_M:
+        return None
+    dense = np.zeros((m, m))
+    dense.flat[:: m + 1] = d
+    dense.flat[1 :: m + 1] = b
+    dense.flat[m :: m + 1] = b
+    with np.errstate(all="ignore"):
+        try:
+            return np.linalg.eigvalsh(dense)[idx]
+        except np.linalg.LinAlgError:
+            return None
 
 
 def _as_tridiagonal(diag, offdiag):
@@ -246,14 +341,16 @@ def eigvalsh_tridiagonal(diag, offdiag) -> np.ndarray:
 
     If the diagonal is identically zero, only the upper half of the
     spectrum is bisected; the lower half is its exact mirror and, for odd
-    size, the middle eigenvalue is exactly 0.
+    size, the middle eigenvalue is exactly 0.  Up to _SEED_MAX_M rows the
+    first bisection pass is seeded from LAPACK, with the same result.
     """
     d, b, bsq = _as_tridiagonal(diag, offdiag)
     m = d.shape[0]
     if m == 0:
         return np.empty(0)
     lo0, hi0 = _gershgorin_bracket(d, b)
+    idx = np.arange(m) if d.any() else np.arange(m - m // 2, m)
+    eigs = _bisect(d, bsq, lo0, hi0, idx, _seeds(d, b, idx))
     if d.any():
-        return _bisect(d, bsq, lo0, hi0, np.arange(m))
-    pos = _bisect(d, bsq, lo0, hi0, np.arange(m - m // 2, m))
-    return np.concatenate([-pos[::-1], np.zeros(m % 2), pos])
+        return eigs
+    return np.concatenate([-eigs[::-1], np.zeros(m % 2), eigs])

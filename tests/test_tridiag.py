@@ -1,6 +1,7 @@
 """Tests for the Sturm-bisection eigensolver and its zero-diagonal fold."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sdirac.checks import check_charpoly_eigs
 from sdirac.operators import KContext
 from sdirac.tridiag import (
     _PIVOT_FLOOR,
+    _SEED_MAX_M,
     _bisect,
     _gershgorin_bracket,
     _pass_depth,
@@ -152,10 +154,10 @@ class TestReferenceLoop:
         assert _pass_depth(lanes) == depth
 
     def test_passes_at_k195(self, monkeypatch):
-        # 49 lanes resolve 3 levels a pass (7 * 49 = 343 points), and the
-        # first pass resolves 8 levels of the one tree they share (255
-        # points): 19 passes, one sweep each, where plain bisection takes
-        # 60 passes
+        # m = 98 is seeded: the first pass counts the predicted paths of
+        # the 49 lanes, 60 levels each, and 49 lanes then resolve 3 levels
+        # a pass (7 * 49 = 343 points): 3 passes, one sweep each, where the
+        # unseeded solve takes 19 and plain bisection 60
         passes = []
         sweeps = []
         count_pass, sturm_counts = tridiag._count_pass, tridiag._sturm_counts
@@ -171,7 +173,7 @@ class TestReferenceLoop:
         monkeypatch.setattr(tridiag, "_count_pass", counted)
         monkeypatch.setattr(tridiag, "_sturm_counts", swept)
         eigvalsh_tridiagonal(*KContext(195).bands[0])
-        assert passes == [255] + [7 * 49] * 18
+        assert passes == [60 * 49] + [7 * 49] * 2
         assert sweeps == passes
 
     def test_lanes_run_until_their_brackets_collapse(self):
@@ -183,6 +185,121 @@ class TestReferenceLoop:
             got = eigvalsh_tridiagonal(d, np.zeros(len(d) - 1))
             assert got[1] == 0.0
             assert np.all(np.abs(got - d) <= np.spacing(8e307))
+
+
+def pass_widths(monkeypatch, solve):
+    """The point counts of the Sturm passes ``solve()`` runs."""
+    passes = []
+    count_pass = tridiag._count_pass
+
+    def counted(*args):
+        passes.append(args[2].shape[0])
+        return count_pass(*args)
+
+    monkeypatch.setattr(tridiag, "_count_pass", counted)
+    solve()
+    monkeypatch.setattr(tridiag, "_count_pass", count_pass)
+    return passes
+
+
+def seed_kinds(rng, exact):
+    """Seeds for the lanes whose eigenvalues are ``exact``: right, and
+    wrong in every way that only moves the points counted."""
+    n = exact.shape[0]
+    return {
+        "exact": exact,
+        "nan": np.full(n, np.nan),
+        "reversed": exact[::-1].copy(),
+        "zero": np.zeros(n),
+        "+1e300": np.full(n, 1e300),
+        "-1e300": np.full(n, -1e300),
+        "+-1e300": np.where(np.arange(n) % 2, 1e300, -1e300),
+        "random": rng.normal(scale=np.abs(exact).max(initial=0.0) + 1.0, size=n),
+    }
+
+
+class TestSeededFirstPass:
+    # Seeds only choose where the first pass counts; every bracket move
+    # still comes from a count at a midpoint of plain bisection.
+
+    def assert_seeds_change_nothing(self, rng, d, b, idx, kinds=None):
+        lo0, hi0 = _gershgorin_bracket(d, b)
+        want = _bisect(d, b * b, lo0, hi0, idx)
+        for kind, seeds in seed_kinds(rng, want).items():
+            if kinds is None or kind in kinds:
+                got = _bisect(d, b * b, lo0, hi0, idx, seeds)
+                assert np.array_equal(got, want), kind
+
+    @pytest.mark.parametrize("k", [1, 3, 97, 99, 195, 399])
+    def test_dirac_blocks(self, k):
+        d, b = KContext(k).bands[0]
+        m = d.shape[0]
+        rng = np.random.default_rng(k)
+        self.assert_seeds_change_nothing(rng, d, b, np.arange(m - m // 2, m))
+
+    def test_random_matrices(self):
+        # the lanes the solver bisects; with zeroed off-diagonals a zero
+        # diagonal often puts exact zeros among them, whose lanes run
+        # about 1,080 levels, so each matrix takes the exact seeds and two
+        # of the wrong kinds in turn, each kind on 28 or 29 matrices
+        rng = np.random.default_rng(2024)
+        wrong = list(seed_kinds(rng, np.zeros(1)))[1:]
+        for i in range(100):
+            m = int(rng.integers(1, 24))
+            d, b = random_tridiag(rng, m)
+            if i % 2:
+                d = np.zeros(m)
+            b[rng.random(m - 1) < 0.2] = 0.0
+            idx = np.arange(m - m // 2, m) if i % 2 else np.arange(m)
+            kinds = {"exact", wrong[i % 7], wrong[(i + 3) % 7]}
+            self.assert_seeds_change_nothing(rng, d, b, idx, kinds)
+
+    def test_lapack_failure_solves_unseeded(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        cases = [KContext(195).bands[0], random_tridiag(rng, 30)]
+        want = [eigvalsh_tridiagonal(d, b) for d, b in cases]
+
+        def fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+        for (d, b), eigs in zip(cases, want):
+            assert np.array_equal(eigvalsh_tridiagonal(d, b), eigs)
+        # the unseeded solve starts from the shared tree of 255 midpoints
+        assert pass_widths(monkeypatch, lambda: eigvalsh_tridiagonal(*cases[0]))[:2] == [255, 343]
+
+    @pytest.mark.parametrize("k, seeded", [(399, True), (401, False), (993, False)])
+    def test_seeded_only_up_to_the_threshold(self, k, seeded, monkeypatch):
+        # m = 200 is seeded, m = 201 and the m = 497 of k = 993 are not,
+        # and keep the unseeded pass sequence
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        d, b = KContext(k).bands[0]
+        passes = pass_widths(monkeypatch, lambda: eigvalsh_tridiagonal(d, b))
+        m = d.shape[0]
+        assert calls == ([(m, m)] if seeded else [])
+        assert (m <= _SEED_MAX_M) == seeded
+        lo0, hi0 = _gershgorin_bracket(d, b)
+        unseeded = pass_widths(monkeypatch, lambda: _bisect(d, b * b, lo0, hi0, np.arange(m - m // 2, m)))
+        assert (passes != unseeded) == seeded
+        if k == 993:
+            assert passes == [127] + [248] * 55
+
+    @pytest.mark.parametrize("d", [[-1e300, 1.0], [-8e307, 0.0, 8e307]])
+    def test_extreme_diagonals_solve_without_warnings(self, d):
+        d = np.array(d)
+        b = np.zeros(d.shape[0] - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eigvalsh_tridiagonal(d, b)
+        assert np.array_equal(got, bisect_all(d, b))
+        assert got[1] == d[1]
 
 
 class TestZeroDiagonalFold:
@@ -287,6 +404,17 @@ class TestSturmCount:
         whole = sturm_count(d, b, points)
         monkeypatch.setattr(tridiag, "_BLOCK_ENTRIES", 7 * 64)
         assert sturm_count(d, b, points).tolist() == whole.tolist()
+
+    def test_counts_beyond_one_uint8_block(self):
+        # blocks hold at most 255 rows, so a uint8 tally of a block cannot
+        # wrap, and the per-block tallies add up to counts above 255
+        rng = np.random.default_rng(13)
+        d, b = random_tridiag(rng, 600)
+        lo, hi = _gershgorin_bracket(d, b)
+        points = np.concatenate([[lo, hi], rng.normal(scale=10, size=6)])
+        want = [count_loop(d, b * b, x) for x in points]
+        assert sturm_count(d, b, points).tolist() == want
+        assert want[:2] == [0, 600]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
