@@ -11,7 +11,8 @@ of :mod:`sdirac.su2`, in complex128 behind the exactness guard of
 intertwiner spaces and the assembled operator blocks; the su(2) and weight
 checks compare int64 arrays and report exact defects.  All per-k checks of
 one k read one :class:`sdirac.operators.KContext`, so its rep, charpoly,
-blocks, bands and spectrum are each built once per k.
+determinant, blocks, bands and spectrum are each built once per k, and a
+check that does not read the charpoly never builds it.
 
 The check names are a contract: ``verify`` prints one line per check (and
 k), and the benchmark under ``bench/`` fails an operation for each line or
@@ -23,6 +24,7 @@ reader.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -36,7 +38,7 @@ from .operators import (
     FLOAT_TOL,
     KContext,
     a_coeff,
-    abs_det,
+    a_squares,
     assembly_matches_exact,
     assembly_mismatch_float,
     check_commutator,
@@ -257,8 +259,12 @@ def check_coincide(ctx: KContext) -> CheckResult:
 
 
 def check_kernel_rule(ctx: KContext) -> CheckResult:
-    cp = ctx.charpoly
-    return CheckResult("kernel-rule", ctx.k, cp.kernel_dim == cp.m % 2, 0.0)
+    """D_k has a kernel exactly when m = (k+1)/2 is odd: the exact
+    determinant (:attr:`KContext.det`) is 0 iff m is odd.  The kernel is
+    then one-dimensional, as the eigenvalues of a Jacobi matrix are simple.
+    The residual is an exact defect count, 1 if the rule fails."""
+    wrong = (ctx.det == 0) != ((ctx.k + 1) // 2) % 2
+    return CheckResult("kernel-rule", ctx.k, not wrong, float(wrong))
 
 
 def check_p_eigenvalues(ctx: KContext) -> CheckResult:
@@ -267,22 +273,24 @@ def check_p_eigenvalues(ctx: KContext) -> CheckResult:
 
 
 def check_charpoly_parity(ctx: KContext) -> CheckResult:
-    cp = ctx.charpoly
-    m = cp.m
-    ok = all(c == 0 for i, c in enumerate(cp.coeffs) if (i - m) % 2 != 0)
-    return CheckResult("charpoly-parity", ctx.k, ok, 0.0)
+    """Both closed-form blocks have an exactly zero diagonal.  That is the
+    condition for p_j(-x) = (-1)^j p_j(x) to hold for every leading minor
+    p_j of a block, whose continuant is p_j = (x - d_j) p_(j-1) -
+    |b_(j-1)|^2 p_(j-2): so the charpoly has the parity of m and the
+    spectrum is symmetric about 0, exactly.  The residual is the largest
+    |diagonal entry|."""
+    res = max(float(np.max(np.abs(block.band[0]))) for block in ctx.blocks)
+    return CheckResult("charpoly-parity", ctx.k, res == 0.0, res)
 
 
 def check_det_product(ctx: KContext) -> CheckResult:
-    k = ctx.k
-    if ((k + 1) // 2) % 2 == 1:
-        return CheckResult("det-product", k, ctx.charpoly.signed_det == 0, 0.0)
-    try:
-        abs_det(k, charpoly=ctx.charpoly)
-        ok = True
-    except AssertionError:
-        ok = False
-    return CheckResult("det-product", k, ok, 0.0)
+    """|det D_k| is the product a_{k,1}^2 a_{k,3}^2 ... a_{k,m-1}^2 of the
+    odd-indexed squares for even m, and det D_k = 0 for odd m, on the
+    exact determinant (:attr:`KContext.det`).  The residual is an exact
+    defect count, 1 if the identity fails."""
+    m = (ctx.k + 1) // 2
+    wrong = abs(ctx.det) != (0 if m % 2 else math.prod(a_squares(ctx.k)[1:m:2]))
+    return CheckResult("det-product", ctx.k, not wrong, float(wrong))
 
 
 # Half-width of the certificate's bracket around an exact 0 eigenvalue.  A

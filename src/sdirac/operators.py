@@ -19,9 +19,9 @@ request (:attr:`DiracMatrix.entries`).  The module also produces exact
 integer characteristic polynomials, kernels, determinants, eigenvalues
 (Sturm bisection via :mod:`sdirac.tridiag`) and the diagonal second-order
 operator obtained as i times the commutator, a band product of the blocks.
-:class:`KContext` holds one k's rep, charpoly, blocks, bands and spectrum,
-each built once, for the checks and the report.  Everything is pure per k;
-distinct k may be processed concurrently.
+:class:`KContext` holds one k's rep, charpoly, determinant, blocks, bands
+and spectrum, each built once, for the checks and the report.  Everything
+is pure per k; distinct k may be processed concurrently.
 """
 
 from __future__ import annotations
@@ -114,11 +114,6 @@ class CharPoly:
     @property
     def m(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def kernel_dim(self) -> int:
-        """1 iff 0 is a root; the roots of a Jacobi matrix are simple."""
-        return 1 if self.coeffs[0] == 0 else 0
 
     @property
     def signed_det(self) -> int:
@@ -295,31 +290,37 @@ def charpoly_exact(k: int) -> CharPoly:
 
 
 def kernel_dim(k: int) -> int:
-    """1 iff the exact characteristic polynomial has zero constant term,
-    cross-checked against the parity rule ((k+1)/2 odd <=> kernel)."""
-    cp = charpoly_exact(k)
-    if cp.kernel_dim != cp.m % 2:
+    """1 iff det D_k = 0 (:func:`signed_det`), cross-checked against the
+    parity rule ((k+1)/2 odd <=> kernel)."""
+    kernel = int(signed_det(k) == 0)
+    if kernel != ((k + 1) // 2) % 2:
         raise AssertionError(f"kernel parity rule violated at k={k}")
-    return cp.kernel_dim
+    return kernel
 
 
 def signed_det(k: int) -> int:
-    """Determinant of the first block: (-1)^m times the charpoly constant
-    term (zero whenever m is odd)."""
-    return charpoly_exact(k).signed_det
+    """det D_k of the first block, exactly, by the zero-diagonal continuant
+    D_0 = 1, D_1 = 0, D_j = -a_{k,j-1}^2 D_(j-2): m - 1 products of a
+    Python int by one of a few words, where :func:`charpoly_exact` takes
+    about m^2/4 big-integer steps.  Zero whenever m is odd; equal to
+    ``charpoly_exact(k).signed_det``."""
+    _require_odd(k)
+    prev, det = 1, 0
+    for s in a_squares(k)[1:-1]:
+        prev, det = det, -s * prev
+    return det
 
 
-def abs_det(k: int, charpoly: CharPoly | None = None) -> int:
+def abs_det(k: int) -> int:
     """|det| as an exact integer for even m = (k+1)/2, asserted against the
-    product of the odd-indexed squared off-diagonals.  ``charpoly`` is the
-    exact charpoly of k, computed when not given."""
+    product of the odd-indexed squared off-diagonals."""
     _require_odd(k)
     m = (k + 1) // 2
     if m % 2 == 1:
         raise ValueError(
             f"determinant vanishes for k={k} ((k+1)/2 odd); use kernel_dim"
         )
-    det = abs((charpoly or charpoly_exact(k)).signed_det)
+    det = abs(signed_det(k))
     if det != math.prod(a_squares(k)[1:m:2]):
         raise AssertionError(f"determinant product identity failed at k={k}")
     return det
@@ -415,10 +416,11 @@ def norm_growth(k_max: int):
 class KContext:
     """One odd k's data shared by the per-k checks and the report.  Each
     field is built on first use, once: the su(2) rep, the exact charpoly,
-    the closed-form blocks, the real symmetric bands (diagonal,
-    |superdiagonal|) the eigensolver sees of them, the eigenvalues of the
-    first block, and the closed-form diagonal of i[second, first].  Raises
-    ValueError unless k is an odd integer >= 1."""
+    the exact determinant of the first block, the closed-form blocks, the
+    real symmetric bands (diagonal, |superdiagonal|) the eigensolver sees
+    of them, the eigenvalues of the first block, and the closed-form
+    diagonal of i[second, first].  Raises ValueError unless k is an odd
+    integer >= 1."""
 
     def __init__(self, k: int):
         _require_odd(k)
@@ -431,6 +433,10 @@ class KContext:
     @cached_property
     def charpoly(self) -> CharPoly:
         return charpoly_exact(self.k)
+
+    @cached_property
+    def det(self) -> int:
+        return signed_det(self.k)
 
     @cached_property
     def blocks(self):
@@ -485,16 +491,16 @@ def build_report(k: int) -> SpectrumReport:
 
     ctx = KContext(k)
     checks = {name: PER_K_REGISTRY[name](ctx).ok for name in CHECK_NAMES}
-    cp = ctx.charpoly
+    cp, det = ctx.charpoly, ctx.det
     return SpectrumReport(
         k=k,
         m=cp.m,
         basis="L-circ",
         eigenvalues=tuple(float(x) for x in ctx.eigenvalues),
-        kernel_dim=cp.kernel_dim,
-        abs_det=abs(cp.signed_det),
+        kernel_dim=int(det == 0),
+        abs_det=abs(det),
         charpoly=cp,
         p_diag=ctx.p_diag,
         checks=checks,
-        signed_det=cp.signed_det,
+        signed_det=det,
     )

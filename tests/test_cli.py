@@ -227,6 +227,24 @@ class TestVerifyCommand:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "ef79fafdb5c9f622483c4edc98cc1f59662069f678584c7cffc5fe031f08dc0a"
 
+    def test_float_large_k_stdout_is_pinned(self, capsys):
+        # sha256 of the benchmark's float-large-k command for seed 1: the
+        # seven float-path checks on k = 993, 2007, 2991
+        names = ("symmetry", "spectra-coincide", "p-eigenvalues", "kernel-rule")
+        names += ("charpoly-parity", "det-product", "norm-bound")
+        argv = ["verify", "-k", "993,2007,2991", "--jobs", "1"]
+        assert main(argv + [arg for name in names for arg in ("--check", name)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "03cd8d6b453e7edac774c9f89fd66d18ddebeca3d2847361c281b6fd52c559da"
+
+    @pytest.mark.parametrize("name", ["kernel-rule", "det-product"])
+    def test_wrong_determinant_fails_with_a_residual(self, name, monkeypatch, capsys):
+        # det D_7 = 1260 moves to 0: a kernel where m = 4 is even, and
+        # |det| off the product 30 * 42; one exact defect each
+        monkeypatch.setattr(operators, "signed_det", lambda k: 0)
+        assert main(["verify", "-k", "7", "--check", name]) == 3
+        assert capsys.readouterr().out == f"FAIL {name} k=7 residual=1.000e+00\n"
+
     @pytest.mark.parametrize(
         "name,field,index",
         [("su2-bracket", "r", 2), ("su2-weights", "w", 3), ("su2-structure", "s", 2), ("hom-oracle", "w", 5)],

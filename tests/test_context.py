@@ -62,10 +62,54 @@ class TestBuiltOncePerK:
         elif part == "exact":
             cp = operators.charpoly_exact(k)
             assert report.charpoly == cp and report.m == cp.m
-            assert (report.kernel_dim, report.signed_det) == (cp.kernel_dim, cp.signed_det)
+            assert (report.kernel_dim, report.signed_det) == (int(cp.coeffs[0] == 0), cp.signed_det)
         else:
             assert report.m == len(x) and report.kernel_dim == np.count_nonzero(x == 0.0)
             assert report.abs_det == pytest.approx(np.prod(np.abs(x)), rel=1e-12)
+
+
+DET_CHECKS = ("kernel-rule", "charpoly-parity", "det-product")
+
+
+class TestDeterminantChecks:
+    @pytest.mark.parametrize("k", [1001, 4001])
+    def test_build_no_charpoly(self, calls, k):
+        results = run_checks([k], names=DET_CHECKS)
+        assert [(r.name, r.ok, r.residual) for r in results] == [(name, True, 0.0) for name in DET_CHECKS]
+        assert calls["charpoly_exact"] == 0
+        ctx = KContext(k)
+        assert all(checks.PER_K_REGISTRY[name](ctx).ok for name in DET_CHECKS)
+        assert "charpoly" not in vars(ctx) and "det" in vars(ctx)
+
+    @pytest.mark.parametrize("block,entry", [(0, 5e-324), (1, -2.5j), (1, 3.0)])
+    def test_nonzero_diagonal_fails_parity(self, block, entry):
+        # the smallest subnormal already breaks p_j(-x) = (-1)^j p_j(x)
+        ctx = KContext(9)
+        blocks = list(ctx.blocks)
+        band = {o: diag.copy() for o, diag in blocks[block].band.items()}
+        band[0][3] = entry
+        blocks[block] = DiracMatrix(9, band)
+        ctx.blocks = tuple(blocks)
+        result = checks.check_charpoly_parity(ctx)
+        assert not result.ok and result.residual == abs(entry)
+
+    @pytest.mark.parametrize(
+        "k,patch",
+        [(5, lambda det: 1), (7, lambda det: 0), (7, lambda det: det + 1), (2989, lambda det: -1),
+         (2991, lambda det: 0), (2991, lambda det: det + 1)],
+    )
+    def test_patched_determinant_fails(self, k, patch):
+        # m = 3, 4, 1495, 1496.  det-product fails on every wrong value;
+        # kernel-rule only when the kernel changes.  At k = 2991 det has
+        # 22,675 bits, more than a float holds, and the residual is a count
+        ctx = KContext(k)
+        true = ctx.det
+        ctx.det = patch(true)
+        det_product = checks.check_det_product(ctx)
+        assert (det_product.ok, det_product.residual) == (False, 1.0)
+        moved = (true == 0) != (ctx.det == 0)
+        kernel = checks.check_kernel_rule(ctx)
+        assert (kernel.ok, kernel.residual) == (not moved, float(moved))
 
 
 class TestOddK:

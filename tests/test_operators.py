@@ -296,6 +296,19 @@ class TestKernelAndDeterminant:
         assert signed_det(7) == 1260
         assert signed_det(5) == 0
 
+    def test_signed_det_is_the_charpoly_constant_term(self):
+        # the O(m) continuant against (-1)^m p(0) of the exact charpoly
+        for k in [*range(1, 400, 2), 1001, 1999]:
+            assert signed_det(k) == charpoly_exact(k).signed_det, k
+
+    def test_determinant_routes_build_no_charpoly(self, monkeypatch):
+        def refused(k):
+            raise AssertionError("charpoly built")
+
+        monkeypatch.setattr(operators, "charpoly_exact", refused)
+        assert (kernel_dim(2991), signed_det(2991)) == (0, KContext(2991).det)
+        assert abs_det(2991) == abs(signed_det(2991)) and kernel_dim(2989) == 1
+
 
 class TestNormGrowth:
     def test_small_sweep(self):
