@@ -10,24 +10,18 @@ computes exact and numerical spectral data.
 from .hermite import clifford_band, omega0, oscillator_band, weight_on_Wl
 from .intertwine import (
     Intertwiner,
-    NormalizedIntertwiner,
     dim_invariant_space,
     hom_space,
     hom_space_oracle,
-    normalize,
 )
 from .operators import (
     CharPoly,
     DiracMatrix,
-    SpectrumReport,
     a_coeff,
-    abs_det,
     assemble_closed_form,
     assemble_from_definition,
     build_report,
     charpoly_exact,
-    kernel_dim,
-    norm_growth,
     p_operator,
     signed_det,
     spectrum,

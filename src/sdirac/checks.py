@@ -37,7 +37,6 @@ from .intertwine import dim_invariant_space, equivariance_residual, hom_space
 from .operators import (
     FLOAT_TOL,
     KContext,
-    a_coeff,
     a_squares,
     assembly_matches_exact,
     assembly_mismatch_float,
@@ -286,11 +285,15 @@ def check_charpoly_parity(ctx: KContext) -> CheckResult:
 def check_det_product(ctx: KContext) -> CheckResult:
     """|det D_k| is the product a_{k,1}^2 a_{k,3}^2 ... a_{k,m-1}^2 of the
     odd-indexed squares for even m, and det D_k = 0 for odd m, on the
-    exact determinant (:attr:`KContext.det`).  The residual is an exact
-    defect count, 1 if the identity fails."""
-    m = (ctx.k + 1) // 2
-    wrong = abs(ctx.det) != (0 if m % 2 else math.prod(a_squares(ctx.k)[1:m:2]))
-    return CheckResult("det-product", ctx.k, not wrong, float(wrong))
+    exact determinant (:attr:`KContext.det`).  Each square is taken in
+    its closed ladder form a_{k,l}^2 = down(l) up(l-1) = l(k+1-2l)
+    ((k+1)/2+l) (:func:`sdirac.operators.unnormalized_coeffs`), not from
+    the squares the determinant is built of, so a wrong square fails.
+    The residual is an exact defect count, 1 if the identity fails."""
+    k, m = ctx.k, (ctx.k + 1) // 2
+    want = 0 if m % 2 else math.prod(l * (k + 1 - 2 * l) * (m + l) for l in range(1, m, 2))
+    wrong = abs(ctx.det) != want
+    return CheckResult("det-product", k, not wrong, float(wrong))
 
 
 # Half-width of the certificate's bracket around an exact 0 eigenvalue.  A
@@ -385,7 +388,7 @@ def _count_certificate(ctx: KContext):
     the band they were counted on, or None if a square reaches 2**53."""
     k, x, d = ctx.k, ctx.eigenvalues, ctx.bands[0][0]
     m = d.shape[0]
-    squares = [a_coeff(k, l).square for l in range(1, m)]
+    squares = a_squares(k)[1:m]
     if max(squares, default=0) >= 2**53:
         return None
     bsq = np.array(squares, dtype=np.float64)

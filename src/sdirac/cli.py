@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .checks import ALL_CHECKS, K_LIMITS, run_checks
-from .operators import CHECK_NAMES, SpectrumReport, build_report, charpoly_exact
+from .operators import CHECK_NAMES, build_report, charpoly_exact
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -101,21 +101,6 @@ def dumps_canonical(obj) -> str:
     return _json_scalar(obj)
 
 
-def report_to_dict(r: SpectrumReport) -> dict:
-    return {
-        "k": r.k,
-        "m": r.m,
-        "basis": r.basis,
-        "eigenvalues": list(r.eigenvalues),
-        "kernel_dim": r.kernel_dim,
-        "abs_det": r.abs_det,
-        "charpoly": list(r.charpoly.coeffs),
-        "p_diag": list(r.p_diag),
-        "checks": r.checks,
-        "signed_det": r.signed_det,
-    }
-
-
 # Each renderer yields its output in pieces, one per report where it can, so
 # a sweep is written as its reports complete.  The pieces concatenate to the
 # same bytes for any ``--jobs``.
@@ -168,10 +153,6 @@ def _require_k_limits(k_values, names) -> None:
             raise UserInputError(f"{name} takes k <= {K_LIMITS[name]}: its exact route keeps levels and entries below 2**20")
 
 
-def _report_worker(k):
-    return report_to_dict(build_report(k))
-
-
 def worker_count(jobs: int, n_items: int) -> int:
     """Worker processes for n_items reports: ``jobs`` (0 = one per CPU),
     capped by the CPU count and by n_items."""
@@ -182,7 +163,7 @@ def worker_count(jobs: int, n_items: int) -> int:
 def _report_dicts(cfg: RunConfig, pool):
     """The report dicts in ascending k, each yielded as soon as it and
     every smaller k are done; computed by ``pool`` when given."""
-    return (pool.map if pool else map)(_report_worker, sorted(cfg.k_values))
+    return (pool.map if pool else map)(build_report, sorted(cfg.k_values))
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:

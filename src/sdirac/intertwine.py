@@ -13,9 +13,7 @@ counts them instead of eliminating.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,22 +33,6 @@ class Intertwiner:
     @property
     def support(self) -> int:
         """Basis index carrying the generator's single nonzero coefficient."""
-        return (self.k + 1) // 2 + self.l
-
-
-@dataclass(frozen=True)
-class NormalizedIntertwiner:
-    """Canonical generator rescaled so the assembled operators come out
-    Hermitian.  ``scale_sq`` is the exact square of the factor; it grows
-    like a factorial, so it is never converted to a float (at k >= 197 it
-    would overflow one)."""
-
-    k: int
-    l: int
-    scale_sq: Fraction
-
-    @property
-    def support(self) -> int:
         return (self.k + 1) // 2 + self.l
 
 
@@ -77,25 +59,16 @@ def hom_space_oracle(k: int, l: int, rep: RepMatrices | None = None) -> int:
     return int(np.count_nonzero(rep.w == weight_on_Wl(l)))
 
 
-def normalize(L: Intertwiner) -> NormalizedIntertwiner:
-    """Rescale the canonical generator by
-    sqrt( ((k+1)/2 + l)! ((k-1)/2 - l)! / (2^l l!) )."""
-    k, l = L.k, L.l
-    if hom_space(k, l)[0] == 0:
-        raise ValueError(f"no generator for (k={k}, l={l})")
-    scale_sq = Fraction(
-        math.factorial((k + 1) // 2 + l) * math.factorial((k - 1) // 2 - l),
-        2**l * math.factorial(l),
-    )
-    return NormalizedIntertwiner(k, l, scale_sq)
-
-
 def scale_sq_ratio(k: int):
     """(num, den), object arrays of ints over l = 1..m-1 with m = (k+1)/2:
-    the ratio scale_sq(l)/scale_sq(l-1) of :func:`normalize` is num/den =
-    (m+l)/(2l(m-l)).  Term by term from its factorials,
+    the ratio scale_sq(l)/scale_sq(l-1) is num/den = (m+l)/(2l(m-l)), where
+    scale_sq(l) = (m+l)! (m-1-l)! / (2^l l!) is the square of the factor
+    that rescales the canonical generator of (k, l) so the assembled
+    operators come out Hermitian.  Term by term from its factorials,
     (m+l)!/(m+l-1)! = m+l, (m-1-l)!/(m-l)! = 1/(m-l) and
-    2^(l-1)(l-1)!/(2^l l!) = 1/(2l), so no factorial is built."""
+    2^(l-1)(l-1)!/(2^l l!) = 1/(2l), so no factorial is built.  The
+    ratios fit a float; scale_sq itself passes the float maximum from
+    k = 197."""
     m = (k + 1) // 2
     l = np.arange(1, m, dtype=object)
     return m + l, 2 * l * (m - l)

@@ -289,15 +289,6 @@ def charpoly_exact(k: int) -> CharPoly:
     return CharPoly(k, tuple(coeffs))
 
 
-def kernel_dim(k: int) -> int:
-    """1 iff det D_k = 0 (:func:`signed_det`), cross-checked against the
-    parity rule ((k+1)/2 odd <=> kernel)."""
-    kernel = int(signed_det(k) == 0)
-    if kernel != ((k + 1) // 2) % 2:
-        raise AssertionError(f"kernel parity rule violated at k={k}")
-    return kernel
-
-
 def signed_det(k: int) -> int:
     """det D_k of the first block, exactly, by the zero-diagonal continuant
     D_0 = 1, D_1 = 0, D_j = -a_{k,j-1}^2 D_(j-2): m - 1 products of a
@@ -308,21 +299,6 @@ def signed_det(k: int) -> int:
     prev, det = 1, 0
     for s in a_squares(k)[1:-1]:
         prev, det = det, -s * prev
-    return det
-
-
-def abs_det(k: int) -> int:
-    """|det| as an exact integer for even m = (k+1)/2, asserted against the
-    product of the odd-indexed squared off-diagonals."""
-    _require_odd(k)
-    m = (k + 1) // 2
-    if m % 2 == 1:
-        raise ValueError(
-            f"determinant vanishes for k={k} ((k+1)/2 odd); use kernel_dim"
-        )
-    det = abs(signed_det(k))
-    if det != math.prod(a_squares(k)[1:m:2]):
-        raise AssertionError(f"determinant product identity failed at k={k}")
     return det
 
 
@@ -400,19 +376,6 @@ def norm_bound_holds(k: int, radius: float) -> bool:
     return a1.square >= lower * lower and radius >= a1.value - 1e-9 * (1.0 + a1.value)
 
 
-def norm_growth(k_max: int):
-    """For each odd k <= k_max: (k, max |eigenvalue|, a_{k,1}, (k-1)/2),
-    asserting :func:`norm_bound_holds`."""
-    _require_odd(k_max)
-    rows = []
-    for k in range(1, k_max + 1, 2):
-        radius = float(np.max(np.abs(spectrum(assemble_closed_form(k)[0]))))
-        if not norm_bound_holds(k, radius):
-            raise AssertionError(f"spectral radius bound failed at k={k}")
-        rows.append((k, radius, a_coeff(k, 1).value, (k - 1) // 2))
-    return rows
-
-
 class KContext:
     """One odd k's data shared by the per-k checks and the report.  Each
     field is built on first use, once: the su(2) rep, the exact charpoly,
@@ -469,38 +432,25 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    k: int
-    m: int
-    basis: str
-    eigenvalues: tuple
-    kernel_dim: int
-    abs_det: int
-    charpoly: CharPoly
-    p_diag: tuple
-    checks: dict
-    signed_det: int
-
-
-def build_report(k: int) -> SpectrumReport:
+def build_report(k: int) -> dict:
     """Assemble, solve and verify one k with the registry checks of
     CHECK_NAMES, all on one :class:`KContext`; check failures are flagged,
-    not raised, so a sweep always completes."""
+    not raised, so a sweep always completes.  Returns the report as the
+    dict that ``spectrum`` serializes, in its key order."""
     from .checks import PER_K_REGISTRY  # checks imports this module
 
     ctx = KContext(k)
     checks = {name: PER_K_REGISTRY[name](ctx).ok for name in CHECK_NAMES}
     cp, det = ctx.charpoly, ctx.det
-    return SpectrumReport(
-        k=k,
-        m=cp.m,
-        basis="L-circ",
-        eigenvalues=tuple(float(x) for x in ctx.eigenvalues),
-        kernel_dim=int(det == 0),
-        abs_det=abs(det),
-        charpoly=cp,
-        p_diag=ctx.p_diag,
-        checks=checks,
-        signed_det=det,
-    )
+    return {
+        "k": k,
+        "m": cp.m,
+        "basis": "L-circ",
+        "eigenvalues": ctx.eigenvalues.tolist(),
+        "kernel_dim": int(det == 0),
+        "abs_det": abs(det),
+        "charpoly": list(cp.coeffs),
+        "p_diag": list(ctx.p_diag),
+        "checks": checks,
+        "signed_det": det,
+    }

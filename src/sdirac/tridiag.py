@@ -322,19 +322,6 @@ def count_below(d, bsq, points) -> np.ndarray:
         return _count_pass(d if d.any() else None, bsq, points, q, rows)
 
 
-def sturm_count(diag, offdiag, x):
-    """Number of eigenvalues strictly below x; for an array x, an array of
-    the counts below each of its points, all counted in one pass."""
-    d, _, bsq = _as_tridiagonal(diag, offdiag)
-    if d.shape[0] == 0:
-        raise ValueError("the matrix is empty")
-    points = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(points).all():
-        raise ValueError("x must be finite")
-    counts = count_below(d, bsq, points.ravel())
-    return int(counts[0]) if points.ndim == 0 else counts.reshape(points.shape)
-
-
 def eigvalsh_tridiagonal(diag, offdiag) -> np.ndarray:
     """All eigenvalues, ascending, of the real symmetric tridiagonal matrix
     with the given diagonal and off-diagonal.

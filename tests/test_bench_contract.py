@@ -22,7 +22,7 @@ def test_operators_calls():
     assert op.p_operator(K) == op.p_diag_closed(K) == (32, 8, -40)
     assert len(op.assemble_from_definition(K)) == 2
     assert op.assembly_matches_exact(K)
-    assert op.build_report(K).k == K
+    assert op.build_report(K)["k"] == K
     assert op.charpoly_exact(K).coeffs == (0, -36, 0, 1)
     m = (K + 1) // 2
     off = np.array([op.a_coeff(K, l).value for l in range(1, m)])

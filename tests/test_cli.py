@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -149,27 +150,27 @@ class TestSpectrumCommand:
 
     def test_reports_are_written_as_they_complete(self, monkeypatch):
         # when the report of k is computed, every smaller k is on stdout
-        written, out, worker = {}, io.StringIO(), cli._report_worker
+        written, out, worker = {}, io.StringIO(), cli.build_report
 
         def recording(k):
             written[k] = out.getvalue().count('{"k": ')
             return worker(k)
 
-        monkeypatch.setattr(cli, "_report_worker", recording)
+        monkeypatch.setattr(cli, "build_report", recording)
         with contextlib.redirect_stdout(out):
             assert main(["spectrum", "-k", "1..7", "--jobs", "1"]) == 0
         assert written == {1: 0, 3: 1, 5: 2, 7: 3}
         assert out.getvalue() == (DATA / "spectrum_k1_7.json").read_text()
 
     def test_a_failure_mid_sweep_leaves_the_reports_before_it(self, monkeypatch, capsys):
-        worker = cli._report_worker
+        worker = cli.build_report
 
         def failing(k):
             if k == 5:
                 raise RuntimeError("no report")
             return worker(k)
 
-        monkeypatch.setattr(cli, "_report_worker", failing)
+        monkeypatch.setattr(cli, "build_report", failing)
         assert main(["spectrum", "-k", "1..7", "--jobs", "1"]) == 1
         captured = capsys.readouterr()
         golden = (DATA / "spectrum_k1_7.json").read_text()
@@ -441,3 +442,13 @@ class TestOutputFile:
         code = main(["spectrum", "-k", "1", "--out", "/nonexistent-dir/x.json"])
         assert code == 1
         assert "internal error" in capsys.readouterr().err
+
+
+def test_import_loads_no_exact_fraction_or_pool_modules():
+    # every run pays for what `import sdirac.cli` loads: nothing of the
+    # package uses fractions or decimal, and the process pool is imported
+    # only when --jobs asks for a second worker
+    code = "import sys, sdirac.cli; print(sorted({'fractions', 'decimal', 'concurrent.futures'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

@@ -54,18 +54,18 @@ class TestBuiltOncePerK:
         # then the report's float fields match a fresh solve, its exact
         # fields a fresh charpoly, and ("both") the two halves agree
         report = build_report(k)
-        assert all(report.checks.values())
+        assert all(report["checks"].values())
         assert calls == {name: 1 for name in COUNTED}
-        x = np.array(report.eigenvalues)
+        x = np.array(report["eigenvalues"])
         if part == "float":
             assert np.array_equal(x, operators.spectrum(operators.assemble_closed_form(k)[0]))
         elif part == "exact":
             cp = operators.charpoly_exact(k)
-            assert report.charpoly == cp and report.m == cp.m
-            assert (report.kernel_dim, report.signed_det) == (int(cp.coeffs[0] == 0), cp.signed_det)
+            assert report["charpoly"] == list(cp.coeffs) and report["m"] == cp.m
+            assert (report["kernel_dim"], report["signed_det"]) == (int(cp.coeffs[0] == 0), cp.signed_det)
         else:
-            assert report.m == len(x) and report.kernel_dim == np.count_nonzero(x == 0.0)
-            assert report.abs_det == pytest.approx(np.prod(np.abs(x)), rel=1e-12)
+            assert report["m"] == len(x) and report["kernel_dim"] == np.count_nonzero(x == 0.0)
+            assert report["abs_det"] == pytest.approx(np.prod(np.abs(x)), rel=1e-12)
 
 
 DET_CHECKS = ("kernel-rule", "charpoly-parity", "det-product")
@@ -111,6 +111,23 @@ class TestDeterminantChecks:
         kernel = checks.check_kernel_rule(ctx)
         assert (kernel.ok, kernel.residual) == (not moved, float(moved))
 
+    @pytest.mark.parametrize("k,l", [(3, 1), (7, 3), (2991, 1), (2991, 1495)])
+    def test_wrong_square_fails_det_product(self, k, l, monkeypatch):
+        # a_squares wrong wherever it is read: the determinant is built of
+        # it, and det-product compares with the closed ladder form of the
+        # squares, so one odd-indexed square off by 1 fails the check
+        squares = operators.a_squares
+
+        def off_by_one(k):
+            sq = squares(k)
+            sq[l] += 1
+            return sq
+
+        for module in (operators, checks):
+            monkeypatch.setattr(module, "a_squares", off_by_one)
+        result = checks.check_det_product(KContext(k))
+        assert (result.ok, result.residual) == (False, 1.0)
+
 
 class TestOddK:
     @pytest.mark.parametrize("name", ALL_CHECKS)
@@ -124,14 +141,14 @@ class TestReport:
     def test_beyond_float_factorials(self):
         # the squared normalization factors overflow a float from k = 197
         report = build_report(197)
-        assert report.m == 99
-        assert all(report.checks.values())
-        assert report.kernel_dim == 1 and report.eigenvalues[49] == 0.0
+        assert report["m"] == 99
+        assert all(report["checks"].values())
+        assert report["kernel_dim"] == 1 and report["eigenvalues"][49] == 0.0
 
     def test_flags_are_the_registry_checks(self):
         ctx = KContext(13)
         expected = {name: checks.PER_K_REGISTRY[name](ctx).ok for name in operators.CHECK_NAMES}
-        assert build_report(13).checks == expected
+        assert build_report(13)["checks"] == expected
 
 
 class TestSpectraCoincide:
@@ -315,7 +332,7 @@ class TestCharpolyCertificate:
     def test_squares_beyond_double_precision_fail(self, monkeypatch):
         ctx = KContext(7)
         ctx.eigenvalues
-        monkeypatch.setattr(checks, "a_coeff", lambda k, l: operators.ACoeff(2**53, 2.0**26.5))
+        monkeypatch.setattr(checks, "a_squares", lambda k: [2**53] * ((k + 1) // 2 + 1))
         assert checks._count_certificate(ctx) is None
         result = check_charpoly_eigs(ctx)
         assert not result.ok and result.residual == float("inf")

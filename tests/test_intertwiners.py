@@ -14,7 +14,6 @@ from sdirac.intertwine import (
     equivariance_residual,
     hom_space,
     hom_space_oracle,
-    normalize,
     scale_sq_ratio,
 )
 from sdirac.operators import KContext
@@ -108,23 +107,26 @@ class TestOracle:
         assert check_equivariance(ctx).residual == 1.0 and not check_equivariance(ctx).ok
 
 
+def factorial_scale_sq(k: int, l: int) -> Fraction:
+    """Reference: ((k+1)/2 + l)! ((k-1)/2 - l)! / (2^l l!), the squared
+    factor that rescales the canonical generator of (k, l)."""
+    return Fraction(math.factorial((k + 1) // 2 + l) * math.factorial((k - 1) // 2 - l), 2**l * math.factorial(l))
+
+
 class TestNormalize:
     @pytest.mark.parametrize(
         "k,l,scale_sq",
         [(1, 0, 1), (3, 0, 2), (3, 1, 3), (7, 2, Fraction(math.factorial(6), 2**2 * 2))],
     )
     def test_scales(self, k, l, scale_sq):
-        norm = normalize(hom_space(k, l)[1])
-        assert norm.scale_sq == scale_sq
-        assert isinstance(norm.scale_sq, Fraction)
-
-    def test_rejects_invalid_pair(self):
-        with pytest.raises(ValueError):
-            normalize(Intertwiner(2, 0))
+        # scale_sq(0) times the first l ratios gives scale_sq(l)
+        num, den = scale_sq_ratio(k)
+        chained = factorial_scale_sq(k, 0) * math.prod(Fraction(a, b) for a, b in zip(num[:l], den[:l]))
+        assert chained == factorial_scale_sq(k, l) == scale_sq
 
     def test_ratio_matches_factorials(self):
         for k in range(1, 42, 2):
-            scale_sq = [normalize(Intertwiner(k, l)).scale_sq for l in range((k + 1) // 2)]
+            scale_sq = [factorial_scale_sq(k, l) for l in range((k + 1) // 2)]
             num, den = scale_sq_ratio(k)
             assert len(num) == len(den) == len(scale_sq) - 1
             for l in range(1, (k + 1) // 2):

@@ -12,16 +12,13 @@ from sdirac.operators import (
     DiracMatrix,
     KContext,
     a_coeff,
-    abs_det,
     assemble_closed_form,
     assemble_from_definition,
     assembly_matches_exact,
     assembly_mismatch_float,
     charpoly_exact,
     definition_coeffs,
-    kernel_dim,
     norm_bound_holds,
-    norm_growth,
     p_operator,
     signed_det,
     spectrum,
@@ -276,20 +273,19 @@ class TestPOperator:
 class TestKernelAndDeterminant:
     @pytest.mark.parametrize("k,expected", [(1, 1), (3, 0), (5, 1), (7, 0)])
     def test_kernel_examples(self, k, expected):
-        assert kernel_dim(k) == expected
+        ctx = KContext(k)
+        assert int(ctx.det == 0) == expected and checks.check_kernel_rule(ctx).ok
 
     def test_kernel_parity_sweep(self):
         for k in range(1, 100, 2):
-            assert kernel_dim(k) == ((k + 1) // 2) % 2
+            assert int(signed_det(k) == 0) == ((k + 1) // 2) % 2
+            assert checks.check_kernel_rule(KContext(k)).ok
 
     def test_abs_det_examples(self):
-        assert abs_det(3) == 6
-        assert abs_det(7) == 30 * 42
-        assert abs_det(11) == 70 * 162 * 110
-
-    def test_abs_det_rejects_kernel_case(self):
-        with pytest.raises(ValueError, match="kernel_dim"):
-            abs_det(5)
+        # the products of the odd-indexed squares a_{k,1}^2 a_{k,3}^2 ...
+        assert abs(signed_det(3)) == 6
+        assert abs(signed_det(7)) == 30 * 42
+        assert abs(signed_det(11)) == 70 * 162 * 110
 
     def test_signed_det(self):
         assert signed_det(3) == -6  # size-2 zero-diagonal block
@@ -306,20 +302,20 @@ class TestKernelAndDeterminant:
             raise AssertionError("charpoly built")
 
         monkeypatch.setattr(operators, "charpoly_exact", refused)
-        assert (kernel_dim(2991), signed_det(2991)) == (0, KContext(2991).det)
-        assert abs_det(2991) == abs(signed_det(2991)) and kernel_dim(2989) == 1
+        ctx = KContext(2991)
+        assert signed_det(2991) == ctx.det != 0 and checks.check_kernel_rule(ctx).ok
+        assert KContext(2989).det == 0 and checks.check_kernel_rule(KContext(2989)).ok
 
 
 class TestNormGrowth:
     def test_small_sweep(self):
-        rows = norm_growth(5)
-        assert [r[0] for r in rows] == [1, 3, 5]
-        k1, k3, k5 = rows
-        assert k1[1] == 0.0 and k1[2] == 0.0 and k1[3] == 0
-        assert k3[1] == pytest.approx(SQRT6, abs=1e-12)
-        assert k3[2] == pytest.approx(SQRT6, rel=1e-15) and k3[3] == 1
-        assert k5[1] == pytest.approx(6, abs=1e-10)
-        assert k5[2] == 4.0 and k5[3] == 2
+        # (k, spectral radius, a_{k,1}) for k = 1, 3, 5, and a_{k,1} >= (k-1)/2
+        for k, radius, a1 in ((1, 0.0, 0.0), (3, SQRT6, SQRT6), (5, 6.0, 4.0)):
+            ctx = KContext(k)
+            assert checks.check_norm_bound(ctx).ok
+            assert np.max(np.abs(ctx.eigenvalues)) == pytest.approx(radius, abs=1e-10)
+            assert a_coeff(k, 1).value == pytest.approx(a1, rel=1e-15)
+            assert a_coeff(k, 1).value >= (k - 1) // 2
 
     def test_bound_predicate(self):
         # a_{5,1} = 4: the spectral radius 6 passes, anything below 4 fails
@@ -327,5 +323,5 @@ class TestNormGrowth:
         assert not norm_bound_holds(5, 3.9)
 
     def test_rejects_even_bound(self):
-        with pytest.raises(ValueError):
-            norm_growth(10)
+        with pytest.raises(ValueError, match="odd"):
+            norm_bound_holds(10, 6.0)

@@ -15,8 +15,8 @@ from sdirac.tridiag import (
     _bisect,
     _gershgorin_bracket,
     _pass_depth,
+    count_below,
     eigvalsh_tridiagonal,
-    sturm_count,
 )
 
 
@@ -349,8 +349,8 @@ class TestSturmCount:
         rng = np.random.default_rng(5)
         d, b = random_tridiag(rng, 30)
         eigs = np.linalg.eigvalsh(np.diag(d) + np.diag(b, 1) + np.diag(b, -1))
-        for x in (-50.0, -1.0, 0.0, 2.5, 50.0):
-            assert sturm_count(d, b, x) == int(np.sum(eigs < x))
+        points = np.array([-50.0, -1.0, 0.0, 2.5, 50.0])
+        assert count_below(d, b * b, points).tolist() == [int(np.sum(eigs < x)) for x in points]
 
     def test_array_counts_equal_per_point_calls(self):
         rng = np.random.default_rng(11)
@@ -358,9 +358,8 @@ class TestSturmCount:
             eigs = np.linalg.eigvalsh(np.diag(d) + np.diag(b, 1) + np.diag(b, -1))
             # eigenvalues and diagonal entries as points meet zero pivots
             points = np.concatenate([rng.normal(scale=30, size=50), eigs, d, [0.0, -0.0, 1e300, -1e300]])
-            counts = sturm_count(d, b, points)
-            assert counts.tolist() == [sturm_count(d, b, x) for x in points]
-            assert sturm_count(d, b, points.reshape(2, -1)).tolist() == counts.reshape(2, -1).tolist()
+            counts = count_below(d, b * b, points)
+            assert counts.tolist() == [count_below(d, b * b, [x])[0] for x in points]
 
     @pytest.mark.parametrize("scale", [1e5, 0.0])
     @pytest.mark.parametrize("diag", [np.zeros(9), np.array([-0.0, 0.0] * 4 + [-0.0])])
@@ -392,8 +391,8 @@ class TestSturmCount:
         d, b = np.array([2.0, -1.0, 3.0, 0.5]), np.array([1.5, 0.25, 2.0])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             want = count_loop(d, b * b, 2.0)
-        assert sturm_count(d, b, 2.0) == want
-        assert sturm_count(np.zeros(4), b, 0.0) == 2
+        assert count_below(d, b * b, [2.0]).tolist() == [want]
+        assert count_below(np.zeros(4), b * b, [0.0]).tolist() == [2]
         assert sweeps == [False, False]
 
     def test_counts_across_pivot_blocks(self, monkeypatch):
@@ -401,9 +400,9 @@ class TestSturmCount:
         rng = np.random.default_rng(12)
         d, b = random_tridiag(rng, 50)
         points = rng.normal(scale=30, size=64)
-        whole = sturm_count(d, b, points)
+        whole = count_below(d, b * b, points)
         monkeypatch.setattr(tridiag, "_BLOCK_ENTRIES", 7 * 64)
-        assert sturm_count(d, b, points).tolist() == whole.tolist()
+        assert count_below(d, b * b, points).tolist() == whole.tolist()
 
     def test_counts_beyond_one_uint8_block(self):
         # blocks hold at most 255 rows, so a uint8 tally of a block cannot
@@ -413,21 +412,8 @@ class TestSturmCount:
         lo, hi = _gershgorin_bracket(d, b)
         points = np.concatenate([[lo, hi], rng.normal(scale=10, size=6)])
         want = [count_loop(d, b * b, x) for x in points]
-        assert sturm_count(d, b, points).tolist() == want
+        assert count_below(d, b * b, points).tolist() == want
         assert want[:2] == [0, 600]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sturm_count([], [], 0.0)
-
-    @pytest.mark.parametrize("x", [np.nan, np.inf, [0.0, -np.inf]])
-    def test_non_finite_point_rejected(self, x):
-        with pytest.raises(ValueError, match="finite"):
-            sturm_count([0.0, 0.0, 0.0], [1.0, 1.0], x)
-
-    def test_wrong_offdiag_length_rejected(self):
-        with pytest.raises(ValueError):
-            sturm_count([1.0, 2.0], [1.0, 2.0, 3.0], 0.0)
 
 
 class TestValidation:
