@@ -309,13 +309,16 @@ class TestKernelAndDeterminant:
 
 class TestNormGrowth:
     def test_small_sweep(self):
-        # (k, spectral radius, a_{k,1}) for k = 1, 3, 5, and a_{k,1} >= (k-1)/2
-        for k, radius, a1 in ((1, 0.0, 0.0), (3, SQRT6, SQRT6), (5, 6.0, 4.0)):
-            ctx = KContext(k)
-            assert checks.check_norm_bound(ctx).ok
-            assert np.max(np.abs(ctx.eigenvalues)) == pytest.approx(radius, abs=1e-10)
-            assert a_coeff(k, 1).value == pytest.approx(a1, rel=1e-15)
-            assert a_coeff(k, 1).value >= (k - 1) // 2
+        # the spectral radius of each first block, and a_{k,1} >= (k-1)/2
+        ctxs = {k: KContext(k) for k in (1, 3, 5)}
+        radius = {k: float(np.max(np.abs(c.eigenvalues))) for k, c in ctxs.items()}
+        assert all(checks.check_norm_bound(c).ok for c in ctxs.values())
+        assert radius[1] == 0.0 and a_coeff(1, 1).value == 0.0
+        assert radius[3] == pytest.approx(SQRT6, abs=1e-12)
+        assert a_coeff(3, 1).value == pytest.approx(SQRT6, rel=1e-15)
+        assert radius[5] == pytest.approx(6, abs=1e-10)
+        assert a_coeff(5, 1).value == 4.0
+        assert all(a_coeff(k, 1).value >= (k - 1) // 2 for k in ctxs)
 
     def test_bound_predicate(self):
         # a_{5,1} = 4: the spectral radius 6 passes, anything below 4 fails
