@@ -8,12 +8,7 @@ computes exact and numerical spectral data.
 """
 
 from .hermite import clifford_band, omega0, oscillator_band, weight_on_Wl
-from .intertwine import (
-    Intertwiner,
-    dim_invariant_space,
-    hom_space,
-    hom_space_oracle,
-)
+from .intertwine import hom_space, hom_space_oracle
 from .operators import (
     CharPoly,
     DiracMatrix,

@@ -33,7 +33,7 @@ import numpy as np
 
 from .exact import EXACT_BOUND, exact_in_double
 from .hermite import clifford_band, omega0, oscillator_band, weight_on_Wl
-from .intertwine import dim_invariant_space, equivariance_residual, hom_space
+from .intertwine import equivariance_residual, hom_space
 from .operators import (
     FLOAT_TOL,
     KContext,
@@ -110,16 +110,17 @@ def check_ladder_commutator(trunc: int = 20) -> CheckResult:
 def check_grading(trunc: int = 20) -> CheckResult:
     """A single Clifford multiplication moves a degree-l Hermite function
     into degrees l-1 and l+1 only: every nonzero entry of the band of a
-    basis vector joins multi-indices whose degrees differ by one."""
-    ok = True
+    basis vector joins multi-indices whose degrees differ by one.  The
+    residual is the number of nonzero entries that do not, an exact defect
+    count."""
+    wrong = 0
     for n in (1, 2):
         deg = _box_degrees(n, trunc)
         for a in range(2 * n):
             band = clifford_band(tuple(int(a == c) for c in range(2 * n)), range(trunc))
             for o, cols in _columns(band).items():
-                nonzero = band[o] != 0
-                ok = ok and bool(np.all(np.abs(deg[cols - o] - deg[cols])[nonzero] == 1))
-    return CheckResult("clifford-grading", None, ok, 0.0)
+                wrong += np.count_nonzero((band[o] != 0) & (np.abs(deg[cols - o] - deg[cols]) != 1))
+    return CheckResult("clifford-grading", None, wrong == 0, float(wrong))
 
 
 def check_linearity() -> CheckResult:
@@ -195,18 +196,17 @@ def check_hom_oracle(ctx: KContext) -> CheckResult:
     differ, an exact defect count."""
     k = ctx.k
     counts = Counter(ctx.rep.w.tolist())
-    wrong = sum(hom_space(k, l)[0] != counts[weight_on_Wl(l)] for l in range(k + 3))
+    wrong = sum(hom_space(k, l) != counts[weight_on_Wl(l)] for l in range(k + 3))
     return CheckResult("hom-oracle", k, wrong == 0, float(wrong))
 
 
 def check_hom_dim(ctx: KContext) -> CheckResult:
+    """The weight-matching dimensions of l = 0..k+1 add up to (k+1)/2, one
+    generator per basis vector of a block.  The residual is the absolute
+    difference, an exact defect count."""
     k = ctx.k
-    try:
-        ok = dim_invariant_space(k) == (k + 1) ** 2 // 2
-    except AssertionError:
-        ok = False
-    ok = ok and sum(hom_space(k, l)[0] for l in range(k + 1)) == (k + 1) // 2
-    return CheckResult("hom-dim", k, ok, 0.0)
+    wrong = abs(sum(hom_space(k, l) for l in range(k + 2)) - (k + 1) // 2)
+    return CheckResult("hom-dim", k, wrong == 0, float(wrong))
 
 
 def check_equivariance(ctx: KContext) -> CheckResult:
@@ -229,7 +229,7 @@ def check_assembly(ctx: KContext) -> CheckResult:
     :func:`definition_coeffs` of the context's rep.  The residual is the
     float mismatch."""
     coeffs = definition_coeffs(ctx.k, rep=ctx.rep)
-    res = assembly_mismatch_float(ctx.k, coeffs=coeffs, blocks=ctx.blocks)
+    res = assembly_mismatch_float(ctx.k, coeffs, ctx.blocks)
     largest = float(np.max(np.abs(ctx.blocks[0].band[1]), initial=0.0))
     ok = res <= TOL_MATCH * max(1.0, largest) and assembly_matches_exact(ctx.k, coeffs=coeffs)
     return CheckResult("assembly-match", ctx.k, ok, res)
@@ -253,7 +253,7 @@ def check_coincide(ctx: KContext) -> CheckResult:
     largest entrywise deviation between the two bands, and it must be 0."""
     (d0, b0), (d1, b1) = ctx.bands
     res = float(max(np.max(np.abs(d0 - d1)), np.max(np.abs(b0 - b1), initial=0.0)))
-    ok = res == 0.0 and unitary_equivalence_exact(ctx.k, blocks=ctx.blocks)
+    ok = res == 0.0 and unitary_equivalence_exact(ctx.blocks)
     return CheckResult("spectra-coincide", ctx.k, ok, res)
 
 
@@ -323,7 +323,7 @@ def _worst_margin(x, lo, hi) -> float:
     return float(np.max(np.maximum(below, above), initial=0.0))
 
 
-def _exact_tie(ctx: KContext, d, bsq, lo, hi):
+def _exact_tie(ctx: KContext, bsq, lo, hi):
     """Tie the positive brackets [lo, hi] to the exact charpoly p.
 
     Each end is rounded outward to a dyadic of 16 significant bits, which
@@ -344,7 +344,7 @@ def _exact_tie(ctx: KContext, d, bsq, lo, hi):
     for bits in _TIE_BITS:
         left, right = _dyadic(lo[first:], bits, np.floor), _dyadic(hi[first:], bits, np.ceil)
         disjoint = np.all(left[:1] > 0) and np.all(right[:-1] < left[1:])
-        if disjoint and np.array_equal(count_below(d, bsq, np.concatenate([left, right])), want):
+        if disjoint and np.array_equal(count_below(bsq, np.concatenate([left, right])), want):
             break
     else:
         return False, lo, hi
@@ -384,10 +384,10 @@ def _count_certificate(ctx: KContext):
     middle 0 of an odd m needs the absolute term alone; _ZERO_HALF_WIDTH
     is above it and far below every nonzero eigenvalue.
 
-    Builds no charpoly.  Returns (ok, d, bsq, lo, hi), the brackets and
-    the band they were counted on, or None if a square reaches 2**53."""
-    k, x, d = ctx.k, ctx.eigenvalues, ctx.bands[0][0]
-    m = d.shape[0]
+    Builds no charpoly.  Returns (ok, bsq, lo, hi), the brackets and
+    the squares they were counted on, or None if a square reaches 2**53."""
+    k, x = ctx.k, ctx.eigenvalues
+    m = x.shape[0]
     squares = a_squares(k)[1:m]
     if max(squares, default=0) >= 2**53:
         return None
@@ -395,8 +395,8 @@ def _count_certificate(ctx: KContext):
     half = 4 * m * np.finfo(np.float64).eps * np.abs(x) + _ZERO_HALF_WIDTH
     lo, hi = x - half, x + half
     idx = np.arange(m)
-    ok = np.array_equal(count_below(d, bsq, np.concatenate([lo, hi])), np.concatenate([idx, idx + 1]))
-    return ok, d, bsq, lo, hi
+    ok = np.array_equal(count_below(bsq, np.concatenate([lo, hi])), np.concatenate([idx, idx + 1]))
+    return ok, bsq, lo, hi
 
 
 def check_charpoly_eigs(ctx: KContext) -> CheckResult:
@@ -406,9 +406,9 @@ def check_charpoly_eigs(ctx: KContext) -> CheckResult:
     certificate = _count_certificate(ctx)
     if certificate is None:
         return CheckResult("charpoly-eigs", ctx.k, False, np.inf)
-    ok, d, bsq, lo, hi = certificate
+    ok, bsq, lo, hi = certificate
     if ok:
-        ok, lo, hi = _exact_tie(ctx, d, bsq, lo, hi)
+        ok, lo, hi = _exact_tie(ctx, bsq, lo, hi)
     return CheckResult("charpoly-eigs", ctx.k, bool(ok), _worst_margin(ctx.eigenvalues, lo, hi))
 
 

@@ -267,6 +267,11 @@ def main(argv=None) -> int:
     except UserInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
+    except BrokenPipeError:
+        # the reader closed stdout: exit quietly, and let the flush at exit
+        # write what is still buffered to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INTERNAL
     except Exception as e:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL

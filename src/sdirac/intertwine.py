@@ -3,17 +3,19 @@
 A map L sending p_{k,j} to c_j * h_l intertwines the circle actions iff its
 coefficients satisfy the weight-matching condition 2j - k = 2l + 1, which
 pins down a one-dimensional space exactly when k is odd and l <= (k-1)/2.
-Two independent routes are implemented: the weight-matching closed form and
-an oracle that reads the stored weights.  e0 = i W is stored as the
-integer diagonal W, so the equivariance system (e0^T - i w I) c = 0 is
-diagonal and its nullity is the number of entries of W equal to the
+Its canonical generator has the single coefficient 1, at j = (k+1)/2 + l,
+so no generator is stored: :func:`hom_space` returns the dimension and
+:func:`equivariance_residual` reads the support j inline.
+
+Two independent routes give the dimension: the weight-matching closed
+form and an oracle that reads the stored weights.  e0 = i W is stored as
+the integer diagonal W, so the equivariance system (e0^T - i w I) c = 0
+is diagonal and its nullity is the number of entries of W equal to the
 integer weight w of h_l (:func:`sdirac.hermite.weight_on_Wl`): the oracle
 counts them instead of eliminating.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,29 +23,12 @@ from .hermite import weight_on_Wl
 from .su2 import RepMatrices, build_rep
 
 
-@dataclass(frozen=True)
-class Intertwiner:
-    """The canonical circle-equivariant map for (k, l): p_{k,j} maps to h_l
-    with coefficient 1 at j = :attr:`support` and 0 elsewhere.  Weight
-    matching allows no other coefficients, so none are stored."""
-
-    k: int
-    l: int
-
-    @property
-    def support(self) -> int:
-        """Basis index carrying the generator's single nonzero coefficient."""
-        return (self.k + 1) // 2 + self.l
-
-
-def hom_space(k: int, l: int):
-    """Dimension of the equivariant-map space and, when it is nontrivial,
-    its canonical generator (coefficient 1 at index (k+1)/2 + l)."""
+def hom_space(k: int, l: int) -> int:
+    """Dimension of the equivariant-map space: 1 for odd k and
+    l <= (k-1)/2, else 0."""
     if k < 0 or l < 0:
         raise ValueError("k and l must be non-negative")
-    if k % 2 == 0 or l > (k - 1) // 2:
-        return 0, None
-    return 1, Intertwiner(k, l)
+    return int(k % 2 == 1 and l <= (k - 1) // 2)
 
 
 def hom_space_oracle(k: int, l: int, rep: RepMatrices | None = None) -> int:
@@ -74,28 +59,16 @@ def scale_sq_ratio(k: int):
     return m + l, 2 * l * (m - l)
 
 
-def dim_invariant_space(k: int) -> int:
-    """Dimension (k+1)^2/2 of the full invariant block for odd k, zero for
-    even k; cross-checked against the sum of equivariant-map dimensions."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    closed = (k + 1) ** 2 // 2 if k % 2 == 1 else 0
-    summed = (k + 1) * sum(hom_space(k, l)[0] for l in range(k + 2))
-    if summed != closed:
-        raise AssertionError(f"invariant-space dimension mismatch at k={k}")
-    return closed
-
-
 def equivariance_residual(k: int, l: int, rep: RepMatrices | None = None):
-    """Exact residual of the generator under the weight condition:
-    L o e0 - i(2l+1) L.  Returns True iff it is identically zero (the full
-    identity, not just dimension counting).  The generator has one nonzero
-    coefficient, at its support j, and e0 = i W is diagonal, so the
+    """Exact residual of the canonical generator of (k, l) under the weight
+    condition: L o e0 - i(2l+1) L.  Returns True iff it is identically
+    zero (the full identity, not just dimension counting).  The generator
+    sends p_{k,j} to h_l with coefficient 1 at its support
+    j = (k+1)/2 + l and 0 elsewhere, and e0 = i W is diagonal, so the
     residual is i (W[j] - (2l+1)) h_l on p_j and zero on every other basis
     vector; the integers are compared."""
-    dim, gen = hom_space(k, l)
-    if dim == 0 or gen is None:
+    if not hom_space(k, l):
         raise ValueError(f"no generator for (k={k}, l={l})")
     if rep is None:
         rep = build_rep(k)
-    return rep.w.item(gen.support) == weight_on_Wl(l)
+    return rep.w.item((k + 1) // 2 + l) == weight_on_Wl(l)

@@ -108,17 +108,11 @@ class CharPoly:
     """Exact integer characteristic polynomial det(lambda*I - D_k),
     coefficients in ascending degree order, leading coefficient 1."""
 
-    k: int
     coeffs: tuple
 
     @property
     def m(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def signed_det(self) -> int:
-        """det D_k = (-1)^m p(0)."""
-        return self.coeffs[0] if self.m % 2 == 0 else -self.coeffs[0]
 
     def sign_at(self, x: float) -> int:
         """Sign of p(x) at the float x, exactly.  x = n / 2^s is a dyadic
@@ -222,12 +216,10 @@ def assemble_from_definition(k: int, coeffs=None):
     )
 
 
-def assembly_mismatch_float(k: int, coeffs=None, blocks=None) -> float:
+def assembly_mismatch_float(k: int, coeffs, blocks) -> float:
     """Max entrywise deviation between the float first-principles assembly
-    from ``coeffs`` and the closed-form ``blocks`` (each computed when not
-    given), over the bands of both blocks."""
-    if blocks is None:
-        blocks = assemble_closed_form(k)
+    from ``coeffs`` and the closed-form ``blocks``, over the bands of both
+    blocks."""
     return float(
         max(
             np.max(np.abs(defined.band[o] - closed.band[o]), initial=0.0)
@@ -286,7 +278,7 @@ def charpoly_exact(k: int) -> CharPoly:
         q_prev, q_cur = q_cur, [c - s * b for c, b in zip(q_cur if j % 2 else [0] + q_cur, q_prev + [0])]
     coeffs = [0] * (m + 1)
     coeffs[m % 2 :: 2] = q_cur
-    return CharPoly(k, tuple(coeffs))
+    return CharPoly(tuple(coeffs))
 
 
 def signed_det(k: int) -> int:
@@ -294,7 +286,7 @@ def signed_det(k: int) -> int:
     D_0 = 1, D_1 = 0, D_j = -a_{k,j-1}^2 D_(j-2): m - 1 products of a
     Python int by one of a few words, where :func:`charpoly_exact` takes
     about m^2/4 big-integer steps.  Zero whenever m is odd; equal to
-    ``charpoly_exact(k).signed_det``."""
+    (-1)^m p(0) for the charpoly p of :func:`charpoly_exact`."""
     _require_odd(k)
     prev, det = 1, 0
     for s in a_squares(k)[1:-1]:
@@ -348,20 +340,20 @@ def p_operator(k: int) -> tuple:
 
 
 def spectrum(dm: DiracMatrix) -> np.ndarray:
-    """All eigenvalues of a Hermitian tridiagonal block, ascending, by
-    Sturm bisection of the real symmetric band (diagonal, |superdiagonal|),
-    which conjugation by a diagonal unitary makes of the block without
-    moving its eigenvalues."""
+    """All eigenvalues of a Hermitian tridiagonal block with zero diagonal
+    (ValueError otherwise), ascending, by Sturm bisection of the real
+    symmetric band (diagonal, |superdiagonal|), which conjugation by a
+    diagonal unitary makes of the block without moving its eigenvalues."""
     if not all(np.allclose(dm.band[-o], dm.band[o].conj(), rtol=1e-10, atol=1e-12) for o in (0, 1)):
         raise ValueError("matrix is not Hermitian")
     return eigvalsh_tridiagonal(dm.band[0].real, np.abs(dm.band[1]))
 
 
-def unitary_equivalence_exact(k: int, blocks=None) -> bool:
-    """Entrywise check that conjugating the first closed-form block by
-    diag(i^l) yields the second block exactly (hence equal spectra);
-    ``blocks`` are assembled when not given."""
-    d, dt = assemble_closed_form(k) if blocks is None else blocks
+def unitary_equivalence_exact(blocks) -> bool:
+    """Entrywise check that conjugating the first closed-form block of
+    ``blocks`` by diag(i^l) yields the second exactly (hence equal
+    spectra)."""
+    d, dt = blocks
     u = np.array([_I_POW[l % 4] for l in range(d.m)])
     uc = u.conj()
     conj = {-1: u[1:] * d.band[-1] * uc[:-1], 0: u * d.band[0] * uc, 1: u[:-1] * d.band[1] * uc[1:]}

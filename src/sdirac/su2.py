@@ -115,13 +115,13 @@ def bracket_defect(rep: RepMatrices, dtype=np.int64):
     return max((np.max(np.abs(d)) for band in defects for d in band.values() if d.size), default=0)
 
 
-def check_bracket(rep: RepMatrices, mode: str = "exact", tol: float = 1e-13) -> bool:
+def check_bracket(rep: RepMatrices, mode: str = "exact") -> bool:
     """True iff [e0,e1] = 2 e2, [e0,e2] = -2 e1, [e1,e2] = 2 e0: the int64
     :func:`bracket_defect` is 0 (exact mode) or its float64 value is at
-    most ``tol`` (float mode, kept because the benchmark under ``bench/``
+    most 1e-13 (float mode, kept because the benchmark under ``bench/``
     times both)."""
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact":
         return bracket_defect(rep) == 0
-    return bracket_defect(rep, np.float64) <= tol
+    return bracket_defect(rep, np.float64) <= 1e-13

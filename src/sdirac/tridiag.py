@@ -1,4 +1,5 @@
-"""Eigenvalues of real symmetric tridiagonal matrices by Sturm bisection.
+"""Eigenvalues of real symmetric tridiagonal matrices with zero diagonal,
+by Sturm bisection.
 
 This is the one numerically hot loop in the package.  ``_bisect`` is a
 pure-numpy kernel vectorized over eigenvalue indices: each eigenvalue is
@@ -40,20 +41,19 @@ walk goes (see ``_bisect``).  The result depends neither on which indices
 are requested, nor on how many levels a pass resolves, nor on the seeds.
 
 A pass sweeps the rows in cache-sized blocks of one scratch buffer per
-solve and tallies each block's negative pivots as uint8 sums.  On a zero
-diagonal every row starts from one 0.0 - mid array, not an outer product
-with the diagonal.  The first row's zero pivots are floored before the
-sweep, and a pass is redone with the zero-pivot floor only when it meets a
-later pivot that is exactly zero.  ``count_below`` runs the same pass once
-over any set of points; the ``charpoly-eigs`` certificate is one such
-pass.
+solve and tallies each block's negative pivots as uint8 sums.  The
+diagonal is zero, so every row starts from one 0.0 - mid array.  The first
+row's zero pivots are floored before the sweep, and a pass is redone with
+the zero-pivot floor only when it meets a later pivot that is exactly
+zero.  ``count_below`` runs the same pass once over any set of points; the
+``charpoly-eigs`` certificate is one such pass.
 
-A tridiagonal matrix with zero diagonal, which every phase-stripped Dirac
-block is, is similar to its own negative (Golub & Kahan, 1965): its
-spectrum is +-sigma, plus an exact 0 when the size is odd.
-``eigvalsh_tridiagonal`` observes that property of its input, bisects only
-the upper half of the indices and mirrors it, so such spectra are exactly
-antisymmetric and their middle eigenvalue is exactly 0.
+Every phase-stripped Dirac block has zero diagonal (``charpoly-parity``
+checks it), so it is a permuted Golub-Kahan form, similar to its own
+negative (Golub & Kahan, 1965): its spectrum is +-sigma, plus an exact 0
+when the size is odd.  ``eigvalsh_tridiagonal`` takes only such matrices:
+it bisects the upper half of the indices and mirrors it, so the spectrum
+is exactly antisymmetric and its middle eigenvalue is exactly 0.
 """
 
 from __future__ import annotations
@@ -85,11 +85,10 @@ _SEED_MAX_M = 200
 _SEED_LEVELS = 64
 
 
-def _sturm_counts(d, bsq, mid, q, rows, careful):
+def _sturm_counts(bsq, mid, q, rows, careful):
     """Number of negative pivots of the Sturm recurrence
-    q[i] = (d[i] - mid) - bsq[i-1] / q[i-1], one lane per entry of mid:
-    the number of eigenvalues below each mid.  ``d`` is None for a zero
-    diagonal: every row then starts from the one array 0.0 - mid.  ``bsq``
+    q[i] = (0.0 - mid) - bsq[i-1] / q[i-1] of a zero diagonal, one lane
+    per entry of mid: the number of eigenvalues below each mid.  ``bsq``
     lists 0-d float64 arrays, which a ufunc takes faster than floats.
 
     The rows are swept in blocks of q's height, at most 255 rows, so each
@@ -98,30 +97,26 @@ def _sturm_counts(d, bsq, mid, q, rows, careful):
     front.  With ``careful`` every exactly-zero pivot is, before it
     divides.  Without, the sweep returns None at the first block holding
     a zero pivot, whose quotient is inf or nan.  A zero of either sign
-    counts as nonnegative, so the floor changes no tally and a zero
-    diagonal's 0.0 - mid gives the counts of d[i] - mid bit for bit."""
+    counts as nonnegative, so the floor changes no tally and 0.0 - mid
+    gives the counts of (+-0.0) - mid bit for bit."""
     m, height = len(bsq) + 1, q.shape[0]
     r = np.empty(q.shape[1])
     carry = np.empty(q.shape[1])
     flags = np.empty(q.shape, dtype=bool)
     counts = np.zeros(q.shape[1], dtype=np.intp)
-    base = None if d is not None else 0.0 - mid
+    base = 0.0 - mid
     for start in range(0, m, height):
         size = min(height, m - start)
-        if base is None:
-            np.subtract.outer(d[start : start + size], mid, out=q[:size])
-        elif start == 0:
-            np.copyto(rows[0], base)
         if start == 0:
-            np.copyto(rows[0], _PIVOT_FLOOR, where=rows[0] == 0.0)
+            np.copyto(rows[0], np.where(base == 0.0, _PIVOT_FLOOR, base))
             prev, todo, coeffs = rows[0], rows[1:size], bsq
         else:
             prev, todo, coeffs = carry, rows[:size], bsq[start - 1 : start - 1 + size]
-        for b, row, head in zip(coeffs, todo, todo if base is None else [base] * len(todo)):
+        for b, row in zip(coeffs, todo):
             if careful:
                 np.copyto(prev, _PIVOT_FLOOR, where=prev == 0.0)
             np.divide(b, prev, r)
-            np.subtract(head, r, row)
+            np.subtract(base, r, row)
             prev = row
         divisors = min(size, m - 1 - start)
         if not careful and np.equal(q[:divisors], 0.0, out=flags[:divisors]).any():
@@ -147,12 +142,12 @@ def _pivot_rows(m: int, points: int, buf=None):
     return q, list(q)
 
 
-def _count_pass(d, bsq, mid, q, rows):
+def _count_pass(bsq, mid, q, rows):
     """Eigenvalues below each mid.  A zero pivot past the first row is
     rare; only then is the pass redone with the floor.  Callers silence
     the floating-point warnings of inf and nan pivots."""
-    counts = _sturm_counts(d, bsq, mid, q, rows, careful=False)
-    return _sturm_counts(d, bsq, mid, q, rows, careful=True) if counts is None else counts
+    counts = _sturm_counts(bsq, mid, q, rows, careful=False)
+    return _sturm_counts(bsq, mid, q, rows, careful=True) if counts is None else counts
 
 
 def _pass_depth(lanes: int) -> int:
@@ -162,7 +157,7 @@ def _pass_depth(lanes: int) -> int:
     return max(1, (_PASS_POINTS // max(lanes, 1) + 1).bit_length() - 1)
 
 
-def _seeded_pass(d, bsq, lo, hi, idx, seeds, buf):
+def _seeded_pass(bsq, lo, hi, idx, seeds, buf):
     """The brackets [lo, hi] of the lanes ``idx`` after the first pass of
     a seeded solve.  The pass counts the midpoints of every lane's
     plain-bisection path toward its seed, which predicts the decision
@@ -186,7 +181,7 @@ def _seeded_pass(d, bsq, lo, hi, idx, seeds, buf):
         return los[0], his[0]
     tree = tree[:levels]
     q, rows = _pivot_rows(len(bsq) + 1, tree.size, buf)
-    taken = _count_pass(d, bsq, tree.ravel(), q, rows).reshape(tree.shape) <= idx
+    taken = _count_pass(bsq, tree.ravel(), q, rows).reshape(tree.shape) <= idx
     miss = taken != ups[:levels]
     miss[-1] = True
     j, lanes = miss.argmax(axis=0), np.arange(idx.shape[0])
@@ -194,13 +189,13 @@ def _seeded_pass(d, bsq, lo, hi, idx, seeds, buf):
     return np.where(up, mid, los[j, lanes]), np.where(up, his[j, lanes], mid)
 
 
-def _bisect(d, bsq, lo0, hi0, idx, seeds=None):
+def _bisect(bsq, r, idx, seeds=None):
     """Eigenvalues with the ascending indices ``idx``, one bisection lane
-    each, all starting from the bracket [lo0, hi0].  A lane stops when its
-    midpoint equals an end of its bracket.  Every halving that does not
-    stop keeps a strict subset of the floats, and a finite bracket below
-    2**1024 collapses to adjacent floats within about 2,100 halvings, so
-    no iteration cap is needed.
+    each, all starting from the Gershgorin bracket [-r, r].  A lane stops
+    when its midpoint equals an end of its bracket.  Every halving that
+    does not stop keeps a strict subset of the floats, and a finite
+    bracket below 2**1024 collapses to adjacent floats within about 2,100
+    halvings, so no iteration cap is needed.
 
     Each pass counts at the midpoints of the next ``depth`` levels of
     every lane's bisection tree, then walks those levels with the decision
@@ -219,22 +214,21 @@ def _bisect(d, bsq, lo0, hi0, idx, seeds=None):
     predicted path.  They only choose the points it counts, and every
     bracket move still comes from a count at a midpoint of plain
     bisection, so the result does not depend on them."""
-    m, n = d.shape[0], idx.shape[0]
+    m, n = len(bsq) + 1, idx.shape[0]
     depth = _pass_depth(n)
     width = ((1 << depth) - 1) * max(n, 1)
     # the seeded pass sweeps in blocks of this buffer too: up to
     # _SEED_MAX_M rows it holds at least _SEED_LEVELS * n pivots
     buf = np.empty(_pivot_height(m, width) * width)
     wide = _pivot_rows(m, width, buf)
-    diag = d if d.any() else None
     bsq = list(map(np.asarray, bsq))
-    lo, hi, lanes = np.full(n, lo0), np.full(n, hi0), np.arange(n)
+    lo, hi, lanes = np.full(n, -r), np.full(n, r), np.arange(n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if seeds is None:
             trees, cols, levels = 1, np.zeros(n, dtype=np.intp), (width + 1).bit_length() - 1
             q, rows = _pivot_rows(m, (1 << levels) - 1, buf)
         else:
-            lo, hi = _seeded_pass(diag, bsq, lo, hi, idx, seeds, buf)
+            lo, hi = _seeded_pass(bsq, lo, hi, idx, seeds, buf)
             trees, cols, levels, (q, rows) = n, lanes, depth, wide
         while True:
             los, his, mids = [lo[None, :trees]], [hi[None, :trees]], []
@@ -247,7 +241,7 @@ def _bisect(d, bsq, lo0, hi0, idx, seeds=None):
             if not ((mids[0] != los[0]) & (mids[0] != his[0])).any():
                 break
             tree = np.concatenate(mids)
-            counts = _count_pass(diag, bsq, tree.ravel(), q, rows).reshape(tree.shape)
+            counts = _count_pass(bsq, tree.ravel(), q, rows).reshape(tree.shape)
             node = np.zeros(n, dtype=np.intp)
             for j in range(levels):
                 node += (counts[(1 << j) - 1 + node, cols] <= idx) << j
@@ -258,30 +252,24 @@ def _bisect(d, bsq, lo0, hi0, idx, seeds=None):
     return 0.5 * (lo + hi)
 
 
-def _gershgorin_bracket(d, b) -> tuple[float, float]:
-    """Interval [lo, hi] holding every eigenvalue (Gershgorin discs).
-    Raises ValueError unless twice its larger end is finite, which keeps
-    every bisection midpoint 0.5 * (lo + hi) inside it finite."""
-    radius = np.zeros(d.shape[0])
+def _gershgorin_radius(b) -> float:
+    """Radius r of the Gershgorin interval [-r, r] of a zero diagonal,
+    which holds every eigenvalue: the largest sum of the two off-diagonal
+    moduli of a row.  Every bisection midpoint 0.5 * (lo + hi) inside it
+    is finite: ``_as_tridiagonal`` keeps each b * b finite, so
+    |b| < 1.35e154 and 2r < 5.4e154."""
     ab = np.abs(b)
-    radius[:-1] += ab
-    radius[1:] += ab
-    with np.errstate(over="ignore"):
-        lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
-        if not np.isfinite(2 * max(-lo, hi)):
-            raise ValueError("the Gershgorin bracket of the matrix must stay below half the float64 maximum")
-    return lo, hi
+    return float(np.max(np.append(ab, 0.0) + np.append(0.0, ab)))
 
 
-def _seeds(d, b, idx):
+def _seeds(b, idx):
     """Approximate eigenvalues with the indices ``idx``, from LAPACK on
     the matrix written out dense in one float64 array, or None when m
     exceeds _SEED_MAX_M or LAPACK does not converge."""
-    m = d.shape[0]
+    m = b.shape[0] + 1
     if m > _SEED_MAX_M:
         return None
     dense = np.zeros((m, m))
-    dense.flat[:: m + 1] = d
     dense.flat[1 :: m + 1] = b
     dense.flat[m :: m + 1] = b
     with np.errstate(all="ignore"):
@@ -292,52 +280,50 @@ def _seeds(d, b, idx):
 
 
 def _as_tridiagonal(diag, offdiag):
-    """Float64 copies of a diagonal and off-diagonal, validated as one
-    tridiagonal matrix, and the squared off-diagonal: both one-dimensional,
-    offdiag one shorter, every entry and every square finite."""
-    d = np.ascontiguousarray(diag, dtype=np.float64)
+    """The size m, float64 off-diagonal and squared off-diagonal of a
+    zero-diagonal tridiagonal matrix, validated: both arrays
+    one-dimensional, offdiag one shorter, every diagonal entry +-0.0 and
+    every off-diagonal entry and square finite."""
+    d = np.asarray(diag, dtype=np.float64)
     b = np.ascontiguousarray(offdiag, dtype=np.float64)
     if d.ndim != 1 or b.ndim != 1:
         raise ValueError("diag and offdiag must be one-dimensional")
     m = d.shape[0]
     if b.shape[0] != max(m - 1, 0):
         raise ValueError(f"offdiag must have length {max(m - 1, 0)}, got {b.shape[0]}")
-    if not np.isfinite(d).all():
-        raise ValueError("diag must be finite")
+    if not np.all(d == 0.0):
+        raise ValueError("diag must be zero: the solver takes only zero-diagonal matrices")
     with np.errstate(over="ignore"):
         bsq = b * b
     if not np.isfinite(bsq).all():
         raise ValueError("offdiag must be finite, with squares below the float64 maximum")
-    return d, b, bsq
+    return m, b, bsq
 
 
-def count_below(d, bsq, points) -> np.ndarray:
+def count_below(bsq, points) -> np.ndarray:
     """Number of eigenvalues strictly below each of ``points``, for the
-    float64 diagonal ``d`` and squared off-diagonal ``bsq``, in one
+    zero diagonal and the float64 squared off-diagonal ``bsq``, in one
     vectorized Sturm pass over all the points."""
     points = np.ascontiguousarray(points, dtype=np.float64)
-    q, rows = _pivot_rows(d.shape[0], points.shape[0])
     bsq = list(map(np.asarray, np.asarray(bsq, dtype=np.float64)))
+    q, rows = _pivot_rows(len(bsq) + 1, points.shape[0])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _count_pass(d if d.any() else None, bsq, points, q, rows)
+        return _count_pass(bsq, points, q, rows)
 
 
 def eigvalsh_tridiagonal(diag, offdiag) -> np.ndarray:
     """All eigenvalues, ascending, of the real symmetric tridiagonal matrix
-    with the given diagonal and off-diagonal.
+    with the given off-diagonal and a diagonal that must be zero (ValueError
+    otherwise, nan and inf included).
 
-    If the diagonal is identically zero, only the upper half of the
-    spectrum is bisected; the lower half is its exact mirror and, for odd
-    size, the middle eigenvalue is exactly 0.  Up to _SEED_MAX_M rows the
-    first bisection pass is seeded from LAPACK, with the same result.
+    Only the upper half of the spectrum is bisected; the lower half is its
+    exact mirror and, for odd size, the middle eigenvalue is exactly 0.  Up
+    to _SEED_MAX_M rows the first bisection pass is seeded from LAPACK,
+    with the same result.
     """
-    d, b, bsq = _as_tridiagonal(diag, offdiag)
-    m = d.shape[0]
+    m, b, bsq = _as_tridiagonal(diag, offdiag)
     if m == 0:
         return np.empty(0)
-    lo0, hi0 = _gershgorin_bracket(d, b)
-    idx = np.arange(m) if d.any() else np.arange(m - m // 2, m)
-    eigs = _bisect(d, bsq, lo0, hi0, idx, _seeds(d, b, idx))
-    if d.any():
-        return eigs
+    idx = np.arange(m - m // 2, m)
+    eigs = _bisect(bsq, _gershgorin_radius(b), idx, _seeds(b, idx))
     return np.concatenate([-eigs[::-1], np.zeros(m % 2), eigs])

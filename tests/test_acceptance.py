@@ -12,13 +12,14 @@ import pytest
 
 from sdirac.cli import main
 from sdirac.checks import check_grading, check_ladder_commutator, check_linearity, check_oscillator
-from sdirac.intertwine import dim_invariant_space, hom_space, hom_space_oracle
+from sdirac.intertwine import hom_space, hom_space_oracle
 from sdirac.operators import (
     a_coeff,
     assemble_closed_form,
     assembly_matches_exact,
     assembly_mismatch_float,
     charpoly_exact,
+    definition_coeffs,
     p_diag_closed,
     spectrum,
 )
@@ -34,7 +35,7 @@ def test_criterion_1_assembly_equivalence():
     worst = 0.0
     for k in range(1, 32, 2):
         assert assembly_matches_exact(k), f"exact assembly equivalence failed at k={k}"
-        dev = assembly_mismatch_float(k)
+        dev = assembly_mismatch_float(k, definition_coeffs(k), assemble_closed_form(k))
         worst = max(worst, dev)
         assert dev <= 1e-12, f"float assembly deviation {dev} at k={k}"
     elapsed = time.perf_counter() - t0
@@ -104,9 +105,10 @@ def test_criterion_6_hom_space_oracle():
     for k in range(22):
         rep = build_rep(k)
         for l in range(k + 3):
-            assert hom_space(k, l)[0] == hom_space_oracle(k, l, rep=rep), (k, l)
+            assert hom_space(k, l) == hom_space_oracle(k, l, rep=rep), (k, l)
+        # the invariant block of V_k (x) W has dimension (k+1)^2/2 for odd k
         expected = (k + 1) ** 2 // 2 if k % 2 == 1 else 0
-        assert dim_invariant_space(k) == expected, k
+        assert (k + 1) * sum(hom_space(k, l) for l in range(k + 2)) == expected, k
     _report(6, "hom-space-oracle")
 
 

@@ -288,7 +288,7 @@ class TestVerifyCommand:
         if route == "float":
             monkeypatch.setattr(checks, "assembly_matches_exact", lambda k, coeffs=None: True)
         elif route == "exact":
-            monkeypatch.setattr(checks, "assembly_mismatch_float", lambda k, coeffs=None, blocks=None: 0.0)
+            monkeypatch.setattr(checks, "assembly_mismatch_float", lambda k, coeffs, blocks: 0.0)
         code = main(["verify", "-k", str(k), "--check", "assembly-match"])
         return code == 0 and capsys.readouterr().out.startswith(f"PASS assembly-match k={k} ")
 
@@ -442,6 +442,20 @@ class TestOutputFile:
         code = main(["spectrum", "-k", "1", "--out", "/nonexistent-dir/x.json"])
         assert code == 1
         assert "internal error" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_1_quietly():
+    # `sdirac spectrum -k 1..195 | head -c 10`: the 417 KB of output
+    # outgrow the pipe's buffer, so a write meets the closed pipe, and the
+    # command exits 1 (I/O failure) with nothing on stderr
+    argv = [sys.executable, "-m", "sdirac.cli", "spectrum", "-k", "1..195", "--jobs", "1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10) == b'[\n{"k": 1,'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 1
+    assert "internal error" not in err and "Exception ignored" not in err
 
 
 def test_import_loads_no_exact_fraction_or_pool_modules():

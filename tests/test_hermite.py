@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sdirac import checks, hermite, operators
+from sdirac.cli import main
 from sdirac.exact import EXACT_BOUND, exact_in_double
 from sdirac.hermite import clifford_band, ladder, omega0, oscillator_band, weight_on_Wl
 from sdirac.operators import KContext
@@ -149,7 +150,7 @@ class TestOneLadder:
         if route == "float":
             monkeypatch.setattr(checks, "assembly_matches_exact", lambda k, coeffs=None: True)
         elif route == "exact":
-            monkeypatch.setattr(checks, "assembly_mismatch_float", lambda k, coeffs=None, blocks=None: 0.0)
+            monkeypatch.setattr(checks, "assembly_mismatch_float", lambda k, coeffs, blocks: 0.0)
         assert not checks.check_assembly(KContext(5)).ok
 
     def test_broken_ladder_has_a_residual(self, wrong_raising):
@@ -184,6 +185,20 @@ class TestOneLadder:
         monkeypatch.setattr(checks, "clifford_band", wrapped)
         assert checks.check_ladder_commutator().ok
         assert not checks.check_grading().ok
+
+    def test_diagonal_entry_fails_grading_with_a_residual(self, monkeypatch, capsys):
+        # each of the six bands of a basis vector (two for n = 1, four for
+        # n = 2) gains one diagonal entry, which joins a multi-index to
+        # itself: six entries whose degrees differ by 0, not 1
+        def with_diagonal(x, levels):
+            band = clifford_band(x, levels)
+            band[0] = np.zeros(len(levels) ** (len(x) // 2), dtype=complex)
+            band[0][0] = 1
+            return band
+
+        monkeypatch.setattr(checks, "clifford_band", with_diagonal)
+        assert main(["verify", "-k", "1", "--check", "clifford-grading"]) == 3
+        assert capsys.readouterr().out == "FAIL clifford-grading k=* residual=6.000e+00\n"
 
 
 class TestLadderProperties:

@@ -6,16 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from sdirac import checks
 from sdirac.checks import check_equivariance, check_hom_oracle
+from sdirac.cli import main
 from sdirac.hermite import weight_on_Wl
-from sdirac.intertwine import (
-    Intertwiner,
-    dim_invariant_space,
-    equivariance_residual,
-    hom_space,
-    hom_space_oracle,
-    scale_sq_ratio,
-)
+from sdirac.intertwine import equivariance_residual, hom_space, hom_space_oracle, scale_sq_ratio
 from sdirac.operators import KContext
 from sdirac.su2 import build_rep
 
@@ -49,16 +44,17 @@ def with_wrong_weight(k: int, j: int):
 
 class TestHomSpace:
     def test_k3_l0_generator(self):
-        dim, gen = hom_space(3, 0)
-        assert dim == 1
-        assert gen == Intertwiner(3, 0)
-        assert gen.support == 2  # p_{3,2} -> h_0
+        # the generator's support (k+1)/2 + l = 2: p_{3,2} -> h_0, whose
+        # weight 2 * 2 - 3 is that of h_0
+        assert hom_space(3, 0) == 1
+        assert build_rep(3).w[2] == weight_on_Wl(0) == 1
+        assert equivariance_residual(3, 0)
 
     def test_even_k_trivial(self):
-        assert hom_space(2, 0) == (0, None)
+        assert hom_space(2, 0) == 0
 
     def test_l_out_of_window(self):
-        assert hom_space(3, 2) == (0, None)
+        assert hom_space(3, 2) == 0
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -77,7 +73,7 @@ class TestOracle:
     def test_matches_weight_matching_small_range(self):
         for k in range(10):
             for l in range(k + 3):
-                assert hom_space(k, l)[0] == hom_space_oracle(k, l), (k, l)
+                assert hom_space(k, l) == hom_space_oracle(k, l), (k, l)
 
     def test_matches_dense_elimination(self):
         # the nullity of the dense (e0^T - i w I), by elimination, for odd
@@ -136,11 +132,20 @@ class TestNormalize:
 class TestDimensions:
     @pytest.mark.parametrize("k,expected", [(3, 8), (1, 2), (2, 0), (9, 50)])
     def test_examples(self, k, expected):
-        assert dim_invariant_space(k) == expected
+        # the invariant block of V_k (x) W: k + 1 copies of each line h_l
+        # with a nonzero equivariant map
+        assert (k + 1) * sum(hom_space(k, l) for l in range(k + 2)) == expected
 
     def test_basis_count_for_odd_k(self):
         for k in range(1, 22, 2):
-            assert sum(hom_space(k, l)[0] for l in range(k + 1)) == (k + 1) // 2
+            assert sum(hom_space(k, l) for l in range(k + 1)) == (k + 1) // 2
+
+    def test_extra_dimension_fails_hom_dim_with_a_residual(self, monkeypatch, capsys):
+        # one l past the window, l = k + 1, gains a map: one dimension too
+        # many, an exact defect of 1
+        monkeypatch.setattr(checks, "hom_space", lambda k, l: hom_space(k, l) + (l == k + 1))
+        assert main(["verify", "-k", "7", "--check", "hom-dim"]) == 3
+        assert capsys.readouterr().out == "FAIL hom-dim k=7 residual=1.000e+00\n"
 
 
 class TestEquivariance:

@@ -1,5 +1,5 @@
 """Every function and method of ``src/sdirac`` is reached by a command, and
-the README's library example runs.
+the README's command-line and library examples run.
 
 The commands are traced with ``sys.settrace`` for call events only; a
 function counts as reached when a frame of its code object is entered.  A
@@ -10,6 +10,7 @@ import ast
 import contextlib
 import io
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -34,7 +35,6 @@ UNREACHED = {
     "su2.RepMatrices.as_arrays": "timed by bench/layers.py",
     "su2.check_bracket": "timed by bench/layers.py in both modes",
     "intertwine.hom_space_oracle": "timed by bench/layers.py",
-    "operators.CharPoly.signed_det": "the reference tests compare operators.signed_det with",
 }
 
 
@@ -96,3 +96,18 @@ def test_readme_library_example_runs():
     block = re.search(r"## Library\n+```python\n(.*?)```", text, re.DOTALL)
     assert block is not None
     exec(compile(block.group(1), str(README), "exec"), {})
+
+
+def test_readme_command_line_block_runs(capsys):
+    # each `sdirac ...` line of the fenced block under "## Command line",
+    # run through cli.main; the charpoly line prints what its comment says
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n+```sh\n(.*?)```", text, re.DOTALL)
+    assert block is not None
+    outputs = {}
+    for line in block.group(1).splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "sdirac", line
+        assert cli.main(argv[1:]) == 0, line
+        outputs[" ".join(argv[1:])] = capsys.readouterr().out
+    assert outputs["charpoly -k 5"] == "[0, -36, 0, 1]\n"

@@ -80,7 +80,7 @@ class TestBrackets:
         for k in range(32):
             rep = build_rep(k)
             assert check_bracket(rep, mode="exact"), k
-            assert check_bracket(rep, mode="float", tol=1e-13), k
+            assert check_bracket(rep, mode="float"), k
 
     def test_detects_broken_rep(self):
         rep = build_rep(1)
