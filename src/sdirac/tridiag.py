@@ -5,55 +5,51 @@ This is the one numerically hot loop in the package.  ``_bisect`` is a
 pure-numpy kernel vectorized over eigenvalue indices: each eigenvalue is
 bracketed from the global Gershgorin interval by counting, via the Sturm
 pivot recurrence, how many eigenvalues lie below the midpoint, and halving
-until the bracket collapses to adjacent floats (well past 1e-13 relative
-accuracy).  A pass is m sequential row steps of a few numpy calls, so at
-the sizes of the Dirac blocks it costs about the same whatever its width.
-Each pass therefore counts at the midpoints of the next few levels of every
-lane's bisection tree (multisection; Demmel, Dhillon & Ren, 1995), as many
-levels as fit _PASS_POINTS midpoints, and then walks those levels with the
-decision of plain bisection.  Every lane starts from the same bracket, so
-the first pass counts one tree, shared by all lanes and as deep as the
-width of the later passes allows.  Large blocks have many lanes and
-resolve one level a pass after it.
+until the bracket collapses to adjacent floats.  A pass is m sequential
+row steps of a few numpy calls, so it counts at the midpoints of the next
+few levels of the bisection tree of every lane still open (multisection;
+Demmel, Dhillon & Ren, 1995) and walks them with plain bisection's
+decisions.
 
-Up to _SEED_MAX_M rows the first pass is seeded instead:
-``eigvalsh_tridiagonal`` takes approximate eigenvalues from LAPACK
-(``np.linalg.eigvalsh`` of the matrix written out dense, one transient
-float64 m x m array), and one pass counts, for every lane, the whole
-plain-bisection path from the Gershgorin bracket toward its seed, up to
-_SEED_LEVELS levels.  Each lane keeps the levels whose counts agree with
-the path, and the first level where they disagree, decided by its own
-count; the multisection passes finish from there.  A seed only chooses
-where that pass counts, so a wrong or missing one costs passes, never
-bits.  Larger blocks keep the unseeded first pass: their passes are bound
-more by their points than by numpy's call overhead, and LAPACK's time and
-memory grow as m^3 and m^2.
+A seeded solve first runs ``_seeded_pass``, which counts only the levels
+of each lane's path that its seed s leaves open: the path plain bisection
+takes toward s is followed uncounted while its midpoints lie outside
+(s - w, s + w), and one pass counts at the bracket [lo, hi] where that
+stops, at 0.0 and at the rest of the path.  If count(lo) <= index <
+count(hi), every uncounted decision is the predicted one, because the
+counts are monotone.  A caller's seeds (the Dirac blocks past
+_SEED_MAX_M rows pass the quantiles of their limiting law) are refined by
+Newton steps; without them LAPACK seeds blocks of up to _SEED_MAX_M rows.
 
-The eigenvalues are bit-identical to plain bisection, one level a pass.
-Each tree midpoint is formed as 0.5 * (lo + hi) from the bracket plain
-bisection would hold at that node, the walk takes the same decisions, and
-a count in one lane does not depend on the other lanes in its pass: every
-lane performs the same IEEE operations whichever other points are counted
-with it.  So every count that moves a bracket is taken at exactly the
-point plain bisection evaluates, and no monotonicity of the counts is
-assumed.  Once a lane stops, its midpoint is its result, whichever way the
-walk goes (see ``_bisect``).  The result depends neither on which indices
+Monotone counts (Kahan, 1966; Demmel, Dhillon & Ren, 1995): for x < y,
+count(x) <= count(y) when |x| >= 2**-943.  IEEE operations are monotone,
+so by induction over the rows (negatives so far, pivot) at x precedes that
+at y in the order fewer negatives first, then larger pivot first: a pivot
+(0.0 - x) - b^2 / q falls with x and rises with q on each side of 0.  The
+floor of a zero pivot to +_PIVOT_FLOOR breaks that order only if the pivot
+at x lies strictly between 0 and the floor while the one at y is 0, and a
+nonzero pivot below 2**-996 needs |x| < 2**-943: otherwise 0.0 - x and
+b^2 / q are far apart or both multiples of 2**-996.  So implied decisions
+use bounds at least _MONOTONE_MIN from 0, and 0.0, the first midpoint of
+every path, is counted.
+
+The eigenvalues are bit-identical to plain bisection, one level a pass:
+every midpoint is 0.5 * (lo + hi) of the bracket plain bisection holds
+there, every decision is plain bisection's, counted at that point or
+implied by a monotone count, and a count in one lane does not depend on
+the other lanes in its pass.  The result depends neither on which indices
 are requested, nor on how many levels a pass resolves, nor on the seeds.
 
-A pass sweeps the rows in cache-sized blocks of one scratch buffer per
-solve and tallies each block's negative pivots as uint8 sums.  The
-diagonal is zero, so every row starts from one 0.0 - mid array.  The first
-row's zero pivots are floored before the sweep, and a pass is redone with
-the zero-pivot floor only when it meets a later pivot that is exactly
-zero.  ``count_below`` runs the same pass once over any set of points; the
-``charpoly-eigs`` certificate is one such pass.
+A pass takes its shifts 0.0 - point, counts, pivot block and flags from
+one scratch buffer per solve, sweeps the rows in blocks and tallies each
+block's negative pivots as uint8 sums.  The first row's zero pivots are
+floored before the sweep; a pass is redone with the floor only when it
+meets a later zero pivot.  ``count_below`` runs one such pass.
 
-Every phase-stripped Dirac block has zero diagonal (``charpoly-parity``
-checks it), so it is a permuted Golub-Kahan form, similar to its own
-negative (Golub & Kahan, 1965): its spectrum is +-sigma, plus an exact 0
-when the size is odd.  ``eigvalsh_tridiagonal`` takes only such matrices:
-it bisects the upper half of the indices and mirrors it, so the spectrum
-is exactly antisymmetric and its middle eigenvalue is exactly 0.
+Every phase-stripped Dirac block has zero diagonal, so it is similar to
+its own negative (Golub & Kahan, 1965): ``eigvalsh_tridiagonal`` bisects
+the upper half of the indices and mirrors it, so the spectrum is exactly
+antisymmetric and the middle eigenvalue of an odd size exactly 0.
 """
 
 from __future__ import annotations
@@ -67,7 +63,7 @@ _PIVOT_FLOOR = 1e-300
 # Float64 pivots one bisection pass holds at once.  Larger problems sweep
 # their rows in blocks of this many entries, which keeps the block in cache
 # and the scratch memory small.
-_BLOCK_ENTRIES = 1 << 16
+_BLOCK_ENTRIES = 1 << 15
 
 # Midpoints one bisection pass counts at, at most, across all its lanes.  At
 # this width a pass costs about as much as a one-point pass, so a pass over
@@ -80,50 +76,70 @@ _PASS_POINTS = 512
 # within 0.32 MB.  CHANGES.md records the measured crossover.
 _SEED_MAX_M = 200
 
-# Levels of each lane's predicted path the seeded first pass counts, at
-# most; the paths of the Dirac blocks it seeds (k <= 399) stop within 62.
-_SEED_LEVELS = 64
+# Newton steps that refine a caller's seeds.
+_NEWTON_STEPS = 2
+
+# Half-width of the interval around a seed whose midpoints the seeded pass
+# counts: _SEED_ULPS ulps of the seed, plus _RADIUS_ULPS ulps of the
+# Gershgorin radius r for the seed's absolute rounding error, plus the
+# error estimate of the last Newton step.  LAPACK's seeds err by up to 38
+# ulps of r on the Dirac blocks of k <= 399, yet with 8 none of their lanes
+# fails its bounds; two Newton steps end within 1 ulp of r at k = 401,
+# 601, 993, 1999, 2991, 3999 and 7999.
+_SEED_ULPS = 32
+_RADIUS_ULPS = 8
+
+# Float64 entries a lane, at least, in a seeded solve's scratch buffer:
+# room for the seeded pass's points (11 to 16 a lane on the Dirac blocks),
+# their counts and one pivot row (see _pass_space).  A longer path is cut
+# where the room ends.  A larger buffer, with more rows a block, saves
+# about a tenth of the solve at k = 2991 but raises its peak memory above
+# that of unseeded bisection.
+_SEED_ROOM = 52
+
+# Bounds at least this far from 0 keep every implied midpoint at least
+# 2**-943 from 0, where counts are proved monotone (see above).
+_MONOTONE_MIN = 2.0**-942
 
 
-def _sturm_counts(bsq, mid, q, rows, careful):
+def _sturm_counts(bsq, base, counts, q, rows, flags, careful):
     """Number of negative pivots of the Sturm recurrence
-    q[i] = (0.0 - mid) - bsq[i-1] / q[i-1] of a zero diagonal, one lane
-    per entry of mid: the number of eigenvalues below each mid.  ``bsq``
-    lists 0-d float64 arrays, which a ufunc takes faster than floats.
+    q[i] = base - bsq[i-1] / q[i-1] of a zero diagonal, base = 0.0 - mid,
+    one lane per entry of mid: the number of eigenvalues below each mid,
+    written to ``counts``.  ``bsq`` lists 0-d float64 arrays, which a ufunc
+    takes faster than floats.
 
     The rows are swept in blocks of q's height, at most 255 rows, so each
     block's negative pivots are tallied as uint8 sums; ``rows`` lists q's
-    row views.  The first row's zero pivots are replaced by _PIVOT_FLOOR up
-    front.  With ``careful`` every exactly-zero pivot is, before it
-    divides.  Without, the sweep returns None at the first block holding
-    a zero pivot, whose quotient is inf or nan.  A zero of either sign
-    counts as nonnegative, so the floor changes no tally and 0.0 - mid
-    gives the counts of (+-0.0) - mid bit for bit."""
+    row views, and a block starts from the last row of the one before.
+    The first row's zero pivots are replaced by _PIVOT_FLOOR up front.
+    With ``careful`` every exactly-zero pivot is, before it divides.
+    Without, the sweep returns None at the first block holding a zero
+    pivot, whose quotient is inf or nan.  A zero of either sign counts as
+    nonnegative, so the floor changes no tally and 0.0 - mid gives the
+    counts of (+-0.0) - mid bit for bit."""
     m, height = len(bsq) + 1, q.shape[0]
-    r = np.empty(q.shape[1])
-    carry = np.empty(q.shape[1])
-    flags = np.empty(q.shape, dtype=bool)
-    counts = np.zeros(q.shape[1], dtype=np.intp)
-    base = 0.0 - mid
+    counts.fill(0)
+    prev = rows[0]
     for start in range(0, m, height):
         size = min(height, m - start)
         if start == 0:
-            np.copyto(rows[0], np.where(base == 0.0, _PIVOT_FLOOR, base))
-            prev, todo, coeffs = rows[0], rows[1:size], bsq
+            np.copyto(prev, base)
+            np.copyto(prev, _PIVOT_FLOOR, where=np.equal(prev, 0.0, out=flags[0]))
+            todo, coeffs = rows[1:size], bsq
         else:
-            prev, todo, coeffs = carry, rows[:size], bsq[start - 1 : start - 1 + size]
+            todo, coeffs = rows[:size], bsq[start - 1 : start - 1 + size]
         for b, row in zip(coeffs, todo):
             if careful:
                 np.copyto(prev, _PIVOT_FLOOR, where=prev == 0.0)
-            np.divide(b, prev, r)
-            np.subtract(base, r, row)
+            np.divide(b, prev, row)
+            np.subtract(base, row, row)
             prev = row
         divisors = min(size, m - 1 - start)
         if not careful and np.equal(q[:divisors], 0.0, out=flags[:divisors]).any():
             return None
         np.less(q[:size], 0.0, out=flags[:size])
         counts += np.add.reduce(flags[:size].view(np.uint8), axis=0, dtype=np.uint8)
-        np.copyto(carry, prev)
     return counts
 
 
@@ -133,21 +149,31 @@ def _pivot_height(m: int, points: int, entries: int = _BLOCK_ENTRIES) -> int:
     return max(1, min(m, 255, entries // max(points, 1)))
 
 
-def _pivot_rows(m: int, points: int, buf=None):
-    """The pivot block of a pass over ``points`` points, and its rows: a
-    view of the scratch ``buf`` as tall as it holds, or of a new one of at
-    most _BLOCK_ENTRIES pivots (or one row)."""
-    height = _pivot_height(m, points, _BLOCK_ENTRIES if buf is None else buf.shape[0])
-    q = (np.empty(height * points) if buf is None else buf[: height * points]).reshape(height, points)
-    return q, list(q)
+def _pass_space(m: int, points: int, buf=None):
+    """The views of a pass over ``points`` points, laid out in this order
+    in the scratch ``buf``: its shifts 0.0 - point, its counts, its pivot
+    block with the block's rows, as tall as ``buf`` holds, and the block's
+    negative-pivot flags.  Without ``buf``, or when it holds less than one
+    row, a new one of about _BLOCK_ENTRIES pivots is taken.  A pass thus
+    allocates nothing as large as its points."""
+    p = max(points, 1)
+    if buf is None or 8 * (buf.shape[0] - 2 * p) < 9 * p:
+        buf = np.empty((3 + _pivot_height(m, p)) * p)
+    # each row takes p pivots and p / 8 float64 entries of flags
+    height = _pivot_height(m, p, (buf.shape[0] - 2 * p) * 8 // 9)
+    q = buf[2 * p : (2 + height) * p].reshape(height, p)[:, :points]
+    flags = buf[(2 + height) * p :].view(bool)[: height * p].reshape(height, p)[:, :points]
+    return buf[:points], buf[p : p + points].view(np.int64), q, list(q), flags
 
 
-def _count_pass(bsq, mid, q, rows):
-    """Eigenvalues below each mid.  A zero pivot past the first row is
-    rare; only then is the pass redone with the floor.  Callers silence
-    the floating-point warnings of inf and nan pivots."""
-    counts = _sturm_counts(bsq, mid, q, rows, careful=False)
-    return _sturm_counts(bsq, mid, q, rows, careful=True) if counts is None else counts
+def _count_pass(bsq, space):
+    """Eigenvalues below each point whose shift 0.0 - point fills the
+    first view of ``space`` (see :func:`_pass_space`), as a view of it.
+    A zero pivot past the first row is rare; only then is the pass redone
+    with the floor.  Callers silence the floating-point warnings of inf
+    and nan pivots."""
+    counts = _sturm_counts(bsq, *space, careful=False)
+    return _sturm_counts(bsq, *space, careful=True) if counts is None else counts
 
 
 def _pass_depth(lanes: int) -> int:
@@ -157,39 +183,107 @@ def _pass_depth(lanes: int) -> int:
     return max(1, (_PASS_POINTS // max(lanes, 1) + 1).bit_length() - 1)
 
 
-def _seeded_pass(bsq, lo, hi, idx, seeds, buf):
+def _newton(bsq, x):
+    """``x`` after _NEWTON_STEPS Newton steps on det(T - x), the product
+    of the Sturm pivots, and the error estimate step**2 / previous step of
+    the last one: each step is x <- x - 1 / sum(q_j' / q_j), one sweep of
+    the pivots q_j and their derivatives q_j' = -1 + (b_{j-1}^2 / q_{j-1})
+    q_{j-1}' / q_{j-1}.  A zero pivot makes the step nan, which only
+    leaves its lane unseeded."""
+    steps = [np.full_like(x, np.inf)]
+    t = np.empty_like(x)
+    for _ in range(_NEWTON_STEPS):
+        base = 0.0 - x
+        q = base.copy()
+        ratio = -1.0 / q
+        total = ratio.copy()
+        for b in bsq:
+            np.divide(b, q, out=t)
+            np.multiply(t, ratio, out=ratio)
+            np.subtract(ratio, 1.0, out=ratio)
+            np.subtract(base, t, out=q)
+            np.divide(ratio, q, out=ratio)
+            np.add(total, ratio, out=total)
+        steps.append(1.0 / total)
+        x = x - steps[-1]
+    return x, steps[-1] ** 2 / np.abs(steps[-2])
+
+
+def _seeded_pass(bsq, r, idx, seeds, widths, buf):
     """The brackets [lo, hi] of the lanes ``idx`` after the first pass of
-    a seeded solve.  The pass counts the midpoints of every lane's
-    plain-bisection path toward its seed, which predicts the decision
-    count <= index at each midpoint as seed >= midpoint (a nan seed
-    predicts every decision down).  The paths run _SEED_LEVELS levels and
-    are cut after the last level where some lane's midpoint lies strictly
-    inside its bracket: a stopped bracket's children are stopped, so the
-    levels that hold one form a prefix.  Each lane keeps the levels whose
-    counted decisions agree with the predicted ones and the first level
-    where they disagree, decided by that level's own count: up to there
-    each midpoint is the one plain bisection evaluates."""
-    los, his, mids, ups = [], [], [], []
-    for _ in range(_SEED_LEVELS):
+    a seeded solve (see the module docstring), for the seeds ``seeds`` and
+    the half-widths ``widths`` of their intervals.
+
+    Each lane predicts plain bisection's path from [-r, r] toward its seed
+    s, deciding up iff s >= mid, and follows it uncounted while its
+    midpoints lie outside (s - w, s + w).  The pass then counts at the
+    bracket [lo, hi] where that stops, at 0.0, and at the rest of the
+    predicted path, as far as buf has room.  A lane is certified when the
+    count at 0.0 confirms its first decision (unless its path is counted
+    from [-r, r]) and its counts at lo and hi imply every later decision
+    before [lo, hi]: lo (hi) is -r (r), or 0.0 set by the first decision,
+    or at least _MONOTONE_MIN from 0 with count(lo) <= index
+    (count(hi) > index).  A certified lane walks on by the counted
+    decisions until one disagrees with the prediction, and stops there
+    with that decision taken.  Any other lane keeps only its first
+    decision."""
+    n = idx.shape[0]
+    s = np.clip(seeds, -r, r)
+    low, high = s - widths, s + widths
+    lo, hi, moved = np.full(n, -r), np.full(n, r), True
+    while moved:
+        # a lane stopped inside (low, high) keeps its bracket, so the check
+        # can wait four levels
+        for _ in range(4):
+            mid = 0.5 * (lo + hi)
+            up, down = mid <= low, mid >= high
+            lo, hi = np.where(up, mid, lo), np.where(down, mid, hi)
+        moved = np.count_nonzero(up | down)
+    # the points go straight into buf, as many as leave room for their pass
+    # (see _pass_space); a path longer than that is cut
+    room = buf[: buf.shape[0] * 8 // 25]
+    room[0], room[1 : n + 1], room[n + 1 : 2 * n + 1] = 0.0, lo, hi
+    bounds, end, lives, ups = (lo, hi), 2 * n + 1, [], []
+    while True:
         mid = 0.5 * (lo + hi)
-        up = seeds >= mid
-        los.append(lo), his.append(hi), mids.append(mid), ups.append(up)
+        live = (mid != lo) & (mid != hi)
+        size = np.count_nonzero(live)
+        if not size or end + size > room.shape[0]:
+            break
+        mid.compress(live, out=room[end : end + size])
+        end += size
+        up = s >= mid
+        lives.append(live), ups.append(up)
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-    los, his, tree = np.array(los), np.array(his), np.array(mids)
-    levels = ((tree != los) & (tree != his)).any(axis=1).sum()
-    if not levels:
-        return los[0], his[0]
-    tree = tree[:levels]
-    q, rows = _pivot_rows(len(bsq) + 1, tree.size, buf)
-    taken = _count_pass(bsq, tree.ravel(), q, rows).reshape(tree.shape) <= idx
-    miss = taken != ups[:levels]
-    miss[-1] = True
-    j, lanes = miss.argmax(axis=0), np.arange(idx.shape[0])
-    up, mid = taken[j, lanes], tree[j, lanes]
-    return np.where(up, mid, los[j, lanes]), np.where(up, his[j, lanes], mid)
+    space = _pass_space(len(bsq) + 1, end, buf)
+    np.subtract(0.0, space[0], out=space[0])
+    counts = _count_pass(bsq, space)
+    first = counts[0] <= idx
+    lo, hi = bounds
+    certified = (
+        (((lo == -r) & (hi == r)) | (first == (lo >= 0.0)))
+        & ((lo == -r) | (lo == 0.0) | ((counts[1 : n + 1] <= idx) & (np.abs(lo) >= _MONOTONE_MIN)))
+        & ((hi == r) | (hi == 0.0) | ((counts[n + 1 : 2 * n + 1] > idx) & (np.abs(hi) >= _MONOTONE_MIN)))
+    )
+    lo, hi = np.where(certified, lo, np.where(first, 0.0, -r)), np.where(certified, hi, np.where(first, r, 0.0))
+    # the counts of the path, spread over its levels in the free end of buf
+    shape = len(lives), n
+    live = np.array(lives, dtype=bool).reshape(shape)
+    spread = buf[2 * end : 2 * end + live.size] if 2 * end + live.size <= buf.shape[0] else np.empty(live.size)
+    spread = spread.view(np.int64).reshape(shape)
+    spread[live] = counts[2 * n + 1 :]
+    taken = spread <= idx
+    agree = taken == np.array(ups, dtype=bool).reshape(shape)
+    walking = certified
+    for live_j, take, agree_j in zip(live, taken, agree):
+        mid = 0.5 * (lo + hi)
+        walking = walking & live_j
+        lo, hi = np.where(walking & take, mid, lo), np.where(walking > take, mid, hi)
+        walking &= agree_j
+    return lo, hi
 
 
-def _bisect(bsq, r, idx, seeds=None):
+def _bisect(bsq, r, idx, seeds=None, widths=None):
     """Eigenvalues with the ascending indices ``idx``, one bisection lane
     each, all starting from the Gershgorin bracket [-r, r].  A lane stops
     when its midpoint equals an end of its bracket.  Every halving that
@@ -197,58 +291,64 @@ def _bisect(bsq, r, idx, seeds=None):
     bracket below 2**1024 collapses to adjacent floats within about 2,100
     halvings, so no iteration cap is needed.
 
-    Each pass counts at the midpoints of the next ``depth`` levels of
-    every lane's bisection tree, then walks those levels with the decision
-    of plain bisection, count <= index.  Level j of the tree holds 2**j
-    brackets per lane; the children of its bracket p are p (the lower
-    half) and p + 2**j (the upper half) of level j + 1.  A stopped bracket
-    [lo, hi], whose midpoint equals lo or hi, has as children itself and
-    the point [mid, mid]; both are stopped and end at mid, the value plain
-    bisection returns, so the walk may take either.  Every lane starts
-    from the same bracket, so the first pass counts one tree, shared by
-    all lanes and as deep as the width of the later passes allows, and
-    each lane walks it with its own index.
+    Each pass counts at the midpoints of the next few levels of the
+    bisection trees of the lanes that have not stopped, as many levels as
+    fit _PASS_POINTS midpoints, then walks those levels with the decision
+    of plain bisection, count <= index.  Level j of a tree holds 2**j
+    brackets; the children of its bracket p are p (the lower half) and
+    p + 2**j (the upper half) of level j + 1.  A stopped bracket [lo, hi],
+    whose midpoint equals lo or hi, has as children itself and the point
+    [mid, mid]; both are stopped and end at mid, the value plain bisection
+    returns, so the walk may take either.  Every lane starts from the same
+    bracket, so an unseeded first pass counts one tree, shared by all
+    lanes and as deep as the width of the later passes allows, and each
+    lane walks it with its own index.
 
-    ``seeds``, one approximate eigenvalue per lane, replace that first
-    pass with :func:`_seeded_pass`, which counts each lane's whole
-    predicted path.  They only choose the points it counts, and every
-    bracket move still comes from a count at a midpoint of plain
-    bisection, so the result does not depend on them."""
+    ``seeds``, one approximate eigenvalue per lane, with the half-widths
+    ``widths`` of their intervals, replace that first pass with
+    :func:`_seeded_pass`.  They only choose the points it counts, and
+    every bracket move still takes plain bisection's decision at plain
+    bisection's midpoint, so the result does not depend on them."""
     m, n = len(bsq) + 1, idx.shape[0]
-    depth = _pass_depth(n)
-    width = ((1 << depth) - 1) * max(n, 1)
-    # the seeded pass sweeps in blocks of this buffer too: up to
-    # _SEED_MAX_M rows it holds at least _SEED_LEVELS * n pivots
-    buf = np.empty(_pivot_height(m, width) * width)
-    wide = _pivot_rows(m, width, buf)
+    width = ((1 << _pass_depth(n)) - 1) * max(n, 1)
+    # the one scratch buffer of the solve: every pass lays out its shifts,
+    # counts and pivot block in it (see _pass_space)
+    buf = np.empty(max(_pivot_height(m, width) * width, 0 if seeds is None else _SEED_ROOM * n))
     bsq = list(map(np.asarray, bsq))
-    lo, hi, lanes = np.full(n, -r), np.full(n, r), np.arange(n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if seeds is None:
-            trees, cols, levels = 1, np.zeros(n, dtype=np.intp), (width + 1).bit_length() - 1
-            q, rows = _pivot_rows(m, (1 << levels) - 1, buf)
+            lo, hi = np.full(n, -r), np.full(n, r)
         else:
-            lo, hi = _seeded_pass(bsq, lo, hi, idx, seeds, buf)
-            trees, cols, levels, (q, rows) = n, lanes, depth, wide
+            lo, hi = _seeded_pass(bsq, r, idx, seeds, widths, buf)
+        shared = seeds is None
         while True:
-            los, his, mids = [lo[None, :trees]], [hi[None, :trees]], []
+            mid = 0.5 * (lo + hi)
+            lanes = np.flatnonzero((mid != lo) & (mid != hi))
+            if not lanes.size:
+                break
+            if shared:
+                levels, cols = (width + 1).bit_length() - 1, np.zeros(lanes.size, dtype=np.intp)
+                los, his = [lo[None, :1]], [hi[None, :1]]
+            else:
+                levels, cols = _pass_depth(lanes.size), np.arange(lanes.size)
+                los, his = [lo[None, lanes]], [hi[None, lanes]]
+            shared = False
+            mids = []
             for _ in range(levels):
                 l, h = los[-1], his[-1]
                 mid = 0.5 * (l + h)
                 mids.append(mid)
                 los.append(np.concatenate((l, mid)))
                 his.append(np.concatenate((mid, h)))
-            if not ((mids[0] != los[0]) & (mids[0] != his[0])).any():
-                break
             tree = np.concatenate(mids)
-            counts = _count_pass(bsq, tree.ravel(), q, rows).reshape(tree.shape)
-            node = np.zeros(n, dtype=np.intp)
+            space = _pass_space(m, tree.size, buf)
+            np.subtract(0.0, tree.ravel(), out=space[0])
+            counts = _count_pass(bsq, space).reshape(tree.shape)
+            node, index = np.zeros(lanes.size, dtype=np.intp), idx[lanes]
             for j in range(levels):
-                node += (counts[(1 << j) - 1 + node, cols] <= idx) << j
-            lo = los[levels][node, cols]
-            hi = his[levels][node, cols]
-            if cols is not lanes:
-                trees, cols, levels, (q, rows) = n, lanes, depth, wide
+                node += (counts[(1 << j) - 1 + node, cols] <= index) << j
+            lo[lanes] = los[levels][node, cols]
+            hi[lanes] = his[levels][node, cols]
     return 0.5 * (lo + hi)
 
 
@@ -306,24 +406,36 @@ def count_below(bsq, points) -> np.ndarray:
     vectorized Sturm pass over all the points."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     bsq = list(map(np.asarray, np.asarray(bsq, dtype=np.float64)))
-    q, rows = _pivot_rows(len(bsq) + 1, points.shape[0])
+    space = _pass_space(len(bsq) + 1, points.shape[0])
+    np.subtract(0.0, points, out=space[0])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _count_pass(bsq, points, q, rows)
+        return _count_pass(bsq, space).astype(np.intp)
 
 
-def eigvalsh_tridiagonal(diag, offdiag) -> np.ndarray:
+def eigvalsh_tridiagonal(diag, offdiag, seeds=None) -> np.ndarray:
     """All eigenvalues, ascending, of the real symmetric tridiagonal matrix
     with the given off-diagonal and a diagonal that must be zero (ValueError
     otherwise, nan and inf included).
 
     Only the upper half of the spectrum is bisected; the lower half is its
-    exact mirror and, for odd size, the middle eigenvalue is exactly 0.  Up
-    to _SEED_MAX_M rows the first bisection pass is seeded from LAPACK,
-    with the same result.
+    exact mirror and, for odd size, the middle eigenvalue is exactly 0.
+    ``seeds``, approximate eigenvalues in ascending order, one per
+    eigenvalue, are refined by Newton steps and seed the first bisection
+    pass; without them, up to _SEED_MAX_M rows LAPACK's seed it.  The seeds
+    change how many passes the solve takes, never its result.
     """
     m, b, bsq = _as_tridiagonal(diag, offdiag)
     if m == 0:
         return np.empty(0)
-    idx = np.arange(m - m // 2, m)
-    eigs = _bisect(bsq, _gershgorin_radius(b), idx, _seeds(b, idx))
+    idx, r = np.arange(m - m // 2, m), _gershgorin_radius(b)
+    if seeds is not None:
+        seeds = np.asarray(seeds, dtype=np.float64)
+        if seeds.shape != (m,):
+            raise ValueError(f"seeds must have length {m}, got shape {seeds.shape}")
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            seeds, err = _newton(list(map(np.asarray, bsq)), seeds[idx])
+    else:
+        seeds, err = _seeds(b, idx), 0.0
+    widths = None if seeds is None else _SEED_ULPS * np.spacing(np.abs(seeds)) + _RADIUS_ULPS * np.spacing(r) + err
+    eigs = _bisect(bsq, r, idx, seeds, widths)
     return np.concatenate([-eigs[::-1], np.zeros(m % 2), eigs])

@@ -9,10 +9,11 @@ import pytest
 
 from sdirac import tridiag
 from sdirac.checks import check_charpoly_eigs
-from sdirac.operators import KContext
+from sdirac.operators import KContext, _law_seeds, spectrum
 from sdirac.tridiag import (
     _PIVOT_FLOOR,
     _SEED_MAX_M,
+    _SEED_ULPS,
     _bisect,
     _gershgorin_radius,
     _pass_depth,
@@ -158,26 +159,28 @@ class TestReferenceLoop:
         assert _pass_depth(lanes) == depth
 
     def test_passes_at_k195(self, monkeypatch):
-        # m = 98 is seeded: the first pass counts the predicted paths of
-        # the 49 lanes, 60 levels each, and 49 lanes then resolve 3 levels
-        # a pass (7 * 49 = 343 points): 3 passes, one sweep each, where the
-        # unseeded solve takes 19 and plain bisection 60
+        # m = 98 is seeded from LAPACK: the first pass counts, for each of
+        # the 49 lanes, the bounds of its open levels and those levels, 537
+        # points with the shared 0.0; 41 lanes are still open and resolve 3
+        # levels in the next pass (7 * 41 points), and the last 13 resolve 5
+        # (31 * 13): 3 passes, one sweep each, where the unseeded solve
+        # takes 18 and plain bisection 60
         passes = []
         sweeps = []
         count_pass, sturm_counts = tridiag._count_pass, tridiag._sturm_counts
 
-        def counted(*args):
-            passes.append(args[1].shape[0])
-            return count_pass(*args)
+        def counted(bsq, space):
+            passes.append(space[0].shape[0])
+            return count_pass(bsq, space)
 
-        def swept(*args, **kwargs):
-            sweeps.append(args[1].shape[0])
-            return sturm_counts(*args, **kwargs)
+        def swept(bsq, base, *args, **kwargs):
+            sweeps.append(base.shape[0])
+            return sturm_counts(bsq, base, *args, **kwargs)
 
         monkeypatch.setattr(tridiag, "_count_pass", counted)
         monkeypatch.setattr(tridiag, "_sturm_counts", swept)
         eigvalsh_tridiagonal(*KContext(195).bands[0])
-        assert passes == [60 * 49] + [7 * 49] * 2
+        assert passes == [537, 7 * 41, 31 * 13]
         assert sweeps == passes
 
     def test_lanes_run_until_their_brackets_collapse(self):
@@ -199,9 +202,9 @@ def pass_widths(monkeypatch, solve):
     passes = []
     count_pass = tridiag._count_pass
 
-    def counted(*args):
-        passes.append(args[1].shape[0])
-        return count_pass(*args)
+    def counted(bsq, space):
+        passes.append(space[0].shape[0])
+        return count_pass(bsq, space)
 
     monkeypatch.setattr(tridiag, "_count_pass", counted)
     solve()
@@ -234,7 +237,9 @@ class TestSeededFirstPass:
         want = _bisect(b * b, r, idx)
         for kind, seeds in seed_kinds(rng, want).items():
             if kinds is None or kind in kinds:
-                got = _bisect(b * b, r, idx, seeds)
+                with np.errstate(invalid="ignore"):
+                    widths = _SEED_ULPS * np.spacing(np.abs(seeds))
+                got = _bisect(b * b, r, idx, seeds, widths)
                 assert np.array_equal(got, want), kind
 
     @pytest.mark.parametrize("k", [1, 3, 97, 99, 195, 399])
@@ -274,8 +279,9 @@ class TestSeededFirstPass:
 
     @pytest.mark.parametrize("k, seeded", [(399, True), (401, False), (993, False)])
     def test_seeded_only_up_to_the_threshold(self, k, seeded, monkeypatch):
-        # m = 200 is seeded, m = 201 and the m = 497 of k = 993 are not,
-        # and keep the unseeded pass sequence
+        # LAPACK seeds m = 200; m = 201 and the m = 497 of k = 993 take the
+        # limiting law's seeds from spectrum instead, and never call it.
+        # Every solve is seeded, so none runs the unseeded pass sequence.
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -284,16 +290,53 @@ class TestSeededFirstPass:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-        d, b = KContext(k).bands[0]
-        passes = pass_widths(monkeypatch, lambda: eigvalsh_tridiagonal(d, b))
+        ctx = KContext(k)
+        passes = pass_widths(monkeypatch, lambda: spectrum(ctx.blocks[0]))
+        d, b = ctx.bands[0]
         m = d.shape[0]
         assert calls == ([(m, m)] if seeded else [])
         assert (m <= _SEED_MAX_M) == seeded
         r = _gershgorin_radius(b)
         unseeded = pass_widths(monkeypatch, lambda: _bisect(b * b, r, np.arange(m - m // 2, m)))
-        assert (passes != unseeded) == seeded
+        assert passes != unseeded
         if k == 993:
-            assert passes == [127] + [248] * 55
+            # one seeded pass, then 67 open lanes resolve 3 levels and the
+            # last 8 resolve 6; the unseeded solve takes 51 passes
+            assert passes == [2724, 7 * 67, 63 * 8]
+            assert len(unseeded) == 51
+
+    @pytest.mark.parametrize("k", [401, 993, 2007, 2991])
+    def test_caller_seeds_change_nothing(self, k):
+        # past _SEED_MAX_M rows: the law's seeds, refined by Newton steps,
+        # and seeds wrong in every way, against the unseeded kernel, values
+        # and sign bits
+        d, b = KContext(k).bands[0]
+        m = d.shape[0]
+        upper = _bisect(b * b, _gershgorin_radius(b), np.arange(m - m // 2, m))
+        want = np.concatenate([-upper[::-1], np.zeros(m % 2), upper])
+        law = _law_seeds(m)
+        kinds = {
+            "law": law,
+            "nan": np.full(m, np.nan),
+            "+1e300": np.full(m, 1e300),
+            "-1e300": np.full(m, -1e300),
+            "reversed": law[::-1].copy(),
+            "shifted": np.roll(law, 1),
+            "random": np.random.default_rng(k).normal(scale=np.abs(law).max(), size=m),
+        }
+        for kind, seeds in kinds.items():
+            got = eigvalsh_tridiagonal(d, b, seeds)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), kind
+
+    def test_law_seeds_take_few_passes(self, monkeypatch):
+        # a silent fall-back to unseeded passes would take 51 at k = 2991
+        ctx = KContext(2991)
+        passes = pass_widths(monkeypatch, lambda: spectrum(ctx.blocks[0]))
+        assert len(passes) <= 12
+
+    def test_wrong_seed_length_rejected(self):
+        with pytest.raises(ValueError, match="seeds must have length 3"):
+            eigvalsh_tridiagonal(np.zeros(3), [1.0, 2.0], [0.0, 1.0])
 
     @pytest.mark.parametrize("b", [[1.34e154, 0.0], [1.34e154, 0.0, 0.0, 1.34e154]])
     def test_extreme_offdiagonals_solve_without_warnings(self, b):
@@ -337,16 +380,58 @@ class TestZeroDiagonalFold:
         [
             (1001, "eed26420cf20f0eab4f2cd3043916ee0f1187e89e329a8748112376416217f5d"),
             (1999, "8d1364a6ba2f4f063ee9c40dc2a123160b0920306a56ed6341132be7697da17a"),
+            (3999, "bc5fc1674c211ff7db4322574e5023507420fcea2f36497996453635486c7190"),
+            (7999, "9d02c0caa1c3c42f2eec6ed71c55af637587fc8153d439f9d223642855d4cbc8"),
         ],
     )
     def test_large_k_eigenvalues_are_pinned(self, k, digest):
         # sha256 of the float64 bytes of the first block's spectrum, odd
-        # m = 501 and even m = 1000
+        # m = 501 and even m = 1000, 2000 and 4000, as unseeded plain
+        # bisection gave them before the blocks past 200 rows were seeded
         assert hashlib.sha256(KContext(k).eigenvalues.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("k", [195, 199])
     def test_charpoly_certifies_beyond_verify_range(self, k):
         assert check_charpoly_eigs(KContext(k)).ok
+
+
+def ulp_windows(points, ulps=40):
+    """Every float within ``ulps`` ulps of each of ``points``."""
+    out, up, down = [points], points, points
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def assert_counts_monotone(b, points):
+    counts = count_below(b * b, points)
+    order = np.argsort(points, kind="stable")
+    assert np.all(np.diff(counts[order]) >= 0)
+
+
+class TestMonotoneCounts:
+    # The seeded pass implies decisions from counts at other points, so
+    # it rests on count(x) <= count(y) for x < y (see the tridiag module
+    # docstring): checked over every float within 40 ulps of each
+    # eigenvalue, where the counts change.
+
+    def test_dirac_blocks(self):
+        for k in range(1, 400, 2):
+            d, b = KContext(k).bands[0]
+            assert_counts_monotone(b, ulp_windows(np.linalg.eigvalsh(dense(b))))
+
+    def test_random_matrices(self):
+        # small-integer entries, about 20 % zero, at scales 1e-5 to 1e5:
+        # exact and clustered eigenvalues, zero pivots, and points about
+        # 0.0 down to the subnormals
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            m = int(rng.integers(2, 40))
+            b = rng.integers(-4, 5, size=m - 1) * 10.0 ** rng.integers(-5, 6)
+            b[rng.random(m - 1) < 0.2] = 0.0
+            eigs = np.linalg.eigvalsh(dense(b))
+            assert_counts_monotone(b, ulp_windows(np.concatenate([eigs, [0.0]])))
 
 
 class TestSturmCount:
