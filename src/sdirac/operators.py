@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +37,7 @@ from .exact import require_exact
 from .hermite import ladder
 from .intertwine import scale_sq_ratio
 from .su2 import _bracket_defect, _dense, build_rep
-from .tridiag import _SEED_MAX_M, eigvalsh_tridiagonal
+from .tridiag import eigvalsh_tridiagonal
 
 # i^l for the diagonal unitary intertwining the two operators (exact values;
 # complex exponentiation would round).
@@ -339,72 +339,14 @@ def p_operator(k: int) -> tuple:
 # ---------------------------------------------------------------------
 
 
-# The limiting law F of lambda / K^(3/2), K = m: the t-average over [0, 1]
-# of the arcsine laws on [-c(t), c(t)], c(t)^2 = 4 a(t)^2 = 8t(1 - t^2)
-# (Kuijlaars & Van Assche, 1999), tabulated on [0, edge], edge = max c, at
-# the ends of _LAW_PANELS panels.  Plain floats: a numpy array built at
-# import costs the process memory even when no block needs the law.
-_LAW_EDGE = math.sqrt(16 / (3 * math.sqrt(3)))
-_LAW_PANELS = 64
-_GAUSS = ((0.5 - math.sqrt(0.15), 5 / 18), (0.5, 8 / 18), (0.5 + math.sqrt(0.15), 5 / 18))
-
-
-def _law_density(x):
-    """The density f = F' at each 0 <= x <= edge: (1/pi) times the
-    integral of dt / sqrt(8t(1 - t^2) - x^2) between the roots t1 < t2 in
-    [0, 1] of 8t(1 - t^2) = x^2.  The substitution t = (t1 + t2)/2 -
-    (t2 - t1)/2 cos(u) makes it 1 / (sqrt(8) AGM(sqrt(t1 + 2 t2),
-    sqrt(2 t1 + t2))), and the first AGM step reads only t1 + t2 = -t3 and
-    t1 t2 = x^2 / (-8 t3), t3 the cubic's negative root, by Newton."""
-    c = x * x / 8
-    t = np.full_like(x, -1.2)
-    for _ in range(6):
-        t -= (t * t * t - t + c) / (3 * t * t - 1)
-    s, g = -t, np.sqrt(2 * t * t - c / t)
-    a, b = np.sqrt((1.5 * s + g) / 2), np.sqrt(g)
-    for _ in range(4):
-        a, b = (a + b) / 2, np.sqrt(a * b)
-    return 1 / (math.sqrt(8) * a)
-
-
-def _law_integral(start, width):
-    """The integral of f over each [start, start + width], by 3-point
-    Gauss-Legendre."""
-    return width * sum(w * _law_density(start + width * x) for x, w in _GAUSS)
-
-
-@cache
-def _law_table():
-    """The panel width h, the panel ends j h and F at them."""
-    h = _LAW_EDGE / _LAW_PANELS
-    ends = np.arange(_LAW_PANELS + 1) * h
-    return h, ends, 0.5 + np.concatenate(([0.0], np.cumsum(_law_integral(ends[:-1], h))))
-
-
-def _law_seeds(m: int) -> np.ndarray:
-    """The quantiles m^(3/2) F^-1((i + 1/2) / m), i < m, approximate
-    eigenvalues of the Dirac block of size m: two Newton steps on F from
-    the table's interpolant, for the upper half, mirrored."""
-    h, ends, table = _law_table()
-    p = (np.arange(m - m // 2, m) + 0.5) / m
-    x = np.interp(p, table, ends)
-    for _ in range(2):
-        j = np.minimum((x / h).astype(np.intp), _LAW_PANELS - 1)
-        x = x - (table[j] + _law_integral(ends[j], x - ends[j]) - p) / _law_density(x)
-    upper = m**1.5 * x
-    return np.concatenate([-upper[::-1], np.zeros(m % 2), upper])
-
-
 def spectrum(dm: DiracMatrix) -> np.ndarray:
     """All eigenvalues of a Hermitian tridiagonal block with zero diagonal
     (ValueError otherwise), ascending, by Sturm bisection of the real
     symmetric band (diagonal, |superdiagonal|), which conjugation by a
-    diagonal unitary makes of the block without moving its eigenvalues.
-    Blocks past _SEED_MAX_M rows are seeded from the limiting law."""
+    diagonal unitary makes of the block without moving its eigenvalues."""
     if not all(np.allclose(dm.band[-o], dm.band[o].conj(), rtol=1e-10, atol=1e-12) for o in (0, 1)):
         raise ValueError("matrix is not Hermitian")
-    seeds = _law_seeds(dm.m) if dm.m > _SEED_MAX_M else None
-    return eigvalsh_tridiagonal(dm.band[0].real, np.abs(dm.band[1]), seeds)
+    return eigvalsh_tridiagonal(dm.band[0].real, np.abs(dm.band[1]))
 
 
 def unitary_equivalence_exact(blocks) -> bool:

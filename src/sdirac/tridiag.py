@@ -17,9 +17,10 @@ takes toward s is followed uncounted while its midpoints lie outside
 (s - w, s + w), and one pass counts at the bracket [lo, hi] where that
 stops, at 0.0 and at the rest of the path.  If count(lo) <= index <
 count(hi), every uncounted decision is the predicted one, because the
-counts are monotone.  A caller's seeds (the Dirac blocks past
-_SEED_MAX_M rows pass the quantiles of their limiting law) are refined by
-Newton steps; without them LAPACK seeds blocks of up to _SEED_MAX_M rows.
+counts are monotone.  LAPACK seeds matrices of up to _SEED_MAX_M rows;
+larger ones take the quantiles of the Dirac blocks' limiting law, refined
+by Newton steps.  On any other matrix those seeds are wrong, which costs
+passes, never bits.
 
 Monotone counts (Kahan, 1966; Demmel, Dhillon & Ren, 1995): for x < y,
 count(x) <= count(y) when |x| >= 2**-943.  IEEE operations are monotone,
@@ -54,6 +55,9 @@ antisymmetric and the middle eigenvalue of an odd size exactly 0.
 
 from __future__ import annotations
 
+import math
+from functools import cache
+
 import numpy as np
 
 # Substitute for an exactly-zero Sturm pivot; any overflow it causes is
@@ -70,13 +74,15 @@ _BLOCK_ENTRIES = 1 << 15
 # few lanes resolves several levels of their bisection trees.
 _PASS_POINTS = 512
 
-# Largest size whose first bisection pass is seeded from LAPACK.  Small
-# passes cost mostly numpy call overhead, so the passes a seed saves
-# outweigh LAPACK's O(m^3) solve, and the transient dense matrix stays
-# within 0.32 MB.  CHANGES.md records the measured crossover.
+# Largest size whose first bisection pass is seeded from LAPACK; larger
+# sizes take the limiting law's seeds and their Newton steps.  On the Dirac
+# blocks LAPACK's seeds make the solve faster up to a crossover between
+# m = 175 and 250 (in process, 2-core Intel Xeon: 2.3 against 3.7 ms at
+# m = 75, 12.5 against 8.9 ms at m = 300), and the transient dense matrix
+# stays within 0.32 MB.
 _SEED_MAX_M = 200
 
-# Newton steps that refine a caller's seeds.
+# Newton steps that refine the law's seeds.
 _NEWTON_STEPS = 2
 
 # Half-width of the interval around a seed whose midpoints the seeded pass
@@ -183,6 +189,15 @@ def _pass_depth(lanes: int) -> int:
     return max(1, (_PASS_POINTS // max(lanes, 1) + 1).bit_length() - 1)
 
 
+def _levels_left(lo, hi) -> int:
+    """Bisection levels that collapse the widest of the brackets [lo, hi]
+    to adjacent floats, estimated as if each lay in one binade: the bit
+    length of its width in ulps of its end nearer 0, at most 65.  Only
+    how many levels a pass resolves depends on it."""
+    ulps = np.max((hi - lo) / np.spacing(np.minimum(np.abs(lo), np.abs(hi))))
+    return int(min(ulps, 2.0**64)).bit_length()
+
+
 def _newton(bsq, x):
     """``x`` after _NEWTON_STEPS Newton steps on det(T - x), the product
     of the Sturm pivots, and the error estimate step**2 / previous step of
@@ -274,12 +289,13 @@ def _seeded_pass(bsq, r, idx, seeds, widths, buf):
     spread[live] = counts[2 * n + 1 :]
     taken = spread <= idx
     agree = taken == np.array(ups, dtype=bool).reshape(shape)
-    walking = certified
-    for live_j, take, agree_j in zip(live, taken, agree):
+    # a certified lane walks a live level when every level before it agreed
+    walking = live & certified
+    walking[1:] &= np.logical_and.accumulate(live & agree, axis=0)[:-1]
+    walked = np.count_nonzero(walking.any(axis=1))
+    for up, down in zip(walking[:walked] & taken[:walked], walking[:walked] > taken[:walked]):
         mid = 0.5 * (lo + hi)
-        walking = walking & live_j
-        lo, hi = np.where(walking & take, mid, lo), np.where(walking > take, mid, hi)
-        walking &= agree_j
+        lo, hi = np.where(up, mid, lo), np.where(down, mid, hi)
     return lo, hi
 
 
@@ -293,7 +309,8 @@ def _bisect(bsq, r, idx, seeds=None, widths=None):
 
     Each pass counts at the midpoints of the next few levels of the
     bisection trees of the lanes that have not stopped, as many levels as
-    fit _PASS_POINTS midpoints, then walks those levels with the decision
+    fit _PASS_POINTS midpoints and their brackets still span (see
+    :func:`_levels_left`), then walks those levels with the decision
     of plain bisection, count <= index.  Level j of a tree holds 2**j
     brackets; the children of its bracket p are p (the lower half) and
     p + 2**j (the upper half) of level j + 1.  A stopped bracket [lo, hi],
@@ -330,8 +347,9 @@ def _bisect(bsq, r, idx, seeds=None, widths=None):
                 levels, cols = (width + 1).bit_length() - 1, np.zeros(lanes.size, dtype=np.intp)
                 los, his = [lo[None, :1]], [hi[None, :1]]
             else:
-                levels, cols = _pass_depth(lanes.size), np.arange(lanes.size)
                 los, his = [lo[None, lanes]], [hi[None, lanes]]
+                levels = min(_pass_depth(lanes.size), _levels_left(los[0], his[0]))
+                cols = np.arange(lanes.size)
             shared = False
             mids = []
             for _ in range(levels):
@@ -362,21 +380,79 @@ def _gershgorin_radius(b) -> float:
     return float(np.max(np.append(ab, 0.0) + np.append(0.0, ab)))
 
 
-def _seeds(b, idx):
-    """Approximate eigenvalues with the indices ``idx``, from LAPACK on
-    the matrix written out dense in one float64 array, or None when m
-    exceeds _SEED_MAX_M or LAPACK does not converge."""
+# The limiting law F of lambda / m^(3/2) on the Dirac blocks of size m,
+# whose off-diagonals are about m^(3/2) a(l / m), a(t)^2 = 2t(1 - t^2):
+# the t-average over [0, 1] of the arcsine laws on [-2a(t), 2a(t)]
+# (Kuijlaars & Van Assche, 1999), tabulated on [0, edge], edge = max 2a, at
+# the ends of _LAW_PANELS panels.  Plain floats: a numpy array built at
+# import costs the process memory even when no block needs the law.
+_LAW_EDGE = math.sqrt(16 / (3 * math.sqrt(3)))
+_LAW_PANELS = 64
+_GAUSS = ((0.5 - math.sqrt(0.15), 5 / 18), (0.5, 8 / 18), (0.5 + math.sqrt(0.15), 5 / 18))
+
+
+def _law_density(x):
+    """The density f = F' at each 0 <= x <= edge: (1/pi) times the
+    integral of dt / sqrt(8t(1 - t^2) - x^2) between the roots t1 < t2 in
+    [0, 1] of 8t(1 - t^2) = x^2.  The substitution t = (t1 + t2)/2 -
+    (t2 - t1)/2 cos(u) makes it 1 / (sqrt(8) AGM(sqrt(t1 + 2 t2),
+    sqrt(2 t1 + t2))), and the first AGM step reads only t1 + t2 = -t3 and
+    t1 t2 = x^2 / (-8 t3), t3 the cubic's negative root, by Newton."""
+    c = x * x / 8
+    t = np.full_like(x, -1.2)
+    for _ in range(6):
+        t -= (t * t * t - t + c) / (3 * t * t - 1)
+    s, g = -t, np.sqrt(2 * t * t - c / t)
+    a, b = np.sqrt((1.5 * s + g) / 2), np.sqrt(g)
+    for _ in range(4):
+        a, b = (a + b) / 2, np.sqrt(a * b)
+    return 1 / (math.sqrt(8) * a)
+
+
+def _law_integral(start, width):
+    """The integral of f over each [start, start + width], by 3-point
+    Gauss-Legendre."""
+    return width * sum(w * _law_density(start + width * x) for x, w in _GAUSS)
+
+
+@cache
+def _law_table():
+    """The panel width h, the panel ends j h and F at them."""
+    h = _LAW_EDGE / _LAW_PANELS
+    ends = np.arange(_LAW_PANELS + 1) * h
+    return h, ends, 0.5 + np.concatenate(([0.0], np.cumsum(_law_integral(ends[:-1], h))))
+
+
+def _law_seeds(m: int, idx) -> np.ndarray:
+    """The quantiles m^(3/2) F^-1((i + 1/2) / m) for the indices i of
+    ``idx`` in the upper half, approximate eigenvalues of the Dirac block
+    of size m: two Newton steps on F from the table's interpolant."""
+    h, ends, table = _law_table()
+    p = (idx + 0.5) / m
+    x = np.interp(p, table, ends)
+    for _ in range(2):
+        j = np.minimum((x / h).astype(np.intp), _LAW_PANELS - 1)
+        x = x - (table[j] + _law_integral(ends[j], x - ends[j]) - p) / _law_density(x)
+    return m**1.5 * x
+
+
+def _seeds(b, bsq, idx):
+    """Approximate eigenvalues with the upper-half indices ``idx`` and an
+    estimate of their error: up to _SEED_MAX_M rows from LAPACK on the
+    matrix written out dense in one float64 array (None when it does not
+    converge), past it the law's quantiles after Newton steps."""
     m = b.shape[0] + 1
     if m > _SEED_MAX_M:
-        return None
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return _newton(list(map(np.asarray, bsq)), _law_seeds(m, idx))
     dense = np.zeros((m, m))
     dense.flat[1 :: m + 1] = b
     dense.flat[m :: m + 1] = b
     with np.errstate(all="ignore"):
         try:
-            return np.linalg.eigvalsh(dense)[idx]
+            return np.linalg.eigvalsh(dense)[idx], 0.0
         except np.linalg.LinAlgError:
-            return None
+            return None, 0.0
 
 
 def _as_tridiagonal(diag, offdiag):
@@ -412,30 +488,21 @@ def count_below(bsq, points) -> np.ndarray:
         return _count_pass(bsq, space).astype(np.intp)
 
 
-def eigvalsh_tridiagonal(diag, offdiag, seeds=None) -> np.ndarray:
+def eigvalsh_tridiagonal(diag, offdiag) -> np.ndarray:
     """All eigenvalues, ascending, of the real symmetric tridiagonal matrix
     with the given off-diagonal and a diagonal that must be zero (ValueError
     otherwise, nan and inf included).
 
     Only the upper half of the spectrum is bisected; the lower half is its
     exact mirror and, for odd size, the middle eigenvalue is exactly 0.
-    ``seeds``, approximate eigenvalues in ascending order, one per
-    eigenvalue, are refined by Newton steps and seed the first bisection
-    pass; without them, up to _SEED_MAX_M rows LAPACK's seed it.  The seeds
-    change how many passes the solve takes, never its result.
+    Approximate eigenvalues (see :func:`_seeds`) seed the first bisection
+    pass; they change how many passes the solve takes, never its result.
     """
     m, b, bsq = _as_tridiagonal(diag, offdiag)
     if m == 0:
         return np.empty(0)
     idx, r = np.arange(m - m // 2, m), _gershgorin_radius(b)
-    if seeds is not None:
-        seeds = np.asarray(seeds, dtype=np.float64)
-        if seeds.shape != (m,):
-            raise ValueError(f"seeds must have length {m}, got shape {seeds.shape}")
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            seeds, err = _newton(list(map(np.asarray, bsq)), seeds[idx])
-    else:
-        seeds, err = _seeds(b, idx), 0.0
+    seeds, err = _seeds(b, bsq, idx)
     widths = None if seeds is None else _SEED_ULPS * np.spacing(np.abs(seeds)) + _RADIUS_ULPS * np.spacing(r) + err
     eigs = _bisect(bsq, r, idx, seeds, widths)
     return np.concatenate([-eigs[::-1], np.zeros(m % 2), eigs])

@@ -234,41 +234,6 @@ class TestSpectrum:
             spectrum(DiracMatrix(3, band))
 
 
-class TestLimitingLaw:
-    def test_law_reaches_one_at_its_edge(self):
-        # F(0) = 1/2 and F(edge) = 1: the density's quadrature closes
-        h, ends, table = operators._law_table()
-        assert ends[-1] == pytest.approx(math.sqrt(16 / (3 * math.sqrt(3))), rel=1e-15)
-        assert table[0] == 0.5 and abs(table[-1] - 1.0) < 1e-14
-        assert np.all(np.diff(table) > 0)
-
-    def test_density_matches_direct_quadrature(self):
-        # f(x) = (1/pi) * integral of dt / sqrt(8t(1 - t^2) - x^2) over the
-        # t where it is real, by the midpoint rule after t = t1 + (t2 - t1)
-        # sin(u)^2, which removes the endpoint singularities
-        x = np.array([0.0, 0.3, 1.0, 1.7])
-        got = operators._law_density(x)
-        u = (np.arange(20000) + 0.5) * (np.pi / 2) / 20000
-        for xi, fi in zip(x, got):
-            roots = np.roots([-8.0, 0.0, 8.0, -xi * xi])
-            t1, t2 = sorted(t.real for t in roots if -1e-12 <= t.real <= 1)[-2:]
-            t = t1 + (t2 - t1) * np.sin(u) ** 2
-            dt = 2 * (t2 - t1) * np.sin(u) * np.cos(u)
-            direct = np.sum(dt / np.sqrt(np.maximum(8 * t * (1 - t * t) - xi * xi, 1e-300))) * (np.pi / 2) / 20000 / np.pi
-            assert fi == pytest.approx(direct, rel=1e-6)
-
-    @pytest.mark.parametrize("k, bound", [(99, 5e-4), (401, 1.5e-4), (993, 5e-5)])
-    def test_seeds_lie_within_a_small_share_of_their_gaps(self, k, bound):
-        # the quantiles m^(3/2) F^-1((i + 1/2) / m) against the eigenvalues;
-        # the share falls about as 1/m (3.4e-4, 8.5e-5 and 3.5e-5 here)
-        m = (k + 1) // 2
-        eigs, seeds = KContext(k).eigenvalues, operators._law_seeds(m)
-        assert np.array_equal(seeds, -seeds[::-1])
-        gaps = np.diff(eigs)
-        nearest = np.minimum(np.append(gaps, np.inf), np.append(np.inf, gaps))
-        assert np.max(np.abs(seeds - eigs) / nearest) < bound
-
-
 class TestDiracMatrix:
     @pytest.mark.parametrize("k", list(range(1, 42, 2)) + [999])
     def test_entries_equal_dense_reference(self, k):

@@ -2,6 +2,7 @@
 matrices and its fold."""
 
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from sdirac import tridiag
 from sdirac.checks import check_charpoly_eigs
-from sdirac.operators import KContext, _law_seeds, spectrum
+from sdirac.operators import KContext, spectrum
 from sdirac.tridiag import (
     _PIVOT_FLOOR,
     _SEED_MAX_M,
@@ -162,9 +163,9 @@ class TestReferenceLoop:
         # m = 98 is seeded from LAPACK: the first pass counts, for each of
         # the 49 lanes, the bounds of its open levels and those levels, 537
         # points with the shared 0.0; 41 lanes are still open and resolve 3
-        # levels in the next pass (7 * 41 points), and the last 13 resolve 5
-        # (31 * 13): 3 passes, one sweep each, where the unseeded solve
-        # takes 18 and plain bisection 60
+        # levels in the next pass (7 * 41 points), and the last 13 the 4
+        # levels their brackets still span (15 * 13): 3 passes, one sweep
+        # each, where the unseeded solve takes 18 and plain bisection 60
         passes = []
         sweeps = []
         count_pass, sturm_counts = tridiag._count_pass, tridiag._sturm_counts
@@ -180,7 +181,7 @@ class TestReferenceLoop:
         monkeypatch.setattr(tridiag, "_count_pass", counted)
         monkeypatch.setattr(tridiag, "_sturm_counts", swept)
         eigvalsh_tridiagonal(*KContext(195).bands[0])
-        assert passes == [537, 7 * 41, 31 * 13]
+        assert passes == [537, 7 * 41, 15 * 13]
         assert sweeps == passes
 
     def test_lanes_run_until_their_brackets_collapse(self):
@@ -280,7 +281,7 @@ class TestSeededFirstPass:
     @pytest.mark.parametrize("k, seeded", [(399, True), (401, False), (993, False)])
     def test_seeded_only_up_to_the_threshold(self, k, seeded, monkeypatch):
         # LAPACK seeds m = 200; m = 201 and the m = 497 of k = 993 take the
-        # limiting law's seeds from spectrum instead, and never call it.
+        # limiting law's seeds instead, and never call it.
         # Every solve is seeded, so none runs the unseeded pass sequence.
         calls = []
         eigvalsh = np.linalg.eigvalsh
@@ -306,37 +307,45 @@ class TestSeededFirstPass:
             assert len(unseeded) == 51
 
     @pytest.mark.parametrize("k", [401, 993, 2007, 2991])
-    def test_caller_seeds_change_nothing(self, k):
+    def test_law_seeds_change_nothing(self, k, monkeypatch):
         # past _SEED_MAX_M rows: the law's seeds, refined by Newton steps,
-        # and seeds wrong in every way, against the unseeded kernel, values
-        # and sign bits
+        # and seeds wrong in every way in their place, against the unseeded
+        # kernel, values and sign bits
         d, b = KContext(k).bands[0]
         m = d.shape[0]
-        upper = _bisect(b * b, _gershgorin_radius(b), np.arange(m - m // 2, m))
+        idx = np.arange(m - m // 2, m)
+        upper = _bisect(b * b, _gershgorin_radius(b), idx)
         want = np.concatenate([-upper[::-1], np.zeros(m % 2), upper])
-        law = _law_seeds(m)
+        law = tridiag._law_seeds(m, idx)
         kinds = {
             "law": law,
-            "nan": np.full(m, np.nan),
-            "+1e300": np.full(m, 1e300),
-            "-1e300": np.full(m, -1e300),
+            "nan": np.full(idx.shape, np.nan),
+            "+1e300": np.full(idx.shape, 1e300),
+            "-1e300": np.full(idx.shape, -1e300),
             "reversed": law[::-1].copy(),
-            "shifted": np.roll(law, 1),
-            "random": np.random.default_rng(k).normal(scale=np.abs(law).max(), size=m),
+            "shifted": tridiag._law_seeds(m, idx - 1),
+            "random": np.random.default_rng(k).normal(scale=np.abs(law).max(), size=idx.shape),
         }
         for kind, seeds in kinds.items():
-            got = eigvalsh_tridiagonal(d, b, seeds)
+            monkeypatch.setattr(tridiag, "_law_seeds", lambda m, idx: seeds)
+            got = eigvalsh_tridiagonal(d, b)
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), kind
+
+    def test_general_matrix_past_the_threshold(self):
+        # past _SEED_MAX_M rows every matrix takes the Dirac law's seeds,
+        # wrong for this one: they cost passes, never bits
+        rng = np.random.default_rng(241)
+        m = _SEED_MAX_M + 41
+        b = rng.normal(size=m - 1) * 5
+        upper = _bisect(b * b, _gershgorin_radius(b), np.arange(m - m // 2, m))
+        got = eigvalsh_tridiagonal(np.zeros(m), b)
+        assert np.array_equal(got, np.concatenate([-upper[::-1], np.zeros(m % 2), upper]))
 
     def test_law_seeds_take_few_passes(self, monkeypatch):
         # a silent fall-back to unseeded passes would take 51 at k = 2991
         ctx = KContext(2991)
         passes = pass_widths(monkeypatch, lambda: spectrum(ctx.blocks[0]))
         assert len(passes) <= 12
-
-    def test_wrong_seed_length_rejected(self):
-        with pytest.raises(ValueError, match="seeds must have length 3"):
-            eigvalsh_tridiagonal(np.zeros(3), [1.0, 2.0], [0.0, 1.0])
 
     @pytest.mark.parametrize("b", [[1.34e154, 0.0], [1.34e154, 0.0, 0.0, 1.34e154]])
     def test_extreme_offdiagonals_solve_without_warnings(self, b):
@@ -348,6 +357,43 @@ class TestSeededFirstPass:
             got = eigvalsh_tridiagonal(np.zeros(b.shape[0] + 1), b)
         assert np.array_equal(got, bisect_all(b))
         assert got[b.shape[0] // 2] == 0.0
+
+
+class TestLimitingLaw:
+    def test_law_reaches_one_at_its_edge(self):
+        # F(0) = 1/2 and F(edge) = 1: the density's quadrature closes
+        h, ends, table = tridiag._law_table()
+        assert ends[-1] == pytest.approx(math.sqrt(16 / (3 * math.sqrt(3))), rel=1e-15)
+        assert table[0] == 0.5 and abs(table[-1] - 1.0) < 1e-14
+        assert np.all(np.diff(table) > 0)
+
+    def test_density_matches_direct_quadrature(self):
+        # f(x) = (1/pi) * integral of dt / sqrt(8t(1 - t^2) - x^2) over the
+        # t where it is real, by the midpoint rule after t = t1 + (t2 - t1)
+        # sin(u)^2, which removes the endpoint singularities
+        x = np.array([0.0, 0.3, 1.0, 1.7])
+        got = tridiag._law_density(x)
+        u = (np.arange(20000) + 0.5) * (np.pi / 2) / 20000
+        for xi, fi in zip(x, got):
+            roots = np.roots([-8.0, 0.0, 8.0, -xi * xi])
+            t1, t2 = sorted(t.real for t in roots if -1e-12 <= t.real <= 1)[-2:]
+            t = t1 + (t2 - t1) * np.sin(u) ** 2
+            dt = 2 * (t2 - t1) * np.sin(u) * np.cos(u)
+            direct = np.sum(dt / np.sqrt(np.maximum(8 * t * (1 - t * t) - xi * xi, 1e-300))) * (np.pi / 2) / 20000 / np.pi
+            assert fi == pytest.approx(direct, rel=1e-6)
+
+    @pytest.mark.parametrize("k, bound", [(99, 5e-4), (401, 1.5e-4), (993, 5e-5)])
+    def test_seeds_lie_within_a_small_share_of_their_gaps(self, k, bound):
+        # the quantiles m^(3/2) F^-1((i + 1/2) / m) of the upper half
+        # against the eigenvalues; the share falls about as 1/m (3.4e-4,
+        # 8.5e-5 and 3.5e-5 here)
+        m = (k + 1) // 2
+        eigs = KContext(k).eigenvalues
+        gaps = np.diff(eigs)
+        nearest = np.minimum(np.append(gaps, np.inf), np.append(np.inf, gaps))
+        idx = np.arange(m - m // 2, m)
+        seeds = tridiag._law_seeds(m, idx)
+        assert np.max(np.abs(seeds - eigs[idx]) / nearest[idx]) < bound
 
 
 class TestZeroDiagonalFold:
