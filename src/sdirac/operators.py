@@ -344,8 +344,13 @@ def spectrum(dm: DiracMatrix) -> np.ndarray:
     (ValueError otherwise), ascending, by Sturm bisection of the real
     symmetric band (diagonal, |superdiagonal|), which conjugation by a
     diagonal unitary makes of the block without moving its eigenvalues."""
-    if not all(np.allclose(dm.band[-o], dm.band[o].conj(), rtol=1e-10, atol=1e-12) for o in (0, 1)):
-        raise ValueError("matrix is not Hermitian")
+    # the tolerance of np.allclose(lower, upper, rtol=1e-10, atol=1e-12) in
+    # one comparison, which every nan and inf fails
+    lower = np.concatenate((dm.band[-1], dm.band[0]))
+    upper = np.concatenate((dm.band[1], dm.band[0])).conj()
+    with np.errstate(invalid="ignore"):
+        if not (np.abs(lower - upper) - 1e-10 * np.abs(upper) <= 1e-12).all():
+            raise ValueError("matrix is not Hermitian")
     return eigvalsh_tridiagonal(dm.band[0].real, np.abs(dm.band[1]))
 
 

@@ -11,16 +11,18 @@ few levels of the bisection tree of every lane still open (multisection;
 Demmel, Dhillon & Ren, 1995) and walks them with plain bisection's
 decisions.
 
-A seeded solve first runs ``_seeded_pass``, which counts only the levels
-of each lane's path that its seed s leaves open: the path plain bisection
-takes toward s is followed uncounted while its midpoints lie outside
-(s - w, s + w), and one pass counts at the bracket [lo, hi] where that
-stops, at 0.0 and at the rest of the path.  If count(lo) <= index <
-count(hi), every uncounted decision is the predicted one, because the
-counts are monotone.  LAPACK seeds matrices of up to _SEED_MAX_M rows;
-larger ones take the quantiles of the Dirac blocks' limiting law, refined
-by Newton steps.  On any other matrix those seeds are wrong, which costs
-passes, never bits.
+A seeded solve (``_search``) reads plain bisection's answer off the
+threshold of the count instead.  For an index i let t be the least float
+with count(t) > i.  If count(0.0) <= i, prev(t) >= _MONOTONE_MIN and
+t <= r, every midpoint of plain bisection's path after its first, 0.0, is
+at least t / 2, where counts are monotone (below); so each decision is
+count(mid) <= i exactly when mid < t, the last bracket is [prev(t), t]
+and the result 0.5 * (prev(t) + t).  The search runs in the int64 order
+of the positive floats: its first pass counts at 0.0 and at consecutive
+floats about each seed, a lane whose t lies outside them gallops outward
+in doubling ulps, and an open bracket is split evenly.  A lane that fails
+a condition goes to ``_bisect``.  Seeds only choose the points counted,
+so a wrong seed costs passes, never bits.
 
 Monotone counts (Kahan, 1966; Demmel, Dhillon & Ren, 1995): for x < y,
 count(x) <= count(y) when |x| >= 2**-943.  IEEE operations are monotone,
@@ -30,25 +32,23 @@ at y in the order fewer negatives first, then larger pivot first: a pivot
 floor of a zero pivot to +_PIVOT_FLOOR breaks that order only if the pivot
 at x lies strictly between 0 and the floor while the one at y is 0, and a
 nonzero pivot below 2**-996 needs |x| < 2**-943: otherwise 0.0 - x and
-b^2 / q are far apart or both multiples of 2**-996.  So implied decisions
-use bounds at least _MONOTONE_MIN from 0, and 0.0, the first midpoint of
-every path, is counted.
+b^2 / q are far apart or both multiples of 2**-996.
 
-The eigenvalues are bit-identical to plain bisection, one level a pass:
-every midpoint is 0.5 * (lo + hi) of the bracket plain bisection holds
-there, every decision is plain bisection's, counted at that point or
-implied by a monotone count, and a count in one lane does not depend on
-the other lanes in its pass.  The result depends neither on which indices
-are requested, nor on how many levels a pass resolves, nor on the seeds.
+The eigenvalues are bit-identical to plain bisection: ``_bisect`` forms
+every midpoint as 0.5 * (lo + hi) of the bracket plain bisection holds
+there and takes plain bisection's decision, and a count in one lane does
+not depend on the other lanes in its pass.  The result depends neither on
+which indices are requested, nor on how many levels a pass resolves, nor
+on the seeds.
 
 A pass takes its shifts 0.0 - point, counts, pivot block and flags from
-one scratch buffer per solve, sweeps the rows in blocks and tallies each
-block's negative pivots as uint8 sums.  The first row's zero pivots are
-floored before the sweep; a pass is redone with the floor only when it
-meets a later zero pivot.  ``count_below`` runs one such pass.
+one scratch buffer, sweeps the rows in blocks and tallies each block's
+negative pivots as uint8 sums.  The first row's zero pivots are floored
+before the sweep; a pass is redone with the floor only when it meets a
+later zero pivot.  ``count_below`` runs one such pass.
 
 Every phase-stripped Dirac block has zero diagonal, so it is similar to
-its own negative (Golub & Kahan, 1965): ``eigvalsh_tridiagonal`` bisects
+its own negative (Golub & Kahan, 1965): ``eigvalsh_tridiagonal`` solves
 the upper half of the indices and mirrors it, so the spectrum is exactly
 antisymmetric and the middle eigenvalue of an odd size exactly 0.
 """
@@ -69,42 +69,26 @@ _PIVOT_FLOOR = 1e-300
 # and the scratch memory small.
 _BLOCK_ENTRIES = 1 << 15
 
-# Midpoints one bisection pass counts at, at most, across all its lanes.  At
-# this width a pass costs about as much as a one-point pass, so a pass over
-# few lanes resolves several levels of their bisection trees.
+# Points one pass counts at across all its lanes: at most this many, but
+# for the search's first pass, which takes 2C + 1 <= _PASS_POINTS / n + 1
+# a lane of n, and at least 5.  At this width a pass costs about as much
+# as a one-point pass, so a pass over few lanes resolves several levels.
 _PASS_POINTS = 512
 
-# Largest size whose first bisection pass is seeded from LAPACK; larger
-# sizes take the limiting law's seeds and their Newton steps.  On the Dirac
-# blocks LAPACK's seeds make the solve faster up to a crossover between
-# m = 175 and 250 (in process, 2-core Intel Xeon: 2.3 against 3.7 ms at
-# m = 75, 12.5 against 8.9 ms at m = 300), and the transient dense matrix
-# stays within 0.32 MB.
-_SEED_MAX_M = 200
+# Largest size seeded by LAPACK's singular values of the half-size
+# bidiagonal; larger sizes take the limiting law's seeds and their Newton
+# steps.  On the Dirac blocks LAPACK's seeds make the solve faster up to
+# m = 400 and tie at m = 450 (in process, 2-core Intel Xeon, medians of 31
+# alternating solves: 4.0 against 5.6 ms at m = 300, 9.8 against 10.9 ms
+# at m = 400); at m = 475 they take twice as long (27 against 13 ms).
+_SEED_MAX_M = 400
 
 # Newton steps that refine the law's seeds.
 _NEWTON_STEPS = 2
 
-# Half-width of the interval around a seed whose midpoints the seeded pass
-# counts: _SEED_ULPS ulps of the seed, plus _RADIUS_ULPS ulps of the
-# Gershgorin radius r for the seed's absolute rounding error, plus the
-# error estimate of the last Newton step.  LAPACK's seeds err by up to 38
-# ulps of r on the Dirac blocks of k <= 399, yet with 8 none of their lanes
-# fails its bounds; two Newton steps end within 1 ulp of r at k = 401,
-# 601, 993, 1999, 2991, 3999 and 7999.
-_SEED_ULPS = 32
-_RADIUS_ULPS = 8
-
-# Float64 entries a lane, at least, in a seeded solve's scratch buffer:
-# room for the seeded pass's points (11 to 16 a lane on the Dirac blocks),
-# their counts and one pivot row (see _pass_space).  A longer path is cut
-# where the room ends.  A larger buffer, with more rows a block, saves
-# about a tenth of the solve at k = 2991 but raises its peak memory above
-# that of unseeded bisection.
-_SEED_ROOM = 52
-
-# Bounds at least this far from 0 keep every implied midpoint at least
-# 2**-943 from 0, where counts are proved monotone (see above).
+# The search counts only at floats at least this far from 0, so every
+# midpoint of the paths it stands in for lies at least 2**-943 from 0,
+# where counts are proved monotone (see above).
 _MONOTONE_MIN = 2.0**-942
 
 
@@ -160,11 +144,12 @@ def _pass_space(m: int, points: int, buf=None):
     in the scratch ``buf``: its shifts 0.0 - point, its counts, its pivot
     block with the block's rows, as tall as ``buf`` holds, and the block's
     negative-pivot flags.  Without ``buf``, or when it holds less than one
-    row, a new one of about _BLOCK_ENTRIES pivots is taken.  A pass thus
-    allocates nothing as large as its points."""
+    row, a new one is taken, as tall as _BLOCK_ENTRIES pivots allow.  A
+    pass thus allocates nothing as large as its points."""
     p = max(points, 1)
     if buf is None or 8 * (buf.shape[0] - 2 * p) < 9 * p:
-        buf = np.empty((3 + _pivot_height(m, p)) * p)
+        height = _pivot_height(m, p)
+        buf = np.empty((2 + height + (height + 7) // 8) * p)
     # each row takes p pivots and p / 8 float64 entries of flags
     height = _pivot_height(m, p, (buf.shape[0] - 2 * p) * 8 // 9)
     q = buf[2 * p : (2 + height) * p].reshape(height, p)[:, :points]
@@ -172,12 +157,14 @@ def _pass_space(m: int, points: int, buf=None):
     return buf[:points], buf[p : p + points].view(np.int64), q, list(q), flags
 
 
-def _count_pass(bsq, space):
-    """Eigenvalues below each point whose shift 0.0 - point fills the
-    first view of ``space`` (see :func:`_pass_space`), as a view of it.
-    A zero pivot past the first row is rare; only then is the pass redone
-    with the floor.  Callers silence the floating-point warnings of inf
-    and nan pivots."""
+def _count(bsq, points, buf=None):
+    """Eigenvalues below each of ``points``, as an int64 view of the
+    scratch ``buf`` laid out by :func:`_pass_space` (a new one without
+    it).  A zero pivot past the first row is rare; only then is the pass
+    redone with the floor.  Callers silence the floating-point warnings
+    of inf and nan pivots."""
+    space = _pass_space(len(bsq) + 1, points.shape[0], buf)
+    np.subtract(0.0, points, out=space[0])
     counts = _sturm_counts(bsq, *space, careful=False)
     return _sturm_counts(bsq, *space, careful=True) if counts is None else counts
 
@@ -200,12 +187,10 @@ def _levels_left(lo, hi) -> int:
 
 def _newton(bsq, x):
     """``x`` after _NEWTON_STEPS Newton steps on det(T - x), the product
-    of the Sturm pivots, and the error estimate step**2 / previous step of
-    the last one: each step is x <- x - 1 / sum(q_j' / q_j), one sweep of
-    the pivots q_j and their derivatives q_j' = -1 + (b_{j-1}^2 / q_{j-1})
-    q_{j-1}' / q_{j-1}.  A zero pivot makes the step nan, which only
-    leaves its lane unseeded."""
-    steps = [np.full_like(x, np.inf)]
+    of the Sturm pivots: each step is x <- x - 1 / sum(q_j' / q_j), one
+    sweep of the pivots q_j and their derivatives q_j' = -1 +
+    (b_{j-1}^2 / q_{j-1}) q_{j-1}' / q_{j-1}.  A zero pivot makes the step
+    nan, which only costs its lane passes."""
     t = np.empty_like(x)
     for _ in range(_NEWTON_STEPS):
         base = 0.0 - x
@@ -219,87 +204,11 @@ def _newton(bsq, x):
             np.subtract(base, t, out=q)
             np.divide(ratio, q, out=ratio)
             np.add(total, ratio, out=total)
-        steps.append(1.0 / total)
-        x = x - steps[-1]
-    return x, steps[-1] ** 2 / np.abs(steps[-2])
+        x = x - 1.0 / total
+    return x
 
 
-def _seeded_pass(bsq, r, idx, seeds, widths, buf):
-    """The brackets [lo, hi] of the lanes ``idx`` after the first pass of
-    a seeded solve (see the module docstring), for the seeds ``seeds`` and
-    the half-widths ``widths`` of their intervals.
-
-    Each lane predicts plain bisection's path from [-r, r] toward its seed
-    s, deciding up iff s >= mid, and follows it uncounted while its
-    midpoints lie outside (s - w, s + w).  The pass then counts at the
-    bracket [lo, hi] where that stops, at 0.0, and at the rest of the
-    predicted path, as far as buf has room.  A lane is certified when the
-    count at 0.0 confirms its first decision (unless its path is counted
-    from [-r, r]) and its counts at lo and hi imply every later decision
-    before [lo, hi]: lo (hi) is -r (r), or 0.0 set by the first decision,
-    or at least _MONOTONE_MIN from 0 with count(lo) <= index
-    (count(hi) > index).  A certified lane walks on by the counted
-    decisions until one disagrees with the prediction, and stops there
-    with that decision taken.  Any other lane keeps only its first
-    decision."""
-    n = idx.shape[0]
-    s = np.clip(seeds, -r, r)
-    low, high = s - widths, s + widths
-    lo, hi, moved = np.full(n, -r), np.full(n, r), True
-    while moved:
-        # a lane stopped inside (low, high) keeps its bracket, so the check
-        # can wait four levels
-        for _ in range(4):
-            mid = 0.5 * (lo + hi)
-            up, down = mid <= low, mid >= high
-            lo, hi = np.where(up, mid, lo), np.where(down, mid, hi)
-        moved = np.count_nonzero(up | down)
-    # the points go straight into buf, as many as leave room for their pass
-    # (see _pass_space); a path longer than that is cut
-    room = buf[: buf.shape[0] * 8 // 25]
-    room[0], room[1 : n + 1], room[n + 1 : 2 * n + 1] = 0.0, lo, hi
-    bounds, end, lives, ups = (lo, hi), 2 * n + 1, [], []
-    while True:
-        mid = 0.5 * (lo + hi)
-        live = (mid != lo) & (mid != hi)
-        size = np.count_nonzero(live)
-        if not size or end + size > room.shape[0]:
-            break
-        mid.compress(live, out=room[end : end + size])
-        end += size
-        up = s >= mid
-        lives.append(live), ups.append(up)
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-    space = _pass_space(len(bsq) + 1, end, buf)
-    np.subtract(0.0, space[0], out=space[0])
-    counts = _count_pass(bsq, space)
-    first = counts[0] <= idx
-    lo, hi = bounds
-    certified = (
-        (((lo == -r) & (hi == r)) | (first == (lo >= 0.0)))
-        & ((lo == -r) | (lo == 0.0) | ((counts[1 : n + 1] <= idx) & (np.abs(lo) >= _MONOTONE_MIN)))
-        & ((hi == r) | (hi == 0.0) | ((counts[n + 1 : 2 * n + 1] > idx) & (np.abs(hi) >= _MONOTONE_MIN)))
-    )
-    lo, hi = np.where(certified, lo, np.where(first, 0.0, -r)), np.where(certified, hi, np.where(first, r, 0.0))
-    # the counts of the path, spread over its levels in the free end of buf
-    shape = len(lives), n
-    live = np.array(lives, dtype=bool).reshape(shape)
-    spread = buf[2 * end : 2 * end + live.size] if 2 * end + live.size <= buf.shape[0] else np.empty(live.size)
-    spread = spread.view(np.int64).reshape(shape)
-    spread[live] = counts[2 * n + 1 :]
-    taken = spread <= idx
-    agree = taken == np.array(ups, dtype=bool).reshape(shape)
-    # a certified lane walks a live level when every level before it agreed
-    walking = live & certified
-    walking[1:] &= np.logical_and.accumulate(live & agree, axis=0)[:-1]
-    walked = np.count_nonzero(walking.any(axis=1))
-    for up, down in zip(walking[:walked] & taken[:walked], walking[:walked] > taken[:walked]):
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.where(up, mid, lo), np.where(down, mid, hi)
-    return lo, hi
-
-
-def _bisect(bsq, r, idx, seeds=None, widths=None):
+def _bisect(bsq, r, idx):
     """Eigenvalues with the ascending indices ``idx``, one bisection lane
     each, all starting from the Gershgorin bracket [-r, r].  A lane stops
     when its midpoint equals an end of its bracket.  Every halving that
@@ -317,27 +226,17 @@ def _bisect(bsq, r, idx, seeds=None, widths=None):
     whose midpoint equals lo or hi, has as children itself and the point
     [mid, mid]; both are stopped and end at mid, the value plain bisection
     returns, so the walk may take either.  Every lane starts from the same
-    bracket, so an unseeded first pass counts one tree, shared by all
-    lanes and as deep as the width of the later passes allows, and each
-    lane walks it with its own index.
-
-    ``seeds``, one approximate eigenvalue per lane, with the half-widths
-    ``widths`` of their intervals, replace that first pass with
-    :func:`_seeded_pass`.  They only choose the points it counts, and
-    every bracket move still takes plain bisection's decision at plain
-    bisection's midpoint, so the result does not depend on them."""
+    bracket, so the first pass counts one tree, shared by all lanes and as
+    deep as the width of the later passes allows, and each lane walks it
+    with its own index."""
     m, n = len(bsq) + 1, idx.shape[0]
     width = ((1 << _pass_depth(n)) - 1) * max(n, 1)
-    # the one scratch buffer of the solve: every pass lays out its shifts,
-    # counts and pivot block in it (see _pass_space)
-    buf = np.empty(max(_pivot_height(m, width) * width, 0 if seeds is None else _SEED_ROOM * n))
+    # the one scratch buffer of the solve (see _pass_space)
+    buf = np.empty(_pivot_height(m, width) * width)
     bsq = list(map(np.asarray, bsq))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if seeds is None:
-            lo, hi = np.full(n, -r), np.full(n, r)
-        else:
-            lo, hi = _seeded_pass(bsq, r, idx, seeds, widths, buf)
-        shared = seeds is None
+        lo, hi = np.full(n, -r), np.full(n, r)
+        shared = True
         while True:
             mid = 0.5 * (lo + hi)
             lanes = np.flatnonzero((mid != lo) & (mid != hi))
@@ -359,15 +258,81 @@ def _bisect(bsq, r, idx, seeds=None, widths=None):
                 los.append(np.concatenate((l, mid)))
                 his.append(np.concatenate((mid, h)))
             tree = np.concatenate(mids)
-            space = _pass_space(m, tree.size, buf)
-            np.subtract(0.0, tree.ravel(), out=space[0])
-            counts = _count_pass(bsq, space).reshape(tree.shape)
+            counts = _count(bsq, tree.ravel(), buf).reshape(tree.shape)
             node, index = np.zeros(lanes.size, dtype=np.intp), idx[lanes]
             for j in range(levels):
                 node += (counts[(1 << j) - 1 + node, cols] <= index) << j
             lo[lanes] = los[levels][node, cols]
             hi[lanes] = his[levels][node, cols]
     return 0.5 * (lo + hi)
+
+
+def _probes(lo, hi, floor, top, size):
+    """``size`` ascending keys a lane for the next pass of the search,
+    strictly inside each bracket (lo, hi) of keys and within [floor, top].
+    A bracket with both ends counted is split evenly.  One with an end not
+    yet counted, past floor or top, gallops outward from its counted end:
+    by 1, 2, ..., h ulps, h = size // 2, then by h 2**j, and last to floor
+    or top."""
+    span = (hi - lo)[:, None]
+    split = lo[:, None] + np.clip((span * (np.arange(1, size + 1) / (size + 1))).astype(np.int64), 1, span - 1)
+    up, down = hi > top, lo < floor
+    steps, h = np.arange(1.0, size + 1), size // 2
+    steps[h:] = h * 2.0 ** np.arange(1, size - h + 1)
+    steps[-1] = np.inf
+    reach = np.minimum(steps, np.where(up, top - lo, hi - floor)[:, None]).astype(np.int64)
+    rise = np.minimum(lo[:, None] + reach, top)
+    fall = np.maximum(hi[:, None] - reach, floor)[:, ::-1]
+    return np.where(up[:, None], rise, np.where(down[:, None], fall, split))
+
+
+def _search(bsq, r, idx, seeds):
+    """Eigenvalues with the indices ``idx``, bit-identical to
+    :func:`_bisect`, found as the thresholds t of the count (see the
+    module docstring) in the int64 order of the positive floats, near the
+    approximate eigenvalues ``seeds``.
+
+    The first pass counts at 0.0 and at the 2C + 1 floats whose keys lie
+    within C of each seed's, clipped into [_MONOTONE_MIN, r], with C as
+    many as fit _PASS_POINTS points, and at least 2.  Each later pass
+    counts at :func:`_probes` of the lanes still open, as many as fit
+    _PASS_POINTS and their brackets still hold.  A lane keeps as its
+    bracket the last point counted at most its index and the first above
+    it.  It fails when count(0.0), count(_MONOTONE_MIN) or count(r) puts
+    t out of reach: then :func:`_bisect` solves it."""
+    n = idx.shape[0]
+    c = max(2, _PASS_POINTS // (2 * max(n, 1)))
+    floor, top = np.array([_MONOTONE_MIN, r]).view(np.int64)
+    if top - floor <= 2 * c:  # r lies too close to _MONOTONE_MIN for a window
+        return _bisect(bsq, r, idx)
+    key = np.minimum(np.maximum(seeds.view(np.int64), floor + c), top - c)
+    points = np.zeros(1 + n * (2 * c + 1), dtype=np.int64)
+    np.add(key[:, None], np.arange(-c, c + 1), out=points[1:].reshape(n, -1))
+    m, width = len(bsq) + 1, ((1 << _pass_depth(n)) - 1) * max(n, 1)
+    # the scratch buffer of the solve: the unseeded solve's, and at least
+    # five pivot rows for the first pass (see _pass_space)
+    buf = np.empty(max(_pivot_height(m, width) * width, 8 * points.shape[0]))
+    # an end past floor or top is not yet counted
+    lo, hi, lanes = np.full(n, floor - 1), np.full(n, top + 1), np.arange(n)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        counts = _count(bsq, points.view(np.float64), buf)
+        failed, points, counts = counts[0] > idx, points[1:].reshape(n, 2 * c + 1), counts[1:]
+        while True:
+            below = (counts.reshape(points.shape) <= idx[lanes, None]).sum(1)
+            ends = np.concatenate((lo[lanes, None], points, hi[lanes, None]), axis=1)
+            rows = np.arange(lanes.size)
+            lo[lanes], hi[lanes] = ends[rows, below], ends[rows, below + 1]
+            failed |= (lo == top) | (hi == floor)
+            lanes = np.flatnonzero((hi - lo > 1) & ~failed)
+            if not lanes.size:
+                break
+            size = max(1, min(_PASS_POINTS // lanes.size, int(np.max(hi[lanes] - lo[lanes])) - 1))
+            points = _probes(lo[lanes], hi[lanes], floor, top, size)
+            counts = _count(bsq, points.ravel().view(np.float64), buf)
+    eigs = 0.5 * (lo.view(np.float64) + hi.view(np.float64))
+    if failed.any():
+        eigs[failed] = _bisect(bsq, r, idx[failed])
+    return eigs
 
 
 def _gershgorin_radius(b) -> float:
@@ -377,7 +342,8 @@ def _gershgorin_radius(b) -> float:
     is finite: ``_as_tridiagonal`` keeps each b * b finite, so
     |b| < 1.35e154 and 2r < 5.4e154."""
     ab = np.abs(b)
-    return float(np.max(np.append(ab, 0.0) + np.append(0.0, ab)))
+    # an end row's one modulus is at most its sum with its neighbour's
+    return float(max(ab.max(initial=0.0), (ab[1:] + ab[:-1]).max(initial=0.0)))
 
 
 # The limiting law F of lambda / m^(3/2) on the Dirac blocks of size m,
@@ -437,22 +403,21 @@ def _law_seeds(m: int, idx) -> np.ndarray:
 
 
 def _seeds(b, bsq, idx):
-    """Approximate eigenvalues with the upper-half indices ``idx`` and an
-    estimate of their error: up to _SEED_MAX_M rows from LAPACK on the
-    matrix written out dense in one float64 array (None when it does not
+    """Approximate eigenvalues with the upper-half indices ``idx``: up to
+    _SEED_MAX_M rows LAPACK's singular values of the half-size bidiagonal
+    matrix with diagonal b[0::2] and superdiagonal b[1::2], of which the
+    matrix is a permuted Golub-Kahan form (None when LAPACK does not
     converge), past it the law's quantiles after Newton steps."""
     m = b.shape[0] + 1
     if m > _SEED_MAX_M:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return _newton(list(map(np.asarray, bsq)), _law_seeds(m, idx))
-    dense = np.zeros((m, m))
-    dense.flat[1 :: m + 1] = b
-    dense.flat[m :: m + 1] = b
-    with np.errstate(all="ignore"):
-        try:
-            return np.linalg.eigvalsh(dense)[idx], 0.0
-        except np.linalg.LinAlgError:
-            return None, 0.0
+        return _newton(bsq, _law_seeds(m, idx))
+    half = np.zeros((m // 2, m - m // 2))
+    half.flat[:: m - m // 2 + 1] = b[0::2]
+    half.flat[1 :: m - m // 2 + 1] = b[1::2]
+    try:
+        return np.linalg.svd(half, compute_uv=False)[::-1]
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _as_tridiagonal(diag, offdiag):
@@ -467,7 +432,7 @@ def _as_tridiagonal(diag, offdiag):
     m = d.shape[0]
     if b.shape[0] != max(m - 1, 0):
         raise ValueError(f"offdiag must have length {max(m - 1, 0)}, got {b.shape[0]}")
-    if not np.all(d == 0.0):
+    if not (d == 0.0).all():
         raise ValueError("diag must be zero: the solver takes only zero-diagonal matrices")
     with np.errstate(over="ignore"):
         bsq = b * b
@@ -480,12 +445,10 @@ def count_below(bsq, points) -> np.ndarray:
     """Number of eigenvalues strictly below each of ``points``, for the
     zero diagonal and the float64 squared off-diagonal ``bsq``, in one
     vectorized Sturm pass over all the points."""
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
     bsq = list(map(np.asarray, np.asarray(bsq, dtype=np.float64)))
-    space = _pass_space(len(bsq) + 1, points.shape[0])
-    np.subtract(0.0, points, out=space[0])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _count_pass(bsq, space).astype(np.intp)
+        return _count(bsq, points)
 
 
 def eigvalsh_tridiagonal(diag, offdiag) -> np.ndarray:
@@ -493,16 +456,17 @@ def eigvalsh_tridiagonal(diag, offdiag) -> np.ndarray:
     with the given off-diagonal and a diagonal that must be zero (ValueError
     otherwise, nan and inf included).
 
-    Only the upper half of the spectrum is bisected; the lower half is its
+    Only the upper half of the spectrum is solved; the lower half is its
     exact mirror and, for odd size, the middle eigenvalue is exactly 0.
-    Approximate eigenvalues (see :func:`_seeds`) seed the first bisection
-    pass; they change how many passes the solve takes, never its result.
+    Approximate eigenvalues (see :func:`_seeds`) choose where the search
+    counts; they change how many passes the solve takes, never its result.
     """
     m, b, bsq = _as_tridiagonal(diag, offdiag)
-    if m == 0:
-        return np.empty(0)
     idx, r = np.arange(m - m // 2, m), _gershgorin_radius(b)
-    seeds, err = _seeds(b, bsq, idx)
-    widths = None if seeds is None else _SEED_ULPS * np.spacing(np.abs(seeds)) + _RADIUS_ULPS * np.spacing(r) + err
-    eigs = _bisect(bsq, r, idx, seeds, widths)
+    if not idx.size:
+        return np.zeros(m)
+    bsq = list(map(np.asarray, bsq))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        seeds = _seeds(b, bsq, idx)
+    eigs = _bisect(bsq, r, idx) if seeds is None else _search(bsq, r, idx, seeds)
     return np.concatenate([-eigs[::-1], np.zeros(m % 2), eigs])

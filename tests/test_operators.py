@@ -227,6 +227,17 @@ class TestSpectrum:
                 spectrum(DiracMatrix(3, band))
         assert np.allclose(spectrum(DiracMatrix(3, {-1: np.array([1j]), 0: zero, 1: np.array([-1j])})), [-1, 1])
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_rejects_non_finite_entries(self, offset, value):
+        # nan and inf fail the Hermitian tolerance, even against themselves
+        band = {-1: np.array([1j]), 0: np.zeros(2, dtype=complex), 1: np.array([-1j])}
+        band[offset] = np.full(band[offset].shape, value, dtype=complex)
+        if offset:
+            band[-offset] = band[offset].conj()
+        with pytest.raises(ValueError, match="Hermitian"):
+            spectrum(DiracMatrix(3, band))
+
     def test_rejects_nonzero_diagonal(self):
         # Hermitian, but the eigensolver takes only a zero diagonal
         band = {-1: np.array([1j]), 0: np.array([0, 0.5 + 0j]), 1: np.array([-1j])}

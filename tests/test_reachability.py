@@ -25,9 +25,9 @@ COMMANDS = (
     ["spectrum", "-k", "1..7", "--jobs", "1", "--format", "csv"],
     ["spectrum", "-k", "1..7", "--jobs", "1", "--format", "table"],
     ["charpoly", "-k", "1..7"],
-    # past _SEED_MAX_M rows (k >= 401) the eigensolver takes the limiting
+    # past _SEED_MAX_M rows (k >= 801) the eigensolver takes the limiting
     # law's seeds and refines them by Newton steps
-    ["verify", "-k", "401", "--check", "symmetry"],
+    ["verify", "-k", "801", "--check", "symmetry"],
 )
 
 # module.qualname -> why it stays although no command reaches it

@@ -14,10 +14,10 @@ from sdirac.operators import KContext, spectrum
 from sdirac.tridiag import (
     _PIVOT_FLOOR,
     _SEED_MAX_M,
-    _SEED_ULPS,
     _bisect,
     _gershgorin_radius,
     _pass_depth,
+    _search,
     count_below,
     eigvalsh_tridiagonal,
 )
@@ -39,6 +39,11 @@ def bisect_all(b):
 
 def dense(b):
     return np.diag(b, 1) + np.diag(b, -1)
+
+
+def same_bits(got, want):
+    """Equal values and sign bits."""
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def count_loop(d, bsq, x):
@@ -160,28 +165,26 @@ class TestReferenceLoop:
         assert _pass_depth(lanes) == depth
 
     def test_passes_at_k195(self, monkeypatch):
-        # m = 98 is seeded from LAPACK: the first pass counts, for each of
-        # the 49 lanes, the bounds of its open levels and those levels, 537
-        # points with the shared 0.0; 41 lanes are still open and resolve 3
-        # levels in the next pass (7 * 41 points), and the last 13 the 4
-        # levels their brackets still span (15 * 13): 3 passes, one sweep
-        # each, where the unseeded solve takes 18 and plain bisection 60
+        # m = 98 is seeded from LAPACK: the one pass counts at 0.0 and at
+        # the 11 consecutive floats about each of the 49 seeds, 540 points,
+        # and finds every threshold among them: one sweep, where the
+        # unseeded solve takes 18 passes and plain bisection 60
         passes = []
         sweeps = []
-        count_pass, sturm_counts = tridiag._count_pass, tridiag._sturm_counts
+        count, sturm_counts = tridiag._count, tridiag._sturm_counts
 
-        def counted(bsq, space):
-            passes.append(space[0].shape[0])
-            return count_pass(bsq, space)
+        def counted(bsq, points, buf=None):
+            passes.append(points.shape[0])
+            return count(bsq, points, buf)
 
         def swept(bsq, base, *args, **kwargs):
             sweeps.append(base.shape[0])
             return sturm_counts(bsq, base, *args, **kwargs)
 
-        monkeypatch.setattr(tridiag, "_count_pass", counted)
+        monkeypatch.setattr(tridiag, "_count", counted)
         monkeypatch.setattr(tridiag, "_sturm_counts", swept)
         eigvalsh_tridiagonal(*KContext(195).bands[0])
-        assert passes == [537, 7 * 41, 15 * 13]
+        assert passes == [540]
         assert sweeps == passes
 
     def test_lanes_run_until_their_brackets_collapse(self):
@@ -201,15 +204,15 @@ class TestReferenceLoop:
 def pass_widths(monkeypatch, solve):
     """The point counts of the Sturm passes ``solve()`` runs."""
     passes = []
-    count_pass = tridiag._count_pass
+    count = tridiag._count
 
-    def counted(bsq, space):
-        passes.append(space[0].shape[0])
-        return count_pass(bsq, space)
+    def counted(bsq, points, buf=None):
+        passes.append(points.shape[0])
+        return count(bsq, points, buf)
 
-    monkeypatch.setattr(tridiag, "_count_pass", counted)
+    monkeypatch.setattr(tridiag, "_count", counted)
     solve()
-    monkeypatch.setattr(tridiag, "_count_pass", count_pass)
+    monkeypatch.setattr(tridiag, "_count", count)
     return passes
 
 
@@ -225,23 +228,21 @@ def seed_kinds(rng, exact):
         "+1e300": np.full(n, 1e300),
         "-1e300": np.full(n, -1e300),
         "+-1e300": np.where(np.arange(n) % 2, 1e300, -1e300),
+        "shifted": np.append(exact[1:], exact[-1:]),
         "random": rng.normal(scale=np.abs(exact).max(initial=0.0) + 1.0, size=n),
     }
 
 
 class TestSeededFirstPass:
-    # Seeds only choose where the first pass counts; every bracket move
-    # still comes from a count at a midpoint of plain bisection.
+    # Seeds only choose where the search counts; every result is plain
+    # bisection's, read off counts.
 
     def assert_seeds_change_nothing(self, rng, b, idx, kinds=None):
         r = _gershgorin_radius(b)
         want = _bisect(b * b, r, idx)
         for kind, seeds in seed_kinds(rng, want).items():
             if kinds is None or kind in kinds:
-                with np.errstate(invalid="ignore"):
-                    widths = _SEED_ULPS * np.spacing(np.abs(seeds))
-                got = _bisect(b * b, r, idx, seeds, widths)
-                assert np.array_equal(got, want), kind
+                assert same_bits(_search(b * b, r, idx, seeds), want), kind
 
     @pytest.mark.parametrize("k", [1, 3, 97, 99, 195, 399])
     def test_dirac_blocks(self, k):
@@ -251,17 +252,17 @@ class TestSeededFirstPass:
         self.assert_seeds_change_nothing(rng, b, np.arange(m - m // 2, m))
 
     def test_random_matrices(self):
-        # the lanes the solver bisects, and every index; the zeroed
+        # the lanes the solver solves, and every index; the zeroed
         # off-diagonals often put exact zeros among them, whose lanes run
         # about 1,080 levels, so each matrix takes the exact seeds and two
-        # of the wrong kinds in turn, each kind on 28 or 29 matrices
+        # of the wrong kinds in turn, each kind on 24 to 26 matrices
         rng = np.random.default_rng(2024)
         wrong = list(seed_kinds(rng, np.zeros(1)))[1:]
         for i in range(100):
             m = int(rng.integers(1, 16))
             b = random_offdiag(rng, m)
             idx = np.arange(m - m // 2, m) if i % 2 else np.arange(m)
-            kinds = {"exact", wrong[i % 7], wrong[(i + 3) % 7]}
+            kinds = {"exact", wrong[i % 8], wrong[(i + 3) % 8]}
             self.assert_seeds_change_nothing(rng, b, idx, kinds)
 
     def test_lapack_failure_solves_unseeded(self, monkeypatch):
@@ -269,57 +270,60 @@ class TestSeededFirstPass:
         cases = [KContext(195).bands[0], (np.zeros(30), random_offdiag(rng, 30))]
         want = [eigvalsh_tridiagonal(d, b) for d, b in cases]
 
-        def fails(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        def fails(a, compute_uv=True):
+            raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+        monkeypatch.setattr(np.linalg, "svd", fails)
         for (d, b), eigs in zip(cases, want):
             assert np.array_equal(eigvalsh_tridiagonal(d, b), eigs)
         # the unseeded solve starts from the shared tree of 255 midpoints
         assert pass_widths(monkeypatch, lambda: eigvalsh_tridiagonal(*cases[0]))[:2] == [255, 343]
 
-    @pytest.mark.parametrize("k, seeded", [(399, True), (401, False), (993, False)])
+    @pytest.mark.parametrize("k, seeded", [(399, True), (801, False), (993, False)])
     def test_seeded_only_up_to_the_threshold(self, k, seeded, monkeypatch):
-        # LAPACK seeds m = 200; m = 201 and the m = 497 of k = 993 take the
-        # limiting law's seeds instead, and never call it.
-        # Every solve is seeded, so none runs the unseeded pass sequence.
+        # LAPACK seeds m = 200 from the singular values of the 100 x 100
+        # bidiagonal; m = 401 and the m = 497 of k = 993, past
+        # _SEED_MAX_M = 400, take the limiting law's seeds instead, and
+        # never call it.  Every solve is seeded, so none runs the unseeded
+        # pass sequence.
         calls = []
-        eigvalsh = np.linalg.eigvalsh
+        svd = np.linalg.svd
 
-        def recorded(a):
+        def recorded(a, compute_uv=True):
             calls.append(a.shape)
-            return eigvalsh(a)
+            return svd(a, compute_uv=compute_uv)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        monkeypatch.setattr(np.linalg, "svd", recorded)
         ctx = KContext(k)
         passes = pass_widths(monkeypatch, lambda: spectrum(ctx.blocks[0]))
         d, b = ctx.bands[0]
         m = d.shape[0]
-        assert calls == ([(m, m)] if seeded else [])
+        assert calls == ([(m // 2, m - m // 2)] if seeded else [])
         assert (m <= _SEED_MAX_M) == seeded
         r = _gershgorin_radius(b)
         unseeded = pass_widths(monkeypatch, lambda: _bisect(b * b, r, np.arange(m - m // 2, m)))
         assert passes != unseeded
         if k == 993:
-            # one seeded pass, then 67 open lanes resolve 3 levels and the
-            # last 8 resolve 6; the unseeded solve takes 51 passes
-            assert passes == [2724, 7 * 67, 63 * 8]
+            # one pass finds all 248 thresholds among the 5 floats about
+            # each seed; the unseeded solve takes 51 passes
+            assert passes == [1241]
             assert len(unseeded) == 51
 
     @pytest.mark.parametrize("k", [401, 993, 2007, 2991])
-    def test_law_seeds_change_nothing(self, k, monkeypatch):
-        # past _SEED_MAX_M rows: the law's seeds, refined by Newton steps,
-        # and seeds wrong in every way in their place, against the unseeded
-        # kernel, values and sign bits
+    def test_law_seeds_change_nothing(self, k):
+        # the law's seeds, raw and refined by Newton steps, and seeds wrong
+        # in every way in their place, against the unseeded kernel, values
+        # and sign bits
         d, b = KContext(k).bands[0]
         m = d.shape[0]
-        idx = np.arange(m - m // 2, m)
-        upper = _bisect(b * b, _gershgorin_radius(b), idx)
-        want = np.concatenate([-upper[::-1], np.zeros(m % 2), upper])
+        idx, r, bsq = np.arange(m - m // 2, m), _gershgorin_radius(b), list(map(np.asarray, b * b))
+        want = _bisect(bsq, r, idx)
         law = tridiag._law_seeds(m, idx)
         kinds = {
             "law": law,
+            "newton": tridiag._newton(bsq, law),
             "nan": np.full(idx.shape, np.nan),
+            "zero": np.zeros(idx.shape),
             "+1e300": np.full(idx.shape, 1e300),
             "-1e300": np.full(idx.shape, -1e300),
             "reversed": law[::-1].copy(),
@@ -327,9 +331,7 @@ class TestSeededFirstPass:
             "random": np.random.default_rng(k).normal(scale=np.abs(law).max(), size=idx.shape),
         }
         for kind, seeds in kinds.items():
-            monkeypatch.setattr(tridiag, "_law_seeds", lambda m, idx: seeds)
-            got = eigvalsh_tridiagonal(d, b)
-            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), kind
+            assert same_bits(_search(bsq, r, idx, seeds), want), kind
 
     def test_general_matrix_past_the_threshold(self):
         # past _SEED_MAX_M rows every matrix takes the Dirac law's seeds,
@@ -345,7 +347,7 @@ class TestSeededFirstPass:
         # a silent fall-back to unseeded passes would take 51 at k = 2991
         ctx = KContext(2991)
         passes = pass_widths(monkeypatch, lambda: spectrum(ctx.blocks[0]))
-        assert len(passes) <= 12
+        assert len(passes) <= 4
 
     @pytest.mark.parametrize("b", [[1.34e154, 0.0], [1.34e154, 0.0, 0.0, 1.34e154]])
     def test_extreme_offdiagonals_solve_without_warnings(self, b):
@@ -357,6 +359,117 @@ class TestSeededFirstPass:
             got = eigvalsh_tridiagonal(np.zeros(b.shape[0] + 1), b)
         assert np.array_equal(got, bisect_all(b))
         assert got[b.shape[0] // 2] == 0.0
+
+
+class TestThresholdSearch:
+    # The search stands in for plain bisection only when count(0.0) <= i,
+    # prev(t) >= _MONOTONE_MIN and t <= r for the threshold t of lane i
+    # (see the tridiag module docstring); a lane that fails one goes to the
+    # unseeded _bisect.  Each case against the plain loop or the unseeded
+    # kernel, values and sign bits.
+
+    def solve(self, b, seeds, monkeypatch):
+        """_search on the upper half of the zero-diagonal matrix with
+        off-diagonal b, and the indices it left to _bisect."""
+        b = np.asarray(b, dtype=np.float64)
+        m = b.shape[0] + 1
+        left, bisect = [], tridiag._bisect
+
+        def recorded(bsq, r, idx):
+            left.extend(idx.tolist())
+            return bisect(bsq, r, idx)
+
+        monkeypatch.setattr(tridiag, "_bisect", recorded)
+        got = _search(b * b, _gershgorin_radius(b), np.arange(m - m // 2, m), np.asarray(seeds, dtype=np.float64))
+        monkeypatch.setattr(tridiag, "_bisect", bisect)
+        return got, left
+
+    def loop(self, b):
+        b = np.asarray(b, dtype=np.float64)
+        m, r = b.shape[0] + 1, _gershgorin_radius(b)
+        with np.errstate(divide="ignore", over="ignore"):
+            return bisect_loop(np.zeros(m), b * b, -r, r)[m - m // 2 :]
+
+    def test_threshold_above_the_radius(self, monkeypatch):
+        # [[0, 3], [3, 0]] has r = 3 and the eigenvalue 3, whose last pivot
+        # at 3 is 0, which counts as nonnegative: count(3) = 1, so t lies
+        # above r and plain bisection ends at the bracket [prev(3), 3]
+        assert count_below([9.0], [3.0]).tolist() == [1]
+        want = self.loop([3.0])
+        assert same_bits(_bisect(np.array([9.0]), 3.0, np.array([1])), want)
+        for seeds in ([3.0], [np.nextafter(3.0, 0.0)], [3.5], [np.nan], [0.0]):
+            got, left = self.solve([3.0], seeds, monkeypatch)
+            assert same_bits(got, want) and left == [1], seeds
+        assert same_bits(eigvalsh_tridiagonal(np.zeros(2), [3.0])[1:], want)
+
+    @pytest.mark.parametrize("b", [[1.0, 0.0, 0.0, 0.0, 1.0], [2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0], [0.0, 0.0, 5.0]])
+    def test_exact_zeros_in_the_upper_half(self, b, monkeypatch):
+        # decoupled cells put exact zeros among the upper half, whose
+        # thresholds are the least subnormal, below _MONOTONE_MIN
+        want = self.loop(b)
+        zeros = [i for i, x in enumerate(want, len(b) + 1 - len(want)) if x == 0.0]
+        assert zeros
+        for seeds in (want, np.full(want.shape, 1e-320), np.full(want.shape, np.nan)):
+            got, left = self.solve(b, seeds, monkeypatch)
+            assert same_bits(got, want) and set(zeros) <= set(left)
+        assert same_bits(eigvalsh_tridiagonal(np.zeros(len(b) + 1), b)[-len(want) :], want)
+
+    @pytest.mark.parametrize("points", [1, 8, 512])
+    def test_seeds_beyond_the_gallop(self, points, monkeypatch):
+        # seeds so far off that the first gallop pass ends at _MONOTONE_MIN
+        # or r, when few points a lane leave it one or two steps, and seeds
+        # of no use at all
+        monkeypatch.setattr(tridiag, "_PASS_POINTS", points)
+        rng = np.random.default_rng(points)
+        for b in (rng.normal(size=11) * 7, KContext(99).bands[0][1]):
+            m = b.shape[0] + 1
+            want = _bisect(b * b, _gershgorin_radius(b), np.arange(m - m // 2, m))
+            if m < 20:
+                assert same_bits(self.loop(b), want)
+            keys = want.view(np.int64)
+            kinds = {
+                "+1e6 ulps": (keys + 10**6).view(np.float64),
+                "-1e6 ulps": (keys - 10**6).view(np.float64),
+                "x 1e-100": want * 1e-100,
+                "x 1e100": want * 1e100,
+                "nan": np.full(want.shape, np.nan),
+                "zero": np.zeros(want.shape),
+                "+1e300": np.full(want.shape, 1e300),
+                "-1e300": np.full(want.shape, -1e300),
+            }
+            for kind, seeds in kinds.items():
+                got, left = self.solve(b, seeds, monkeypatch)
+                assert same_bits(got, want) and not left, kind
+
+    def test_dirac_blocks(self):
+        # every odd k <= 399, on LAPACK's seeds and on the law's
+        for k in range(1, 400, 2):
+            b = KContext(k).bands[0][1]
+            m = b.shape[0] + 1
+            idx, r, bsq = np.arange(m - m // 2, m), _gershgorin_radius(b), list(map(np.asarray, b * b))
+            want = _bisect(bsq, r, idx)
+            assert same_bits(eigvalsh_tridiagonal(np.zeros(m), b)[m - m // 2 :], want), k
+            if idx.size:
+                assert same_bits(_search(bsq, r, idx, tridiag._newton(bsq, tridiag._law_seeds(m, idx))), want), k
+
+    def test_random_matrices(self, monkeypatch):
+        # small-integer entries, about 20 % zero, at scales 1e-5 to 1e5:
+        # exact, clustered and zero eigenvalues in the upper half.  A lane
+        # is left to _bisect exactly when count(0.0), count(_MONOTONE_MIN)
+        # or count(r) puts its threshold out of reach; those lanes, often
+        # exact zeros of about 1,080 levels each, are not solved here
+        monkeypatch.setattr(tridiag, "_bisect", lambda bsq, r, idx: np.full(idx.shape, np.nan))
+        rng = np.random.default_rng(47)
+        for _ in range(300):
+            m = int(rng.integers(2, 40))
+            b = rng.integers(-4, 5, size=m - 1) * 10.0 ** rng.integers(-5, 6)
+            b[rng.random(m - 1) < 0.2] = 0.0
+            idx, r, bsq = np.arange(m - m // 2, m), _gershgorin_radius(b), b * b
+            got = _search(bsq, r, idx, tridiag._seeds(b, bsq, idx))
+            at_zero, at_min, at_r = count_below(bsq, [0.0, tridiag._MONOTONE_MIN, r])
+            left = np.isnan(got)
+            assert np.array_equal(left, (at_zero > idx) | (at_min > idx) | (at_r <= idx))
+            assert same_bits(got[~left], _bisect(bsq, r, idx[~left]))
 
 
 class TestLimitingLaw:
