@@ -97,6 +97,13 @@ def dumps_canonical(obj) -> str:
         items = ", ".join(f"{json.dumps(k)}: {dumps_canonical(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
+        # a list of plain ints or floats, as eigenvalues and coefficients
+        # are, is rendered in one join; a float is falsy only at +-0.0
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            return "[" + ", ".join([format(v, ".17g") if v else "0" for v in obj]) + "]"
+        if kinds == {int}:
+            return "[" + ", ".join(map(str, obj)) + "]"
         return "[" + ", ".join(dumps_canonical(v) for v in obj) + "]"
     return _json_scalar(obj)
 

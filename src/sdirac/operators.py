@@ -312,7 +312,8 @@ def check_commutator(blocks, closed) -> tuple:
     O(m), with ``closed``, their k's :func:`p_diag_closed`.  Returns
     (ok, off): off is the largest modulus off the diagonal, and ok requires
     off and every imaginary part on the diagonal below FLOAT_TOL and the
-    real parts to round to the closed-form integers."""
+    real parts to round to the closed-form integers, which no nan or inf
+    does."""
     d, dt = blocks
     p = _bracket_defect(dt.band, d.band, {}, 0, d.m)
     diag = 1j * p.pop(0)
@@ -320,7 +321,7 @@ def check_commutator(blocks, closed) -> tuple:
     ok = (
         off < FLOAT_TOL
         and float(np.max(np.abs(diag.imag))) < FLOAT_TOL
-        and tuple(int(round(x)) for x in diag.real) == closed
+        and np.rint(diag.real).tolist() == list(closed)
     )
     return ok, off
 

@@ -1,28 +1,29 @@
 """Eigenvalues of real symmetric tridiagonal matrices with zero diagonal,
 by Sturm bisection.
 
-This is the one numerically hot loop in the package.  ``_bisect`` is a
-pure-numpy kernel vectorized over eigenvalue indices: each eigenvalue is
-bracketed from the global Gershgorin interval by counting, via the Sturm
-pivot recurrence, how many eigenvalues lie below the midpoint, and halving
-until the bracket collapses to adjacent floats.  A pass is m sequential
-row steps of a few numpy calls, so it counts at the midpoints of the next
-few levels of the bisection tree of every lane still open (multisection;
-Demmel, Dhillon & Ren, 1995) and walks them with plain bisection's
-decisions.
+This is the one numerically hot loop in the package.  Plain bisection
+brackets each eigenvalue from the global Gershgorin interval [-r, r] by
+counting, via the Sturm pivot recurrence, how many eigenvalues lie below
+the midpoint, and halves until the bracket collapses to adjacent floats.
+A count pass is m sequential row steps of a few numpy calls, vectorized
+over the points it counts at.
 
-A seeded solve (``_search``) reads plain bisection's answer off the
-threshold of the count instead.  For an index i let t be the least float
-with count(t) > i.  If count(0.0) <= i, prev(t) >= _MONOTONE_MIN and
-t <= r, every midpoint of plain bisection's path after its first, 0.0, is
-at least t / 2, where counts are monotone (below); so each decision is
-count(mid) <= i exactly when mid < t, the last bracket is [prev(t), t]
-and the result 0.5 * (prev(t) + t).  The search runs in the int64 order
-of the positive floats: its first pass counts at 0.0 and at consecutive
-floats about each seed, a lane whose t lies outside them gallops outward
-in doubling ulps, and an open bracket is split evenly.  A lane that fails
-a condition goes to ``_bisect``.  Seeds only choose the points counted,
-so a wrong seed costs passes, never bits.
+``_search`` reads plain bisection's answer off the threshold of the
+count.  For an index i let t be the least float with count(t) > i, and
+let count(0.0) <= i, so that plain bisection's path rises from its first
+midpoint, 0.0.  If prev(t) >= _MONOTONE_MIN and t <= r, every later
+midpoint is at least t / 2, where counts are monotone (below); so each
+decision is count(mid) <= i exactly when mid < t, the last bracket is
+[prev(t), t] and the result 0.5 * (prev(t) + t).  If count(r) <= i and
+r >= _MONOTONE_MIN, every later midpoint lies in [r / 2, r) and counts
+at most count(r), so the path rises at every step and the result is
+0.5 * (prev(r) + r).  The search runs in the int64 order of the positive
+floats: its first pass counts at 0.0 and at consecutive floats about each
+seed, a lane whose t lies outside them gallops outward in doubling ulps,
+and an open bracket is split evenly.  Seeds only choose the points
+counted, so a wrong seed costs passes, never bits.  A lane with
+count(0.0) > i or count(_MONOTONE_MIN) > i, which no Dirac block has,
+goes to ``_bisect``, plain bisection.
 
 Monotone counts (Kahan, 1966; Demmel, Dhillon & Ren, 1995): for x < y,
 count(x) <= count(y) when |x| >= 2**-943.  IEEE operations are monotone,
@@ -34,12 +35,9 @@ at x lies strictly between 0 and the floor while the one at y is 0, and a
 nonzero pivot below 2**-996 needs |x| < 2**-943: otherwise 0.0 - x and
 b^2 / q are far apart or both multiples of 2**-996.
 
-The eigenvalues are bit-identical to plain bisection: ``_bisect`` forms
-every midpoint as 0.5 * (lo + hi) of the bracket plain bisection holds
-there and takes plain bisection's decision, and a count in one lane does
-not depend on the other lanes in its pass.  The result depends neither on
-which indices are requested, nor on how many levels a pass resolves, nor
-on the seeds.
+The eigenvalues are bit-identical to plain bisection, and a count in one
+lane does not depend on the other points of its pass, so the result
+depends neither on which indices are requested nor on the seeds.
 
 A pass takes its shifts 0.0 - point, counts, pivot block and flags from
 one scratch buffer, sweeps the rows in blocks and tallies each block's
@@ -69,10 +67,11 @@ _PIVOT_FLOOR = 1e-300
 # and the scratch memory small.
 _BLOCK_ENTRIES = 1 << 15
 
-# Points one pass counts at across all its lanes: at most this many, but
-# for the search's first pass, which takes 2C + 1 <= _PASS_POINTS / n + 1
-# a lane of n, and at least 5.  At this width a pass costs about as much
-# as a one-point pass, so a pass over few lanes resolves several levels.
+# Points one pass of the search counts at: at most this many across its
+# lanes, or one a lane when it has more, but for its first pass, which
+# takes 2C + 1 points a lane of n, C = max(2, _PASS_POINTS // 2n).  At
+# this width a pass over a small block costs about as much as a one-point
+# pass.
 _PASS_POINTS = 512
 
 # Largest size seeded by LAPACK's singular values of the half-size
@@ -169,22 +168,6 @@ def _count(bsq, points, buf=None):
     return _sturm_counts(bsq, *space, careful=True) if counts is None else counts
 
 
-def _pass_depth(lanes: int) -> int:
-    """Bisection levels one pass resolves for ``lanes`` lanes: the largest
-    depth whose 2**depth - 1 midpoints per lane fit in _PASS_POINTS, and
-    at least 1."""
-    return max(1, (_PASS_POINTS // max(lanes, 1) + 1).bit_length() - 1)
-
-
-def _levels_left(lo, hi) -> int:
-    """Bisection levels that collapse the widest of the brackets [lo, hi]
-    to adjacent floats, estimated as if each lay in one binade: the bit
-    length of its width in ulps of its end nearer 0, at most 65.  Only
-    how many levels a pass resolves depends on it."""
-    ulps = np.max((hi - lo) / np.spacing(np.minimum(np.abs(lo), np.abs(hi))))
-    return int(min(ulps, 2.0**64)).bit_length()
-
-
 def _newton(bsq, x):
     """``x`` after _NEWTON_STEPS Newton steps on det(T - x), the product
     of the Sturm pivots: each step is x <- x - 1 / sum(q_j' / q_j), one
@@ -209,61 +192,35 @@ def _newton(bsq, x):
 
 
 def _bisect(bsq, r, idx):
-    """Eigenvalues with the ascending indices ``idx``, one bisection lane
-    each, all starting from the Gershgorin bracket [-r, r].  A lane stops
-    when its midpoint equals an end of its bracket.  Every halving that
-    does not stop keeps a strict subset of the floats, and a finite
-    bracket below 2**1024 collapses to adjacent floats within about 2,100
-    halvings, so no iteration cap is needed.
+    """Eigenvalues with the ascending indices ``idx`` by plain bisection
+    from the Gershgorin bracket [-r, r], one midpoint 0.5 * (lo + hi) a
+    lane per pass.  A lane stops when its midpoint equals an end of its
+    bracket.  Every halving that does not stop keeps a strict subset of the
+    floats, and a finite bracket below 2**1024 collapses to adjacent floats
+    within about 2,100 halvings, so no iteration cap is needed.
 
-    Each pass counts at the midpoints of the next few levels of the
-    bisection trees of the lanes that have not stopped, as many levels as
-    fit _PASS_POINTS midpoints and their brackets still span (see
-    :func:`_levels_left`), then walks those levels with the decision
-    of plain bisection, count <= index.  Level j of a tree holds 2**j
-    brackets; the children of its bracket p are p (the lower half) and
-    p + 2**j (the upper half) of level j + 1.  A stopped bracket [lo, hi],
-    whose midpoint equals lo or hi, has as children itself and the point
-    [mid, mid]; both are stopped and end at mid, the value plain bisection
-    returns, so the walk may take either.  Every lane starts from the same
-    bracket, so the first pass counts one tree, shared by all lanes and as
-    deep as the width of the later passes allows, and each lane walks it
-    with its own index."""
-    m, n = len(bsq) + 1, idx.shape[0]
-    width = ((1 << _pass_depth(n)) - 1) * max(n, 1)
-    # the one scratch buffer of the solve (see _pass_space)
-    buf = np.empty(_pivot_height(m, width) * width)
+    The first pass counts at every path's first midpoint, 0.0, and at
+    _MONOTONE_MIN.  A lane i with count(0.0) <= i and count(_MONOTONE_MIN)
+    > i would next count at r / 2, ..., r / 2**J, J the difference of the
+    binary exponents of r and _MONOTONE_MIN: each is exact and at least
+    _MONOTONE_MIN, so by monotone counts each counts above i, and the lane
+    starts from [+0.0, r / 2**J] instead.  That skips about 940 of the
+    1,080 halvings of an exact zero eigenvalue."""
     bsq = list(map(np.asarray, bsq))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lo, hi = np.full(n, -r), np.full(n, r)
-        shared = True
+        at_zero, at_min = _count(bsq, np.array([0.0, _MONOTONE_MIN]))
+        rise = at_zero <= idx
+        lo, hi = np.where(rise, 0.0, -r), np.where(rise, r, 0.0)
+        jump = max(math.frexp(r)[1] - math.frexp(_MONOTONE_MIN)[1], 0)
+        hi[rise & (at_min > idx)] = math.ldexp(r, -jump)
         while True:
             mid = 0.5 * (lo + hi)
             lanes = np.flatnonzero((mid != lo) & (mid != hi))
             if not lanes.size:
                 break
-            if shared:
-                levels, cols = (width + 1).bit_length() - 1, np.zeros(lanes.size, dtype=np.intp)
-                los, his = [lo[None, :1]], [hi[None, :1]]
-            else:
-                los, his = [lo[None, lanes]], [hi[None, lanes]]
-                levels = min(_pass_depth(lanes.size), _levels_left(los[0], his[0]))
-                cols = np.arange(lanes.size)
-            shared = False
-            mids = []
-            for _ in range(levels):
-                l, h = los[-1], his[-1]
-                mid = 0.5 * (l + h)
-                mids.append(mid)
-                los.append(np.concatenate((l, mid)))
-                his.append(np.concatenate((mid, h)))
-            tree = np.concatenate(mids)
-            counts = _count(bsq, tree.ravel(), buf).reshape(tree.shape)
-            node, index = np.zeros(lanes.size, dtype=np.intp), idx[lanes]
-            for j in range(levels):
-                node += (counts[(1 << j) - 1 + node, cols] <= index) << j
-            lo[lanes] = los[levels][node, cols]
-            hi[lanes] = his[levels][node, cols]
+            mid = mid[lanes]
+            below = _count(bsq, mid) <= idx[lanes]
+            lo[lanes[below]], hi[lanes[~below]] = mid[below], mid[~below]
     return 0.5 * (lo + hi)
 
 
@@ -298,8 +255,9 @@ def _search(bsq, r, idx, seeds):
     counts at :func:`_probes` of the lanes still open, as many as fit
     _PASS_POINTS and their brackets still hold.  A lane keeps as its
     bracket the last point counted at most its index and the first above
-    it.  It fails when count(0.0), count(_MONOTONE_MIN) or count(r) puts
-    t out of reach: then :func:`_bisect` solves it."""
+    it; one whose count at r is at most its index ends at [prev(r), r].
+    A lane fails when count(0.0) or count(_MONOTONE_MIN) is above its
+    index: then :func:`_bisect` solves it."""
     n = idx.shape[0]
     c = max(2, _PASS_POINTS // (2 * max(n, 1)))
     floor, top = np.array([_MONOTONE_MIN, r]).view(np.int64)
@@ -308,9 +266,10 @@ def _search(bsq, r, idx, seeds):
     key = np.minimum(np.maximum(seeds.view(np.int64), floor + c), top - c)
     points = np.zeros(1 + n * (2 * c + 1), dtype=np.int64)
     np.add(key[:, None], np.arange(-c, c + 1), out=points[1:].reshape(n, -1))
-    m, width = len(bsq) + 1, ((1 << _pass_depth(n)) - 1) * max(n, 1)
-    # the scratch buffer of the solve: the unseeded solve's, and at least
-    # five pivot rows for the first pass (see _pass_space)
+    m, width = len(bsq) + 1, max(n, _PASS_POINTS // 2)
+    # the scratch buffer of the solve: a pivot block of half a full pass,
+    # or of one point a lane, and at least five pivot rows for the first
+    # pass (see _pass_space)
     buf = np.empty(max(_pivot_height(m, width) * width, 8 * points.shape[0]))
     # an end past floor or top is not yet counted
     lo, hi, lanes = np.full(n, floor - 1), np.full(n, top + 1), np.arange(n)
@@ -322,13 +281,16 @@ def _search(bsq, r, idx, seeds):
             ends = np.concatenate((lo[lanes, None], points, hi[lanes, None]), axis=1)
             rows = np.arange(lanes.size)
             lo[lanes], hi[lanes] = ends[rows, below], ends[rows, below + 1]
-            failed |= (lo == top) | (hi == floor)
+            failed |= hi == floor
             lanes = np.flatnonzero((hi - lo > 1) & ~failed)
             if not lanes.size:
                 break
             size = max(1, min(_PASS_POINTS // lanes.size, int(np.max(hi[lanes] - lo[lanes])) - 1))
             points = _probes(lo[lanes], hi[lanes], floor, top, size)
             counts = _count(bsq, points.ravel().view(np.float64), buf)
+    # count(r) <= i: plain bisection's last bracket is [prev(r), r]
+    above = lo == top
+    lo[above], hi[above] = top - 1, top
     eigs = 0.5 * (lo.view(np.float64) + hi.view(np.float64))
     if failed.any():
         eigs[failed] = _bisect(bsq, r, idx[failed])

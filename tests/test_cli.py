@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sdirac import checks, cli, operators, su2
@@ -21,6 +22,31 @@ from sdirac.hermite import weight_on_Wl
 from sdirac.operators import charpoly_exact
 
 DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture(scope="module")
+def spectrum_195():
+    """stdout of `spectrum -k 1..195 --jobs 1` and the 98 report dicts it
+    renders."""
+    reports, out, build = [], io.StringIO(), cli.build_report
+
+    def recorded(k):
+        reports.append(build(k))
+        return reports[-1]
+
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(cli, "build_report", recorded)
+        assert main(["spectrum", "-k", "1..195", "--jobs", "1"]) == 0
+    return out.getvalue(), reports
+
+
+def item_by_item(obj) -> str:
+    """The canonical JSON of ``obj`` rendered one scalar at a time."""
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {item_by_item(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(item_by_item(v) for v in obj) + "]"
+    return cli._json_scalar(obj)
 
 
 def run_to_file(tmp_path, name, argv):
@@ -178,12 +204,39 @@ class TestSpectrumCommand:
         assert "internal error: no report" in captured.err
 
 
-    def test_spectrum_195_stdout_is_pinned(self, capsys):
+    def test_spectrum_195_stdout_is_pinned(self, spectrum_195):
         # sha256 of `spectrum -k 1..195 --jobs 1` stdout: 98 reports whose
         # eigenvalues print to full float64 precision
-        assert main(["spectrum", "-k", "1..195", "--jobs", "1"]) == 0
-        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        digest = hashlib.sha256(spectrum_195[0].encode()).hexdigest()
         assert digest == "08ee4588dfdfc74d95a94949e5d84ea8ef4e1d311342245476a4cc10b6c0dcfc"
+
+
+class TestCanonicalJson:
+    def test_reports_render_as_item_by_item(self, spectrum_195):
+        # lists of plain ints or floats are joined at once, to the same bytes
+        reports = spectrum_195[1]
+        assert len(reports) == 98
+        for d in reports:
+            assert dumps_canonical(d) == item_by_item(d)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [],
+            [True, False],
+            [1, True, 0],
+            [0.0, -0.0, 1.5, -2.5e-300, 1e300, 5e-324],
+            [-0.0],
+            (0.0,),
+            [0, -7, 10**40],
+            [1, 2.0],
+            [np.float64(-0.0), np.float64(0.1)],
+            [math.nan, math.inf, -math.inf],
+            [[1.0, -0.0], [], [[0]], {"a": [2, 3]}],
+        ],
+    )
+    def test_lists_render_as_item_by_item(self, obj):
+        assert dumps_canonical(obj) == item_by_item(obj)
 
 
 class TestCharpolyCommand:

@@ -17,8 +17,10 @@ from sdirac.operators import (
     assembly_matches_exact,
     assembly_mismatch_float,
     charpoly_exact,
+    check_commutator,
     definition_coeffs,
     norm_bound_holds,
+    p_diag_closed,
     p_operator,
     signed_det,
     spectrum,
@@ -285,6 +287,16 @@ class TestPOperator:
     def test_trace_free(self, k):
         # sum over l of the diagonal vanishes (commutator trace)
         assert sum(p_operator(k)) == 0
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_fail_without_raising(self, offset, bad):
+        # no nan or inf rounds to a closed-form integer
+        d, dt = assemble_closed_form(5)
+        d.band[offset][0] = bad
+        with np.errstate(invalid="ignore"):  # inf * 0 in the band product
+            assert check_commutator((d, dt), p_diag_closed(5))[0] is False
+        assert check_commutator(assemble_closed_form(5), p_diag_closed(5))[0] is True
 
 
 class TestKernelAndDeterminant:

@@ -38,6 +38,7 @@ UNREACHED = {
     "su2.RepMatrices.as_arrays": "timed by bench/layers.py",
     "su2.check_bracket": "timed by bench/layers.py in both modes",
     "intertwine.hom_space_oracle": "timed by bench/layers.py",
+    "tridiag._bisect": "general-matrix fallback; the tests' unseeded reference",
 }
 
 

@@ -16,7 +16,6 @@ from sdirac.tridiag import (
     _SEED_MAX_M,
     _bisect,
     _gershgorin_radius,
-    _pass_depth,
     _search,
     count_below,
     eigvalsh_tridiagonal,
@@ -110,9 +109,6 @@ class TestReferenceLoop:
         # The vectorized kernel against the plain-loop reference.  1 << 16
         # holds every case here in one block; the smaller sizes split the
         # rows into blocks, so pivots and zero pivots cross block boundaries.
-        # At the default pass width a pass resolves 2 to 9 levels of the
-        # bisection trees, by lane count, after a first pass over one
-        # shared tree; the second loop forces 1, 2, 4 and 9.
         rng = np.random.default_rng(77)
         cases = [random_offdiag(rng, int(rng.integers(2, 24))) for _ in range(16)]
         cases += [
@@ -126,11 +122,16 @@ class TestReferenceLoop:
             # would drop a negative pivot from the count
             np.array([0.0, 0.0, 2.0, 0.0]),
             # exact zero eigenvalues, one per odd cell, run bisection down
-            # to the subnormals, about 1,080 levels
+            # to the subnormals, about 1,080 levels, of which the kernel
+            # skips the 940 above _MONOTONE_MIN
             np.array([1.0, 1.0, 0.0, 0.3, 2.0]),
             # eigenvalues of very different sizes: the lanes of +-1 run
             # about 500 levels below the bracket width 2e150
             np.array([1e150, 0.0, 1.0]),
+            # eigenvalues near +-1.5 * 2**-943, between 2**-943 and
+            # _MONOTONE_MIN: the kernel starts their upper lane from
+            # [0.0, _MONOTONE_MIN], one halving above the eigenvalue
+            np.array([1.5**0.5 * 2.0**-471.5, 1.0, 1.5**0.5 * 2.0**-471.5]),
         ]
         for b in cases:
             m, r = b.shape[0] + 1, _gershgorin_radius(b)
@@ -139,30 +140,17 @@ class TestReferenceLoop:
             for block_entries in (1 << 16, 1, 50, 333):
                 monkeypatch.setattr(tridiag, "_BLOCK_ENTRIES", block_entries)
                 assert np.array_equal(bisect_all(b), ref)
-            for depth in (1, 2, 4, 9):
-                monkeypatch.setattr(tridiag, "_PASS_POINTS", ((1 << depth) - 1) * m)
-                assert _pass_depth(m) == depth
-                assert np.array_equal(bisect_all(b), ref)
             monkeypatch.undo()
 
-    def test_index_subset_matches_full_run(self, monkeypatch):
-        # a lane's result depends neither on which other lanes run with it
-        # nor on how many levels a pass resolves, which the lane count sets
+    def test_index_subset_matches_full_run(self):
+        # a lane's result does not depend on which other lanes run with it
         rng = np.random.default_rng(3)
         b = random_offdiag(rng, 40)
         r = _gershgorin_radius(b)
         full = bisect_all(b)
-        for points in (1, 3 * 40, 15 * 40, 511 * 40):
-            monkeypatch.setattr(tridiag, "_PASS_POINTS", points)
-            for idx in ([0], [39], [5, 17, 18], list(range(0, 40, 3)), list(range(40))):
-                got = _bisect(b * b, r, np.array(idx))
-                assert np.array_equal(got, full[idx])
-
-    @pytest.mark.parametrize(
-        "lanes, depth", [(1, 9), (31, 4), (34, 4), (35, 3), (49, 3), (170, 2), (171, 1), (2000, 1)]
-    )
-    def test_pass_depth(self, lanes, depth):
-        assert _pass_depth(lanes) == depth
+        for idx in ([0], [39], [5, 17, 18], list(range(0, 40, 3)), list(range(40))):
+            got = _bisect(b * b, r, np.array(idx))
+            assert np.array_equal(got, full[idx])
 
     def test_passes_at_k195(self, monkeypatch):
         # m = 98 is seeded from LAPACK: the one pass counts at 0.0 and at
@@ -186,6 +174,21 @@ class TestReferenceLoop:
         eigvalsh_tridiagonal(*KContext(195).bands[0])
         assert passes == [540]
         assert sweeps == passes
+
+    @pytest.mark.parametrize("b", [[1.0, 1.0, 0.0, 0.3, 2.0], [0.0, 0.0, 2.0, 0.0]])
+    def test_exact_zeros_skip_the_monotone_halvings(self, b, monkeypatch):
+        # an exact zero eigenvalue's lane halves from r down through the
+        # subnormals, about 1,080 levels; the kernel starts it below
+        # _MONOTONE_MIN, so the upper half takes at most 140 passes
+        b = np.array(b)
+        m, r = b.shape[0] + 1, _gershgorin_radius(b)
+        idx = np.arange(m - m // 2, m)
+        got = []
+        passes = pass_widths(monkeypatch, lambda: got.append(_bisect(b * b, r, idx)))
+        assert len(passes) <= 140
+        with np.errstate(over="ignore"):  # a floored pivot's quotient
+            want = bisect_loop(np.zeros(m), b * b, -r, r)[idx]
+        assert 0.0 in want and same_bits(got[0], want)
 
     def test_lanes_run_until_their_brackets_collapse(self):
         # a lane runs until its bracket holds adjacent floats, however far
@@ -276,8 +279,10 @@ class TestSeededFirstPass:
         monkeypatch.setattr(np.linalg, "svd", fails)
         for (d, b), eigs in zip(cases, want):
             assert np.array_equal(eigvalsh_tridiagonal(d, b), eigs)
-        # the unseeded solve starts from the shared tree of 255 midpoints
-        assert pass_widths(monkeypatch, lambda: eigvalsh_tridiagonal(*cases[0]))[:2] == [255, 343]
+        # the unseeded solve counts at 0.0 and _MONOTONE_MIN, then at one
+        # midpoint a lane per pass: 60 passes for the 49 lanes
+        passes = pass_widths(monkeypatch, lambda: eigvalsh_tridiagonal(*cases[0]))
+        assert passes[:2] == [2, 49] and len(passes) == 60
 
     @pytest.mark.parametrize("k, seeded", [(399, True), (801, False), (993, False)])
     def test_seeded_only_up_to_the_threshold(self, k, seeded, monkeypatch):
@@ -305,9 +310,9 @@ class TestSeededFirstPass:
         assert passes != unseeded
         if k == 993:
             # one pass finds all 248 thresholds among the 5 floats about
-            # each seed; the unseeded solve takes 51 passes
+            # each seed; the unseeded solve takes 62 passes
             assert passes == [1241]
-            assert len(unseeded) == 51
+            assert len(unseeded) == 62
 
     @pytest.mark.parametrize("k", [401, 993, 2007, 2991])
     def test_law_seeds_change_nothing(self, k):
@@ -362,11 +367,12 @@ class TestSeededFirstPass:
 
 
 class TestThresholdSearch:
-    # The search stands in for plain bisection only when count(0.0) <= i,
-    # prev(t) >= _MONOTONE_MIN and t <= r for the threshold t of lane i
-    # (see the tridiag module docstring); a lane that fails one goes to the
-    # unseeded _bisect.  Each case against the plain loop or the unseeded
-    # kernel, values and sign bits.
+    # The search stands in for plain bisection when count(0.0) <= i and
+    # either prev(t) >= _MONOTONE_MIN and t <= r for the threshold t of
+    # lane i, or count(r) <= i (see the tridiag module docstring); a lane
+    # with count(0.0) > i or count(_MONOTONE_MIN) > i goes to _bisect.
+    # Each case against the plain loop or the unseeded kernel, values and
+    # sign bits.
 
     def solve(self, b, seeds, monkeypatch):
         """_search on the upper half of the zero-diagonal matrix with
@@ -393,13 +399,14 @@ class TestThresholdSearch:
     def test_threshold_above_the_radius(self, monkeypatch):
         # [[0, 3], [3, 0]] has r = 3 and the eigenvalue 3, whose last pivot
         # at 3 is 0, which counts as nonnegative: count(3) = 1, so t lies
-        # above r and plain bisection ends at the bracket [prev(3), 3]
+        # above r and plain bisection ends at the bracket [prev(3), 3],
+        # which the search takes without counting in it
         assert count_below([9.0], [3.0]).tolist() == [1]
         want = self.loop([3.0])
         assert same_bits(_bisect(np.array([9.0]), 3.0, np.array([1])), want)
         for seeds in ([3.0], [np.nextafter(3.0, 0.0)], [3.5], [np.nan], [0.0]):
             got, left = self.solve([3.0], seeds, monkeypatch)
-            assert same_bits(got, want) and left == [1], seeds
+            assert same_bits(got, want) and left == [], seeds
         assert same_bits(eigvalsh_tridiagonal(np.zeros(2), [3.0])[1:], want)
 
     @pytest.mark.parametrize("b", [[1.0, 0.0, 0.0, 0.0, 1.0], [2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0], [0.0, 0.0, 5.0]])
@@ -452,12 +459,48 @@ class TestThresholdSearch:
             if idx.size:
                 assert same_bits(_search(bsq, r, idx, tridiag._newton(bsq, tridiag._law_seeds(m, idx))), want), k
 
+    def test_no_dirac_block_reaches_bisect(self, monkeypatch):
+        # the search alone solves every Dirac block, k = 3's [[0, sqrt 6],
+        # [sqrt 6, 0]] included, whose top lane counts at most its index at r
+        def bisect(bsq, r, idx):
+            raise AssertionError(f"_bisect reached for the indices {idx.tolist()}")
+
+        monkeypatch.setattr(tridiag, "_bisect", bisect)
+        for k in [*range(1, 400, 2), 993, 2991]:
+            eigvalsh_tridiagonal(*KContext(k).bands[0])
+
+    def test_above_the_radius_matches_the_loop(self, monkeypatch):
+        # a lane with count(r) <= i ends at [prev(r), r] without counting
+        # in it; against the plain loop on k = 3 (and on [[0, 3], [3, 0]]
+        # above) and on random matrices whose top eigenvalue is r, a 2 x 2
+        # cell with the largest off-diagonal entry
+        b = KContext(3).bands[0][1]
+        assert count_below(b * b, [_gershgorin_radius(b)]).tolist() == [1]
+        got, left = self.solve(b, self.loop(b), monkeypatch)
+        assert same_bits(got, self.loop(b)) and left == []
+        rng = np.random.default_rng(5)
+        seen = 0
+        for _ in range(60):
+            m = int(rng.integers(4, 24))
+            scale = 10.0 ** rng.integers(-5, 6)
+            b = rng.integers(-4, 5, size=m - 1) * scale
+            j = int(rng.integers(0, m - 1))
+            b[max(j - 1, 0) : j + 2] = 0.0
+            b[j] = 9.0 * scale
+            idx, r = np.arange(m - m // 2, m), _gershgorin_radius(b)
+            above = count_below(b * b, [r]) <= idx
+            got, left = self.solve(b, tridiag._seeds(b, b * b, idx), monkeypatch)
+            assert same_bits(got, self.loop(b))
+            assert not set(idx[above]) & set(left)
+            seen += int(above.any())
+        assert seen == 60
+
     def test_random_matrices(self, monkeypatch):
         # small-integer entries, about 20 % zero, at scales 1e-5 to 1e5:
         # exact, clustered and zero eigenvalues in the upper half.  A lane
-        # is left to _bisect exactly when count(0.0), count(_MONOTONE_MIN)
-        # or count(r) puts its threshold out of reach; those lanes, often
-        # exact zeros of about 1,080 levels each, are not solved here
+        # is left to _bisect exactly when count(0.0) or count(_MONOTONE_MIN)
+        # is above its index; those lanes, often exact zeros, are not
+        # solved here
         monkeypatch.setattr(tridiag, "_bisect", lambda bsq, r, idx: np.full(idx.shape, np.nan))
         rng = np.random.default_rng(47)
         for _ in range(300):
@@ -466,9 +509,9 @@ class TestThresholdSearch:
             b[rng.random(m - 1) < 0.2] = 0.0
             idx, r, bsq = np.arange(m - m // 2, m), _gershgorin_radius(b), b * b
             got = _search(bsq, r, idx, tridiag._seeds(b, bsq, idx))
-            at_zero, at_min, at_r = count_below(bsq, [0.0, tridiag._MONOTONE_MIN, r])
+            at_zero, at_min = count_below(bsq, [0.0, tridiag._MONOTONE_MIN])
             left = np.isnan(got)
-            assert np.array_equal(left, (at_zero > idx) | (at_min > idx) | (at_r <= idx))
+            assert np.array_equal(left, (at_zero > idx) | (at_min > idx))
             assert same_bits(got[~left], _bisect(bsq, r, idx[~left]))
 
 
