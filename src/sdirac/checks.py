@@ -465,6 +465,11 @@ def run_checks(k_values, names=None):
         raise ValueError(f"unknown check name(s): {', '.join(unknown)}")
     results = [check() for name, check in GLOBAL_REGISTRY.items() if name in selected]
     for k in sorted(k_values):
-        ctx = KContext(k)
-        results += [check(ctx) for name, check in PER_K_REGISTRY.items() if name in selected]
+        results += run_k(k, selected)
     return results
+
+
+def run_k(k, names):
+    """The per-k half of :func:`run_checks`: the checks among ``names`` on one KContext(k)."""
+    ctx = KContext(k)
+    return [check(ctx) for name, check in PER_K_REGISTRY.items() if name in names]

@@ -2,8 +2,10 @@
 polynomials and the verification suite.
 
 Output is deterministic: identical configuration (including different
-``--jobs`` settings) yields byte-identical JSON/CSV, and parsing the JSON
-and re-serializing it reproduces the bytes.
+``--jobs`` settings) yields byte-identical JSON/CSV and ``verify`` lines,
+and parsing the JSON and re-serializing it reproduces the bytes.  Both
+``spectrum`` and ``verify`` (after its global-check lines) write each k's
+output in ascending k as soon as it and every smaller k are done.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 
-from .checks import ALL_CHECKS, K_LIMITS, run_checks
+from .checks import ALL_CHECKS, K_LIMITS, run_checks, run_k
 from .operators import CHECK_NAMES, build_report, charpoly_exact
 
 EXIT_OK = 0
@@ -26,15 +28,6 @@ EXIT_VERIFY_FAILED = 3
 
 class UserInputError(ValueError):
     """Invalid command-line input (exit code 2)."""
-
-
-@dataclass
-class RunConfig:
-    k_values: list
-    format: str = "json"
-    out: str | None = None
-    jobs: int = 0
-    checks: tuple = field(default_factory=tuple)
 
 
 def parse_k_values(arg: str) -> list:
@@ -135,16 +128,16 @@ def _render_table(dicts, count: int):
         yield f'{d["k"]:>4} {d["m"]:>4} {d["kernel_dim"]:>4} {d["abs_det"]:>14}  [{eigs}]\n'
 
 
-def _emit(cfg: RunConfig, pieces) -> None:
+def _emit(args, pieces) -> None:
     """Write the pieces to ``--out`` or stdout as each is produced.  If
     one fails, what was written stays written."""
-    fh = open(cfg.out, "w", encoding="utf-8") if cfg.out else sys.stdout
+    fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for piece in pieces:
             fh.write(piece)
             fh.flush()
     finally:
-        if cfg.out:
+        if args.out:
             fh.close()
 
 
@@ -161,50 +154,54 @@ def _require_k_limits(k_values, names) -> None:
 
 
 def worker_count(jobs: int, n_items: int) -> int:
-    """Worker processes for n_items reports: ``jobs`` (0 = one per CPU),
-    capped by the CPU count and by n_items."""
-    cpus = os.cpu_count() or 1
+    """Worker processes for n_items values of k: ``jobs`` (0 = one per CPU
+    this process may run on), capped by that CPU count and by n_items."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(jobs or cpus, n_items, cpus)
 
 
-def _report_dicts(cfg: RunConfig, pool):
-    """The report dicts in ascending k, each yielded as soon as it and
-    every smaller k are done; computed by ``pool`` when given."""
-    return (pool.map if pool else map)(build_report, sorted(cfg.k_values))
+def _per_k(args, fn):
+    """``fn(k)`` for each k of ``-k`` in ascending order, each yielded as
+    soon as it and every smaller k are done; computed by worker processes
+    when ``--jobs`` allows a second one."""
+    ks = sorted(args.k)
+    jobs = worker_count(args.jobs, len(ks))
+    if jobs < 2:
+        yield from map(fn, ks)
+        return
+    # imported here: it adds about 30 modules to every start-up
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(fn, ks)
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    _require_k_limits(cfg.k_values, CHECK_NAMES)
-    render = {"json": _render_json, "csv": _render_csv, "table": _render_table}[cfg.format]
-    count = len(cfg.k_values)
-    jobs = worker_count(cfg.jobs, count)
-    pool = nullcontext()
-    if jobs > 1:
-        # imported here: it adds about 30 modules to every start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=jobs)
-    with pool as executor:
-        _emit(cfg, render(_report_dicts(cfg, executor), count))
+def cmd_spectrum(args) -> int:
+    _require_k_limits(args.k, CHECK_NAMES)
+    render = {"json": _render_json, "csv": _render_csv, "table": _render_table}[args.format]
+    _emit(args, render(_per_k(args, build_report), len(args.k)))
     return EXIT_OK
 
 
-def cmd_charpoly(cfg: RunConfig) -> int:
-    _emit(cfg, ("[" + ", ".join(map(str, charpoly_exact(k).coeffs)) + "]\n" for k in sorted(cfg.k_values)))
+def cmd_charpoly(args) -> int:
+    _emit(args, ("[" + ", ".join(map(str, charpoly_exact(k).coeffs)) + "]\n" for k in sorted(args.k)))
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    _require_k_limits(cfg.k_values, cfg.checks or ALL_CHECKS)
-    results = run_checks(sorted(cfg.k_values), names=cfg.checks or None)
-    lines = []
-    failed = False
-    for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        where = f"k={r.k}" if r.k is not None else "k=*"
-        lines.append(f"{status} {r.name} {where} residual={r.residual:.3e}")
-        failed = failed or not r.ok
-    _emit(cfg, ["\n".join(lines) + "\n"])
+def cmd_verify(args) -> int:
+    names = tuple(args.checks) or ALL_CHECKS
+    _require_k_limits(args.k, names)
+    failed = []
+
+    def lines(results) -> str:
+        failed.extend(r for r in results if not r.ok)
+        return "".join(
+            f"{'PASS' if r.ok else 'FAIL'} {r.name} k={'*' if r.k is None else r.k} residual={r.residual:.3e}\n"
+            for r in results
+        )
+
+    per_k = _per_k(args, partial(run_k, names=names))
+    _emit(args, map(lines, chain([run_checks([], names)], per_k)))
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
@@ -213,8 +210,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------
 
 
-# Each option as (flags, argparse keywords); every dest but k is a RunConfig
-# field.
+# Each option as (flags, argparse keywords).
 _OPTIONS = {
     "k": (("-k", "--k"), dict(
         required=True, metavar="RANGE|LIST",
@@ -258,19 +254,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = vars(parser.parse_args(argv))
-    func = args.pop("func")
-    del args["command"]
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(k_values=parse_k_values(args.pop("k")), **args)
-        if cfg.jobs < 0:
+        args.k = parse_k_values(args.k)
+        if getattr(args, "jobs", 0) < 0:
             raise UserInputError("--jobs must be >= 0")
         # The exact charpoly's integers pass CPython's int -> str limit of
         # 4300 digits from k ~ 1965.  The limit stays on while -k is parsed.
         if hasattr(sys, "set_int_max_str_digits"):
             sys.set_int_max_str_digits(0)
-        return func(cfg)
+        return args.func(args)
     except UserInputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

@@ -99,16 +99,29 @@ class TestParseK:
 
 class TestWorkerCount:
     # Pure arithmetic: no pool is started here.
+    @staticmethod
+    def usable_cpus():
+        """The CPUs this process may run on."""
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+
     def test_large_request_is_capped(self):
-        cpus = os.cpu_count() or 1
+        cpus = self.usable_cpus()
         assert worker_count(10**6, 1000) == min(cpus, 1000)
         assert worker_count(10**6, 1) == 1
 
     def test_auto_and_explicit(self):
-        cpus = os.cpu_count() or 1
+        cpus = self.usable_cpus()
         assert worker_count(0, 50) == min(cpus, 50)
         assert worker_count(1, 50) == 1
         assert worker_count(2, 50) == min(2, cpus)
+
+    def test_auto_counts_the_cpus_of_the_affinity_mask(self, monkeypatch):
+        # as under `taskset -c 0`: one CPU, so --jobs 0 starts no pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert worker_count(0, 98) == 1
+        assert worker_count(2, 98) == 1
 
 
 class TestSpectrumCommand:
@@ -317,6 +330,41 @@ class TestVerifyCommand:
         line = capsys.readouterr().out
         assert line.startswith(f"FAIL {name} k=7 ")
         assert float(line.split("residual=")[1]) > 0
+
+    def test_deterministic_across_jobs(self, tmp_path):
+        argv = ["verify", "-k", "1..31", "--jobs"]
+        assert run_to_file(tmp_path, "1.txt", argv + ["1"]) == run_to_file(tmp_path, "2.txt", argv + ["2"])
+
+    def test_lines_are_written_as_each_k_completes(self, monkeypatch):
+        # when the checks of k start, the global lines and those of every
+        # smaller k are on stdout
+        written, out, worker = {}, io.StringIO(), cli.run_k
+
+        def recording(k, names):
+            written[k] = out.getvalue().count("\n")
+            return worker(k, names)
+
+        monkeypatch.setattr(cli, "run_k", recording)
+        with contextlib.redirect_stdout(out):
+            assert main(["verify", "-k", "1..7", "--jobs", "1"]) == 0
+        assert written == {1: 4, 3: 19, 5: 34, 7: 49}
+        assert out.getvalue().splitlines() == (DATA / "verify_k1_15_both.txt").read_text().splitlines()[:64]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_failure_mid_sweep_leaves_the_lines_before_it(self, jobs, monkeypatch, capsys):
+        check = checks.PER_K_REGISTRY["norm-bound"]
+
+        def failing(ctx):
+            if ctx.k == 5:
+                raise RuntimeError("no bound")
+            return check(ctx)
+
+        monkeypatch.setitem(checks.PER_K_REGISTRY, "norm-bound", failing)
+        assert main(["verify", "-k", "1..7", "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        golden = (DATA / "verify_k1_15_both.txt").read_text()
+        assert captured.out == golden[: golden.index("PASS su2-bracket k=5 ")]
+        assert captured.err == "internal error: no bound\n"
 
     def test_small_range_passes(self, capsys):
         assert main(["verify", "-k", "1..7"]) == 0

@@ -20,7 +20,8 @@ SRC = Path(cli.__file__).resolve().parent
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 COMMANDS = (
-    ["verify", "-k", "1..7"],
+    # in one process: sys.settrace does not see the checks of pool workers
+    ["verify", "-k", "1..7", "--jobs", "1"],
     ["spectrum", "-k", "1..7", "--jobs", "1"],
     ["spectrum", "-k", "1..7", "--jobs", "1", "--format", "csv"],
     ["spectrum", "-k", "1..7", "--jobs", "1", "--format", "table"],
