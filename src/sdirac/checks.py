@@ -287,8 +287,9 @@ def check_det_product(ctx: KContext) -> CheckResult:
     odd-indexed squares for even m, and det D_k = 0 for odd m, on the
     exact determinant (:attr:`KContext.det`).  Each square is taken in
     its closed ladder form a_{k,l}^2 = down(l) up(l-1) = l(k+1-2l)
-    ((k+1)/2+l) (:func:`sdirac.operators.unnormalized_coeffs`), not from
-    the squares the determinant is built of, so a wrong square fails.
+    ((k+1)/2+l) (:func:`sdirac.operators.unnormalized_coeffs`, in Python
+    ints), not from the squares the determinant is built of, so a wrong
+    square fails.
     The residual is an exact defect count, 1 if the identity fails."""
     k, m = ctx.k, (ctx.k + 1) // 2
     want = 0 if m % 2 else math.prod(l * (k + 1 - 2 * l) * (m + l) for l in range(1, m, 2))
@@ -323,16 +324,15 @@ def _worst_margin(x, lo, hi) -> float:
     return float(np.max(np.maximum(below, above), initial=0.0))
 
 
-def _exact_tie(ctx: KContext, bsq, lo, hi):
+def _exact_tie(ctx: KContext, lo, hi):
     """Tie the positive brackets [lo, hi] to the exact charpoly p.
 
     Each end is rounded outward to a dyadic of 16 significant bits, which
     keeps the integers of the Horner steps short.  If the brackets then
-    touch, or the float count at the dyadics does not give each bracket
-    its own eigenvalue alone, the next entry of _TIE_BITS is tried: the
-    width follows the count, as the relative gaps shrink like 1/k (2e-3
-    at k = 1999).  Then p must change sign (or vanish) across every
-    dyadic bracket (:meth:`CharPoly.sign_at`, integer Horner in x^2).  p has the parity of m, so p = x^(m%2) q(x^2) and q,
+    touch, the next entry of _TIE_BITS is tried, as the relative gaps
+    shrink like 1/k (2e-3 at k = 1999).  Then p must change sign (or
+    vanish) across every dyadic bracket (:meth:`CharPoly.sign_at`, integer
+    Horner in x^2).  p has the parity of m, so p = x^(m%2) q(x^2) and q,
     of degree m//2, has no more positive roots than there are brackets;
     disjoint brackets each holding a root thus isolate every positive root
     of p, exactly.  Returns (ok, lo, hi) with the dyadic brackets in the
@@ -340,11 +340,9 @@ def _exact_tie(ctx: KContext, bsq, lo, hi):
     cp = ctx.charpoly
     m = cp.m
     first = m - m // 2
-    want = np.concatenate([np.arange(first, m), np.arange(first, m) + 1])
     for bits in _TIE_BITS:
         left, right = _dyadic(lo[first:], bits, np.floor), _dyadic(hi[first:], bits, np.ceil)
-        disjoint = np.all(left[:1] > 0) and np.all(right[:-1] < left[1:])
-        if disjoint and np.array_equal(count_below(bsq, np.concatenate([left, right])), want):
+        if np.all(left[:1] > 0) and np.all(right[:-1] < left[1:]):
             break
     else:
         return False, lo, hi
@@ -384,8 +382,8 @@ def _count_certificate(ctx: KContext):
     middle 0 of an odd m needs the absolute term alone; _ZERO_HALF_WIDTH
     is above it and far below every nonzero eigenvalue.
 
-    Builds no charpoly.  Returns (ok, bsq, lo, hi), the brackets and
-    the squares they were counted on, or None if a square reaches 2**53."""
+    Builds no charpoly.  Returns (ok, lo, hi), with the brackets, or None
+    if a square reaches 2**53."""
     k, x = ctx.k, ctx.eigenvalues
     m = x.shape[0]
     squares = a_squares(k)[1:m]
@@ -396,7 +394,7 @@ def _count_certificate(ctx: KContext):
     lo, hi = x - half, x + half
     idx = np.arange(m)
     ok = np.array_equal(count_below(bsq, np.concatenate([lo, hi])), np.concatenate([idx, idx + 1]))
-    return ok, bsq, lo, hi
+    return ok, lo, hi
 
 
 def check_charpoly_eigs(ctx: KContext) -> CheckResult:
@@ -406,9 +404,9 @@ def check_charpoly_eigs(ctx: KContext) -> CheckResult:
     certificate = _count_certificate(ctx)
     if certificate is None:
         return CheckResult("charpoly-eigs", ctx.k, False, np.inf)
-    ok, bsq, lo, hi = certificate
+    ok, lo, hi = certificate
     if ok:
-        ok, lo, hi = _exact_tie(ctx, bsq, lo, hi)
+        ok, lo, hi = _exact_tie(ctx, lo, hi)
     return CheckResult("charpoly-eigs", ctx.k, bool(ok), _worst_margin(ctx.eigenvalues, lo, hi))
 
 
@@ -417,12 +415,13 @@ def check_norm_bound(ctx: KContext) -> CheckResult:
     return CheckResult("norm-bound", ctx.k, ok, 0.0)
 
 
-# The largest k of each check with a guarded exact route: past it a level
-# or rep entry of the route reaches the 2**20 of :mod:`sdirac.exact`.
-# hom-oracle reads the weights of l <= k + 2 and equivariance those of
-# l <= (k - 1)/2, each needing l + 1 < 2**20 (weight_on_Wl), and
-# assembly-match reads rep entries of modulus up to k.
-K_LIMITS = {"hom-oracle": EXACT_BOUND - 5, "equivariance": 2 * EXACT_BOUND - 3, "assembly-match": EXACT_BOUND - 1}
+# The largest k of each check with an exact route: past it a level or rep
+# entry reaches the 2**20 of :mod:`sdirac.exact` (hom-oracle reads the
+# weights of l <= k + 2, equivariance those of l <= (k - 1)/2, each needing
+# l + 1 < 2**20, and assembly-match rep entries up to k), or a square
+# a_{k,l}^2 of p-eigenvalues leaves int64 (operators._a_squares64).
+K_LIMITS = {"hom-oracle": EXACT_BOUND - 5, "equivariance": 2 * EXACT_BOUND - 3, "assembly-match": EXACT_BOUND - 1,
+            "p-eigenvalues": 4_576_503}
 
 # Name -> check, in ``verify`` order; a per-k check takes one KContext.
 GLOBAL_REGISTRY = {

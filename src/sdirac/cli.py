@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections import deque
 from functools import partial
 from itertools import chain
 
@@ -119,7 +120,7 @@ def _require_k_limits(k_values, names) -> None:
     """UserInputError if a k is above the K_LIMITS of a check in ``names``."""
     for name in names:
         if name in K_LIMITS and k_values[-1] > K_LIMITS[name]:
-            raise UserInputError(f"{name} takes k <= {K_LIMITS[name]}: its exact route keeps levels and entries below 2**20")
+            raise UserInputError(f"{name} takes k <= {K_LIMITS[name]}: its exact route's integers would pass their bound")
 
 
 def worker_count(jobs: int, n_items: int) -> int:
@@ -132,7 +133,8 @@ def worker_count(jobs: int, n_items: int) -> int:
 def _per_k(args, fn):
     """``fn(k)`` for each k of ``-k`` in ascending order, each yielded as
     soon as it and every smaller k are done; computed by worker processes
-    when ``--jobs`` allows a second one."""
+    when ``--jobs`` allows a second one, which are given at most two k a
+    worker ahead of the one yielded next, not the whole range."""
     jobs = worker_count(args.jobs, len(args.k))
     if jobs < 2:
         yield from map(fn, args.k)
@@ -141,7 +143,13 @@ def _per_k(args, fn):
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(fn, args.k)
+        window = deque()
+        for k in args.k:
+            window.append(pool.submit(fn, k))
+            if len(window) == 2 * jobs:
+                yield window.popleft().result()
+        for future in window:
+            yield future.result()
 
 
 def cmd_spectrum(args) -> int:

@@ -45,7 +45,7 @@ def hom_space_oracle(k: int, l: int, rep: RepMatrices | None = None) -> int:
 
 
 def scale_sq_ratio(k: int):
-    """(num, den), object arrays of ints over l = 1..m-1 with m = (k+1)/2:
+    """(num, den), int64 arrays over l = 1..m-1 with m = (k+1)/2:
     the ratio scale_sq(l)/scale_sq(l-1) is num/den = (m+l)/(2l(m-l)), where
     scale_sq(l) = (m+l)! (m-1-l)! / (2^l l!) is the square of the factor
     that rescales the canonical generator of (k, l) so the assembled
@@ -53,9 +53,10 @@ def scale_sq_ratio(k: int):
     (m+l)!/(m+l-1)! = m+l, (m-1-l)!/(m-l)! = 1/(m-l) and
     2^(l-1)(l-1)!/(2^l l!) = 1/(2l), so no factorial is built.  The
     ratios fit a float; scale_sq itself passes the float maximum from
-    k = 197."""
+    k = 197.  num and den are below 2**53 while k is below 2**27, so
+    num / den rounds once, as the quotient of the exact integers does."""
     m = (k + 1) // 2
-    l = np.arange(1, m, dtype=object)
+    l = np.arange(1, m, dtype=np.int64)
     return m + l, 2 * l * (m - l)
 
 

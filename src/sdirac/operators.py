@@ -77,6 +77,13 @@ def a_squares(k: int) -> list:
     return [2 * l * (m * m - l * l) for l in range(m + 1)]
 
 
+def _a_squares64(k: int) -> np.ndarray:
+    """:func:`a_squares` as an int64 array, exact while every square, at
+    most 0.77 ((k+1)/2)^3, is below 2**63: up to k = 4,576,503."""
+    l, m = np.arange((k + 3) // 2, dtype=np.int64), (k + 1) // 2
+    return 2 * l * (m * m - l * l)
+
+
 @dataclass(frozen=True)
 class DiracMatrix:
     """Hermitian tridiagonal block of one of the two Dirac operators, of
@@ -148,12 +155,12 @@ def assemble_closed_form(k: int):
     )
 
 
-def unnormalized_coeffs(k: int, l: int):
-    """Ladder coefficients of the first operator on the unnormalized basis:
-    down = l(k+1-2l) onto level l-1, up = (k+1)/2 + l + 1 onto level l+1."""
+def unnormalized_coeffs(k: int):
+    """Ladder coefficients of the first operator on the unnormalized basis,
+    int64 arrays over l = 0..(k-1)/2: down[l] = l(k+1-2l) onto level l-1,
+    up[l] = (k+1)/2 + l + 1 onto level l+1."""
     _require_odd(k)
-    if l < 0 or l > (k - 1) // 2:
-        raise ValueError(f"l must be in 0..{(k - 1) // 2}, got {l}")
+    l = np.arange((k + 1) // 2, dtype=np.int64)
     return l * (k + 1 - 2 * l), (k + 1) // 2 + l + 1
 
 
@@ -209,7 +216,7 @@ def assemble_from_definition(k: int, coeffs=None):
     _require_odd(k)
     m = (k + 1) // 2
     num, den = scale_sq_ratio(k)
-    lower, upper = (np.sqrt((a / b).astype(np.float64)) for a, b in ((num, den), (den, num)))
+    lower, upper = np.sqrt(num / den), np.sqrt(den / num)
     return tuple(
         DiracMatrix(k, {-1: up * upper, 0: np.zeros(m, dtype=np.complex128), 1: down[1:] * lower})
         for down, up in (definition_coeffs(k) if coeffs is None else coeffs)
@@ -234,15 +241,14 @@ def assembly_matches_exact(k: int, coeffs=None) -> bool:
     coefficients ``coeffs`` (:func:`definition_coeffs` of k, computed when
     not given) must equal the closed-form integers, and the squared normalized entries the exact
     squares of a_{k,l}.  With scale_sq[l]/scale_sq[l-1] = num/den, those
-    are the identities down^2 num = a_l^2 den and up^2 den = a_(l+1)^2 num,
-    on Python ints, as they reach about k^5."""
-    m = (k + 1) // 2
+    are down(l)^2 num = a_l^2 den and up(l-1)^2 den = a_l^2 num; with
+    a_l^2 = down(l) up(l-1), also checked, and down, up > 0, both reduce
+    to down(l) num = up(l-1) den.  Every product is at most m^3 < k^3
+    (down, den <= m^2/2 and up, num <= 2m), below 2**63 for every k
+    below 2**21, so for every k the check's K_LIMITS admits."""
     (down_d, up_d), (down_dt, up_dt) = definition_coeffs(k) if coeffs is None else coeffs
-    closed = [unnormalized_coeffs(k, l) for l in range(m)]
-    down = np.array([d for d, _ in closed], dtype=object)
-    up = np.array([u for _, u in closed[:-1]], dtype=object)
-    a_sq = np.array(a_squares(k)[1:m], dtype=object)
-    num, den = scale_sq_ratio(k)
+    down, up = unnormalized_coeffs(k)
+    up, a_sq, (num, den) = up[:-1], _a_squares64(k)[1:-1], scale_sq_ratio(k)
     # the guard keeps k below 2**21, so the closed forms, below k^2, are
     # doubles exactly
     down_c, up_c = down.astype(np.float64), up.astype(np.float64)
@@ -250,9 +256,8 @@ def assembly_matches_exact(k: int, coeffs=None) -> bool:
     return bool(
         all(np.array_equal(x, y) for x, y in expected)
         # consistency of the two closed forms: down(l) * up(l-1) = a_l^2
-        and np.all(down[1:] * up == a_sq)
-        and np.all(down[1:] ** 2 * num == a_sq * den)
-        and np.all(up**2 * den == a_sq * num)
+        and np.array_equal(down[1:] * up, a_sq)
+        and np.array_equal(down[1:] * num, up * den)
     )
 
 
@@ -296,32 +301,39 @@ def signed_det(k: int) -> int:
 
 def p_diag_closed(k: int) -> tuple:
     """Diagonal of the second-order operator: (k+1)^2 - 3(2l+1)^2 - 1,
-    asserted equal to 2(a_{k,l+1}^2 - a_{k,l}^2)."""
+    asserted equal to 2(a_{k,l+1}^2 - a_{k,l}^2), both in int64 (see
+    :func:`_a_squares64` for the k this holds to)."""
     _require_odd(k)
-    m = (k + 1) // 2
-    closed = tuple((k + 1) ** 2 - 3 * (2 * l + 1) ** 2 - 1 for l in range(m))
-    sq = a_squares(k)
-    alt = tuple(2 * (up - down) for down, up in zip(sq, sq[1:]))
-    if closed != alt:
+    l = np.arange((k + 1) // 2, dtype=np.int64)
+    closed = (k + 1) ** 2 - 3 * (2 * l + 1) ** 2 - 1
+    if not np.array_equal(closed, 2 * np.diff(_a_squares64(k))):
         raise AssertionError(f"second-order diagonal identities disagree at k={k}")
-    return closed
+    return tuple(closed.tolist())
 
 
 def check_commutator(blocks, closed) -> tuple:
     """Compare i[second, first] of the two ``blocks``, a band product in
     O(m), with ``closed``, their k's :func:`p_diag_closed`.  Returns
     (ok, off): off is the largest modulus off the diagonal, and ok requires
-    off and every imaginary part on the diagonal below FLOAT_TOL and the
-    real parts to round to the closed-form integers, which no nan or inf
-    does."""
+    off and every imaginary part on the diagonal below FLOAT_TOL and each
+    real part within 16 u (s_l + s_(l+1)) of its closed-form integer,
+    u = 2**-53, s_l = |b_l|^2 for the superdiagonal b of the first block
+    and s_0 = s_m = 0; no nan or inf is.  Entry l, 2(a_(l+1)^2 - a_l^2),
+    sums four products, each a_j^2 within 4u (a_j^2 rounds to a double,
+    its root twice, the product once), in three additions, each rounding
+    by u of at most 2(a_l^2 + a_(l+1)^2): 14 u (a_l^2 + a_(l+1)^2) to
+    first order, and s_l is a_l^2 within 4u.  From k = 227,023 the sums
+    pass 2**52 and an entry may round next to its closed form."""
     d, dt = blocks
     p = _bracket_defect(dt.band, d.band, {}, 0, d.m)
     diag = 1j * p.pop(0)
     off = max((float(np.max(np.abs(x), initial=0.0)) for x in p.values()), default=0.0)
+    s = np.abs(d.band[1]) ** 2
+    tol = 16 * 2.0**-53 * (np.append(0.0, s) + np.append(s, 0.0))
     ok = (
         off < FLOAT_TOL
         and float(np.max(np.abs(diag.imag))) < FLOAT_TOL
-        and np.rint(diag.real).tolist() == list(closed)
+        and bool(np.all(np.abs(diag.real - np.array(closed, dtype=np.float64)) <= tol))
     )
     return ok, off
 
@@ -360,7 +372,7 @@ def unitary_equivalence_exact(blocks) -> bool:
     ``blocks`` by diag(i^l) yields the second exactly (hence equal
     spectra)."""
     d, dt = blocks
-    u = np.array([_I_POW[l % 4] for l in range(d.m)])
+    u = np.array(_I_POW)[np.arange(d.m) % 4]
     uc = u.conj()
     conj = {-1: u[1:] * d.band[-1] * uc[:-1], 0: u * d.band[0] * uc, 1: u[:-1] * d.band[1] * uc[1:]}
     return all(np.array_equal(conj[o], dt.band[o]) for o in conj)

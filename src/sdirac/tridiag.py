@@ -39,11 +39,10 @@ The eigenvalues are bit-identical to plain bisection, and a count in one
 lane does not depend on the other points of its pass, so the result
 depends neither on which indices are requested nor on the seeds.
 
-A pass takes its shifts 0.0 - point, counts, pivot block and flags from
-one scratch buffer, sweeps the rows in blocks and tallies each block's
-negative pivots as uint8 sums.  The first row's zero pivots are floored
-before the sweep; a pass is redone with the floor only when it meets a
-later zero pivot.  ``count_below`` runs one such pass.
+A pass sweeps the rows in blocks and tallies each block's negative
+pivots as uint8 sums.  The first row's zero pivots are floored before the
+sweep; a pass is redone with the floor only when it meets a later zero
+pivot.  ``count_below`` runs one such pass.
 
 Every phase-stripped Dirac block has zero diagonal, so it is similar to
 its own negative (Golub & Kahan, 1965): ``eigvalsh_tridiagonal`` solves
@@ -64,7 +63,7 @@ _PIVOT_FLOOR = 1e-300
 
 # Float64 pivots one bisection pass holds at once.  Larger problems sweep
 # their rows in blocks of this many entries, which keeps the block in cache
-# and the scratch memory small.
+# and the pass's memory small.
 _BLOCK_ENTRIES = 1 << 15
 
 # Points one pass of the search counts at: at most this many across its
@@ -91,24 +90,27 @@ _NEWTON_STEPS = 2
 _MONOTONE_MIN = 2.0**-942
 
 
-def _sturm_counts(bsq, base, counts, q, rows, flags, careful):
+def _sturm_counts(bsq, base, careful):
     """Number of negative pivots of the Sturm recurrence
     q[i] = base - bsq[i-1] / q[i-1] of a zero diagonal, base = 0.0 - mid,
-    one lane per entry of mid: the number of eigenvalues below each mid,
-    written to ``counts``.  ``bsq`` lists 0-d float64 arrays, which a ufunc
-    takes faster than floats.
+    one lane per entry of mid: the number of eigenvalues below each mid.
+    ``bsq`` lists 0-d float64 arrays, which a ufunc takes faster than
+    floats.
 
-    The rows are swept in blocks of q's height, at most 255 rows, so each
-    block's negative pivots are tallied as uint8 sums; ``rows`` lists q's
-    row views, and a block starts from the last row of the one before.
-    The first row's zero pivots are replaced by _PIVOT_FLOOR up front.
-    With ``careful`` every exactly-zero pivot is, before it divides.
-    Without, the sweep returns None at the first block holding a zero
-    pivot, whose quotient is inf or nan.  A zero of either sign counts as
-    nonnegative, so the floor changes no tally and 0.0 - mid gives the
-    counts of (+-0.0) - mid bit for bit."""
-    m, height = len(bsq) + 1, q.shape[0]
-    counts.fill(0)
+    The rows are swept in blocks of _BLOCK_ENTRIES pivots, of 1 to 255
+    rows, so each block's negative pivots are tallied as uint8 sums; a
+    block starts from the last row of the one before.  The first row's
+    zero pivots are replaced by _PIVOT_FLOOR up front.  With ``careful``
+    every exactly-zero pivot is, before it divides.  Without, the sweep
+    returns None at the first block holding a zero pivot, whose quotient
+    is inf or nan.  A zero of either sign counts as nonnegative, so the
+    floor changes no tally and 0.0 - mid gives the counts of (+-0.0) - mid
+    bit for bit."""
+    m, n = len(bsq) + 1, base.shape[0]
+    height = max(1, min(m, 255, _BLOCK_ENTRIES // max(n, 1)))
+    q = np.empty((height, n))
+    rows, flags = list(q), np.empty((height, n), dtype=bool)
+    counts = np.zeros(n, dtype=np.int64)
     prev = rows[0]
     for start in range(0, m, height):
         size = min(height, m - start)
@@ -132,40 +134,13 @@ def _sturm_counts(bsq, base, counts, q, rows, flags, careful):
     return counts
 
 
-def _pivot_height(m: int, points: int, entries: int = _BLOCK_ENTRIES) -> int:
-    """Rows of a block of ``entries`` pivots over ``points`` points: at
-    least one, and at most m and 255, the most a uint8 tally holds."""
-    return max(1, min(m, 255, entries // max(points, 1)))
-
-
-def _pass_space(m: int, points: int, buf=None):
-    """The views of a pass over ``points`` points, laid out in this order
-    in the scratch ``buf``: its shifts 0.0 - point, its counts, its pivot
-    block with the block's rows, as tall as ``buf`` holds, and the block's
-    negative-pivot flags.  Without ``buf``, or when it holds less than one
-    row, a new one is taken, as tall as _BLOCK_ENTRIES pivots allow.  A
-    pass thus allocates nothing as large as its points."""
-    p = max(points, 1)
-    if buf is None or 8 * (buf.shape[0] - 2 * p) < 9 * p:
-        height = _pivot_height(m, p)
-        buf = np.empty((2 + height + (height + 7) // 8) * p)
-    # each row takes p pivots and p / 8 float64 entries of flags
-    height = _pivot_height(m, p, (buf.shape[0] - 2 * p) * 8 // 9)
-    q = buf[2 * p : (2 + height) * p].reshape(height, p)[:, :points]
-    flags = buf[(2 + height) * p :].view(bool)[: height * p].reshape(height, p)[:, :points]
-    return buf[:points], buf[p : p + points].view(np.int64), q, list(q), flags
-
-
-def _count(bsq, points, buf=None):
-    """Eigenvalues below each of ``points``, as an int64 view of the
-    scratch ``buf`` laid out by :func:`_pass_space` (a new one without
-    it).  A zero pivot past the first row is rare; only then is the pass
-    redone with the floor.  Callers silence the floating-point warnings
-    of inf and nan pivots."""
-    space = _pass_space(len(bsq) + 1, points.shape[0], buf)
-    np.subtract(0.0, points, out=space[0])
-    counts = _sturm_counts(bsq, *space, careful=False)
-    return _sturm_counts(bsq, *space, careful=True) if counts is None else counts
+def _count(bsq, points):
+    """Eigenvalues below each of ``points``.  A zero pivot past the first
+    row is rare; only then is the pass redone with the floor.  Callers
+    silence the floating-point warnings of inf and nan pivots."""
+    base = 0.0 - points
+    counts = _sturm_counts(bsq, base, careful=False)
+    return _sturm_counts(bsq, base, careful=True) if counts is None else counts
 
 
 def _newton(bsq, x):
@@ -266,15 +241,10 @@ def _search(bsq, r, idx, seeds):
     key = np.minimum(np.maximum(seeds.view(np.int64), floor + c), top - c)
     points = np.zeros(1 + n * (2 * c + 1), dtype=np.int64)
     np.add(key[:, None], np.arange(-c, c + 1), out=points[1:].reshape(n, -1))
-    m, width = len(bsq) + 1, max(n, _PASS_POINTS // 2)
-    # the scratch buffer of the solve: a pivot block of half a full pass,
-    # or of one point a lane, and at least five pivot rows for the first
-    # pass (see _pass_space)
-    buf = np.empty(max(_pivot_height(m, width) * width, 8 * points.shape[0]))
     # an end past floor or top is not yet counted
     lo, hi, lanes = np.full(n, floor - 1), np.full(n, top + 1), np.arange(n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        counts = _count(bsq, points.view(np.float64), buf)
+        counts = _count(bsq, points.view(np.float64))
         failed, points, counts = counts[0] > idx, points[1:].reshape(n, 2 * c + 1), counts[1:]
         while True:
             below = (counts.reshape(points.shape) <= idx[lanes, None]).sum(1)
@@ -287,7 +257,7 @@ def _search(bsq, r, idx, seeds):
                 break
             size = max(1, min(_PASS_POINTS // lanes.size, int(np.max(hi[lanes] - lo[lanes])) - 1))
             points = _probes(lo[lanes], hi[lanes], floor, top, size)
-            counts = _count(bsq, points.ravel().view(np.float64), buf)
+            counts = _count(bsq, points.ravel().view(np.float64))
     # count(r) <= i: plain bisection's last bracket is [prev(r), r]
     above = lo == top
     lo[above], hi[above] = top - 1, top

@@ -295,6 +295,46 @@ class TestVerifyCommand:
         argv = ["verify", "-k", "1..31", "--jobs"]
         assert run_to_file(tmp_path, "1.txt", argv + ["1"]) == run_to_file(tmp_path, "2.txt", argv + ["2"])
 
+    def test_workers_are_given_a_window_of_k(self, monkeypatch, capsys):
+        # a long range keeps two k a worker submitted ahead of the one it
+        # writes, not the whole range.  The fake pool starts no process: a
+        # k runs when its result is read.
+        import concurrent.futures
+
+        pending, most = [], []
+
+        class Future:
+            def __init__(self, fn, k):
+                self.fn, self.k = fn, k
+
+            def result(self):
+                pending.remove(self)
+                return self.fn(self.k)
+
+        class Pool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, k):
+                pending.append(Future(fn, k))
+                most.append(len(pending))
+                return pending[-1]
+
+        argv = ["verify", "-k", "1..401", "--check", "symmetry", "--jobs"]
+        assert main(argv + ["1"]) == 0
+        serial = capsys.readouterr().out
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli, "worker_count", lambda jobs, n_items: 2)
+        assert main(argv + ["2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert len(most) == 201 and max(most) == 4 and not pending
+
     def test_lines_are_written_as_each_k_completes(self, monkeypatch):
         # when the checks of k start, the global lines and those of every
         # smaller k are on stdout
@@ -401,6 +441,7 @@ class TestVerifyCommand:
             (["verify", "-k", "1048577", "--check", "assembly-match"], "assembly-match"),
             (["verify", "-k", "1048573"], "hom-oracle"),
             (["spectrum", "-k", "1048577"], "assembly-match"),
+            (["verify", "-k", "4576505", "--check", "p-eigenvalues"], "p-eigenvalues"),
         ],
     )
     def test_k_past_a_guard_is_refused_as_input(self, argv, name, capsys):
@@ -447,6 +488,13 @@ sys.exit(code)
             weight_on_Wl(top + 1)
         k = checks.K_LIMITS["assembly-match"]  # its largest rep entry is k
         assert exact_in_double(k) and not exact_in_double(k + 2)
+
+        def largest_square(k):  # 2l(m^2 - l^2) peaks at l = m / sqrt(3)
+            l = round((k + 1) / 2 / math.sqrt(3))
+            return max(operators.a_coeff(k, j).square for j in range(l - 2, l + 3))
+
+        k = checks.K_LIMITS["p-eigenvalues"]  # its int64 squares a_{k,l}^2
+        assert largest_square(k) < 2**63 <= largest_square(k + 2)
 
 
 class TestOptionsPerCommand:

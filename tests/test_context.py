@@ -247,7 +247,7 @@ class TestCharpolyCertificate:
         def passes():
             if route != "exact":
                 return certified(ctx, route)
-            lo, hi = checks._count_certificate(ctx)[2:]
+            lo, hi = checks._count_certificate(ctx)[1:]
             return all(ctx.charpoly.sign_at(lo[i]) * ctx.charpoly.sign_at(hi[i]) <= 0 for i in tested)
 
         assert passes()
@@ -291,9 +291,9 @@ class TestCharpolyCertificate:
         m = len(coeffs) - 1
         for wrong in ({m - 2: 2 * coeffs[m - 2]}, {m - 1: 1}):  # roots moved; parity broken
             ctx.charpoly = operators.CharPoly(tuple(wrong.get(i, c) for i, c in enumerate(coeffs)))
-            ok, bsq, lo, hi = checks._count_certificate(ctx)
+            ok, lo, hi = checks._count_certificate(ctx)
             assert ok
-            assert not checks._exact_tie(ctx, bsq, lo, hi)[0]
+            assert not checks._exact_tie(ctx, lo, hi)[0]
             assert not check_charpoly_eigs(ctx).ok
 
     def test_exact_tie_needs_disjoint_brackets(self):
@@ -301,19 +301,18 @@ class TestCharpolyCertificate:
         # these overlap in a gap that holds no eigenvalue, so the count passes
         ctx = KContext(15)
         x = ctx.eigenvalues
-        bsq = np.array([operators.a_coeff(15, l).square for l in range(1, len(x))], dtype=np.float64)
         lo, hi = x - 1e-9 * np.abs(x), x + 1e-9 * np.abs(x)
-        assert checks._exact_tie(ctx, bsq, lo, hi)[0]
+        assert checks._exact_tie(ctx, lo, hi)[0]
         middle = 0.5 * (x[-2] + x[-1])
         hi[-2], lo[-1] = middle * 1.001, middle * 0.999
-        assert not checks._exact_tie(ctx, bsq, lo, hi)[0]
+        assert not checks._exact_tie(ctx, lo, hi)[0]
 
     def test_count_and_exact_tie_agree_up_to_399(self):
         for k in range(1, 400, 2):
             ctx = KContext(k)
-            counted, bsq, lo, hi = checks._count_certificate(ctx)
+            counted, lo, hi = checks._count_certificate(ctx)
             assert "charpoly" not in vars(ctx)  # the count builds no charpoly
-            tied, tie_lo, tie_hi = checks._exact_tie(ctx, bsq, lo, hi)
+            tied, tie_lo, tie_hi = checks._exact_tie(ctx, lo, hi)
             assert counted and tied, k
             # the dyadic brackets of the tie hold the float brackets
             x = ctx.eigenvalues
@@ -324,7 +323,7 @@ class TestCharpolyCertificate:
     def test_float_path_envelope(self, k):
         # the count alone: with the exact tie, k = 4001 takes about 10 s
         ctx = KContext(k)
-        ok, _, lo, hi = checks._count_certificate(ctx)
+        ok, lo, hi = checks._count_certificate(ctx)
         assert ok and 0 < checks._worst_margin(ctx.eigenvalues, lo, hi) < 1e-6
         assert "charpoly" not in vars(ctx)
         assert all(r.ok for r in run_checks([k], names=["symmetry", "norm-bound"]))

@@ -149,18 +149,44 @@ class TestFirstPrinciples:
         assert assembly_matches_exact(k)
 
     def test_unnormalized_coeffs(self):
-        assert unnormalized_coeffs(3, 1) == (2, 4)
-        assert unnormalized_coeffs(9, 0)[0] == 0
+        down, up = unnormalized_coeffs(3)
+        assert (down.tolist(), up.tolist()) == ([0, 2], [3, 4])
+        assert down.dtype == up.dtype == np.int64
+        assert unnormalized_coeffs(9)[0][0] == 0
         with pytest.raises(ValueError):
-            unnormalized_coeffs(3, 2)
+            unnormalized_coeffs(4)
 
     @pytest.mark.parametrize("k", [3, 7, 15, 31])
     def test_coefficient_product_identity(self, k):
         # down(l) * up(l-1) recovers the squared off-diagonal
+        down, up = unnormalized_coeffs(k)
         for l in range(1, (k - 1) // 2 + 1):
-            down, _ = unnormalized_coeffs(k, l)
-            _, up_prev = unnormalized_coeffs(k, l - 1)
-            assert down * up_prev == a_coeff(k, l).square
+            assert down[l] * up[l - 1] == a_coeff(k, l).square
+
+
+class TestExactRouteAtTheTopOfItsRange:
+    # k = 1,048,575, the largest k assembly-match takes: the int64 products
+    # of the exact route reach k^3 / 8, about 2**57
+    K = checks.K_LIMITS["assembly-match"]
+
+    def test_assembly_matches_exact(self, monkeypatch):
+        coeffs = definition_coeffs(self.K)
+        assert assembly_matches_exact(self.K, coeffs=coeffs)
+        # the largest products change with den at the last level, so a
+        # wrapped product would show here
+        num, den = operators.scale_sq_ratio(self.K)
+        den[-1] += 1
+        monkeypatch.setattr(operators, "scale_sq_ratio", lambda k: (num, den))
+        assert not assembly_matches_exact(self.K, coeffs=coeffs)
+
+    def test_p_diag_closed(self):
+        k, m = self.K, (self.K + 1) // 2
+        closed = p_diag_closed(k)
+        assert len(closed) == m
+        for l in (0, m // 2, m - 1):
+            want = (k + 1) ** 2 - 3 * (2 * l + 1) ** 2 - 1
+            assert closed[l] == want == 2 * (a_coeff(k, l + 1).square - a_coeff(k, l).square)
+            assert type(closed[l]) is int
 
 
 class TestCharPoly:
@@ -297,6 +323,32 @@ class TestPOperator:
         with np.errstate(invalid="ignore"):  # inf * 0 in the band product
             assert check_commutator((d, dt), p_diag_closed(5))[0] is False
         assert check_commutator(assemble_closed_form(5), p_diag_closed(5))[0] is True
+
+    def test_closed_form_off_by_one_fails(self):
+        blocks = assemble_closed_form(5)
+        for l in range(3):
+            closed = list(p_diag_closed(5))
+            closed[l] += 1
+            assert check_commutator(blocks, closed)[0] is False
+
+    @pytest.mark.parametrize("k", [227023, 1048575])
+    def test_passes_where_entries_round_off_the_integers(self, k):
+        # from k = 227,023 the band product's entries pass 2**52 and may
+        # round to an integer next to the closed form: by 1 at this k, by
+        # 76 at 1,048,575, within the scaled bound
+        ok, off = check_commutator(assemble_closed_form(k), p_diag_closed(k))
+        assert ok and off == 0.0
+
+    def test_entry_off_by_twice_the_bound_fails(self):
+        k = 227023
+        blocks = assemble_closed_form(k)
+        s = np.abs(blocks[0].band[1]) ** 2
+        bound = 16 * 2.0**-53 * (np.append(0.0, s) + np.append(s, 0.0))
+        for l in (0, int(np.argmax(bound)), len(bound) - 1):
+            for sign in (-1, 1):
+                closed = list(p_diag_closed(k))
+                closed[l] += sign * math.ceil(2 * bound[l])
+                assert check_commutator(blocks, closed)[0] is False
 
 
 class TestKernelAndDeterminant:

@@ -161,9 +161,9 @@ class TestReferenceLoop:
         sweeps = []
         count, sturm_counts = tridiag._count, tridiag._sturm_counts
 
-        def counted(bsq, points, buf=None):
+        def counted(bsq, points):
             passes.append(points.shape[0])
-            return count(bsq, points, buf)
+            return count(bsq, points)
 
         def swept(bsq, base, *args, **kwargs):
             sweeps.append(base.shape[0])
@@ -209,9 +209,9 @@ def pass_widths(monkeypatch, solve):
     passes = []
     count = tridiag._count
 
-    def counted(bsq, points, buf=None):
+    def counted(bsq, points):
         passes.append(points.shape[0])
-        return count(bsq, points, buf)
+        return count(bsq, points)
 
     monkeypatch.setattr(tridiag, "_count", counted)
     solve()
