@@ -11,8 +11,9 @@ of :mod:`sdirac.su2`, in complex128 behind the exactness guard of
 intertwiner spaces and the assembled operator blocks; the su(2) and weight
 checks compare int64 arrays and report exact defects.  All per-k checks of
 one k read one :class:`sdirac.operators.KContext`, so its rep, charpoly,
-determinant, blocks, bands and spectrum are each built once per k, and a
-check that does not read the charpoly never builds it.
+determinant, blocks and spectrum are each built once per k, and a check
+that does not read the charpoly never builds it.  A check over many l
+makes one call, over the array of them, to the function it is named after.
 
 The check names are a contract: ``verify`` prints one line per check (and
 k), and the benchmark under ``bench/`` fails an operation for each line or
@@ -24,8 +25,6 @@ reader.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -33,18 +32,18 @@ import numpy as np
 
 from .exact import EXACT_BOUND, exact_in_double
 from .hermite import clifford_band, omega0, oscillator_band, weight_on_Wl
-from .intertwine import equivariance_residual, hom_space
+from .intertwine import equivariance_residual, hom_space, hom_space_oracle
 from .operators import (
     FLOAT_TOL,
     KContext,
+    _product,
+    a_coeff,
     a_squares,
     assembly_matches_exact,
     assembly_mismatch_float,
     check_commutator,
     definition_coeffs,
-    norm_bound_holds,
     spectrum,  # noqa: F401 - kept importable from here; bench/selftest.py reads it
-    unitary_equivalence_exact,
 )
 from .su2 import _bracket_defect, bracket_defect
 from .tridiag import _PIVOT_FLOOR, count_below
@@ -81,11 +80,14 @@ def _wrong_entries(got, want) -> int:
 
 # -- global checks ------------------------------------------------------
 
+# The Clifford checks' boxes hold levels 0..TRUNC-1; oscillator reads l <= MAX_LEVEL.
+TRUNC, MAX_LEVEL = 20, 18
 
-def check_ladder_commutator(trunc: int = 20) -> CheckResult:
+
+def check_ladder_commutator() -> CheckResult:
     """[X_a., X_b.] = -i omega0(X_a, X_b) id for n = 1, 2 and every pair of
-    basis vectors, read on the columns of total degree <= trunc - 2 of the
-    bands on levels 0..trunc-1, where no term of the products leaves the
+    basis vectors, read on the columns of total degree <= TRUNC - 2 of the
+    bands on levels 0..TRUNC-1, where no term of the products leaves the
     box.  The residual is the largest defect modulus there.
 
     The result is exact: every band entry passes the guard of
@@ -94,10 +96,10 @@ def check_ladder_commutator(trunc: int = 20) -> CheckResult:
     worst = 0.0
     exact = True
     for n in (1, 2):
-        size = trunc ** n
-        interior = _box_degrees(n, trunc) <= trunc - 2
+        size = TRUNC ** n
+        interior = _box_degrees(n, TRUNC) <= TRUNC - 2
         basis = [tuple(float(a == c) for c in range(2 * n)) for a in range(2 * n)]
-        bands = [clifford_band(x, range(trunc)) for x in basis]
+        bands = [clifford_band(x, range(TRUNC)) for x in basis]
         exact = exact and exact_in_double(*bands)
         identity = {0: np.ones(size)}
         for (xa, band_a), (xb, band_b) in product(zip(basis, bands), repeat=2):
@@ -107,7 +109,7 @@ def check_ladder_commutator(trunc: int = 20) -> CheckResult:
     return CheckResult("clifford-ladder", None, exact and worst == 0.0, float(worst))
 
 
-def check_grading(trunc: int = 20) -> CheckResult:
+def check_grading() -> CheckResult:
     """A single Clifford multiplication moves a degree-l Hermite function
     into degrees l-1 and l+1 only: every nonzero entry of the band of a
     basis vector joins multi-indices whose degrees differ by one.  The
@@ -115,9 +117,9 @@ def check_grading(trunc: int = 20) -> CheckResult:
     count."""
     wrong = 0
     for n in (1, 2):
-        deg = _box_degrees(n, trunc)
+        deg = _box_degrees(n, TRUNC)
         for a in range(2 * n):
-            band = clifford_band(tuple(int(a == c) for c in range(2 * n)), range(trunc))
+            band = clifford_band(tuple(int(a == c) for c in range(2 * n)), range(TRUNC))
             for o, cols in _columns(band).items():
                 wrong += np.count_nonzero((band[o] != 0) & (np.abs(deg[cols - o] - deg[cols]) != 1))
     return CheckResult("clifford-grading", None, wrong == 0, float(wrong))
@@ -140,17 +142,18 @@ def check_linearity() -> CheckResult:
     return CheckResult("clifford-linearity", None, exact_in_double(a, b, bx, by) and worst == 0.0, worst)
 
 
-def check_oscillator(max_level: int = 18) -> CheckResult:
-    """The exact oscillator band on levels 0..max_level+1 has -(2l+1)/2 on
-    its diagonal and 0 off it in every column l <= max_level, and the
-    derived circle weight (:func:`sdirac.hermite.weight_on_Wl`) is 2l+1.
+def check_oscillator() -> CheckResult:
+    """The exact oscillator band on levels 0..MAX_LEVEL+1 has -(2l+1)/2 on
+    its diagonal and 0 off it in every column l <= MAX_LEVEL, and the
+    derived circle weights (:func:`sdirac.hermite.weight_on_Wl`) are 2l+1.
     The residual is the largest deviation of the band from that form."""
     worst = 0.0
-    band = oscillator_band(range(max_level + 2))
+    band = oscillator_band(range(MAX_LEVEL + 2))
     for o, cols in _columns(band).items():
         expect = -(2 * cols + 1) / 2 if o == 0 else 0
-        worst = max(worst, float(np.max(np.abs(band[o] - expect)[cols <= max_level], initial=0.0)))
-    ok = worst == 0.0 and all(weight_on_Wl(l) == 2 * l + 1 for l in range(max_level + 1))
+        worst = max(worst, float(np.max(np.abs(band[o] - expect)[cols <= MAX_LEVEL], initial=0.0)))
+    ls = np.arange(MAX_LEVEL + 1)
+    ok = worst == 0.0 and np.array_equal(weight_on_Wl(ls), 2 * ls + 1)
     return CheckResult("oscillator", None, ok, worst)
 
 
@@ -189,14 +192,12 @@ def check_su2_structure(ctx: KContext) -> CheckResult:
 
 
 def check_hom_oracle(ctx: KContext) -> CheckResult:
-    """Weight-matching dimensions equal the oracle's for l up to k+2: the
-    number of weights W[j] equal to the circle weight 2l+1 of h_l
-    (:func:`sdirac.intertwine.hom_space_oracle`), read for every l from one
-    count of W, in O(k).  The residual is the number of l whose dimensions
-    differ, an exact defect count."""
-    k = ctx.k
-    counts = Counter(ctx.rep.w.tolist())
-    wrong = sum(hom_space(k, l) != counts[weight_on_Wl(l)] for l in range(k + 3))
+    """Weight-matching dimensions equal the oracle's (the number of weights
+    W[j] equal to the circle weight 2l+1 of h_l) for l = 0..k+2.  The
+    residual is the number of l whose dimensions differ, an exact defect
+    count."""
+    k, ls = ctx.k, np.arange(ctx.k + 3)
+    wrong = int(np.count_nonzero(hom_space(k, ls) != hom_space_oracle(k, ls, rep=ctx.rep)))
     return CheckResult("hom-oracle", k, wrong == 0, float(wrong))
 
 
@@ -205,7 +206,7 @@ def check_hom_dim(ctx: KContext) -> CheckResult:
     generator per basis vector of a block.  The residual is the absolute
     difference, an exact defect count."""
     k = ctx.k
-    wrong = abs(sum(hom_space(k, l) for l in range(k + 2)) - (k + 1) // 2)
+    wrong = abs(int(np.sum(hom_space(k, np.arange(k + 2)))) - (k + 1) // 2)
     return CheckResult("hom-dim", k, wrong == 0, float(wrong))
 
 
@@ -214,7 +215,7 @@ def check_equivariance(ctx: KContext) -> CheckResult:
     identity exactly, not just by dimension count.  The residual is the
     number of l whose generator fails it, an exact defect count."""
     k = ctx.k
-    wrong = sum(not equivariance_residual(k, l, rep=ctx.rep) for l in range((k - 1) // 2 + 1))
+    wrong = int(np.count_nonzero(~equivariance_residual(k, np.arange((k + 1) // 2), rep=ctx.rep)))
     return CheckResult("equivariance", k, wrong == 0, float(wrong))
 
 
@@ -246,15 +247,19 @@ def check_symmetry(ctx: KContext) -> CheckResult:
     return CheckResult("symmetry", ctx.k, res <= FLOAT_TOL, res)
 
 
+_I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # i^l, exactly: complex ** would round
+
+
 def check_coincide(ctx: KContext) -> CheckResult:
-    """The two blocks are unitarily equivalent, exactly, and their
-    phase-stripped bands, which are what the eigensolver sees, are
-    identical; so their spectra are identical too.  The residual is the
-    largest entrywise deviation between the two bands, and it must be 0."""
-    (d0, b0), (d1, b1) = ctx.bands
-    res = float(max(np.max(np.abs(d0 - d1)), np.max(np.abs(b0 - b1), initial=0.0)))
-    ok = res == 0.0 and unitary_equivalence_exact(ctx.blocks)
-    return CheckResult("spectra-coincide", ctx.k, ok, res)
+    """Conjugating the first closed-form block by U = diag(i^l) yields the
+    second exactly, so their spectra coincide.  U D U* scales entry
+    (r, r + o) by i^r i^-(r+o) = i^-o, one factor of +-1 or +-i per band,
+    which is exact; so the bands the eigensolver sees of the two blocks,
+    (diagonal, |superdiagonal|), are identical too.  The residual is the
+    number of band entries that differ, an exact defect count."""
+    d, dt = ctx.blocks
+    wrong = sum(int(np.count_nonzero(_I_POW[-o % 4] * d.band[o] != dt.band[o])) for o in d.band)
+    return CheckResult("spectra-coincide", ctx.k, wrong == 0, float(wrong))
 
 
 def check_kernel_rule(ctx: KContext) -> CheckResult:
@@ -289,10 +294,10 @@ def check_det_product(ctx: KContext) -> CheckResult:
     its closed ladder form a_{k,l}^2 = down(l) up(l-1) = l(k+1-2l)
     ((k+1)/2+l) (:func:`sdirac.operators.unnormalized_coeffs`, in Python
     ints), not from the squares the determinant is built of, so a wrong
-    square fails.
+    square fails; the product is a balanced tree (:func:`sdirac.operators._product`).
     The residual is an exact defect count, 1 if the identity fails."""
     k, m = ctx.k, (ctx.k + 1) // 2
-    want = 0 if m % 2 else math.prod(l * (k + 1 - 2 * l) * (m + l) for l in range(1, m, 2))
+    want = 0 if m % 2 else _product([l * (k + 1 - 2 * l) * (m + l) for l in range(1, m, 2)])
     wrong = abs(ctx.det) != want
     return CheckResult("det-product", k, not wrong, float(wrong))
 
@@ -411,8 +416,14 @@ def check_charpoly_eigs(ctx: KContext) -> CheckResult:
 
 
 def check_norm_bound(ctx: KContext) -> CheckResult:
-    ok = norm_bound_holds(ctx.k, float(np.max(np.abs(ctx.eigenvalues))))
-    return CheckResult("norm-bound", ctx.k, ok, 0.0)
+    """The chain radius >= a_{k,1} >= (k-1)/2, for the spectral radius of
+    D_k, that drives the spectral unboundedness: a_{k,1}^2 >= ((k-1)/2)^2
+    exactly, and the residual, the slack (radius - a_{k,1}) / (1 + a_{k,1}),
+    is at least -1e-9."""
+    k, a1 = ctx.k, a_coeff(ctx.k, 1)
+    slack = (float(np.max(np.abs(ctx.eigenvalues))) - a1.value) / (1.0 + a1.value)
+    ok = slack >= -1e-9 and a1.square >= ((k - 1) // 2) ** 2
+    return CheckResult("norm-bound", k, ok, slack)
 
 
 # The largest k of each check with an exact route: past it a level or rep

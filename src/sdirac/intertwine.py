@@ -12,7 +12,8 @@ form and an oracle that reads the stored weights.  e0 = i W is stored as
 the integer diagonal W, so the equivariance system (e0^T - i w I) c = 0
 is diagonal and its nullity is the number of entries of W equal to the
 integer weight w of h_l (:func:`sdirac.hermite.weight_on_Wl`): the oracle
-counts them instead of eliminating.
+counts them, by binary search of the ascending W, instead of eliminating.
+Each function takes an int l, giving a Python scalar, or an int array.
 """
 
 from __future__ import annotations
@@ -23,25 +24,29 @@ from .hermite import weight_on_Wl
 from .su2 import RepMatrices, build_rep
 
 
-def hom_space(k: int, l: int) -> int:
+def hom_space(k: int, l):
     """Dimension of the equivariant-map space: 1 for odd k and
     l <= (k-1)/2, else 0."""
-    if k < 0 or l < 0:
+    ls = np.asarray(l)
+    if k < 0 or ls.min(initial=0) < 0:
         raise ValueError("k and l must be non-negative")
-    return int(k % 2 == 1 and l <= (k - 1) // 2)
+    dim = (ls <= (k - 1) // 2) * (k % 2)
+    return dim if ls.ndim else int(dim)
 
 
-def hom_space_oracle(k: int, l: int, rep: RepMatrices | None = None) -> int:
+def hom_space_oracle(k: int, l, rep: RepMatrices | None = None):
     """Dimension of the equivariant-map space read from the rep: the nullity
     of the system  L o e0 = i(2l+1) L  over all k+1 unknown coefficients.
     Equation j reads c_j i (W[j] - w) = 0 with w = 2l+1, because e0 = i W
     is stored as its integer diagonal, so the nullity is the number of j
     with W[j] == w."""
-    if k < 0 or l < 0:
-        raise ValueError("k and l must be non-negative")
+    if k < 0:
+        raise ValueError("k must be non-negative")
     if rep is None:
         rep = build_rep(k)
-    return int(np.count_nonzero(rep.w == weight_on_Wl(l)))
+    w = weight_on_Wl(l)  # ValueError for a negative l
+    count = np.searchsorted(rep.w, w, side="right") - np.searchsorted(rep.w, w, side="left")
+    return count if np.ndim(l) else int(count)
 
 
 def scale_sq_ratio(k: int):
@@ -60,7 +65,7 @@ def scale_sq_ratio(k: int):
     return m + l, 2 * l * (m - l)
 
 
-def equivariance_residual(k: int, l: int, rep: RepMatrices | None = None):
+def equivariance_residual(k: int, l, rep: RepMatrices | None = None):
     """Exact residual of the canonical generator of (k, l) under the weight
     condition: L o e0 - i(2l+1) L.  Returns True iff it is identically
     zero (the full identity, not just dimension counting).  The generator
@@ -68,8 +73,9 @@ def equivariance_residual(k: int, l: int, rep: RepMatrices | None = None):
     j = (k+1)/2 + l and 0 elsewhere, and e0 = i W is diagonal, so the
     residual is i (W[j] - (2l+1)) h_l on p_j and zero on every other basis
     vector; the integers are compared."""
-    if not hom_space(k, l):
+    if not np.all(hom_space(k, l)):
         raise ValueError(f"no generator for (k={k}, l={l})")
     if rep is None:
         rep = build_rep(k)
-    return rep.w.item((k + 1) // 2 + l) == weight_on_Wl(l)
+    holds = rep.w[(k + 1) // 2 + np.asarray(l)] == weight_on_Wl(l)
+    return holds if np.ndim(l) else bool(holds)

@@ -19,8 +19,8 @@ request (:attr:`DiracMatrix.entries`).  The module also produces exact
 integer characteristic polynomials, kernels, determinants, eigenvalues
 (Sturm bisection via :mod:`sdirac.tridiag`) and the diagonal second-order
 operator obtained as i times the commutator, a band product of the blocks.
-:class:`KContext` holds one k's rep, charpoly, determinant, blocks, bands
-and spectrum, each built once, for the checks and the report.  Everything
+:class:`KContext` holds one k's rep, charpoly, determinant, blocks and
+spectrum, each built once, for the checks and the report.  Everything
 is pure per k; distinct k may be processed concurrently.
 """
 
@@ -38,10 +38,6 @@ from .hermite import ladder
 from .intertwine import scale_sq_ratio
 from .su2 import _bracket_defect, _dense, build_rep
 from .tridiag import eigvalsh_tridiagonal
-
-# i^l for the diagonal unitary intertwining the two operators (exact values;
-# complex exponentiation would round).
-_I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 # Absolute bound on float residuals that are exact zeros of the band
 # arithmetic: the imaginary and off-diagonal parts of the commutator and
@@ -286,17 +282,25 @@ def charpoly_exact(k: int) -> CharPoly:
     return CharPoly(tuple(coeffs))
 
 
+def _product(factors: list) -> int:
+    """The product of a list of ints as a balanced tree, so that operands of
+    about equal size meet: n growing factors cost about log2(n) products of
+    the result's size, not n; runs of up to 16 factors go left to right."""
+    if len(factors) <= 16:
+        return math.prod(factors)
+    half = len(factors) // 2
+    return _product(factors[:half]) * _product(factors[half:])
+
+
 def signed_det(k: int) -> int:
-    """det D_k of the first block, exactly, by the zero-diagonal continuant
-    D_0 = 1, D_1 = 0, D_j = -a_{k,j-1}^2 D_(j-2): m - 1 products of a
-    Python int by one of a few words, where :func:`charpoly_exact` takes
-    about m^2/4 big-integer steps.  Zero whenever m is odd; equal to
-    (-1)^m p(0) for the charpoly p of :func:`charpoly_exact`."""
+    """det D_k of the first block, exactly, from the zero-diagonal
+    continuant D_0 = 1, D_1 = 0, D_j = -a_{k,j-1}^2 D_(j-2): 0 for odd m,
+    else the :func:`_product` of the factors -a_{k,j-1}^2 of the even
+    j <= m.  Equal to (-1)^m p(0) for the charpoly p of
+    :func:`charpoly_exact`, which takes about m^2/4 big-integer steps."""
     _require_odd(k)
-    prev, det = 1, 0
-    for s in a_squares(k)[1:-1]:
-        prev, det = det, -s * prev
-    return det
+    m = (k + 1) // 2
+    return 0 if m % 2 else _product([-s for s in a_squares(k)[1:m:2]])
 
 
 def p_diag_closed(k: int) -> tuple:
@@ -367,32 +371,12 @@ def spectrum(dm: DiracMatrix) -> np.ndarray:
     return eigvalsh_tridiagonal(dm.band[0].real, np.abs(dm.band[1]))
 
 
-def unitary_equivalence_exact(blocks) -> bool:
-    """Entrywise check that conjugating the first closed-form block of
-    ``blocks`` by diag(i^l) yields the second exactly (hence equal
-    spectra)."""
-    d, dt = blocks
-    u = np.array(_I_POW)[np.arange(d.m) % 4]
-    uc = u.conj()
-    conj = {-1: u[1:] * d.band[-1] * uc[:-1], 0: u * d.band[0] * uc, 1: u[:-1] * d.band[1] * uc[1:]}
-    return all(np.array_equal(conj[o], dt.band[o]) for o in conj)
-
-
-def norm_bound_holds(k: int, radius: float) -> bool:
-    """The chain radius >= a_{k,1} >= (k-1)/2, for the spectral radius of
-    D_k, that drives the spectral unboundedness."""
-    a1 = a_coeff(k, 1)
-    lower = (k - 1) // 2
-    return a1.square >= lower * lower and radius >= a1.value - 1e-9 * (1.0 + a1.value)
-
-
 class KContext:
     """One odd k's data shared by the per-k checks and the report.  Each
     field is built on first use, once: the su(2) rep, the exact charpoly,
     the exact determinant of the first block, the closed-form blocks, the
-    real symmetric bands (diagonal, |superdiagonal|) the eigensolver sees
-    of them, the eigenvalues of the first block, and the closed-form
-    diagonal of i[second, first].  Raises ValueError unless k is an odd
+    eigenvalues of the first block, and the closed-form diagonal of
+    i[second, first].  Raises ValueError unless k is an odd
     integer >= 1."""
 
     def __init__(self, k: int):
@@ -414,10 +398,6 @@ class KContext:
     @cached_property
     def blocks(self):
         return assemble_closed_form(self.k)
-
-    @cached_property
-    def bands(self):
-        return tuple((block.band[0].real, np.abs(block.band[1])) for block in self.blocks)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:

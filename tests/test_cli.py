@@ -249,10 +249,10 @@ class TestVerifyCommand:
 
     def test_verify_99_stdout_is_pinned(self, capsys):
         # sha256 of `verify -k 1..99 --jobs 1` stdout, every check on every
-        # odd k <= 99 with its residual column (md5 prefix 9c919e2c67c7)
+        # odd k <= 99 with its residual column (md5 prefix 81c240ca84b3)
         assert main(["verify", "-k", "1..99", "--jobs", "1"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "ef79fafdb5c9f622483c4edc98cc1f59662069f678584c7cffc5fe031f08dc0a"
+        assert digest == "6c14e05941c6962e4533e1bc0029be68c493fcf661f461f28f85a95d0a3930c1"
 
     def test_float_large_k_stdout_is_pinned(self, capsys):
         # sha256 of the benchmark's float-large-k command for seed 1: the
@@ -262,7 +262,7 @@ class TestVerifyCommand:
         argv = ["verify", "-k", "993,2007,2991", "--jobs", "1"]
         assert main(argv + [arg for name in names for arg in ("--check", name)]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "03cd8d6b453e7edac774c9f89fd66d18ddebeca3d2847361c281b6fd52c559da"
+        assert digest == "a2326d3fb39eef08a88b3e0357a52d0687ab5d12e4a943a6b6f715bafb0cb3d9"
 
     @pytest.mark.parametrize("name", ["kernel-rule", "det-product"])
     def test_wrong_determinant_fails_with_a_residual(self, name, monkeypatch, capsys):
@@ -274,7 +274,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "name,field,index",
-        [("su2-bracket", "r", 2), ("su2-weights", "w", 3), ("su2-structure", "s", 2), ("hom-oracle", "w", 5)],
+        [("su2-bracket", "r", 2), ("su2-weights", "w", 3), ("su2-structure", "s", 2), ("hom-oracle", "w", 5),
+         ("equivariance", "w", 5)],
     )
     def test_one_corrupted_rep_entry_fails_with_a_residual(self, name, field, index, monkeypatch, capsys):
         # one stored integer of the rep at k = 7 moves by 1: W[3] or W[5],
@@ -290,6 +291,15 @@ class TestVerifyCommand:
         line = capsys.readouterr().out
         assert line.startswith(f"FAIL {name} k=7 ")
         assert float(line.split("residual=")[1]) > 0
+
+    def test_halved_eigenvalues_fail_norm_bound_with_their_slack(self, monkeypatch, capsys):
+        # at k = 7 the spectral radius 10.41 halves to 5.205, below
+        # a_{7,1} = sqrt(30) = 5.477: the slack (5.205 - 5.477) / 6.477 is
+        # the measured defect
+        spectrum = operators.spectrum
+        monkeypatch.setattr(operators, "spectrum", lambda block: 0.5 * spectrum(block))
+        assert main(["verify", "-k", "7", "--check", "norm-bound"]) == 3
+        assert capsys.readouterr().out == "FAIL norm-bound k=7 residual=-4.201e-02\n"
 
     def test_deterministic_across_jobs(self, tmp_path):
         argv = ["verify", "-k", "1..31", "--jobs"]

@@ -164,21 +164,24 @@ class TestSpectraCoincide:
         band[-1][1] = np.conj(band[1][1])
         ctx.blocks = (d, DiracMatrix(9, band))
         result = check_coincide(ctx)
+        # one off-diagonal entry and its conjugate moved by about one ulp:
+        # two band entries differ
         assert not result.ok
-        assert result.residual == abs(abs(band[1][1]) - d.band[1][1].real) > 0
+        assert result.residual == 2.0
 
+    def test_one_flipped_sign_fails_verify(self, monkeypatch, capsys):
+        # the sign of one superdiagonal entry of the second block flips:
+        # one band entry differs, so verify exits 3 with a defect of 1
+        assemble = operators.assemble_closed_form
 
-    def test_bands_must_be_identical(self):
-        # the blocks stay exactly unitarily equivalent; only what the
-        # eigensolver would see differs, by one ulp
-        ctx = KContext(9)
-        (d0, b0), (d1, b1) = ctx.bands
-        moved = b1.copy()
-        moved[2] = np.nextafter(moved[2], np.inf)
-        ctx.bands = ((d0, b0), (d1, moved))
-        result = check_coincide(ctx)
-        assert not result.ok
-        assert result.residual == moved[2] - b0[2] > 0
+        def flipped(k):
+            d, dt = assemble(k)
+            dt.band[1][2] *= -1
+            return d, dt
+
+        monkeypatch.setattr(operators, "assemble_closed_form", flipped)
+        assert cli.main(["verify", "-k", "7", "--check", "spectra-coincide"]) == 3
+        assert capsys.readouterr().out == "FAIL spectra-coincide k=7 residual=1.000e+00\n"
 
 
 class TestBandMemory:

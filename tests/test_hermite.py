@@ -130,9 +130,9 @@ class TestOneLadder:
                 if getattr(module, "ladder", None) is ladder:
                     monkeypatch.setattr(module, "ladder", wrong)
 
-        hermite._weight_table.cache_clear()
+        hermite._weights.cache_clear()
         yield patch
-        hermite._weight_table.cache_clear()
+        hermite._weights.cache_clear()
 
     @pytest.fixture
     def wrong_raising(self, patch_ladder):
@@ -146,7 +146,7 @@ class TestOneLadder:
     def test_wrong_raising_coefficient_fails_both_checks(self, wrong_raising, route, monkeypatch):
         # assembly-match catches it by each route alone: "float" passes the
         # exact identities by fiat, "exact" zeroes the float mismatch
-        assert not checks.check_ladder_commutator(trunc=4).ok
+        assert not checks.check_ladder_commutator().ok
         if route == "float":
             monkeypatch.setattr(checks, "assembly_matches_exact", lambda k, coeffs=None: True)
         elif route == "exact":
@@ -274,27 +274,28 @@ class TestWeights:
             runs.append(levels)
             return oscillator_band(levels)
 
-        # each table of 256 weights is derived once: the k + 3 = 102 levels
-        # of hom-oracle at k = 99 read table 0, a band on levels 0..256, and
-        # l = 256..511 table 1, on levels 255..512
+        # one table per power of two, each derived once: the l = 0..101 of
+        # hom-oracle at k = 99 read the table of l < 128, a band on levels
+        # 0..128, and l = 7 that of l < 8, on levels 0..8
         monkeypatch.setattr(hermite, "oscillator_band", counted)
-        hermite._weight_table.cache_clear()
+        hermite._weights.cache_clear()
         try:
             for _ in range(2):
                 assert checks.check_hom_oracle(KContext(99)).ok
-                assert [weight_on_Wl(l) for l in range(512)] == list(range(1, 1024, 2))
-            assert [(levels.start, levels.stop) for levels in runs] == [(0, 257), (255, 513)]
+                assert weight_on_Wl(7) == 15
+                assert weight_on_Wl(np.arange(100, 128)).tolist() == list(range(201, 257, 2))
+            assert [(levels.start, levels.stop) for levels in runs] == [(0, 129), (0, 9)]
         finally:
-            hermite._weight_table.cache_clear()
+            hermite._weights.cache_clear()
 
     def test_levels_past_the_guard_are_refused(self):
         # the weight of h_l reads h_(l+1), and levels stay below 2**20; the
-        # last table holds l = 2**20 - 256 .. 2**20 - 2 only
+        # last table holds l = 0 .. 2**20 - 2 only
         top = EXACT_BOUND - 2
         assert weight_on_Wl(2**19) == 2**20 + 1
         assert weight_on_Wl(top) == 2 * top + 1 and type(weight_on_Wl(top)) is int
-        assert len(hermite._weight_table(top // 256)) == 255
-        for l in (top + 1, 2**21):
+        assert len(hermite._weights(EXACT_BOUND - 1)) == top + 1
+        for l in (top + 1, 2**21, np.array([0, top + 1])):
             with pytest.raises(ValueError, match="l must be in"):
                 weight_on_Wl(l)
 
@@ -305,12 +306,12 @@ class TestWeights:
             return band
 
         monkeypatch.setattr(hermite, "oscillator_band", shifted)
-        hermite._weight_table.cache_clear()
+        hermite._weights.cache_clear()
         try:
             with pytest.raises(AssertionError, match="weight mismatch"):
                 weight_on_Wl(7)
         finally:
-            hermite._weight_table.cache_clear()
+            hermite._weights.cache_clear()
 
 
 class TestTypes:

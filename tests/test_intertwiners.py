@@ -4,6 +4,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sdirac import checks
@@ -146,6 +147,34 @@ class TestDimensions:
         monkeypatch.setattr(checks, "hom_space", lambda k, l: hom_space(k, l) + (l == k + 1))
         assert main(["verify", "-k", "7", "--check", "hom-dim"]) == 3
         assert capsys.readouterr().out == "FAIL hom-dim k=7 residual=1.000e+00\n"
+
+
+class TestArrays:
+    def test_array_calls_match_scalar_calls(self):
+        # over each check's range of l: l <= k + 2 for hom-oracle, which
+        # holds the l <= k + 1 of hom-dim, and l <= (k - 1)/2 for equivariance
+        for k in range(1, 100, 2):
+            rep = build_rep(k)
+            ls, n = np.arange(k + 3), k + 3
+            assert hom_space(k, ls).tolist() == [hom_space(k, l) for l in range(n)]
+            assert hom_space_oracle(k, ls, rep=rep).tolist() == [hom_space_oracle(k, l, rep=rep) for l in range(n)]
+            assert weight_on_Wl(ls).tolist() == [weight_on_Wl(l) for l in range(n)]
+            ls, n = ls[: (k + 1) // 2], (k + 1) // 2
+            scalars = [equivariance_residual(k, l, rep=rep) for l in range(n)]
+            assert equivariance_residual(k, ls, rep=rep).tolist() == scalars
+
+    def test_scalar_calls_return_python_scalars(self):
+        rep = build_rep(9)
+        assert type(hom_space(9, 2)) is int and type(hom_space_oracle(9, 2, rep=rep)) is int
+        assert type(equivariance_residual(9, 2, rep=rep)) is bool
+
+    def test_array_calls_reject_what_scalar_calls_reject(self):
+        with pytest.raises(ValueError):
+            hom_space(3, np.array([0, -1]))
+        with pytest.raises(ValueError):
+            hom_space_oracle(3, np.array([0, -1]))
+        with pytest.raises(ValueError):
+            equivariance_residual(3, np.array([0, 2]))
 
 
 class TestEquivariance:

@@ -19,12 +19,10 @@ from sdirac.operators import (
     charpoly_exact,
     check_commutator,
     definition_coeffs,
-    norm_bound_holds,
     p_diag_closed,
     p_operator,
     signed_det,
     spectrum,
-    unitary_equivalence_exact,
     unnormalized_coeffs,
 )
 from sdirac.su2 import build_rep
@@ -300,7 +298,8 @@ class TestDiracMatrix:
 class TestUnitaryEquivalence:
     @pytest.mark.parametrize("k", [1, 3, 5, 31, 99])
     def test_exact_conjugation(self, k):
-        assert unitary_equivalence_exact(assemble_closed_form(k))
+        result = checks.check_coincide(KContext(k))
+        assert result.ok and result.residual == 0.0
 
 
 class TestPOperator:
@@ -373,6 +372,18 @@ class TestKernelAndDeterminant:
         assert signed_det(7) == 1260
         assert signed_det(5) == 0
 
+    @staticmethod
+    def continuant(k):
+        # reference: D_0 = 1, D_1 = 0, D_j = -a_{k,j-1}^2 D_(j-2), left to right
+        prev, det = 1, 0
+        for s in operators.a_squares(k)[1:-1]:
+            prev, det = det, -s * prev
+        return det
+
+    def test_signed_det_is_the_left_to_right_continuant(self):
+        for k in [*range(1, 400, 2), 131_071]:
+            assert signed_det(k) == self.continuant(k), k
+
     def test_signed_det_is_the_charpoly_constant_term(self):
         # the O(m) continuant against (-1)^m p(0) of the exact charpoly
         for k in [*range(1, 400, 2), 1001, 1999]:
@@ -403,10 +414,12 @@ class TestNormGrowth:
         assert all(a_coeff(k, 1).value >= (k - 1) // 2 for k in ctxs)
 
     def test_bound_predicate(self):
-        # a_{5,1} = 4: the spectral radius 6 passes, anything below 4 fails
-        assert norm_bound_holds(5, 6.0) and norm_bound_holds(5, 4.0)
-        assert not norm_bound_holds(5, 3.9)
-
-    def test_rejects_even_bound(self):
-        with pytest.raises(ValueError, match="odd"):
-            norm_bound_holds(10, 6.0)
+        # a_{5,1} = 4: the spectral radius 6 passes with slack 2/5, and one
+        # more than 1e-9 (1 + 4) below 4 fails; the slack is the residual
+        cases = [(6.0, True, 0.4), (4.0, True, 0.0), (4.0 - 4.9e-9, True, -9.8e-10), (4.0 - 5.1e-9, False, -1.02e-9),
+                 (3.9, False, -0.02)]
+        for radius, ok, slack in cases:
+            ctx = KContext(5)
+            ctx.eigenvalues = np.array([-radius, 0.0, radius])
+            result = checks.check_norm_bound(ctx)
+            assert result.ok == ok and result.residual == pytest.approx(slack, rel=1e-6, abs=0.0), radius

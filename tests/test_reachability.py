@@ -38,7 +38,6 @@ UNREACHED = {
     "su2._dense": "builds DiracMatrix.entries and RepMatrices.as_arrays",
     "su2.RepMatrices.as_arrays": "timed by bench/layers.py",
     "su2.check_bracket": "timed by bench/layers.py in both modes",
-    "intertwine.hom_space_oracle": "timed by bench/layers.py",
     "tridiag._bisect": "general-matrix fallback; the tests' unseeded reference",
 }
 

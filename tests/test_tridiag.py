@@ -10,7 +10,7 @@ import pytest
 
 from sdirac import tridiag
 from sdirac.checks import check_charpoly_eigs
-from sdirac.operators import KContext, spectrum
+from sdirac.operators import KContext, assemble_closed_form, spectrum
 from sdirac.tridiag import (
     _PIVOT_FLOOR,
     _SEED_MAX_M,
@@ -20,6 +20,13 @@ from sdirac.tridiag import (
     count_below,
     eigvalsh_tridiagonal,
 )
+
+
+def dirac_band(k):
+    """The real symmetric band (diagonal, |superdiagonal|) that the
+    eigensolver sees of the first closed-form block of k."""
+    block = assemble_closed_form(k)[0]
+    return block.band[0].real, np.abs(block.band[1])
 
 
 def random_offdiag(rng, m):
@@ -171,7 +178,7 @@ class TestReferenceLoop:
 
         monkeypatch.setattr(tridiag, "_count", counted)
         monkeypatch.setattr(tridiag, "_sturm_counts", swept)
-        eigvalsh_tridiagonal(*KContext(195).bands[0])
+        eigvalsh_tridiagonal(*dirac_band(195))
         assert passes == [540]
         assert sweeps == passes
 
@@ -249,7 +256,7 @@ class TestSeededFirstPass:
 
     @pytest.mark.parametrize("k", [1, 3, 97, 99, 195, 399])
     def test_dirac_blocks(self, k):
-        b = KContext(k).bands[0][1]
+        b = dirac_band(k)[1]
         m = b.shape[0] + 1
         rng = np.random.default_rng(k)
         self.assert_seeds_change_nothing(rng, b, np.arange(m - m // 2, m))
@@ -270,7 +277,7 @@ class TestSeededFirstPass:
 
     def test_lapack_failure_solves_unseeded(self, monkeypatch):
         rng = np.random.default_rng(8)
-        cases = [KContext(195).bands[0], (np.zeros(30), random_offdiag(rng, 30))]
+        cases = [dirac_band(195), (np.zeros(30), random_offdiag(rng, 30))]
         want = [eigvalsh_tridiagonal(d, b) for d, b in cases]
 
         def fails(a, compute_uv=True):
@@ -301,7 +308,7 @@ class TestSeededFirstPass:
         monkeypatch.setattr(np.linalg, "svd", recorded)
         ctx = KContext(k)
         passes = pass_widths(monkeypatch, lambda: spectrum(ctx.blocks[0]))
-        d, b = ctx.bands[0]
+        d, b = dirac_band(k)
         m = d.shape[0]
         assert calls == ([(m // 2, m - m // 2)] if seeded else [])
         assert (m <= _SEED_MAX_M) == seeded
@@ -319,7 +326,7 @@ class TestSeededFirstPass:
         # the law's seeds, raw and refined by Newton steps, and seeds wrong
         # in every way in their place, against the unseeded kernel, values
         # and sign bits
-        d, b = KContext(k).bands[0]
+        d, b = dirac_band(k)
         m = d.shape[0]
         idx, r, bsq = np.arange(m - m // 2, m), _gershgorin_radius(b), list(map(np.asarray, b * b))
         want = _bisect(bsq, r, idx)
@@ -428,7 +435,7 @@ class TestThresholdSearch:
         # of no use at all
         monkeypatch.setattr(tridiag, "_PASS_POINTS", points)
         rng = np.random.default_rng(points)
-        for b in (rng.normal(size=11) * 7, KContext(99).bands[0][1]):
+        for b in (rng.normal(size=11) * 7, dirac_band(99)[1]):
             m = b.shape[0] + 1
             want = _bisect(b * b, _gershgorin_radius(b), np.arange(m - m // 2, m))
             if m < 20:
@@ -451,7 +458,7 @@ class TestThresholdSearch:
     def test_dirac_blocks(self):
         # every odd k <= 399, on LAPACK's seeds and on the law's
         for k in range(1, 400, 2):
-            b = KContext(k).bands[0][1]
+            b = dirac_band(k)[1]
             m = b.shape[0] + 1
             idx, r, bsq = np.arange(m - m // 2, m), _gershgorin_radius(b), list(map(np.asarray, b * b))
             want = _bisect(bsq, r, idx)
@@ -467,14 +474,14 @@ class TestThresholdSearch:
 
         monkeypatch.setattr(tridiag, "_bisect", bisect)
         for k in [*range(1, 400, 2), 993, 2991]:
-            eigvalsh_tridiagonal(*KContext(k).bands[0])
+            eigvalsh_tridiagonal(*dirac_band(k))
 
     def test_above_the_radius_matches_the_loop(self, monkeypatch):
         # a lane with count(r) <= i ends at [prev(r), r] without counting
         # in it; against the plain loop on k = 3 (and on [[0, 3], [3, 0]]
         # above) and on random matrices whose top eigenvalue is r, a 2 x 2
         # cell with the largest off-diagonal entry
-        b = KContext(3).bands[0][1]
+        b = dirac_band(3)[1]
         assert count_below(b * b, [_gershgorin_radius(b)]).tolist() == [1]
         got, left = self.solve(b, self.loop(b), monkeypatch)
         assert same_bits(got, self.loop(b)) and left == []
@@ -620,7 +627,7 @@ class TestMonotoneCounts:
 
     def test_dirac_blocks(self):
         for k in range(1, 400, 2):
-            d, b = KContext(k).bands[0]
+            d, b = dirac_band(k)
             assert_counts_monotone(b, ulp_windows(np.linalg.eigvalsh(dense(b))))
 
     def test_random_matrices(self):
