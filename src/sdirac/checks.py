@@ -34,6 +34,7 @@ from .exact import EXACT_BOUND, exact_in_double
 from .hermite import clifford_band, omega0, oscillator_band, weight_on_Wl
 from .intertwine import equivariance_residual, hom_space, hom_space_oracle
 from .operators import (
+    A_SQUARES_MAX_K,
     FLOAT_TOL,
     KContext,
     _product,
@@ -44,6 +45,7 @@ from .operators import (
     check_commutator,
     definition_coeffs,
     spectrum,  # noqa: F401 - kept importable from here; bench/selftest.py reads it
+    unnormalized_coeffs,
 )
 from .su2 import _bracket_defect, bracket_defect
 from .tridiag import _PIVOT_FLOOR, count_below
@@ -292,12 +294,13 @@ def check_det_product(ctx: KContext) -> CheckResult:
     odd-indexed squares for even m, and det D_k = 0 for odd m, on the
     exact determinant (:attr:`KContext.det`).  Each square is taken in
     its closed ladder form a_{k,l}^2 = down(l) up(l-1) = l(k+1-2l)
-    ((k+1)/2+l) (:func:`sdirac.operators.unnormalized_coeffs`, in Python
-    ints), not from the squares the determinant is built of, so a wrong
-    square fails; the product is a balanced tree (:func:`sdirac.operators._product`).
+    ((k+1)/2+l) (:func:`sdirac.operators.unnormalized_coeffs`), not from
+    the squares the determinant is built of, so a wrong square fails; the
+    product is a balanced tree (:func:`sdirac.operators._product`).
     The residual is an exact defect count, 1 if the identity fails."""
     k, m = ctx.k, (ctx.k + 1) // 2
-    want = 0 if m % 2 else _product([l * (k + 1 - 2 * l) * (m + l) for l in range(1, m, 2)])
+    down, up = unnormalized_coeffs(k)
+    want = 0 if m % 2 else _product((down[1:m:2] * up[0 : m - 1 : 2]).tolist())
     wrong = abs(ctx.det) != want
     return CheckResult("det-product", k, not wrong, float(wrong))
 
@@ -365,8 +368,8 @@ def _count_certificate(ctx: KContext):
     must be i below the bracket and i + 1 above it.  That certifies each
     value, the ordering and completeness at once.  The count runs on the
     zero diagonal of the block and the exact squares a_{k,l}^2 as float64,
-    exact while they stay below 2**53 (0.77 ((k+1)/2)^3 < 2**53; the check
-    fails above).
+    exact while they stay below 2**53 (0.77 ((k+1)/2)^3 < 2**53, up to
+    k = 454,045); ValueError if a square reaches it.
 
     Why delta = 4 m eps (eps = 2**-52, u = eps/2).  (1) A float Sturm
     count at y is the exact count of a matrix whose b^2 move by a relative
@@ -387,14 +390,13 @@ def _count_certificate(ctx: KContext):
     middle 0 of an odd m needs the absolute term alone; _ZERO_HALF_WIDTH
     is above it and far below every nonzero eigenvalue.
 
-    Builds no charpoly.  Returns (ok, lo, hi), with the brackets, or None
-    if a square reaches 2**53."""
+    Builds no charpoly.  Returns (ok, lo, hi), with the brackets."""
     k, x = ctx.k, ctx.eigenvalues
     m = x.shape[0]
     squares = a_squares(k)[1:m]
-    if max(squares, default=0) >= 2**53:
-        return None
-    bsq = np.array(squares, dtype=np.float64)
+    if squares.max(initial=0) >= 2**53:
+        raise ValueError(f"a square a_(k,l)^2 reaches 2**53 at k = {k}: the count would round it")
+    bsq = squares.astype(np.float64)
     half = 4 * m * np.finfo(np.float64).eps * np.abs(x) + _ZERO_HALF_WIDTH
     lo, hi = x - half, x + half
     idx = np.arange(m)
@@ -404,12 +406,8 @@ def _count_certificate(ctx: KContext):
 
 def check_charpoly_eigs(ctx: KContext) -> CheckResult:
     """:func:`_count_certificate`, then :func:`_exact_tie`.  The residual
-    is the worst margin (:func:`_worst_margin`) of the brackets tested, inf
-    if a square reaches 2**53."""
-    certificate = _count_certificate(ctx)
-    if certificate is None:
-        return CheckResult("charpoly-eigs", ctx.k, False, np.inf)
-    ok, lo, hi = certificate
+    is the worst margin (:func:`_worst_margin`) of the brackets tested."""
+    ok, lo, hi = _count_certificate(ctx)
     if ok:
         ok, lo, hi = _exact_tie(ctx, lo, hi)
     return CheckResult("charpoly-eigs", ctx.k, bool(ok), _worst_margin(ctx.eigenvalues, lo, hi))
@@ -426,13 +424,15 @@ def check_norm_bound(ctx: KContext) -> CheckResult:
     return CheckResult("norm-bound", k, ok, slack)
 
 
-# The largest k of each check with an exact route: past it a level or rep
-# entry reaches the 2**20 of :mod:`sdirac.exact` (hom-oracle reads the
-# weights of l <= k + 2, equivariance those of l <= (k - 1)/2, each needing
-# l + 1 < 2**20, and assembly-match rep entries up to k), or a square
-# a_{k,l}^2 of p-eigenvalues leaves int64 (operators._a_squares64).
+# The largest k of each check, and of the ``charpoly`` command, with an exact
+# route: past it a level or rep entry reaches the 2**20 of :mod:`sdirac.exact`
+# (hom-oracle reads weights of l <= k + 2, equivariance of l <= (k - 1)/2, and
+# assembly-match rep entries up to k), a square a_{k,l}^2 leaves int64
+# (operators.a_squares), or one reaches the 2**53 of _count_certificate.
 K_LIMITS = {"hom-oracle": EXACT_BOUND - 5, "equivariance": 2 * EXACT_BOUND - 3, "assembly-match": EXACT_BOUND - 1,
-            "p-eigenvalues": 4_576_503}
+            "charpoly-eigs": 454_045}
+K_LIMITS |= dict.fromkeys(("symmetry", "spectra-coincide", "kernel-rule", "p-eigenvalues", "charpoly-parity",
+                           "det-product", "norm-bound", "charpoly"), A_SQUARES_MAX_K)
 
 # Name -> check, in ``verify`` order; a per-k check takes one KContext.
 GLOBAL_REGISTRY = {

@@ -117,7 +117,7 @@ def _emit(args, pieces) -> None:
 
 
 def _require_k_limits(k_values, names) -> None:
-    """UserInputError if a k is above the K_LIMITS of a check in ``names``."""
+    """UserInputError if a k is above the K_LIMITS of a check or command in ``names``."""
     for name in names:
         if name in K_LIMITS and k_values[-1] > K_LIMITS[name]:
             raise UserInputError(f"{name} takes k <= {K_LIMITS[name]}: its exact route's integers would pass their bound")
@@ -160,6 +160,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_charpoly(args) -> int:
+    _require_k_limits(args.k, ("charpoly",))
     _emit(args, (json.dumps(charpoly_exact(k).coeffs) + "\n" for k in args.k))
     return EXIT_OK
 

@@ -44,6 +44,9 @@ from .tridiag import eigvalsh_tridiagonal
 # the asymmetry of the mirrored spectrum.
 FLOAT_TOL = 1e-10
 
+# The last odd k whose squares a_{k,l}^2, at most 0.77 ((k+1)/2)^3, are below 2**63.
+A_SQUARES_MAX_K = 4_576_503
+
 
 def _require_odd(k: int) -> None:
     if not isinstance(k, int) or k < 1 or k % 2 == 0:
@@ -65,17 +68,13 @@ def a_coeff(k: int, l: int) -> ACoeff:
     return ACoeff(square, math.sqrt(square))
 
 
-def a_squares(k: int) -> list:
-    """The exact squares a_{k,l}^2 = 2l((k+1)^2/4 - l^2) of
-    :func:`a_coeff`, Python ints, for l = 0..m in one list."""
+def a_squares(k: int) -> np.ndarray:
+    """The exact squares a_{k,l}^2 = 2l((k+1)^2/4 - l^2) of :func:`a_coeff`,
+    l = 0..m, as one int64 array (ValueError past A_SQUARES_MAX_K).  A
+    big-integer route reads them by ``.tolist()``, never as int64 scalars."""
     _require_odd(k)
-    m = (k + 1) // 2
-    return [2 * l * (m * m - l * l) for l in range(m + 1)]
-
-
-def _a_squares64(k: int) -> np.ndarray:
-    """:func:`a_squares` as an int64 array, exact while every square, at
-    most 0.77 ((k+1)/2)^3, is below 2**63: up to k = 4,576,503."""
+    if k > A_SQUARES_MAX_K:
+        raise ValueError(f"the squares a_(k,l)^2 leave int64 past k = {A_SQUARES_MAX_K}, got {k}")
     l, m = np.arange((k + 3) // 2, dtype=np.int64), (k + 1) // 2
     return 2 * l * (m * m - l * l)
 
@@ -144,7 +143,7 @@ def assemble_closed_form(k: int):
     _require_odd(k)
     m = (k + 1) // 2
     # np.sqrt rounds the float64 squares correctly, as math.sqrt does
-    a = np.sqrt(np.array(a_squares(k)[1:m], dtype=np.float64)).astype(np.complex128)
+    a = np.sqrt(a_squares(k)[1:m].astype(np.float64)).astype(np.complex128)
     return (
         DiracMatrix(k, {-1: a, 0: np.zeros(m, dtype=np.complex128), 1: a.copy()}),
         DiracMatrix(k, {-1: 1j * a, 0: np.zeros(m, dtype=np.complex128), 1: -1j * a}),
@@ -244,7 +243,7 @@ def assembly_matches_exact(k: int, coeffs=None) -> bool:
     below 2**21, so for every k the check's K_LIMITS admits."""
     (down_d, up_d), (down_dt, up_dt) = definition_coeffs(k) if coeffs is None else coeffs
     down, up = unnormalized_coeffs(k)
-    up, a_sq, (num, den) = up[:-1], _a_squares64(k)[1:-1], scale_sq_ratio(k)
+    up, a_sq, (num, den) = up[:-1], a_squares(k)[1:-1], scale_sq_ratio(k)
     # the guard keeps k below 2**21, so the closed forms, below k^2, are
     # doubles exactly
     down_c, up_c = down.astype(np.float64), up.astype(np.float64)
@@ -275,7 +274,7 @@ def charpoly_exact(k: int) -> CharPoly:
     _require_odd(k)
     m = (k + 1) // 2
     q_prev, q_cur = [1], [1]
-    for j, s in zip(range(2, m + 1), a_squares(k)[1:m]):
+    for j, s in zip(range(2, m + 1), a_squares(k)[1:m].tolist()):
         q_prev, q_cur = q_cur, [c - s * b for c, b in zip(q_cur if j % 2 else [0] + q_cur, q_prev + [0])]
     coeffs = [0] * (m + 1)
     coeffs[m % 2 :: 2] = q_cur
@@ -300,17 +299,16 @@ def signed_det(k: int) -> int:
     :func:`charpoly_exact`, which takes about m^2/4 big-integer steps."""
     _require_odd(k)
     m = (k + 1) // 2
-    return 0 if m % 2 else _product([-s for s in a_squares(k)[1:m:2]])
+    return 0 if m % 2 else _product((-a_squares(k)[1:m:2]).tolist())
 
 
 def p_diag_closed(k: int) -> tuple:
     """Diagonal of the second-order operator: (k+1)^2 - 3(2l+1)^2 - 1,
-    asserted equal to 2(a_{k,l+1}^2 - a_{k,l}^2), both in int64 (see
-    :func:`_a_squares64` for the k this holds to)."""
+    asserted equal to 2(a_{k,l+1}^2 - a_{k,l}^2), both in int64."""
     _require_odd(k)
     l = np.arange((k + 1) // 2, dtype=np.int64)
     closed = (k + 1) ** 2 - 3 * (2 * l + 1) ** 2 - 1
-    if not np.array_equal(closed, 2 * np.diff(_a_squares64(k))):
+    if not np.array_equal(closed, 2 * np.diff(a_squares(k))):
         raise AssertionError(f"second-order diagonal identities disagree at k={k}")
     return tuple(closed.tolist())
 

@@ -452,6 +452,10 @@ class TestVerifyCommand:
             (["verify", "-k", "1048573"], "hom-oracle"),
             (["spectrum", "-k", "1048577"], "assembly-match"),
             (["verify", "-k", "4576505", "--check", "p-eigenvalues"], "p-eigenvalues"),
+            (["verify", "-k", "454047", "--check", "charpoly-eigs"], "charpoly-eigs"),
+            (["verify", "-k", "4576505", "--check", "kernel-rule"], "kernel-rule"),
+            (["verify", "-k", "4576505", "--check", "symmetry"], "symmetry"),
+            (["charpoly", "-k", "4576505"], "charpoly"),
         ],
     )
     def test_k_past_a_guard_is_refused_as_input(self, argv, name, capsys):
@@ -485,6 +489,19 @@ sys.exit(code)
         assert message.startswith(f"error: {name} takes k <= {checks.K_LIMITS[name]}: ")
         assert float(seconds) < 1.0
 
+    def test_every_reader_of_the_squares_has_a_limit(self, monkeypatch):
+        # a check without a K_LIMITS entry must not reach the int64 squares,
+        # which refuse k past A_SQUARES_MAX_K
+        def refused(k):
+            raise AssertionError("a_squares read")
+
+        for module in (operators, checks):
+            monkeypatch.setattr(module, "a_squares", refused)
+        unlimited = [name for name in checks.PER_K_CHECKS if name not in checks.K_LIMITS]
+        assert unlimited and all(r.ok for r in checks.run_checks([7], unlimited))
+        with pytest.raises(AssertionError, match="a_squares read"):
+            checks.run_checks([7], ["symmetry"])
+
     def test_k_limits_are_those_of_the_guards(self):
         # at each limit the route's largest level or entry passes its guard,
         # and at the next odd k it does not
@@ -505,6 +522,8 @@ sys.exit(code)
 
         k = checks.K_LIMITS["p-eigenvalues"]  # its int64 squares a_{k,l}^2
         assert largest_square(k) < 2**63 <= largest_square(k + 2)
+        k = checks.K_LIMITS["charpoly-eigs"]  # its count's float64 squares
+        assert largest_square(k) < 2**53 <= largest_square(k + 2)
 
 
 class TestOptionsPerCommand:

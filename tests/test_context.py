@@ -332,9 +332,12 @@ class TestCharpolyCertificate:
         assert all(r.ok for r in run_checks([k], names=["symmetry", "norm-bound"]))
 
     def test_squares_beyond_double_precision_fail(self, monkeypatch):
+        # the count would round such a square: it is refused, not counted;
+        # K_LIMITS keeps every k of the CLI below it
         ctx = KContext(7)
         ctx.eigenvalues
-        monkeypatch.setattr(checks, "a_squares", lambda k: [2**53] * ((k + 1) // 2 + 1))
-        assert checks._count_certificate(ctx) is None
-        result = check_charpoly_eigs(ctx)
-        assert not result.ok and result.residual == float("inf")
+        monkeypatch.setattr(checks, "a_squares", lambda k: np.full((k + 3) // 2, 2**53, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            checks._count_certificate(ctx)
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            check_charpoly_eigs(ctx)

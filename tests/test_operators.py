@@ -12,6 +12,7 @@ from sdirac.operators import (
     DiracMatrix,
     KContext,
     a_coeff,
+    a_squares,
     assemble_closed_form,
     assemble_from_definition,
     assembly_matches_exact,
@@ -52,6 +53,33 @@ class TestACoeff:
             a_coeff(3, 3)
         with pytest.raises(ValueError):
             a_coeff(4, 1)
+
+
+class TestASquares:
+    # the one table of the squares, int64, against the scalar a_coeff's
+    # Python ints
+    def test_equals_a_coeff_for_small_k(self):
+        for k in range(1, 400, 2):
+            m = (k + 1) // 2
+            assert a_squares(k).tolist() == [a_coeff(k, l).square for l in range(m + 1)], k
+
+    @pytest.mark.parametrize("k", [454_045, operators.A_SQUARES_MAX_K])
+    def test_equals_a_coeff_at_the_top_and_the_peak(self, k):
+        # 2l(m^2 - l^2) peaks at l = m / sqrt(3)
+        m = (k + 1) // 2
+        peak = round(m / math.sqrt(3))
+        squares = a_squares(k)
+        assert squares.dtype == np.int64 and squares.shape == (m + 1,)
+        for l in (m, *range(peak - 2, peak + 3)):
+            assert squares[l].item() == a_coeff(k, l).square, l
+        # det-product's int64 ladder form down(l) up(l-1) of the same squares
+        down, up = unnormalized_coeffs(k)
+        for l in (m - 1, *range(peak - 2, peak + 3)):
+            assert (down[l : l + 1] * up[l - 1 : l]).item() == a_coeff(k, l).square, l
+
+    def test_refuses_k_past_int64(self):
+        with pytest.raises(ValueError, match="int64"):
+            a_squares(operators.A_SQUARES_MAX_K + 2)
 
 
 class TestClosedForm:
@@ -374,10 +402,12 @@ class TestKernelAndDeterminant:
 
     @staticmethod
     def continuant(k):
-        # reference: D_0 = 1, D_1 = 0, D_j = -a_{k,j-1}^2 D_(j-2), left to right
+        # reference: D_0 = 1, D_1 = 0, D_j = -a_{k,j-1}^2 D_(j-2), left to
+        # right, on the Python-int squares of a_coeff (an int64 square would
+        # overflow against the growing continuant)
         prev, det = 1, 0
-        for s in operators.a_squares(k)[1:-1]:
-            prev, det = det, -s * prev
+        for l in range(1, (k + 1) // 2):
+            prev, det = det, -a_coeff(k, l).square * prev
         return det
 
     def test_signed_det_is_the_left_to_right_continuant(self):
