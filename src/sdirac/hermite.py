@@ -19,7 +19,7 @@ entries all lie in a given run of levels; products of bands go through
 :func:`sdirac.su2._band_mul_into`.  Coefficients are complex128.  The bands
 are exact: their operands pass the guard of :mod:`sdirac.exact` (parts in
 (1/2)Z below 2**20), or they are refused.  The circle weights are read
-off one oscillator band per power of two.  All operations are pure.
+off oscillator bands, one table per power of two.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -95,20 +95,33 @@ def oscillator_band(levels):
     return {o: 0.5 * d for o, d in out.items()}
 
 
+# Columns of one oscillator band that _weights derives at a time: a band on
+# all 2**20 levels would hold hundreds of MB of complex128 diagonals.
+_WINDOW = 1 << 14
+
+
 @cache
 def _weights(stop: int) -> np.ndarray:
     """The circle weights w_l of :func:`weight_on_Wl` for l = 0..stop-1,
-    read-only int64, read off one oscillator band on levels 0..stop, whose
-    column l must hold -w_l/2 on its diagonal and nothing else, and
+    read-only int64, read off oscillator bands in windows of _WINDOW
+    columns: columns a..b-1 from the band on levels a-2..b+1, clipped to
+    0..stop, which holds every path l -> l -+ 1 -> l, l -+ 2 of those
+    columns, so each of their entries is that of one band on levels
+    0..stop.  Column l must hold -w_l/2 on its diagonal and nothing else,
     cross-checked against the closed form 2l + 1."""
-    band = oscillator_band(range(stop + 1))
-    # entry t of offset o sits at column t + max(0, o); columns 0..stop-1 hold l
-    if any(np.any(d[: stop - max(0, o)]) for o, d in band.items() if o != 0):
-        raise AssertionError("oscillator action on a Hermite line is not diagonal")
-    derived, closed = -2 * band[0][:stop], 2 * np.arange(stop, dtype=np.int64) + 1
-    wrong = np.flatnonzero(derived != closed)
-    if wrong.size:
-        raise AssertionError(f"weight mismatch at l={wrong[0]}: {derived[wrong[0]]} vs {closed[wrong[0]]}")
+    closed = 2 * np.arange(stop, dtype=np.int64) + 1
+    for a in range(0, stop, _WINDOW):
+        b = min(a + _WINDOW, stop)
+        lo = max(a - 2, 0)
+        band = oscillator_band(range(lo, min(b + 1, stop) + 1))
+        # entry t of offset o sits at column lo + t + max(0, o)
+        if any(np.any(d[max(a - lo - max(0, o), 0) : b - lo - max(0, o)]) for o, d in band.items() if o != 0):
+            raise AssertionError("oscillator action on a Hermite line is not diagonal")
+        derived = -2 * band[0][a - lo : b - lo]
+        wrong = np.flatnonzero(derived != closed[a:b])
+        if wrong.size:
+            l = a + wrong[0]
+            raise AssertionError(f"weight mismatch at l={l}: {derived[wrong[0]]} vs {closed[l]}")
     closed.flags.writeable = False
     return closed
 

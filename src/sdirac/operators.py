@@ -39,11 +39,6 @@ from .intertwine import scale_sq_ratio
 from .su2 import _bracket_defect, _dense, build_rep
 from .tridiag import eigvalsh_tridiagonal
 
-# Absolute bound on float residuals that are exact zeros of the band
-# arithmetic: the imaginary and off-diagonal parts of the commutator and
-# the asymmetry of the mirrored spectrum.
-FLOAT_TOL = 1e-10
-
 # The last odd k whose squares a_{k,l}^2, at most 0.77 ((k+1)/2)^3, are below 2**63.
 A_SQUARES_MAX_K = 4_576_503
 
@@ -107,32 +102,36 @@ class DiracMatrix:
 
 @dataclass(frozen=True)
 class CharPoly:
-    """Exact integer characteristic polynomial det(lambda*I - D_k),
-    coefficients in ascending degree order, leading coefficient 1."""
+    """Exact integer characteristic polynomial det(lambda*I - D_k) of a
+    zero-diagonal block, stored as its parity half: p(x) = x^parity q(x^2),
+    with q's coefficients in ascending degree order, leading coefficient 1."""
 
-    coeffs: tuple
+    q: tuple
+    parity: int
 
     @property
     def m(self) -> int:
-        return len(self.coeffs) - 1
+        return 2 * (len(self.q) - 1) + self.parity
+
+    @property
+    def coeffs(self) -> tuple:
+        """p's m + 1 coefficients in ascending degree order, zeros included."""
+        coeffs = [0] * (self.m + 1)
+        coeffs[self.parity :: 2] = self.q
+        return tuple(coeffs)
 
     def sign_at(self, x: float) -> int:
         """Sign of p(x) at the float x, exactly.  x = n / 2^s is a dyadic
-        rational; with p(x) = e(x^2) + x o(x^2), the sign is that of the
-        integer 2^(s m) p(x), summed from e and o, each by Horner in
-        y = n^2 with its coefficients shifted, not multiplied, by powers of
-        2^(2s).  For the parity polynomials here one half is zero, so the
-        cost is m/2 steps, each growing by the bits of n^2."""
+        rational, and the sign is that of the integer 2^(s m) p(x) =
+        n^parity 2^(2 s d) q(n^2 / 2^(2s)), d = deg q: one Horner over q in
+        y = n^2, its coefficients shifted, not multiplied, by powers of
+        2^(2s).  That is m/2 steps, each growing by the bits of n^2."""
         n, den = float(x).as_integer_ratio()
         s = den.bit_length() - 1
-        y, m = n * n, self.m
-        total = 0
-        for r in (0, 1):
-            half = self.coeffs[r::2]
-            acc = 0
-            for t, c in enumerate(reversed(half)):
-                acc = acc * y + (c << 2 * s * t)
-            total += (n**r * acc) << s * (m - r - 2 * (len(half) - 1))
+        y, acc = n * n, 0
+        for t, c in enumerate(reversed(self.q)):
+            acc = acc * y + (c << 2 * s * t)
+        total = n**self.parity * acc
         return (total > 0) - (total < 0)
 
 
@@ -270,15 +269,13 @@ def charpoly_exact(k: int) -> CharPoly:
     lowest degree first: p_j = x^(j%2) sum_r Q_j[r] x^(2r), and
     Q_j[r] = Q_(j-1)[r - 1 + j%2] - a_{k,j-1}^2 Q_(j-2)[r].  Building each
     Q_j from its lowest-degree coefficient, the largest, up keeps the peak
-    heap at that of the full recurrence."""
+    heap at that of the full recurrence.  Q_m is the q of the result."""
     _require_odd(k)
     m = (k + 1) // 2
     q_prev, q_cur = [1], [1]
     for j, s in zip(range(2, m + 1), a_squares(k)[1:m].tolist()):
         q_prev, q_cur = q_cur, [c - s * b for c, b in zip(q_cur if j % 2 else [0] + q_cur, q_prev + [0])]
-    coeffs = [0] * (m + 1)
-    coeffs[m % 2 :: 2] = q_cur
-    return CharPoly(tuple(coeffs))
+    return CharPoly(tuple(q_cur), m % 2)
 
 
 def _product(factors: list) -> int:
@@ -317,15 +314,18 @@ def check_commutator(blocks, closed) -> tuple:
     """Compare i[second, first] of the two ``blocks``, a band product in
     O(m), with ``closed``, their k's :func:`p_diag_closed`.  Returns
     (ok, off): off is the largest modulus off the diagonal, and ok requires
-    off and every imaginary part on the diagonal below FLOAT_TOL and each
-    real part within 16 u (s_l + s_(l+1)) of its closed-form integer,
+    off and every imaginary part on the diagonal to be 0 and each real part
+    within 16 u (s_l + s_(l+1)) of its closed-form integer,
     u = 2**-53, s_l = |b_l|^2 for the superdiagonal b of the first block
     and s_0 = s_m = 0; no nan or inf is.  Entry l, 2(a_(l+1)^2 - a_l^2),
     sums four products, each a_j^2 within 4u (a_j^2 rounds to a double,
     its root twice, the product once), in three additions, each rounding
     by u of at most 2(a_l^2 + a_(l+1)^2): 14 u (a_l^2 + a_(l+1)^2) to
     first order, and s_l is a_l^2 within 4u.  From k = 227,023 the sums
-    pass 2**52 and an entry may round next to its closed form."""
+    pass 2**52 and an entry may round next to its closed form.  The zeros
+    are exact: off the diagonal and in the imaginary part of the diagonal
+    the two products of the bracket multiply the same doubles, in the other
+    order and sign, and IEEE products commute."""
     d, dt = blocks
     p = _bracket_defect(dt.band, d.band, {}, 0, d.m)
     diag = 1j * p.pop(0)
@@ -333,8 +333,8 @@ def check_commutator(blocks, closed) -> tuple:
     s = np.abs(d.band[1]) ** 2
     tol = 16 * 2.0**-53 * (np.append(0.0, s) + np.append(s, 0.0))
     ok = (
-        off < FLOAT_TOL
-        and float(np.max(np.abs(diag.imag))) < FLOAT_TOL
+        off == 0.0
+        and not np.any(diag.imag)
         and bool(np.all(np.abs(diag.real - np.array(closed, dtype=np.float64)) <= tol))
     )
     return ok, off

@@ -495,8 +495,10 @@ sys.exit(code)
         def refused(k):
             raise AssertionError("a_squares read")
 
+        squares = operators.a_squares
         for module in (operators, checks):
-            monkeypatch.setattr(module, "a_squares", refused)
+            if getattr(module, "a_squares", None) is squares:
+                monkeypatch.setattr(module, "a_squares", refused)
         unlimited = [name for name in checks.PER_K_CHECKS if name not in checks.K_LIMITS]
         assert unlimited and all(r.ok for r in checks.run_checks([7], unlimited))
         with pytest.raises(AssertionError, match="a_squares read"):
@@ -522,8 +524,6 @@ sys.exit(code)
 
         k = checks.K_LIMITS["p-eigenvalues"]  # its int64 squares a_{k,l}^2
         assert largest_square(k) < 2**63 <= largest_square(k + 2)
-        k = checks.K_LIMITS["charpoly-eigs"]  # its count's float64 squares
-        assert largest_square(k) < 2**53 <= largest_square(k + 2)
 
 
 class TestOptionsPerCommand:
@@ -566,11 +566,17 @@ class TestReadmeOptionTable:
     """The README's option table marks with a check the options each
     command takes; it must name exactly the parser's."""
 
+    README = Path(__file__).parent.parent / "README.md"
+
     @staticmethod
-    def readme_table():
-        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    def readme_table(readme):
+        """The table headed ``| option |`` in the markdown ``readme``, from
+        its header to the next blank line: command -> the flags it marks."""
+        lines = readme.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("| option |"))
+        end = next((i for i in range(start, len(lines)) if not lines[i].strip()), len(lines))
         # cells split at each "|" that is not escaped as "\|"
-        rows = [re.split(r"(?<!\\)\|", line)[1:-1] for line in readme.splitlines() if line.startswith("|")]
+        rows = [re.split(r"(?<!\\)\|", line)[1:-1] for line in lines[start:end]]
         header = [cell.strip(" `") for cell in rows[0]]
         table = {command: set() for command in header[1:]}
         for row in rows[2:]:
@@ -591,7 +597,13 @@ class TestReadmeOptionTable:
         }
 
     def test_table_names_the_options_of_each_command(self):
-        assert self.readme_table() == self.parser_options()
+        assert self.readme_table(self.README.read_text(encoding="utf-8")) == self.parser_options()
+
+    def test_another_table_above_changes_nothing(self):
+        readme = self.README.read_text(encoding="utf-8")
+        other = "| flag | `spectrum` | `verify` |\n|---|---|---|\n| `--seed N` | ✓ | ✓ |\n\n"
+        at = readme.index("| option |")
+        assert self.readme_table(readme[:at] + other + readme[at:]) == self.readme_table(readme)
 
 
 class TestOutputFile:

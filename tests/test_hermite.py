@@ -314,6 +314,36 @@ class TestWeights:
             hermite._weights.cache_clear()
 
 
+class TestWeightWindows:
+    """_weights derives the table in windows of levels; the table, and the
+    defects it catches, do not depend on the window size."""
+
+    @pytest.fixture(params=[1, 5, 64])
+    def window(self, request, monkeypatch):
+        monkeypatch.setattr(hermite, "_WINDOW", request.param)
+        hermite._weights.cache_clear()
+        yield request.param
+        hermite._weights.cache_clear()
+
+    def test_table(self, window):
+        assert hermite._weights(37).tolist() == list(range(1, 75, 2))
+
+    @pytest.mark.parametrize("offset,match", [(0, "weight mismatch at l=20"), (2, "not diagonal"), (-2, "not diagonal")])
+    def test_one_wrong_column_is_caught(self, window, offset, match, monkeypatch):
+        # column 20's entry at the offset is changed in every band that
+        # holds it; entry t of offset o sits at column t + max(0, o)
+        def wrong(levels):
+            band = oscillator_band(levels)
+            t = 20 - levels.start - max(0, offset)
+            if offset in band and 0 <= t < len(band[offset]):
+                band[offset][t] += 1
+            return band
+
+        monkeypatch.setattr(hermite, "oscillator_band", wrong)
+        with pytest.raises(AssertionError, match=match):
+            hermite._weights(37)
+
+
 class TestTypes:
     def test_omega0_standard_form(self):
         n = 2

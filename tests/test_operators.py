@@ -221,6 +221,12 @@ class TestCharPoly:
         assert charpoly_exact(3).coeffs == (-6, 0, 1)
         assert charpoly_exact(5).coeffs == (0, -36, 0, 1)
 
+    def test_stores_the_parity_half(self):
+        # p = x^parity q(x^2): only q and the parity are stored
+        assert charpoly_exact(3) == operators.CharPoly((-6, 1), 0)
+        assert charpoly_exact(5) == operators.CharPoly((-36, 1), 1)
+        assert [charpoly_exact(k).m for k in (1, 3, 5, 7)] == [1, 2, 3, 4]
+
     def test_monic(self):
         for k in (7, 21, 49):
             assert charpoly_exact(k).coeffs[-1] == 1
@@ -297,6 +303,16 @@ class TestSpectrum:
         band = {-1: np.array([1j]), 0: np.array([0, 0.5 + 0j]), 1: np.array([-1j])}
         with pytest.raises(ValueError, match="diag must be zero"):
             spectrum(DiracMatrix(3, band))
+
+    def test_one_ulp_of_asymmetry_fails(self):
+        # the mirrored spectrum is exactly antisymmetric; symmetry requires 0
+        ctx = KContext(31)
+        eigs = ctx.eigenvalues.copy()
+        top = eigs[-1]
+        eigs[-1] = np.nextafter(top, np.inf)
+        ctx.eigenvalues = eigs
+        result = checks.check_symmetry(ctx)
+        assert not result.ok and result.residual == np.spacing(top)
 
 
 class TestDiracMatrix:
@@ -376,6 +392,19 @@ class TestPOperator:
                 closed = list(p_diag_closed(k))
                 closed[l] += sign * math.ceil(2 * bound[l])
                 assert check_commutator(blocks, closed)[0] is False
+
+    def test_one_ulp_off_a_block_entry_fails(self):
+        # one superdiagonal entry of the first block and its mirror one ulp
+        # up: the two products of the bracket no longer cancel, and the
+        # off-diagonal residual, 4.5e-13 here, is not the exact 0 required
+        ctx = KContext(31)
+        d, dt = ctx.blocks
+        band = {o: diag.copy() for o, diag in d.band.items()}
+        for o in (-1, 1):
+            band[o][5] = np.nextafter(band[o][5].real, np.inf)
+        ctx.blocks = (DiracMatrix(31, band), dt)
+        result = checks.check_p_eigenvalues(ctx)
+        assert not result.ok and result.residual == pytest.approx(4.547e-13, rel=1e-3)
 
 
 class TestKernelAndDeterminant:

@@ -17,9 +17,17 @@ from sdirac.tridiag import (
     _bisect,
     _gershgorin_radius,
     _search,
-    count_below,
     eigvalsh_tridiagonal,
 )
+
+
+def count_below(bsq, points):
+    """Number of eigenvalues strictly below each of ``points``, for the
+    zero diagonal and the squared off-diagonal ``bsq``: one Sturm pass of
+    tridiag._count, under the floating-point state the solver counts in."""
+    bsq = list(map(np.asarray, np.asarray(bsq, dtype=np.float64)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return tridiag._count(bsq, np.asarray(points, dtype=np.float64))
 
 
 def dirac_band(k):
@@ -527,8 +535,16 @@ class TestLimitingLaw:
         # F(0) = 1/2 and F(edge) = 1: the density's quadrature closes
         h, ends, table = tridiag._law_table()
         assert ends[-1] == pytest.approx(math.sqrt(16 / (3 * math.sqrt(3))), rel=1e-15)
-        assert table[0] == 0.5 and abs(table[-1] - 1.0) < 1e-14
+        assert table[0] == 0.5 and table[-1] == 1.0
         assert np.all(np.diff(table) > 0)
+
+    def test_density_at_zero_is_the_closed_form(self):
+        # f(0) = (1/pi) * integral over [0, 1] of dt / sqrt(8t(1 - t^2)) = 1/c,
+        # c = 4 sqrt(2 pi) Gamma(3/4) / Gamma(1/4), so c sqrt(m) is the step
+        # of the middle eigenvalues
+        c = 4 * math.sqrt(2 * math.pi) * math.gamma(0.75) / math.gamma(0.25)
+        f0 = float(tridiag._law_density(np.array([0.0]))[0])
+        assert abs(f0 - 1 / c) <= 2 * np.spacing(1 / c)
 
     def test_density_matches_direct_quadrature(self):
         # f(x) = (1/pi) * integral of dt / sqrt(8t(1 - t^2) - x^2) over the
@@ -674,7 +690,7 @@ class TestSturmCount:
             want = [count_loop(diag, bsq, x) for x in points]
         for block_entries in (1 << 16, 1, 50):
             monkeypatch.setattr(tridiag, "_BLOCK_ENTRIES", block_entries)
-            assert tridiag.count_below(bsq, points).tolist() == want
+            assert count_below(bsq, points).tolist() == want
 
     def test_pass_at_first_diagonal_entry_takes_one_sweep(self, monkeypatch):
         # x == d[0] == 0 makes the first pivot zero; it is floored before
