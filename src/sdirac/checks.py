@@ -15,9 +15,9 @@ determinant, blocks and spectrum are each built once per k, and a check
 that does not read the charpoly never builds it.  A check over many l
 makes one call, over the array of them, to the function it is named after.
 A float residual that IEEE arithmetic makes an exact zero, such as the
-asymmetry of the mirrored spectrum, must be 0; the eigenvalues are
-certified by one exact route, ``charpoly-eigs``, against the integer
-charpoly.
+asymmetry of the mirrored spectrum, must be 0.  ``charpoly-eigs``
+certifies each eigenvalue to 4 m eps by a Sturm count, then ties the
+positive half exactly to the integer charpoly.
 
 The check names are a contract: ``verify`` prints one line per check (and
 k), and the benchmark under ``bench/`` fails an operation for each line or
@@ -42,6 +42,7 @@ from .operators import (
     KContext,
     _product,
     a_coeff,
+    a_squares,
     assembly_matches_exact,
     assembly_mismatch_float,
     check_commutator,
@@ -50,6 +51,7 @@ from .operators import (
     unnormalized_coeffs,
 )
 from .su2 import _bracket_defect, bracket_defect
+from .tridiag import _PIVOT_FLOOR, count_below
 
 
 @dataclass(frozen=True)
@@ -306,6 +308,12 @@ def check_det_product(ctx: KContext) -> CheckResult:
     return CheckResult("det-product", k, not wrong, float(wrong))
 
 
+# Half-width of the certificate's bracket around an exact 0 eigenvalue.  A
+# count's absolute error is below the pivot floor or, where a quotient
+# overflows instead, below the largest pivot that can overflow it,
+# 2**53 / DBL_MAX < 5e-293 for squares below 2**53 (check_charpoly_eigs).
+_ZERO_HALF_WIDTH = 1e10 * _PIVOT_FLOOR
+
 # Significant bits of the dyadic endpoints of the exact tie, widest first.
 _TIE_BITS = (16, 32, 53)
 
@@ -355,32 +363,59 @@ def _exact_tie(ctx: KContext, lo, hi):
     return ok, lo, hi
 
 
-def check_charpoly_eigs(ctx: KContext) -> CheckResult:
+def _count_certificate(ctx: KContext):
     """Certify the computed eigenvalues x[0] < ... < x[m-1] of the first
-    block against the exact charpoly p, on the brackets x -+ h,
-    h = 4 m eps |x| (eps = 2**-52).  x must be exactly antisymmetric,
-    x = -x[::-1]: p has the parity of m, so that certifies the negative
-    half by the positive one, and an odd m's middle x = 0, a root of p,
-    exactly.  Then :func:`_exact_tie` certifies the positive half: each
-    value within its dyadic bracket, which holds x -+ h, their order and
-    completeness.  The residual is the worst margin (:func:`_worst_margin`)
-    of the brackets tested.
+    block by one Sturm count (:func:`sdirac.tridiag.count_below`) at the 2m
+    points x[i] -+ h[i], h[i] = delta |x[i]| + _ZERO_HALF_WIDTH: the count
+    must be i below the bracket and i + 1 above it.  That certifies each
+    value, the ordering and completeness at once.  The count runs on the
+    zero diagonal of the block and the exact squares a_{k,l}^2 as float64,
+    exact while they stay below 2**53 (0.77 ((k+1)/2)^3 < 2**53, up to
+    k = 454,045); ValueError if a square reaches it.
 
-    Why h.  Bisection returns x within about 2.5 (m-1) u |lambda| + 2u |x|
-    (u = eps/2): a float Sturm count is the exact count of a matrix whose
-    b^2 move by a relative 2u (Kahan 1966; Demmel, Dhillon & Ren 1995),
-    and scaling one off-diagonal entry of a zero-diagonal block by alpha
-    moves every eigenvalue by a factor within [1/alpha, alpha] (Demmel &
-    Kahan 1990).  h = 8 m u |x| is over twice that, so a correct spectrum
-    is never refused; a dyadic bracket that holds no root fails the exact
-    tie."""
-    x = ctx.eigenvalues
-    h = 4 * x.shape[0] * np.finfo(np.float64).eps * np.abs(x)
-    lo, hi = x - h, x + h
-    ok = np.array_equal(x, -x[::-1])
+    Why delta = 4 m eps (eps = 2**-52, u = eps/2).  (1) A float Sturm
+    count at y is the exact count of a matrix whose b^2 move by a relative
+    2u (Kahan 1966; Demmel, Dhillon & Ren 1995): d - y is exact on a zero
+    diagonal, and the division and the subtraction round once each.  A
+    floored pivot adds a diagonal term below _PIVOT_FLOOR, and a quotient
+    that overflows, only from a pivot below 2**53 / DBL_MAX, a term below
+    that pivot.  (2) A zero-diagonal tridiagonal matrix is a permuted
+    Golub-Kahan form of a bidiagonal matrix holding its m - 1 off-diagonal
+    entries; scaling one entry by alpha moves every singular value, so
+    every eigenvalue, by a factor within [1/alpha, alpha], and an exact 0
+    stays 0 (Demmel & Kahan 1990).  So the count errs by at most
+    (m-1) u |lambda| plus the absolute term, and bisection, which also
+    squares rounded square roots (b^2 off by 5u in all), returns x within
+    2.5 (m-1) u |lambda| plus one ulp, 2u |x|.  delta |x| = 8 m u |x| is
+    over twice their sum with the rounding of the points x -+ h,
+    (3.5 (m-1) + 3) u |x| to first order.  The exact
+    middle 0 of an odd m needs the absolute term alone; _ZERO_HALF_WIDTH
+    is above it and far below every nonzero eigenvalue.
+
+    The exact tie does not replace it: its dyadic brackets are wider than
+    x -+ h, by up to 2**-16 |x|, and exact signs at x -+ h itself would
+    triple the time of the whole check at k = 1999.
+    Builds no charpoly.  Returns (ok, lo, hi), with the brackets."""
+    k, x = ctx.k, ctx.eigenvalues
+    m = x.shape[0]
+    squares = a_squares(k)[1:m]
+    if squares.max(initial=0) >= 2**53:
+        raise ValueError(f"a square a_(k,l)^2 reaches 2**53 at k = {k}: the count would round it")
+    bsq = squares.astype(np.float64)
+    half = 4 * m * np.finfo(np.float64).eps * np.abs(x) + _ZERO_HALF_WIDTH
+    lo, hi = x - half, x + half
+    idx = np.arange(m)
+    ok = np.array_equal(count_below(bsq, np.concatenate([lo, hi])), np.concatenate([idx, idx + 1]))
+    return ok, lo, hi
+
+
+def check_charpoly_eigs(ctx: KContext) -> CheckResult:
+    """:func:`_count_certificate`, then :func:`_exact_tie`.  The residual
+    is the worst margin (:func:`_worst_margin`) of the brackets tested."""
+    ok, lo, hi = _count_certificate(ctx)
     if ok:
         ok, lo, hi = _exact_tie(ctx, lo, hi)
-    return CheckResult("charpoly-eigs", ctx.k, bool(ok), _worst_margin(x, lo, hi))
+    return CheckResult("charpoly-eigs", ctx.k, bool(ok), _worst_margin(ctx.eigenvalues, lo, hi))
 
 
 def check_norm_bound(ctx: KContext) -> CheckResult:
@@ -397,10 +432,8 @@ def check_norm_bound(ctx: KContext) -> CheckResult:
 # The largest k of each check, and of the ``charpoly`` command, with an exact
 # route: past it a level or rep entry reaches the 2**20 of :mod:`sdirac.exact`
 # (hom-oracle reads weights of l <= k + 2, equivariance of l <= (k - 1)/2, and
-# assembly-match rep entries up to k) or a square a_{k,l}^2 leaves int64
-# (operators.a_squares).  charpoly-eigs stops at 454,045 for its cost: past
-# it the exact charpoly and tie, which grow as k^3, would take days; a time
-# budget is to replace this limit.
+# assembly-match rep entries up to k), a square a_{k,l}^2 leaves int64
+# (operators.a_squares), or one reaches the 2**53 of _count_certificate.
 K_LIMITS = {"hom-oracle": EXACT_BOUND - 5, "equivariance": 2 * EXACT_BOUND - 3, "assembly-match": EXACT_BOUND - 1,
             "charpoly-eigs": 454_045}
 K_LIMITS |= dict.fromkeys(("symmetry", "spectra-coincide", "kernel-rule", "p-eigenvalues", "charpoly-parity",

@@ -42,7 +42,7 @@ depends neither on which indices are requested nor on the seeds.
 A pass sweeps the rows in blocks and tallies each block's negative
 pivots as uint8 sums.  The first row's zero pivots are floored before the
 sweep; a pass is redone with the floor only when it meets a later zero
-pivot.
+pivot.  ``count_below`` runs one such pass.
 
 Every phase-stripped Dirac block has zero diagonal, so it is similar to
 its own negative (Golub & Kahan, 1965): ``eigvalsh_tridiagonal`` solves
@@ -371,6 +371,16 @@ def _as_tridiagonal(diag, offdiag):
     if not np.isfinite(bsq).all():
         raise ValueError("offdiag must be finite, with squares below the float64 maximum")
     return m, b, bsq
+
+
+def count_below(bsq, points) -> np.ndarray:
+    """Number of eigenvalues strictly below each of ``points``, for the
+    zero diagonal and the float64 squared off-diagonal ``bsq``, in one
+    vectorized Sturm pass over all the points."""
+    points = np.asarray(points, dtype=np.float64)
+    bsq = list(map(np.asarray, np.asarray(bsq, dtype=np.float64)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _count(bsq, points)
 
 
 def eigvalsh_tridiagonal(diag, offdiag) -> np.ndarray:

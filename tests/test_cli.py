@@ -495,10 +495,8 @@ sys.exit(code)
         def refused(k):
             raise AssertionError("a_squares read")
 
-        squares = operators.a_squares
         for module in (operators, checks):
-            if getattr(module, "a_squares", None) is squares:
-                monkeypatch.setattr(module, "a_squares", refused)
+            monkeypatch.setattr(module, "a_squares", refused)
         unlimited = [name for name in checks.PER_K_CHECKS if name not in checks.K_LIMITS]
         assert unlimited and all(r.ok for r in checks.run_checks([7], unlimited))
         with pytest.raises(AssertionError, match="a_squares read"):
@@ -524,6 +522,8 @@ sys.exit(code)
 
         k = checks.K_LIMITS["p-eigenvalues"]  # its int64 squares a_{k,l}^2
         assert largest_square(k) < 2**63 <= largest_square(k + 2)
+        k = checks.K_LIMITS["charpoly-eigs"]  # its count's float64 squares
+        assert largest_square(k) < 2**53 <= largest_square(k + 2)
 
 
 class TestOptionsPerCommand:

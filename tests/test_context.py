@@ -124,8 +124,7 @@ class TestDeterminantChecks:
             return sq
 
         for module in (operators, checks):
-            if getattr(module, "a_squares", None) is squares:
-                monkeypatch.setattr(module, "a_squares", off_by_one)
+            monkeypatch.setattr(module, "a_squares", off_by_one)
         result = checks.check_det_product(KContext(k))
         assert (result.ok, result.residual) == (False, 1.0)
 
@@ -206,10 +205,11 @@ def delta(m):
     return 4 * m * np.finfo(np.float64).eps
 
 
-def brackets(x):
-    """The certificate's brackets x -+ delta |x| of the eigenvalues x."""
-    h = delta(len(x)) * np.abs(x)
-    return x - h, x + h
+def certified(ctx, route):
+    """Whether ctx's eigenvalues pass the count certificate alone
+    ("float") or the whole charpoly-eigs check, count and exact tie
+    ("both")."""
+    return checks._count_certificate(ctx)[0] if route == "float" else check_charpoly_eigs(ctx).ok
 
 
 class TestCharpolyCertificate:
@@ -236,12 +236,15 @@ class TestCharpolyCertificate:
         ctx.eigenvalues = eigs
         assert not check_charpoly_eigs(ctx).ok
 
-    @pytest.mark.parametrize("route", ["exact", "both"])
+    @pytest.mark.parametrize("route", ["float", "exact", "both"])
     @pytest.mark.parametrize("k", [31, 199, 1001])
     def test_rejects_a_move_of_ten_delta(self, k, route):
-        # "exact": the exact charpoly changes sign across the bracket
-        # x -+ delta |x| of each tested eigenvalue, so the bracket holds a
-        # true root, and no longer does once the eigenvalue moves by 10 delta
+        # "exact": the exact charpoly changes sign across the count's
+        # bracket of each tested eigenvalue, so the bracket holds a true
+        # root, and no longer does once the eigenvalue moves by 10 delta.
+        # Each move takes the mirror eigenvalue along, so the spectrum
+        # stays antisymmetric; "both" then fails through the count, as
+        # the tie's dyadic brackets are wider than 10 delta |x|
         ctx = KContext(k)
         eigs = ctx.eigenvalues
         m = len(eigs)
@@ -249,8 +252,8 @@ class TestCharpolyCertificate:
 
         def passes():
             if route != "exact":
-                return check_charpoly_eigs(ctx).ok
-            lo, hi = brackets(ctx.eigenvalues)
+                return certified(ctx, route)
+            lo, hi = checks._count_certificate(ctx)[1:]
             return all(ctx.charpoly.sign_at(lo[i]) * ctx.charpoly.sign_at(hi[i]) <= 0 for i in tested)
 
         assert passes()
@@ -258,10 +261,11 @@ class TestCharpolyCertificate:
             for sign in (-1, 1):
                 moved = eigs.copy()
                 moved[i] += sign * 10 * delta(m) * abs(moved[i])
+                moved[m - 1 - i] = -moved[i]
                 ctx.eigenvalues = moved
                 assert not passes()
 
-    @pytest.mark.parametrize("route", ["both"])
+    @pytest.mark.parametrize("route", ["float", "both"])
     @pytest.mark.parametrize("k", [15, 201])
     def test_rejects_swapped_or_duplicated_eigenvalues(self, k, route):
         ctx = KContext(k)
@@ -272,7 +276,7 @@ class TestCharpolyCertificate:
         duplicated[i + 1] = duplicated[i]
         for wrong in (swapped, duplicated):
             ctx.eigenvalues = wrong
-            assert not check_charpoly_eigs(ctx).ok
+            assert not certified(ctx, route)
 
     @pytest.mark.parametrize("k", [5, 33, 201])
     def test_rejects_a_displaced_zero(self, k):
@@ -280,20 +284,23 @@ class TestCharpolyCertificate:
         eigs = ctx.eigenvalues
         mid = len(eigs) // 2
         assert len(eigs) % 2 == 1 and eigs[mid] == 0.0
-        for shift in (1e-280, -1e-9, 1e-3):
+        for shift in (10 * checks._ZERO_HALF_WIDTH, -1e-9, 1e-3):
             moved = eigs.copy()
             moved[mid] = shift
             ctx.eigenvalues = moved
-            assert not check_charpoly_eigs(ctx).ok
+            assert not certified(ctx, "float")
+            assert not certified(ctx, "both")
 
     @pytest.mark.parametrize("k", [7, 97])
     def test_exact_tie_rejects_another_charpoly(self, k):
         # q's coefficient below the leading one doubled: the roots move,
-        # and the brackets of the true eigenvalues no longer hold them
+        # and the count's brackets of the true eigenvalues no longer hold them
         ctx = KContext(k)
         q, parity = ctx.charpoly.q, ctx.charpoly.parity
         ctx.charpoly = operators.CharPoly((*q[:-2], 2 * q[-2], q[-1]), parity)
-        assert not checks._exact_tie(ctx, *brackets(ctx.eigenvalues))[0]
+        ok, lo, hi = checks._count_certificate(ctx)
+        assert ok
+        assert not checks._exact_tie(ctx, lo, hi)[0]
         assert not check_charpoly_eigs(ctx).ok
 
     def test_exact_tie_needs_disjoint_brackets(self):
@@ -307,18 +314,34 @@ class TestCharpolyCertificate:
         hi[-2], lo[-1] = middle * 1.001, middle * 0.999
         assert not checks._exact_tie(ctx, lo, hi)[0]
 
-    def test_exact_tie_passes_up_to_399(self):
+    def test_count_and_exact_tie_agree_up_to_399(self):
         for k in range(1, 400, 2):
             ctx = KContext(k)
-            x = ctx.eigenvalues
-            lo, hi = brackets(x)
+            counted, lo, hi = checks._count_certificate(ctx)
+            assert "charpoly" not in vars(ctx)  # the count builds no charpoly
             tied, tie_lo, tie_hi = checks._exact_tie(ctx, lo, hi)
-            assert tied, k
+            assert counted and tied, k
             # the dyadic brackets of the tie hold the float brackets
+            x = ctx.eigenvalues
             assert np.all(tie_lo <= lo) and np.all(tie_hi >= hi)
             assert checks._worst_margin(x, tie_lo, tie_hi) >= checks._worst_margin(x, lo, hi)
 
     @pytest.mark.parametrize("k", [1001, 4001])
     def test_float_path_envelope(self, k):
-        # the float checks alone: with the exact tie, k = 4001 takes about 10 s
+        # the count alone: with the exact tie, k = 4001 takes about 10 s
+        ctx = KContext(k)
+        ok, lo, hi = checks._count_certificate(ctx)
+        assert ok and 0 < checks._worst_margin(ctx.eigenvalues, lo, hi) < 1e-6
+        assert "charpoly" not in vars(ctx)
         assert all(r.ok for r in run_checks([k], names=["symmetry", "norm-bound"]))
+
+    def test_squares_beyond_double_precision_fail(self, monkeypatch):
+        # the count would round such a square: it is refused, not counted;
+        # K_LIMITS keeps every k of the CLI below it
+        ctx = KContext(7)
+        ctx.eigenvalues
+        monkeypatch.setattr(checks, "a_squares", lambda k: np.full((k + 3) // 2, 2**53, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            checks._count_certificate(ctx)
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            check_charpoly_eigs(ctx)

@@ -17,17 +17,9 @@ from sdirac.tridiag import (
     _bisect,
     _gershgorin_radius,
     _search,
+    count_below,
     eigvalsh_tridiagonal,
 )
-
-
-def count_below(bsq, points):
-    """Number of eigenvalues strictly below each of ``points``, for the
-    zero diagonal and the squared off-diagonal ``bsq``: one Sturm pass of
-    tridiag._count, under the floating-point state the solver counts in."""
-    bsq = list(map(np.asarray, np.asarray(bsq, dtype=np.float64)))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return tridiag._count(bsq, np.asarray(points, dtype=np.float64))
 
 
 def dirac_band(k):
@@ -690,7 +682,7 @@ class TestSturmCount:
             want = [count_loop(diag, bsq, x) for x in points]
         for block_entries in (1 << 16, 1, 50):
             monkeypatch.setattr(tridiag, "_BLOCK_ENTRIES", block_entries)
-            assert count_below(bsq, points).tolist() == want
+            assert tridiag.count_below(bsq, points).tolist() == want
 
     def test_pass_at_first_diagonal_entry_takes_one_sweep(self, monkeypatch):
         # x == d[0] == 0 makes the first pivot zero; it is floored before
