@@ -117,10 +117,10 @@ def _emit(args, pieces) -> None:
 
 
 def _require_k_limits(k_values, names) -> None:
-    """UserInputError if a k is above the K_LIMITS of a check or command in ``names``."""
-    for name in names:
-        if name in K_LIMITS and k_values[-1] > K_LIMITS[name]:
-            raise UserInputError(f"{name} takes k <= {K_LIMITS[name]}: its exact route's integers would pass their bound")
+    """UserInputError naming the first K_LIMITS entry in ``names`` that a k is above."""
+    for name, limit in K_LIMITS.items():
+        if name in names and k_values[-1] > limit:
+            raise UserInputError(f"{name} takes k <= {limit}: past it an exact integer or the memory use passes its bound")
 
 
 def worker_count(jobs: int, n_items: int) -> int:

@@ -1,25 +1,26 @@
 """Hermite ladder calculus and symplectic Clifford multiplication as bands.
 
-Hermite functions are handled purely symbolically: a basis element is a
-multi-index alpha and all operators act through the ladder relations
+CP^1 is a real surface, so its symplectic spinors are the Hermite
+functions h_l of one variable.  They are handled purely symbolically:
+every operator acts through the ladder relations
 
-    X_j     . h_alpha = -i*alpha_j * h_(alpha-<j>)  -  i/2 * h_(alpha+<j>)
-    X_(n+j) . h_alpha =   -alpha_j * h_(alpha-<j>)  +  1/2 * h_(alpha+<j>)
+    X_1 . h_l = -i*l * h_(l-1)  -  i/2 * h_(l+1)
+    X_2 . h_l =   -l * h_(l-1)  +  1/2 * h_(l+1)
 
-for the symplectic basis X_1..X_2n (X_j acts as i*x_j, X_(n+j) as d/dx_j).
-No pointwise evaluation on R^n ever happens.  :func:`ladder` is the one
+for the symplectic basis X_1, X_2 (X_1 acts as i*x, X_2 as d/dx).  No
+pointwise evaluation on R ever happens.  :func:`ladder` is the one
 implementation of these relations: :func:`clifford_band` calls it over
 arrays of levels to build the matrix of a Clifford multiplication, and
 first-principles assembly (:func:`sdirac.operators.definition_coeffs`)
 calls it once per k over arrays of all levels l = 0..m-1.
 
 A multiplication is stored as its band, the offset -> diagonal format of
-:meth:`sdirac.su2.RepMatrices.bands`, on the box of multi-indices whose
-entries all lie in a given run of levels; products of bands go through
-:func:`sdirac.su2._band_mul_into`.  Coefficients are complex128.  The bands
-are exact: their operands pass the guard of :mod:`sdirac.exact` (parts in
-(1/2)Z below 2**20), or they are refused.  The circle weights are read
-off oscillator bands, one table per power of two.  All operations are pure.
+:meth:`sdirac.su2.RepMatrices.bands`, on a run of consecutive levels;
+products of bands go through :func:`sdirac.su2._band_mul_into`.
+Coefficients are complex128.  The bands are exact: their operands pass the
+guard of :mod:`sdirac.exact` (parts in (1/2)Z below 2**20), or they are
+refused.  The circle weights are read off oscillator bands, one table per
+power of two.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ from .su2 import _band_mul_into
 
 
 def omega0(x, y):
-    """Standard symplectic form on coordinate tuples of length 2n:
-    omega0(X_j, X_(n+k)) = delta_jk."""
-    if len(x) != len(y) or len(x) % 2:
-        raise ValueError("omega0 needs two coordinate tuples of the same even length")
-    n = len(x) // 2
-    return sum(x[j] * y[n + j] - x[n + j] * y[j] for j in range(n))
+    """Standard symplectic form on pairs (pos, der) of coordinates of
+    pos X_1 + der X_2: omega0(X_1, X_2) = 1."""
+    if len(x) != 2 or len(y) != 2:
+        raise ValueError("omega0 needs two pairs (pos, der)")
+    return x[0] * y[1] - x[1] * y[0]
 
 
 def ladder(pos, der, l):
@@ -52,33 +52,22 @@ def ladder(pos, der, l):
 
 
 def clifford_band(x, levels):
-    """Band of Clifford multiplication by x = (x_1, ..., x_2n) on the
-    Hermite functions h_alpha with every alpha_j in ``levels`` (consecutive
-    levels), flattened row-major: direction j has stride
-    len(levels)**(n-1-j).  Lowering terms sit at offset +stride, raising
-    terms at -stride, and a term that leaves the box is an explicit 0.
-    Exact complex128 diagonals; ValueError unless the coordinates and
-    levels pass the guard of :mod:`sdirac.exact`."""
-    if len(x) % 2:
-        raise ValueError("coordinate count must be even (pairs X_j, X_(n+j))")
+    """Band of Clifford multiplication by x = (pos, der), that is by
+    pos X_1 + der X_2, on the Hermite functions h_l with l in ``levels``
+    (consecutive levels): lowering terms at offset +1, raising terms at
+    offset -1, and a term that leaves the levels is dropped; {} for x = 0.
+    Exact complex128 diagonals; ValueError unless x is a pair and the
+    coordinates and levels pass the guard of :mod:`sdirac.exact`."""
+    if len(x) != 2:
+        raise ValueError("x must be one pair (pos, der)")
     levels = np.asarray(levels)
     require_exact(np.asarray(x), levels)
-    x = tuple(map(float, x))
-    n, size = len(x) // 2, len(levels)
-    box = np.indices((size,) * n).reshape(n, -1)
-    band = {}
-    for j in range(n):
-        pos, der = x[j], x[n + j]
-        if pos == 0 and der == 0:
-            continue
-        stride = size ** (n - 1 - j)
-        down, up = ladder(pos, der, levels[box[j]])
-        # entry t of offset +stride is column t + stride; of -stride, column t
-        for o, coeff, keep in ((stride, down, box[j] > 0), (-stride, up, box[j] < size - 1)):
-            entries = np.where(keep, coeff, 0)
-            entries = entries[o:] if o > 0 else entries[:o]
-            band[o] = band[o] + entries if o in band else entries
-    return band
+    pos, der = map(float, x)
+    if pos == 0 and der == 0:
+        return {}
+    down, up = ladder(pos, der, levels)
+    # entry t of offset +1 is column t + 1; of -1, column t
+    return {1: down[1:], -1: np.full(len(levels[1:]), up)}
 
 
 def oscillator_band(levels):
@@ -86,7 +75,7 @@ def oscillator_band(levels):
     = (d^2/dx^2 - x^2)/2 on the one-dimensional Hermite functions h_l,
     l in ``levels``: one band product of two Clifford multiplications,
     whose entries must pass the guard of :mod:`sdirac.exact`.  On h_l it
-    is -(2l+1)/2 * h_l wherever h_(l-1) and h_(l+1) lie in the box."""
+    is -(2l+1)/2 * h_l wherever h_(l-1) and h_(l+1) lie in ``levels``."""
     out = {}
     for x in ((1, 0), (0, 1)):
         band = clifford_band(x, levels)

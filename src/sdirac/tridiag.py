@@ -9,21 +9,23 @@ A count pass is m sequential row steps of a few numpy calls, vectorized
 over the points it counts at.
 
 ``_search`` reads plain bisection's answer off the threshold of the
-count.  For an index i let t be the least float with count(t) > i, and
-let count(0.0) <= i, so that plain bisection's path rises from its first
-midpoint, 0.0.  If prev(t) >= _MONOTONE_MIN and t <= r, every later
-midpoint is at least t / 2, where counts are monotone (below); so each
-decision is count(mid) <= i exactly when mid < t, the last bracket is
-[prev(t), t] and the result 0.5 * (prev(t) + t).  If count(r) <= i and
+count.  For an upper-half index i (i >= m - m // 2) plain bisection's
+path rises from its first midpoint, 0.0, as count(0.0) <= m // 2 <= i:
+at 0.0 the first pivot is floored to +_PIVOT_FLOOR, and a pivot after a
+negative one, 0.0 - b^2 / q with q < 0, is not negative, so no two
+adjacent pivots are.  Let t be the least float with count(t) > i.  If
+prev(t) >= _MONOTONE_MIN and t <= r, every later midpoint is at least
+t / 2, where counts are monotone (below); so each decision is
+count(mid) <= i exactly when mid < t, the last bracket is [prev(t), t]
+and the result 0.5 * (prev(t) + t).  If count(r) <= i and
 r >= _MONOTONE_MIN, every later midpoint lies in [r / 2, r) and counts
 at most count(r), so the path rises at every step and the result is
 0.5 * (prev(r) + r).  The search runs in the int64 order of the positive
-floats: its first pass counts at 0.0 and at consecutive floats about each
-seed, a lane whose t lies outside them gallops outward in doubling ulps,
-and an open bracket is split evenly.  Seeds only choose the points
-counted, so a wrong seed costs passes, never bits.  A lane with
-count(0.0) > i or count(_MONOTONE_MIN) > i, which no Dirac block has,
-goes to ``_bisect``, plain bisection.
+floats: its first pass counts at consecutive floats about each seed, a
+lane whose t lies outside them gallops outward in doubling ulps, and an
+open bracket is split evenly.  Seeds only choose the points counted, so a
+wrong seed costs passes, never bits.  A lane with count(_MONOTONE_MIN)
+> i, which no Dirac block has, goes to ``_bisect``, plain bisection.
 
 Monotone counts (Kahan, 1966; Demmel, Dhillon & Ren, 1995): for x < y,
 count(x) <= count(y) when |x| >= 2**-943.  IEEE operations are monotone,
@@ -224,28 +226,27 @@ def _search(bsq, r, idx, seeds):
     module docstring) in the int64 order of the positive floats, near the
     approximate eigenvalues ``seeds``.
 
-    The first pass counts at 0.0 and at the 2C + 1 floats whose keys lie
-    within C of each seed's, clipped into [_MONOTONE_MIN, r], with C as
-    many as fit _PASS_POINTS points, and at least 2.  Each later pass
+    The first pass counts at the 2C + 1 floats whose keys lie within C of
+    each seed's, clipped into [_MONOTONE_MIN, r], with C as many as fit
+    _PASS_POINTS points, and at least 2.  Each later pass
     counts at :func:`_probes` of the lanes still open, as many as fit
     _PASS_POINTS and their brackets still hold.  A lane keeps as its
     bracket the last point counted at most its index and the first above
     it; one whose count at r is at most its index ends at [prev(r), r].
-    A lane fails when count(0.0) or count(_MONOTONE_MIN) is above its
-    index: then :func:`_bisect` solves it."""
+    A lane fails when count(_MONOTONE_MIN) is above its index: then
+    :func:`_bisect` solves it.  The indices must be upper-half ones."""
     n = idx.shape[0]
     c = max(2, _PASS_POINTS // (2 * max(n, 1)))
     floor, top = np.array([_MONOTONE_MIN, r]).view(np.int64)
     if top - floor <= 2 * c:  # r lies too close to _MONOTONE_MIN for a window
         return _bisect(bsq, r, idx)
     key = np.minimum(np.maximum(seeds.view(np.int64), floor + c), top - c)
-    points = np.zeros(1 + n * (2 * c + 1), dtype=np.int64)
-    np.add(key[:, None], np.arange(-c, c + 1), out=points[1:].reshape(n, -1))
+    points = key[:, None] + np.arange(-c, c + 1)
     # an end past floor or top is not yet counted
     lo, hi, lanes = np.full(n, floor - 1), np.full(n, top + 1), np.arange(n)
+    failed = np.zeros(n, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        counts = _count(bsq, points.view(np.float64))
-        failed, points, counts = counts[0] > idx, points[1:].reshape(n, 2 * c + 1), counts[1:]
+        counts = _count(bsq, points.ravel().view(np.float64))
         while True:
             below = (counts.reshape(points.shape) <= idx[lanes, None]).sum(1)
             ends = np.concatenate((lo[lanes, None], points, hi[lanes, None]), axis=1)

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -456,11 +457,17 @@ class TestVerifyCommand:
             (["verify", "-k", "4576505", "--check", "kernel-rule"], "kernel-rule"),
             (["verify", "-k", "4576505", "--check", "symmetry"], "symmetry"),
             (["charpoly", "-k", "4576505"], "charpoly"),
+            (["verify", "-k", "4576505", "--check", "su2-bracket"], "su2-bracket"),
+            (["verify", "-k", "4576505", "--check", "su2-weights"], "su2-weights"),
+            (["verify", "-k", "4576505", "--check", "su2-structure"], "su2-structure"),
+            (["verify", "-k", "4576505", "--check", "hom-dim"], "hom-dim"),
         ],
     )
     def test_k_past_a_guard_is_refused_as_input(self, argv, name, capsys):
         # refused before any k is built
+        start = time.perf_counter()
         assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {name} takes k <= {checks.K_LIMITS[name]}: ")
@@ -489,18 +496,10 @@ sys.exit(code)
         assert message.startswith(f"error: {name} takes k <= {checks.K_LIMITS[name]}: ")
         assert float(seconds) < 1.0
 
-    def test_every_reader_of_the_squares_has_a_limit(self, monkeypatch):
-        # a check without a K_LIMITS entry must not reach the int64 squares,
-        # which refuse k past A_SQUARES_MAX_K
-        def refused(k):
-            raise AssertionError("a_squares read")
-
-        for module in (operators, checks):
-            monkeypatch.setattr(module, "a_squares", refused)
-        unlimited = [name for name in checks.PER_K_CHECKS if name not in checks.K_LIMITS]
-        assert unlimited and all(r.ok for r in checks.run_checks([7], unlimited))
-        with pytest.raises(AssertionError, match="a_squares read"):
-            checks.run_checks([7], ["symmetry"])
+    def test_every_per_k_check_has_a_limit(self):
+        # every k the CLI accepts is bounded: each per-k check and the
+        # charpoly command has a K_LIMITS entry, and nothing else has one
+        assert set(checks.K_LIMITS) == {*checks.PER_K_CHECKS, "charpoly"}
 
     def test_k_limits_are_those_of_the_guards(self):
         # at each limit the route's largest level or entry passes its guard,

@@ -13,6 +13,7 @@ from sdirac.operators import KContext
 from sdirac.su2 import _bracket_defect, _dense
 
 I, HALF = 1j, 0.5
+BASIS = ((1, 0), (0, 1))  # X_1, X_2 as pairs (pos, der)
 
 
 def as_lists(band):
@@ -48,9 +49,11 @@ class TestLadderExamples:
         assert column(clifford_band((1, 0), range(3)), 3, 2) == {1: -2 * I}
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="even"):
-            clifford_band((1, 0, 0), range(3))
-        with pytest.raises(ValueError, match="same even length"):
+        # one variable: x is one pair (pos, der), and so are omega0's operands
+        for x in ((1,), (1, 0, 0), (1, 0, 0, 0)):
+            with pytest.raises(ValueError, match="one pair"):
+                clifford_band(x, range(3))
+        with pytest.raises(ValueError, match="two pairs"):
             omega0((1, 0), (1, 0, 0, 0))
 
     def test_float_mode(self):
@@ -73,22 +76,14 @@ class TestLadderExamples:
 
 
 class TestBandLayout:
-    def test_two_dimensional_box_is_row_major(self):
-        # direction 0 has stride 3, direction 1 stride 1 on the 3 x 3 box
-        x1 = clifford_band((1, 0, 0, 0), range(3))
-        assert as_lists(x1) == {3: [-I] * 3 + [-2 * I] * 3, -3: [-I * HALF] * 6}
-        # a raising term of direction 1 at alpha_1 = 2 would wrap to the
-        # next row of the box; it is dropped, as is the lowering term at 0
-        x2 = clifford_band((0, 1, 0, 0), range(3))
-        assert as_lists(x2) == {1: [-I, -2 * I, 0] * 2 + [-I, -2 * I], -1: [-I * HALF, -I * HALF, 0] * 2 + [-I * HALF] * 2}
-
     def test_window_of_levels(self):
-        # X_2 on h_2, h_3, h_4: lowering from h_2 and raising from h_4 leave the box
+        # X_2 on h_2, h_3, h_4: lowering from h_2 and raising from h_4 leave the levels
         assert as_lists(clifford_band((0, 1), range(2, 5))) == {1: [-3, -4], -1: [HALF, HALF]}
 
     def test_zero_direction_is_not_stored(self):
-        assert clifford_band((0, 0, 0, 0), range(3)) == {}
-        assert set(clifford_band((0, 1, 0, 0), range(3))) == {-1, 1}
+        assert clifford_band((0, 0), range(3)) == {}
+        assert clifford_band((0.0, -0.0), range(3)) == {}
+        assert set(clifford_band((0, 1), range(3))) == {-1, 1}
 
 
 class TestLadderFunction:
@@ -171,66 +166,41 @@ class TestOneLadder:
         assert not exact_in_double({0: np.array([2.0**20 + 0.5j])})
         assert exact_in_double({0: np.array([2.0**20 - 0.5 - 7.5j])})
 
-    def test_wrapped_raising_entry_fails_grading(self, monkeypatch):
-        # keep the raising terms of direction 1 at the top of the box: they
-        # land on the next row of the flattened box, degrees apart, and
-        # being the same in every band they leave the commutators intact
-        def wrapped(x, levels):
-            band = clifford_band(x, levels)
-            if len(x) == 4 and (x[1] or x[3]):
-                top = len(levels) - 1
-                band[-1][top] = ladder(x[1], x[3], levels[top])[1]
-            return band
-
-        monkeypatch.setattr(checks, "clifford_band", wrapped)
-        assert checks.check_ladder_commutator().ok
-        assert not checks.check_grading().ok
-
     def test_diagonal_entry_fails_grading_with_a_residual(self, monkeypatch, capsys):
-        # each of the six bands of a basis vector (two for n = 1, four for
-        # n = 2) gains one diagonal entry, which joins a multi-index to
-        # itself: six entries whose degrees differ by 0, not 1
+        # each of the two bands of a basis vector gains one diagonal entry,
+        # which joins h_0 to itself: two entries at offset 0, not +-1
         def with_diagonal(x, levels):
             band = clifford_band(x, levels)
-            band[0] = np.zeros(len(levels) ** (len(x) // 2), dtype=complex)
+            band[0] = np.zeros(len(levels), dtype=complex)
             band[0][0] = 1
             return band
 
         monkeypatch.setattr(checks, "clifford_band", with_diagonal)
         assert main(["verify", "-k", "1", "--check", "clifford-grading"]) == 3
-        assert capsys.readouterr().out == "FAIL clifford-grading k=* residual=6.000e+00\n"
+        assert capsys.readouterr().out == "FAIL clifford-grading k=* residual=2.000e+00\n"
 
 
 class TestLadderProperties:
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_commutator_identity_exact(self, n):
-        # [X_a., X_b.] = -i omega0(X_a, X_b) id exactly, on the columns of
-        # total degree <= trunc - 2, where no term leaves the box
+    @pytest.mark.parametrize("a", [0, 1])
+    def test_commutator_identity_exact(self, a):
+        # [X_a., X_b.] = -i omega0(X_a, X_b) id exactly, on the columns
+        # l <= trunc - 2, where no term leaves the levels
         trunc = 12
-        size = trunc**n
-        interior = checks._box_degrees(n, trunc) <= trunc - 2
-        basis = [tuple(int(a == c) for c in range(2 * n)) for a in range(2 * n)]
-        bands = [clifford_band(x, range(trunc)) for x in basis]
+        bands = [clifford_band(x, range(trunc)) for x in BASIS]
         assert exact_in_double(*bands)
-        identity = {0: np.ones(size)}
-        for xa, band_a in zip(basis, bands):
-            for xb, band_b in zip(basis, bands):
-                defect = _bracket_defect(band_a, band_b, identity, -1j * omega0(xa, xb), size)
-                cols = checks._columns(defect)
-                for o, d in defect.items():
-                    assert all(v == 0 for v in d[interior[cols[o]]]), (n, xa, xb, o)
+        identity = {0: np.ones(trunc)}
+        for xb, band_b in zip(BASIS, bands):
+            defect = _bracket_defect(bands[a], band_b, identity, -1j * omega0(BASIS[a], xb), trunc)
+            cols = checks._columns(defect)
+            for o, d in defect.items():
+                assert all(v == 0 for v in d[cols[o] <= trunc - 2]), (a, xb, o)
         assert checks.check_ladder_commutator().ok
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_grading(self, n):
-        # the column of h_(3,..,3) holds only degrees 3n - 1 and 3n + 1
-        size = 5
-        flat = sum(3 * size**j for j in range(n))
-        degrees = np.indices((size,) * n).reshape(n, -1).sum(axis=0)
-        for a in range(2 * n):
-            x = tuple(int(a == c) for c in range(2 * n))
-            rows = column(clifford_band(x, range(size)), size**n, flat)
-            assert len(rows) == 2 and {degrees[r] for r in rows} == {3 * n - 1, 3 * n + 1}
+    @pytest.mark.parametrize("a", [0, 1])
+    def test_grading(self, a):
+        # the column of h_3 of X_a's band holds only h_2 and h_4
+        assert set(column(clifford_band(BASIS[a], range(5)), 5, 3)) == {2, 4}
+        assert checks.check_grading().ok
 
     def test_linearity(self):
         x, y = (1, 0), (0, 1)
@@ -346,12 +316,10 @@ class TestWeightWindows:
 
 class TestTypes:
     def test_omega0_standard_form(self):
-        n = 2
-        basis = [tuple(int(a == c) for c in range(2 * n)) for a in range(2 * n)]
-        for j in range(n):
-            for k in range(n):
-                assert omega0(basis[j], basis[n + k]) == (j == k)
-                assert omega0(basis[j], basis[k]) == 0
+        x1, x2 = BASIS
+        assert omega0(x1, x2) == 1 and omega0(x2, x1) == -1
+        assert omega0(x1, x1) == omega0(x2, x2) == 0
+        assert omega0((2, -4), (-2, 1)) == 2 * 1 - (-4) * (-2)
 
 
 class TestGlobalChecks:

@@ -4,6 +4,7 @@ matrices and its fold."""
 import hashlib
 import math
 import warnings
+from functools import cache
 
 import numpy as np
 import pytest
@@ -27,6 +28,16 @@ def dirac_band(k):
     eigensolver sees of the first closed-form block of k."""
     block = assemble_closed_form(k)[0]
     return block.band[0].real, np.abs(block.band[1])
+
+
+@cache
+def dirac_eigenvalues(k):
+    """The spectrum of the Dirac blocks of k, solved once per k here."""
+    return KContext(k).eigenvalues
+
+
+# The step of the middle of the Dirac spectrum over sqrt(m): 1 / F'(0).
+C = 4 * math.sqrt(2 * math.pi) * math.gamma(0.75) / math.gamma(0.25)
 
 
 def random_offdiag(rng, m):
@@ -160,8 +171,8 @@ class TestReferenceLoop:
             assert np.array_equal(got, full[idx])
 
     def test_passes_at_k195(self, monkeypatch):
-        # m = 98 is seeded from LAPACK: the one pass counts at 0.0 and at
-        # the 11 consecutive floats about each of the 49 seeds, 540 points,
+        # m = 98 is seeded from LAPACK: the one pass counts at the 11
+        # consecutive floats about each of the 49 seeds, 539 points,
         # and finds every threshold among them: one sweep, where the
         # unseeded solve takes 18 passes and plain bisection 60
         passes = []
@@ -179,7 +190,7 @@ class TestReferenceLoop:
         monkeypatch.setattr(tridiag, "_count", counted)
         monkeypatch.setattr(tridiag, "_sturm_counts", swept)
         eigvalsh_tridiagonal(*dirac_band(195))
-        assert passes == [540]
+        assert passes == [539]
         assert sweeps == passes
 
     @pytest.mark.parametrize("b", [[1.0, 1.0, 0.0, 0.3, 2.0], [0.0, 0.0, 2.0, 0.0]])
@@ -318,7 +329,7 @@ class TestSeededFirstPass:
         if k == 993:
             # one pass finds all 248 thresholds among the 5 floats about
             # each seed; the unseeded solve takes 62 passes
-            assert passes == [1241]
+            assert passes == [1240]
             assert len(unseeded) == 62
 
     @pytest.mark.parametrize("k", [401, 993, 2007, 2991])
@@ -374,12 +385,12 @@ class TestSeededFirstPass:
 
 
 class TestThresholdSearch:
-    # The search stands in for plain bisection when count(0.0) <= i and
-    # either prev(t) >= _MONOTONE_MIN and t <= r for the threshold t of
-    # lane i, or count(r) <= i (see the tridiag module docstring); a lane
-    # with count(0.0) > i or count(_MONOTONE_MIN) > i goes to _bisect.
-    # Each case against the plain loop or the unseeded kernel, values and
-    # sign bits.
+    # The search stands in for plain bisection on an upper-half index i,
+    # where count(0.0) <= i, when either prev(t) >= _MONOTONE_MIN and
+    # t <= r for the threshold t of lane i, or count(r) <= i (see the
+    # tridiag module docstring); a lane with count(_MONOTONE_MIN) > i goes
+    # to _bisect.  Each case against the plain loop or the unseeded kernel,
+    # values and sign bits.
 
     def solve(self, b, seeds, monkeypatch):
         """_search on the upper half of the zero-diagonal matrix with
@@ -505,9 +516,8 @@ class TestThresholdSearch:
     def test_random_matrices(self, monkeypatch):
         # small-integer entries, about 20 % zero, at scales 1e-5 to 1e5:
         # exact, clustered and zero eigenvalues in the upper half.  A lane
-        # is left to _bisect exactly when count(0.0) or count(_MONOTONE_MIN)
-        # is above its index; those lanes, often exact zeros, are not
-        # solved here
+        # is left to _bisect exactly when count(_MONOTONE_MIN) is above its
+        # index; those lanes, often exact zeros, are not solved here
         monkeypatch.setattr(tridiag, "_bisect", lambda bsq, r, idx: np.full(idx.shape, np.nan))
         rng = np.random.default_rng(47)
         for _ in range(300):
@@ -518,8 +528,25 @@ class TestThresholdSearch:
             got = _search(bsq, r, idx, tridiag._seeds(b, bsq, idx))
             at_zero, at_min = count_below(bsq, [0.0, tridiag._MONOTONE_MIN])
             left = np.isnan(got)
-            assert np.array_equal(left, (at_zero > idx) | (at_min > idx))
+            assert at_zero <= m // 2
+            assert np.array_equal(left, at_min > idx)
             assert same_bits(got[~left], _bisect(bsq, r, idx[~left]))
+
+    @pytest.mark.parametrize("scale", [0.0, 5e-324, 1e-160, 1.0, 1e150])
+    def test_count_at_zero_is_at_most_half(self, scale):
+        # at 0.0 the first pivot is floored to +_PIVOT_FLOOR and a pivot
+        # after a negative one is 0.0 - b^2 / q >= 0, so no two adjacent
+        # pivots are negative and count(0.0) <= m // 2, at most every
+        # upper-half index: the search never counts at 0.0
+        rng = np.random.default_rng(31)
+        for _ in range(400):
+            m = int(rng.integers(1, 60))
+            b = rng.normal(size=m - 1) * scale
+            b[rng.random(m - 1) < 0.2] = 0.0
+            (at_zero,) = count_below(b * b, [0.0])
+            assert at_zero <= m // 2
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                assert at_zero == count_loop(np.zeros(m), b * b, 0.0)
 
 
 class TestLimitingLaw:
@@ -534,9 +561,8 @@ class TestLimitingLaw:
         # f(0) = (1/pi) * integral over [0, 1] of dt / sqrt(8t(1 - t^2)) = 1/c,
         # c = 4 sqrt(2 pi) Gamma(3/4) / Gamma(1/4), so c sqrt(m) is the step
         # of the middle eigenvalues
-        c = 4 * math.sqrt(2 * math.pi) * math.gamma(0.75) / math.gamma(0.25)
         f0 = float(tridiag._law_density(np.array([0.0]))[0])
-        assert abs(f0 - 1 / c) <= 2 * np.spacing(1 / c)
+        assert abs(f0 - 1 / C) <= 2 * np.spacing(1 / C)
 
     def test_density_matches_direct_quadrature(self):
         # f(x) = (1/pi) * integral of dt / sqrt(8t(1 - t^2) - x^2) over the
@@ -565,6 +591,66 @@ class TestLimitingLaw:
         idx = np.arange(m - m // 2, m)
         seeds = tridiag._law_seeds(m, idx)
         assert np.max(np.abs(seeds - eigs[idx]) / nearest[idx]) < bound
+
+    # Over the upper half, r_i = m F(lambda_i / m^(3/2)) - (i + 1/2), with F
+    # evaluated as _law_seeds does.  m max |r_i| peaks over odd k <= 399 at
+    # 0.017177 (k = 399); it is bounded by 1.05 times that at every k.
+    LAW_PEAK = 0.017177
+
+    @staticmethod
+    def law_residual(k):
+        """m max |r_i| of the spectrum of k."""
+        h, ends, table = tridiag._law_table()
+        eigs = dirac_eigenvalues(k)
+        m = eigs.shape[0]
+        idx = np.arange(m - m // 2, m)
+        x = eigs[idx] / m**1.5
+        j = np.minimum((x / h).astype(np.intp), tridiag._LAW_PANELS - 1)
+        law = table[j] + tridiag._law_integral(ends[j], x - ends[j])
+        return m * np.max(np.abs(m * law - (idx + 0.5)))
+
+    def test_law_bound_is_fixed_up_to_k399(self):
+        # k = 1 has no positive eigenvalue
+        worst = max(self.law_residual(k) for k in range(3, 400, 2))
+        assert worst == pytest.approx(self.LAW_PEAK, abs=5e-7)
+        assert self.law_residual(399) == worst
+
+    @pytest.mark.parametrize("k", [999, 1999, 3999, 7999])
+    def test_law_bound_holds_at_large_k(self, k):
+        assert self.law_residual(k) <= 1.05 * self.LAW_PEAK
+
+
+class TestMiddleOfTheSpectrum:
+    # Near 0 the eigenvalues step by C sqrt(m): the smallest positive one is
+    # (C/2) sqrt(m) for even m, and for odd m the first beside the kernel is
+    # C sqrt(m).  m^2 times the relative deviation peaks over odd k <= 399
+    # at 0.10350 for even m (k = 399) and 0.22648 for odd m (k = 397); it
+    # is bounded by 1.05 times that at every k.
+    PEAK = {0: 0.10350, 1: 0.22648}
+
+    @staticmethod
+    def deviation(k):
+        """The parity of m and m^2 |x / (step sqrt(m)) - 1| for the first
+        positive eigenvalue x of k."""
+        eigs = dirac_eigenvalues(k)
+        m = eigs.shape[0]
+        x, step = (eigs[m // 2 + 1], C) if m % 2 else (eigs[m // 2], C / 2)
+        return m % 2, m * m * abs(x / (step * math.sqrt(m)) - 1)
+
+    def test_bound_is_fixed_up_to_k399(self):
+        # k = 1 has no positive eigenvalue
+        worst = {0: 0.0, 1: 0.0}
+        for k in range(3, 400, 2):
+            parity, dev = self.deviation(k)
+            worst[parity] = max(worst[parity], dev)
+        assert worst[0] == pytest.approx(self.PEAK[0], abs=5e-6) and self.deviation(399)[1] == worst[0]
+        assert worst[1] == pytest.approx(self.PEAK[1], abs=5e-6) and self.deviation(397)[1] == worst[1]
+
+    @pytest.mark.parametrize("k", [1023, 1025, 2047, 2049, 4095, 4097, 8191])
+    def test_bound_holds_at_large_k(self, k):
+        parity, dev = self.deviation(k)
+        assert parity == ((k + 1) // 2) % 2
+        assert dev <= 1.05 * self.PEAK[parity]
 
 
 class TestZeroDiagonalFold:
