@@ -36,7 +36,7 @@ from itertools import product
 import numpy as np
 
 from .exact import EXACT_BOUND, exact_in_double
-from .hermite import clifford_band, omega0, oscillator_band
+from .hermite import clifford_band, omega0, weight_on_Wl
 from .intertwine import equivariance_residual, hom_space, hom_space_oracle
 from .operators import (
     A_SQUARES_MAX_K,
@@ -134,17 +134,14 @@ def check_linearity() -> CheckResult:
 
 
 def check_oscillator() -> CheckResult:
-    """The exact oscillator band on levels 0..MAX_LEVEL+1 has -(2l+1)/2 on
-    its diagonal and 0 off it in every column l <= MAX_LEVEL; the circle
-    weights 2l+1 (:func:`sdirac.hermite.weight_on_Wl`) are read off the
-    same bands, and asserted as they are.  The residual is the largest
-    deviation of the band from that form."""
-    worst = 0.0
-    band = oscillator_band(range(MAX_LEVEL + 2))
-    for o, cols in _columns(band).items():
-        expect = -(2 * cols + 1) / 2 if o == 0 else 0
-        worst = max(worst, float(np.max(np.abs(band[o] - expect)[cols <= MAX_LEVEL], initial=0.0)))
-    return CheckResult("oscillator", None, worst == 0.0, worst)
+    """The circle weights that :func:`sdirac.hermite.weight_on_Wl` reads
+    off the exact oscillator band are 2l+1 for l <= MAX_LEVEL: each h_l is
+    an eigenline with eigenvalue -(2l+1)/2.  ``hom-oracle`` and
+    ``equivariance`` read the same weights.  The residual is the number of
+    wrong l, an exact defect count."""
+    ls = np.arange(MAX_LEVEL + 1)
+    wrong = _wrong_entries(weight_on_Wl(ls), 2 * ls + 1)
+    return CheckResult("oscillator", None, wrong == 0, float(wrong))
 
 
 # -- per-k checks: each reads one shared KContext ---------------------------
@@ -262,8 +259,12 @@ def check_kernel_rule(ctx: KContext) -> CheckResult:
 
 
 def check_p_eigenvalues(ctx: KContext) -> CheckResult:
-    ok, off = check_commutator(ctx.blocks, ctx.p_diag)
-    return CheckResult("p-eigenvalues", ctx.k, ok, off)
+    """i[second, first] of the blocks matches :attr:`KContext.p_diag`
+    (:func:`sdirac.operators.check_commutator`), which is 2(a_{k,l+1}^2 -
+    a_{k,l}^2) in int64.  The residual is the largest modulus off the diagonal."""
+    closed = np.array(ctx.p_diag, dtype=np.int64)
+    ok, off = check_commutator(ctx.blocks, closed)
+    return CheckResult("p-eigenvalues", ctx.k, ok and np.array_equal(closed, 2 * np.diff(a_squares(ctx.k))), off)
 
 
 def check_charpoly_parity(ctx: KContext) -> CheckResult:

@@ -19,7 +19,7 @@ from collections import deque
 from functools import partial
 from itertools import chain
 
-from .checks import ALL_CHECKS, K_LIMITS, run_checks, run_k
+from .checks import ALL_CHECKS, K_LIMITS, PER_K_CHECKS, run_checks, run_k
 from .operators import CHECK_NAMES, build_report, charpoly_exact
 
 EXIT_OK = 0
@@ -177,7 +177,8 @@ def cmd_verify(args) -> int:
             for r in results
         )
 
-    per_k = _per_k(args, partial(run_k, names=names))
+    # a selection of global checks alone walks no k and starts no worker
+    per_k = _per_k(args, partial(run_k, names=names)) if set(names) & set(PER_K_CHECKS) else ()
     _emit(args, map(lines, chain([run_checks([], names)], per_k)))
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 

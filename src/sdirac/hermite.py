@@ -73,13 +73,13 @@ def clifford_band(x, levels):
 def oscillator_band(levels):
     """Band of the harmonic-oscillator Hamiltonian (X_1^2 + X_2^2)/2
     = (d^2/dx^2 - x^2)/2 on the one-dimensional Hermite functions h_l,
-    l in ``levels``: one band product of two Clifford multiplications,
-    whose entries must pass the guard of :mod:`sdirac.exact`.  On h_l it
-    is -(2l+1)/2 * h_l wherever h_(l-1) and h_(l+1) lie in ``levels``."""
+    l in ``levels``: one band product of two Clifford multiplications.
+    Their entries are l or 1/2 on levels that :func:`clifford_band`
+    guards, so the product is exact.  On h_l it is -(2l+1)/2 * h_l
+    wherever h_(l-1) and h_(l+1) lie in ``levels``."""
     out = {}
     for x in ((1, 0), (0, 1)):
         band = clifford_band(x, levels)
-        require_exact(band)
         _band_mul_into(out, band, band, len(levels), 1)
     return {o: 0.5 * d for o, d in out.items()}
 
@@ -96,33 +96,33 @@ def _weights(stop: int) -> np.ndarray:
     columns: columns a..b-1 from the band on levels a-2..b+1, clipped to
     0..stop, which holds every path l -> l -+ 1 -> l, l -+ 2 of those
     columns, so each of their entries is that of one band on levels
-    0..stop.  Column l must hold -w_l/2 on its diagonal and nothing else,
-    cross-checked against the closed form 2l + 1."""
-    closed = 2 * np.arange(stop, dtype=np.int64) + 1
+    0..stop.  w_l is -2 times the diagonal entry of column l.  Where that
+    is not an integer, or the column holds another nonzero entry, h_l is
+    not an eigenline, and w_l is 0, which no weight 2j - k of an odd k is."""
+    weights = np.zeros(stop, dtype=np.int64)
     for a in range(0, stop, _WINDOW):
         b = min(a + _WINDOW, stop)
         lo = max(a - 2, 0)
         band = oscillator_band(range(lo, min(b + 1, stop) + 1))
-        # entry t of offset o sits at column lo + t + max(0, o)
-        if any(np.any(d[max(a - lo - max(0, o), 0) : b - lo - max(0, o)]) for o, d in band.items() if o != 0):
-            raise AssertionError("oscillator action on a Hermite line is not diagonal")
         derived = -2 * band[0][a - lo : b - lo]
-        wrong = np.flatnonzero(derived != closed[a:b])
-        if wrong.size:
-            l = a + wrong[0]
-            raise AssertionError(f"weight mismatch at l={l}: {derived[wrong[0]]} vs {closed[l]}")
-    closed.flags.writeable = False
-    return closed
+        for o, d in band.items():
+            if o:
+                # entry t of offset o sits at column lo + t + max(0, o)
+                cols = lo + max(0, o) + np.flatnonzero(d)
+                derived[cols[(a <= cols) & (cols < b)] - a] = 0
+        weights[a:b] = np.where(derived == np.round(derived.real), derived.real, 0)
+    weights.flags.writeable = False
+    return weights
 
 
 def weight_on_Wl(l):
-    """The integer w = 2l+1 with i w the eigenvalue of the circle
-    generator's action on the degree-l Hermite line, for an int l or an
-    int array, read from the :func:`_weights` of the power of two above
-    the largest l; each is derived once, so the weights of all l <= L cost
-    O(L) in all.  The oscillator on h_l reaches h_(l+1), a level the guard
-    of :mod:`sdirac.exact` keeps below 2**20, so l must be in
-    0..2**20 - 2 (ValueError otherwise)."""
+    """The integer w with i w the eigenvalue of the circle generator's
+    action on the degree-l Hermite line, 2l+1 (0 if h_l is no eigenline),
+    for an int l or an int array, read from the :func:`_weights` of the
+    power of two above the largest l; each is derived once, so the weights
+    of all l <= L cost O(L) in all.  The oscillator on h_l reaches h_(l+1),
+    a level the guard of :mod:`sdirac.exact` keeps below 2**20, so l must
+    be in 0..2**20 - 2 (ValueError otherwise)."""
     ls = np.asarray(l)
     lo, hi = int(ls.min(initial=0)), int(ls.max(initial=0))
     if lo < 0 or hi >= EXACT_BOUND - 1:

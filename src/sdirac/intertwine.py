@@ -36,8 +36,9 @@ def hom_space(k: int, l):
 
 def hom_space_oracle(k: int, l, rep: RepMatrices | None = None):
     """Dimension of the equivariant-map space read from the rep: the nullity
-    of the system  L o e0 = i(2l+1) L  over all k+1 unknown coefficients.
-    Equation j reads c_j i (W[j] - w) = 0 with w = 2l+1, because e0 = i W
+    of the system  L o e0 = i w L  over all k+1 unknown coefficients, for
+    the weight w of h_l that :func:`sdirac.hermite.weight_on_Wl` reads off
+    the oscillator.  Equation j reads c_j i (W[j] - w) = 0, because e0 = i W
     is stored as its integer diagonal, so the nullity is the number of j
     with W[j] == w."""
     if k < 0:

@@ -173,28 +173,27 @@ def definition_coeffs(k: int, rep=None):
     (e1[j0, j] X_2 - e2[j0, j] X_1) h_l for the first operator and
     -(e1[j0, j] X_1 + e2[j0, j] X_2) h_l for the second.
 
-    Returns ((down, up), (down, up)), one pair per operator, as complex128:
-    down[l], for l = 0..m-1, is the coefficient of h_(l-1) from column
-    j0 - 1 (0 at l = 0), and up[l], for l = 0..m-2, that of h_(l+1) from
-    column j0 + 1 (at l = m-1 no raising column exists).  The entries read
-    and the levels must pass the guard of :mod:`sdirac.exact`, which makes
-    the values exact, or ValueError.  Raises AssertionError if either column has a part off its adjacent
-    Hermite level.
-    """
+    Returns ((down, up), (down, up)), one pair per operator, as complex128
+    arrays over l = 0..m-1: down[l] is the coefficient of h_(l-1) and
+    up[l] that of h_(l+1), each the sum of what the entries j0 - 1 and
+    j0 + 1 give it (at l = m-1 no entry j0 + 1 exists); down[0] is 0, and
+    up[m-1], onto h_m outside the block, must be.  The entries read and
+    the levels must pass the guard of :mod:`sdirac.exact`, which makes the
+    values exact, or ValueError."""
     _require_odd(k)
     if rep is None:
         rep = build_rep(k)
     h = (k + 1) // 2
     # Entry (j0, j0 - 1) is sub[j0 - 1]; (j0, j0 + 1) is sup[j0], for j0 < k.
-    lo1, hi1 = rep.r[0][h - 1:], rep.r[1][h:]
-    lo2, hi2 = 1j * rep.s[0][h - 1:], 1j * rep.s[1][h:]
+    lo1, hi1 = rep.r[0][h - 1:], np.append(rep.r[1][h:], 0)
+    lo2, hi2 = 1j * rep.s[0][h - 1:], 1j * np.append(rep.s[1][h:], 0)
     levels = np.arange(h)
     require_exact(lo1, hi1, lo2, hi2, levels)
-    lowering = (ladder(-lo2, lo1, levels), ladder(-lo1, -lo2, levels))
-    raising = (ladder(-hi2, hi1, levels[:-1]), ladder(-hi1, -hi2, levels[:-1]))
-    if any(np.any(low[1]) or np.any(high[0]) for low, high in zip(lowering, raising)):
-        raise AssertionError(f"a first-principles column at k={k} leaves its adjacent Hermite level")
-    return tuple((low[0], high[1]) for low, high in zip(lowering, raising))
+    # (pos, der) of the entries j0 - 1 and j0 + 1, per operator
+    entries = (((-lo2, lo1), (-hi2, hi1)), ((-lo1, -lo2), (-hi1, -hi2)))
+    return tuple(
+        tuple(a + b for a, b in zip(ladder(*low, levels), ladder(*high, levels))) for low, high in entries
+    )
 
 
 def assemble_from_definition(k: int, coeffs=None):
@@ -212,7 +211,7 @@ def assemble_from_definition(k: int, coeffs=None):
     num, den = scale_sq_ratio(k)
     lower, upper = np.sqrt(num / den), np.sqrt(den / num)
     return tuple(
-        DiracMatrix(k, {-1: up * upper, 0: np.zeros(m, dtype=np.complex128), 1: down[1:] * lower})
+        DiracMatrix(k, {-1: up[:-1] * upper, 0: np.zeros(m, dtype=np.complex128), 1: down[1:] * lower})
         for down, up in (definition_coeffs(k) if coeffs is None else coeffs)
     )
 
@@ -233,9 +232,10 @@ def assembly_mismatch_float(k: int, coeffs, blocks) -> float:
 def assembly_matches_exact(k: int, coeffs=None) -> bool:
     """Exact-arithmetic assembly equivalence: the first-principles ladder
     coefficients ``coeffs`` (:func:`definition_coeffs` of k, computed when
-    not given) must equal the closed-form integers, and the squared normalized entries the exact
-    squares of a_{k,l}.  With scale_sq[l]/scale_sq[l-1] = num/den, those
-    are down(l)^2 num = a_l^2 den and up(l-1)^2 den = a_l^2 num; with
+    not given) must equal the closed-form integers, with up(m-1) = 0, and
+    the squared normalized entries the exact squares of a_{k,l}.  With
+    scale_sq[l]/scale_sq[l-1] = num/den, those are down(l)^2 num =
+    a_l^2 den and up(l-1)^2 den = a_l^2 num; with
     a_l^2 = down(l) up(l-1), also checked, and down, up > 0, both reduce
     to down(l) num = up(l-1) den.  Every product is at most m^3 < k^3
     (down, den <= m^2/2 and up, num <= 2m), below 2**63 for every k
@@ -245,7 +245,7 @@ def assembly_matches_exact(k: int, coeffs=None) -> bool:
     up, a_sq, (num, den) = up[:-1], a_squares(k)[1:-1], scale_sq_ratio(k)
     # the guard keeps k below 2**21, so the closed forms, below k^2, are
     # doubles exactly
-    down_c, up_c = down.astype(np.float64), up.astype(np.float64)
+    down_c, up_c = down.astype(np.float64), np.append(up, 0).astype(np.float64)
     expected = ((down_d, down_c), (down_dt, -1j * down_c), (up_d, up_c), (up_dt, 1j * up_c))
     return bool(
         all(np.array_equal(x, y) for x, y in expected)
@@ -300,14 +300,11 @@ def signed_det(k: int) -> int:
 
 
 def p_diag_closed(k: int) -> tuple:
-    """Diagonal of the second-order operator: (k+1)^2 - 3(2l+1)^2 - 1,
-    asserted equal to 2(a_{k,l+1}^2 - a_{k,l}^2), both in int64."""
+    """Diagonal of the second-order operator: (k+1)^2 - 3(2l+1)^2 - 1, in
+    int64; ``p-eigenvalues`` checks it against 2(a_{k,l+1}^2 - a_{k,l}^2)."""
     _require_odd(k)
     l = np.arange((k + 1) // 2, dtype=np.int64)
-    closed = (k + 1) ** 2 - 3 * (2 * l + 1) ** 2 - 1
-    if not np.array_equal(closed, 2 * np.diff(a_squares(k))):
-        raise AssertionError(f"second-order diagonal identities disagree at k={k}")
-    return tuple(closed.tolist())
+    return tuple(((k + 1) ** 2 - 3 * (2 * l + 1) ** 2 - 1).tolist())
 
 
 def check_commutator(blocks, closed) -> tuple:

@@ -392,6 +392,20 @@ class TestVerifyCommand:
         assert len(lines) == 1
         assert lines[0].startswith("PASS spectra-coincide k=3")
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_global_checks_alone_walk_no_k(self, jobs, monkeypatch, capsys):
+        # 5e7 odd k and no per-k check: one line at once, no k is walked and
+        # no worker started.  A walk would call run_k, which fails here at
+        # once rather than after minutes.
+        def walked(k, names):
+            raise AssertionError(f"k={k} was walked")
+
+        monkeypatch.setattr(cli, "run_k", walked)
+        start = time.perf_counter()
+        assert main(["verify", "-k", "1..100000001", "--check", "oscillator", "--jobs", jobs]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == "PASS oscillator k=* residual=0.000e+00\n"
+
     @staticmethod
     def _assembly_route_passes(k, route, monkeypatch, capsys):
         """assembly-match passes at k by the float route alone ("float",

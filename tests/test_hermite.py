@@ -270,6 +270,8 @@ class TestWeights:
                 weight_on_Wl(l)
 
     def test_wrong_diagonal_is_caught(self, monkeypatch):
+        # -w/2 + 1 on every diagonal entry reads as the weight w - 2, and
+        # the oscillator check counts each of the l it compares
         def shifted(levels):
             band = oscillator_band(levels)
             band[0] = band[0] + 1
@@ -278,15 +280,16 @@ class TestWeights:
         monkeypatch.setattr(hermite, "oscillator_band", shifted)
         hermite._weights.cache_clear()
         try:
-            with pytest.raises(AssertionError, match="weight mismatch"):
-                weight_on_Wl(7)
+            assert weight_on_Wl(7) == 13
+            result = checks.check_oscillator()
+            assert (result.ok, result.residual) == (False, checks.MAX_LEVEL + 1)
         finally:
             hermite._weights.cache_clear()
 
 
 class TestWeightWindows:
     """_weights derives the table in windows of levels; the table, and the
-    defects it catches, do not depend on the window size."""
+    defects it shows, do not depend on the window size."""
 
     @pytest.fixture(params=[1, 5, 64])
     def window(self, request, monkeypatch):
@@ -298,10 +301,12 @@ class TestWeightWindows:
     def test_table(self, window):
         assert hermite._weights(37).tolist() == list(range(1, 75, 2))
 
-    @pytest.mark.parametrize("offset,match", [(0, "weight mismatch at l=20"), (2, "not diagonal"), (-2, "not diagonal")])
-    def test_one_wrong_column_is_caught(self, window, offset, match, monkeypatch):
+    @pytest.mark.parametrize("offset,defect", [(0, "weight mismatch at l=20"), (2, "not diagonal"), (-2, "not diagonal")])
+    def test_one_wrong_column_is_caught(self, window, offset, defect, monkeypatch):
         # column 20's entry at the offset is changed in every band that
-        # holds it; entry t of offset o sits at column t + max(0, o)
+        # holds it; entry t of offset o sits at column t + max(0, o).  A
+        # diagonal entry off by 1 reads as the weight 41 - 2; an entry off
+        # the diagonal leaves h_20 no eigenline, and its weight reads 0
         def wrong(levels):
             band = oscillator_band(levels)
             t = 20 - levels.start - max(0, offset)
@@ -310,8 +315,9 @@ class TestWeightWindows:
             return band
 
         monkeypatch.setattr(hermite, "oscillator_band", wrong)
-        with pytest.raises(AssertionError, match=match):
-            hermite._weights(37)
+        want = list(range(1, 75, 2))
+        want[20] = 39 if defect.startswith("weight mismatch") else 0
+        assert hermite._weights(37).tolist() == want
 
 
 class TestTypes:

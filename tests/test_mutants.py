@@ -1,0 +1,172 @@
+"""The mutant table: each row plants one defect in one function of
+``src/`` and names the exact set of checks that ``verify`` must FAIL.
+
+A defect in a function is planted in every module of the package that
+holds the function, as a defect in its source would be.  Each row runs
+``verify -k 1..31 --jobs 1`` in process: it must write every line, FAIL
+the named checks and no other, write nothing to stderr and exit 3.  A
+program defect that a check measures is a FAIL line, never a raised
+error (exit 1).
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from sdirac import checks, cli, exact, hermite, intertwine, operators, su2, tridiag
+from sdirac.operators import CharPoly
+
+MODULES = (cli, checks, exact, hermite, intertwine, operators, su2, tridiag)
+
+
+def doubled_raising(ladder):
+    def wrong(pos, der, l):
+        down, up = ladder(pos, der, l)
+        return down, 2 * up
+
+    return wrong
+
+
+def x1_doubled_raising(clifford_band):
+    def wrong(x, levels):
+        band = clifford_band(x, levels)
+        if tuple(x) == (1, 0):
+            band[-1] = 2 * band[-1]
+        return band
+
+    return wrong
+
+
+def with_diagonal(clifford_band):
+    # joins h_0 to itself in every band
+    def wrong(x, levels):
+        band = clifford_band(x, levels)
+        band[0] = np.zeros(len(levels), dtype=complex)
+        band[0][0] = 1
+        return band
+
+    return wrong
+
+
+def square_off_by_one(l):
+    def mutate(a_squares):
+        def wrong(k):
+            sq = a_squares(k)
+            sq[l : l + 1] += 1  # no square a_{k,l} when l > (k + 1)/2
+            return sq
+
+        return wrong
+
+    return mutate
+
+
+def sub_diagonals_moved(build_rep):
+    def wrong(k):
+        rep = build_rep(k)
+        return dataclasses.replace(rep, r=(rep.r[0] + 1, rep.r[1]), s=(rep.s[0] - 1, rep.s[1]))
+
+    return wrong
+
+
+def top_pair_swapped(spectrum):
+    def wrong(dm):
+        x = spectrum(dm)
+        x[-2:] = x[-2:][::-1].copy()
+        return x
+
+    return wrong
+
+
+def halved(spectrum):
+    def wrong(dm):
+        return 0.5 * spectrum(dm)
+
+    return wrong
+
+
+def second_block_sign_flipped(assemble_closed_form):
+    # one superdiagonal entry of the second block changes sign
+    def wrong(k):
+        d, dt = assemble_closed_form(k)
+        dt.band[1][2:3] *= -1
+        return d, dt
+
+    return wrong
+
+
+def constant_term_off_by_one(charpoly_exact):
+    def wrong(k):
+        cp = charpoly_exact(k)
+        return CharPoly((cp.q[0] + 1, *cp.q[1:]), cp.parity)
+
+    return wrong
+
+
+# (module, function, mutation, the checks that FAIL)
+ROWS = {
+    "ladder-raising-doubled": (
+        hermite, "ladder", doubled_raising,
+        {"assembly-match", "clifford-ladder", "equivariance", "hom-oracle", "oscillator"},
+    ),
+    "x1-raising-doubled": (
+        hermite, "clifford_band", x1_doubled_raising,
+        {"clifford-ladder", "equivariance", "hom-oracle", "oscillator"},
+    ),
+    "clifford-diagonal-entry": (
+        hermite, "clifford_band", with_diagonal,
+        {"clifford-grading", "clifford-ladder", "clifford-linearity", "equivariance", "hom-oracle", "oscillator"},
+    ),
+    "even-square-off-by-one": (
+        operators, "a_squares", square_off_by_one(2),
+        {"assembly-match", "p-eigenvalues"},
+    ),
+    "odd-square-off-by-one": (
+        operators, "a_squares", square_off_by_one(1),
+        {"assembly-match", "det-product", "p-eigenvalues"},
+    ),
+    "rep-sub-diagonals-moved": (
+        su2, "build_rep", sub_diagonals_moved,
+        {"assembly-match", "su2-bracket", "su2-structure"},
+    ),
+    "eigenvalues-swapped": (
+        operators, "spectrum", top_pair_swapped,
+        {"charpoly-eigs", "symmetry"},
+    ),
+    "eigenvalues-halved": (
+        operators, "spectrum", halved,
+        {"charpoly-eigs", "norm-bound"},
+    ),
+    "second-block-sign-flipped": (
+        operators, "assemble_closed_form", second_block_sign_flipped,
+        {"assembly-match", "p-eigenvalues", "spectra-coincide"},
+    ),
+    "charpoly-off-by-one": (
+        operators, "charpoly_exact", constant_term_off_by_one,
+        {"charpoly-eigs"},
+    ),
+}
+
+
+@pytest.fixture
+def fresh_weights():
+    # the weight tables are cached across calls; a mutant must derive its own
+    hermite._weights.cache_clear()
+    yield
+    hermite._weights.cache_clear()
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_mutant_fails_its_checks(row, fresh_weights, monkeypatch, capsys):
+    module, name, mutate, failing = ROWS[row]
+    original = getattr(module, name)
+    wrong = mutate(original)
+    for holder in MODULES:
+        if getattr(holder, name, None) is original:
+            monkeypatch.setattr(holder, name, wrong)
+    assert cli.main(["verify", "-k", "1..31", "--jobs", "1"]) == 3
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == ""
+    assert len(lines) == len(checks.GLOBAL_CHECKS) + 16 * len(checks.PER_K_CHECKS)
+    assert {line.split()[1] for line in lines if line.startswith("FAIL ")} == failing
