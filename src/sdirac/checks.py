@@ -17,8 +17,8 @@ that does not read the charpoly never builds it.  A check over many l
 makes one call, over the array of them, to the function it is named after.
 A float residual that IEEE arithmetic makes an exact zero, such as the
 asymmetry of the mirrored spectrum, must be 0.  ``charpoly-eigs``
-certifies each eigenvalue to 4 m eps by a Sturm count, then ties the
-positive half exactly to the integer charpoly.
+certifies each eigenvalue to 4 m eps by a Sturm count, and the printed
+integer charpoly by a second recurrence, on the Gram matrix B^T B.
 
 The check names are a contract: ``verify`` prints one line per check (and
 k), and the benchmark under ``bench/`` fails an operation for each line or
@@ -214,13 +214,17 @@ TOL_MATCH = 1e-12
 def check_assembly(ctx: KContext) -> CheckResult:
     """First-principles assembly against the closed form, in floats within
     TOL_MATCH and exactly (:func:`assembly_matches_exact`), both from one
-    :func:`definition_coeffs` of the context's rep.  The residual is the
-    float mismatch."""
-    coeffs = definition_coeffs(ctx.k, rep=ctx.rep)
-    res = assembly_mismatch_float(ctx.k, coeffs, ctx.blocks)
+    :func:`definition_coeffs` of the context's rep.  The rep entries that
+    it reads, rows h = (k+1)/2.. of R and S, and its levels l < h must pass
+    the guard of :mod:`sdirac.exact` (the check fails otherwise), which
+    makes them exact.  The residual is the float mismatch."""
+    k, rep, h = ctx.k, ctx.rep, (ctx.k + 1) // 2
+    coeffs = definition_coeffs(k, rep=rep)
+    res = assembly_mismatch_float(k, coeffs, ctx.blocks)
     largest = float(np.max(np.abs(ctx.blocks[0].band[1]), initial=0.0))
-    ok = res <= TOL_MATCH * max(1.0, largest) and assembly_matches_exact(ctx.k, coeffs=coeffs)
-    return CheckResult("assembly-match", ctx.k, ok, res)
+    exact = exact_in_double(rep.r[0][h - 1 :], rep.r[1][h:], rep.s[0][h - 1 :], rep.s[1][h:], h - 1)
+    ok = exact and res <= TOL_MATCH * max(1.0, largest) and assembly_matches_exact(k, coeffs=coeffs)
+    return CheckResult("assembly-match", k, ok, res)
 
 
 def check_symmetry(ctx: KContext) -> CheckResult:
@@ -279,18 +283,18 @@ def check_charpoly_parity(ctx: KContext) -> CheckResult:
 
 
 def check_det_product(ctx: KContext) -> CheckResult:
-    """|det D_k| is the product a_{k,1}^2 a_{k,3}^2 ... a_{k,m-1}^2 of the
-    odd-indexed squares for even m, and det D_k = 0 for odd m, on the
-    exact determinant (:attr:`KContext.det`).  Each square is taken in
-    its closed ladder form a_{k,l}^2 = down(l) up(l-1) = l(k+1-2l)
+    """det D_k = (-1)^(m/2) a_{k,1}^2 a_{k,3}^2 ... a_{k,m-1}^2, the signed
+    product of the odd-indexed squares, for even m, and det D_k = 0 for
+    odd m, on the exact determinant (:attr:`KContext.det`).  Each square
+    is taken in its closed ladder form a_{k,l}^2 = down(l) up(l-1) = l(k+1-2l)
     ((k+1)/2+l) (:func:`sdirac.operators.unnormalized_coeffs`), not from
     the squares the determinant is built of, so a wrong square fails; the
     product is a balanced tree (:func:`sdirac.operators._product`).
     The residual is an exact defect count, 1 if the identity fails."""
     k, m = ctx.k, (ctx.k + 1) // 2
     down, up = unnormalized_coeffs(k)
-    want = 0 if m % 2 else _product((down[1:m:2] * up[0 : m - 1 : 2]).tolist())
-    wrong = abs(ctx.det) != want
+    want = 0 if m % 2 else (-1) ** (m // 2) * _product((down[1:m:2] * up[0 : m - 1 : 2]).tolist())
+    wrong = ctx.det != want
     return CheckResult("det-product", k, not wrong, float(wrong))
 
 
@@ -299,16 +303,6 @@ def check_det_product(ctx: KContext) -> CheckResult:
 # overflows instead, below the largest pivot that can overflow it,
 # 2**53 / DBL_MAX < 5e-293 for squares below 2**53 (check_charpoly_eigs).
 _ZERO_HALF_WIDTH = 1e10 * _PIVOT_FLOOR
-
-# Significant bits of the dyadic endpoints of the exact tie, widest first.
-_TIE_BITS = (16, 32, 53)
-
-
-def _dyadic(v, bits, rounding):
-    """Each entry of the positive array v rounded by ``rounding`` (np.floor
-    or np.ceil) to a float of at most ``bits`` significant bits."""
-    frac, exp = np.frexp(v)
-    return np.ldexp(rounding(np.ldexp(frac, bits)), exp - bits)
 
 
 def _worst_margin(x, lo, hi) -> float:
@@ -319,34 +313,6 @@ def _worst_margin(x, lo, hi) -> float:
         below = (x - lo) / np.diff(x, prepend=-np.inf)
         above = (hi - x) / np.diff(x, append=np.inf)
     return float(np.max(np.maximum(below, above), initial=0.0))
-
-
-def _exact_tie(ctx: KContext, lo, hi):
-    """Tie the positive brackets [lo, hi] to the exact charpoly
-    p = x^(m%2) q(x^2) (:class:`sdirac.operators.CharPoly`).
-
-    Each end is rounded outward to a dyadic of 16 significant bits, which
-    keeps the integers of the Horner steps short.  If the brackets then
-    touch, the next entry of _TIE_BITS is tried, as the relative gaps
-    shrink like 1/k (2e-3 at k = 1999).  Then p must change sign (or
-    vanish) across every dyadic bracket (:meth:`CharPoly.sign_at`, integer
-    Horner over q in x^2).  On x > 0 the sign of p is that of q(x^2), and
-    q, of degree m//2, has no more positive roots than there are brackets;
-    disjoint positive brackets each holding a root thus isolate every
-    positive root of p, exactly.  Returns (ok, lo, hi) with the dyadic
-    brackets in the positive places."""
-    cp = ctx.charpoly
-    first = cp.m - cp.m // 2
-    for bits in _TIE_BITS:
-        left, right = _dyadic(lo[first:], bits, np.floor), _dyadic(hi[first:], bits, np.ceil)
-        if np.all(left[:1] > 0) and np.all(right[:-1] < left[1:]):
-            break
-    else:
-        return False, lo, hi
-    lo, hi = lo.copy(), hi.copy()
-    lo[first:], hi[first:] = left, right
-    ok = all(cp.sign_at(a) * cp.sign_at(b) <= 0 for a, b in zip(left, right))
-    return ok, lo, hi
 
 
 def _count_certificate(ctx: KContext):
@@ -378,9 +344,8 @@ def _count_certificate(ctx: KContext):
     middle 0 of an odd m needs the absolute term alone; _ZERO_HALF_WIDTH
     is above it and far below every nonzero eigenvalue.
 
-    The exact tie does not replace it: its dyadic brackets are wider than
-    x -+ h, by up to 2**-16 |x|, and exact signs at x -+ h itself would
-    triple the time of the whole check at k = 1999.
+    The count certifies the eigenvalues of the block that the squares
+    define; :func:`_gram_q` ties the printed charpoly to the same squares.
     Builds no charpoly.  Returns (ok, lo, hi), with the brackets."""
     k, x = ctx.k, ctx.eigenvalues
     m = x.shape[0]
@@ -395,13 +360,33 @@ def _count_certificate(ctx: KContext):
     return ok, lo, hi
 
 
+def _gram_q(k: int) -> tuple:
+    """q of the first block's charpoly p(x) = x^(m%2) q(x^2), ascending, by
+    another recurrence on other integers than those of
+    :func:`sdirac.operators.charpoly_exact`.  The even rows, then the odd
+    ones, make the block [[0, B], [B^T, 0]], B bidiagonal (Golub & Kahan
+    1965), so q(y) = det(y I - B^T B).  B^T B is tridiagonal of size m//2,
+    with diagonal alpha_c = a_(2c+1)^2 + a_(2c+2)^2 and squared
+    off-diagonal beta_c = a_(2c)^2 a_(2c+1)^2 (rows c-1, c), a_l^2 = 0 for
+    l >= m: Q_c = (y - alpha_c) Q_(c-1) - beta_c Q_(c-2), in Python ints."""
+    m = (k + 1) // 2
+    sq = [0, *a_squares(k)[1:m].tolist(), 0]
+    prev, cur = [0], [1]
+    for c in range(m // 2):
+        alpha, beta = sq[2 * c + 1] + sq[2 * c + 2], sq[2 * c] * sq[2 * c + 1]
+        prev, cur = cur, [y - alpha * a - beta * b for a, y, b in zip(cur + [0], [0] + cur, prev + [0, 0])]
+    return tuple(cur)
+
+
 def check_charpoly_eigs(ctx: KContext) -> CheckResult:
-    """:func:`_count_certificate`, then :func:`_exact_tie`.  The residual
-    is the worst margin (:func:`_worst_margin`) of the brackets tested."""
+    """:func:`_count_certificate`, then the printed charpoly
+    (:attr:`KContext.charpoly`) must equal x^(m%2) q(x^2) for the q of
+    :func:`_gram_q`.  Then it is the block's charpoly, whose roots are
+    the eigenvalues the count certifies.  The residual is the worst margin
+    (:func:`_worst_margin`) of the count's brackets."""
     ok, lo, hi = _count_certificate(ctx)
-    if ok:
-        ok, lo, hi = _exact_tie(ctx, lo, hi)
-    return CheckResult("charpoly-eigs", ctx.k, bool(ok), _worst_margin(ctx.eigenvalues, lo, hi))
+    ok = ok and (ctx.charpoly.q, ctx.charpoly.parity) == (_gram_q(ctx.k), (ctx.k + 1) // 2 % 2)
+    return CheckResult("charpoly-eigs", ctx.k, ok, _worst_margin(ctx.eigenvalues, lo, hi))
 
 
 def check_norm_bound(ctx: KContext) -> CheckResult:

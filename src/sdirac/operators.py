@@ -33,7 +33,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import require_exact
 from .hermite import ladder
 from .intertwine import scale_sq_ratio
 from .su2 import _bracket_defect, _dense, build_rep
@@ -120,20 +119,6 @@ class CharPoly:
         coeffs[self.parity :: 2] = self.q
         return tuple(coeffs)
 
-    def sign_at(self, x: float) -> int:
-        """Sign of p(x) at the float x, exactly.  x = n / 2^s is a dyadic
-        rational, and the sign is that of the integer 2^(s m) p(x) =
-        n^parity 2^(2 s d) q(n^2 / 2^(2s)), d = deg q: one Horner over q in
-        y = n^2, its coefficients shifted, not multiplied, by powers of
-        2^(2s).  That is m/2 steps, each growing by the bits of n^2."""
-        n, den = float(x).as_integer_ratio()
-        s = den.bit_length() - 1
-        y, acc = n * n, 0
-        for t, c in enumerate(reversed(self.q)):
-            acc = acc * y + (c << 2 * s * t)
-        total = n**self.parity * acc
-        return (total > 0) - (total < 0)
-
 
 def assemble_closed_form(k: int):
     """The two operator blocks, size m = (k+1)/2, in the normalized basis:
@@ -177,9 +162,9 @@ def definition_coeffs(k: int, rep=None):
     arrays over l = 0..m-1: down[l] is the coefficient of h_(l-1) and
     up[l] that of h_(l+1), each the sum of what the entries j0 - 1 and
     j0 + 1 give it (at l = m-1 no entry j0 + 1 exists); down[0] is 0, and
-    up[m-1], onto h_m outside the block, must be.  The entries read and
-    the levels must pass the guard of :mod:`sdirac.exact`, which makes the
-    values exact, or ValueError."""
+    up[m-1], onto h_m outside the block, must be.  The values are exact
+    where the entries read and the levels pass the guard of
+    :mod:`sdirac.exact`, which ``assembly-match`` tests."""
     _require_odd(k)
     if rep is None:
         rep = build_rep(k)
@@ -188,7 +173,6 @@ def definition_coeffs(k: int, rep=None):
     lo1, hi1 = rep.r[0][h - 1:], np.append(rep.r[1][h:], 0)
     lo2, hi2 = 1j * rep.s[0][h - 1:], 1j * np.append(rep.s[1][h:], 0)
     levels = np.arange(h)
-    require_exact(lo1, hi1, lo2, hi2, levels)
     # (pos, der) of the entries j0 - 1 and j0 + 1, per operator
     entries = (((-lo2, lo1), (-hi2, hi1)), ((-lo1, -lo2), (-hi1, -hi2)))
     return tuple(

@@ -250,10 +250,10 @@ class TestVerifyCommand:
 
     def test_verify_99_stdout_is_pinned(self, capsys):
         # sha256 of `verify -k 1..99 --jobs 1` stdout, every check on every
-        # odd k <= 99 with its residual column (md5 prefix 81c240ca84b3)
+        # odd k <= 99 with its residual column (md5 prefix 33bab42cce5f)
         assert main(["verify", "-k", "1..99", "--jobs", "1"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "6c14e05941c6962e4533e1bc0029be68c493fcf661f461f28f85a95d0a3930c1"
+        assert digest == "1806630ea71a15315a8ba90874d5af81e00773295e6568364d65a5807585257d"
 
     def test_float_large_k_stdout_is_pinned(self, capsys):
         # sha256 of the benchmark's float-large-k command for seed 1: the
@@ -268,7 +268,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("name", ["kernel-rule", "det-product"])
     def test_wrong_determinant_fails_with_a_residual(self, name, monkeypatch, capsys):
         # det D_7 = 1260 moves to 0: a kernel where m = 4 is even, and
-        # |det| off the product 30 * 42; one exact defect each
+        # det off the signed product 30 * 42; one exact defect each
         monkeypatch.setattr(operators, "signed_det", lambda k: 0)
         assert main(["verify", "-k", "7", "--check", name]) == 3
         assert capsys.readouterr().out == f"FAIL {name} k=7 residual=1.000e+00\n"

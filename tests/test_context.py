@@ -207,26 +207,22 @@ def delta(m):
 
 def certified(ctx, route):
     """Whether ctx's eigenvalues pass the count certificate alone
-    ("float") or the whole charpoly-eigs check, count and exact tie
+    ("float") or the whole charpoly-eigs check, count and Gram charpoly
     ("both")."""
     return checks._count_certificate(ctx)[0] if route == "float" else check_charpoly_eigs(ctx).ok
 
 
+def sign_of_charpoly(cp, x):
+    """Sign of p(x) = x^parity q(x^2) at the float x, exactly, by a
+    Fraction Horner over q."""
+    y, acc = Fraction(x) ** 2, Fraction(0)
+    for c in reversed(cp.q):
+        acc = acc * y + c
+    value = Fraction(x) ** cp.parity * acc
+    return (value > 0) - (value < 0)
+
+
 class TestCharpolyCertificate:
-    @pytest.mark.parametrize("k", [3, 7, 21])
-    def test_sign_at_matches_fraction_horner(self, k):
-        cp = operators.charpoly_exact(k)
-        rng = np.random.default_rng(k)
-        short = [float(np.ldexp(rng.integers(-2**16, 2**16), int(e))) for e in rng.integers(-20, 8, 20)]
-        for x in [0.0, *rng.normal(scale=30, size=20), *short]:
-            value = sum(Fraction(x) ** i * c for i, c in enumerate(cp.coeffs))
-            assert cp.sign_at(x) == (value > 0) - (value < 0)
-
-    def test_root_gives_zero_sign(self):
-        cp = operators.charpoly_exact(5)  # p5 = x(x^2 - 36)
-        assert cp.sign_at(6.0) == cp.sign_at(-6.0) == cp.sign_at(0.0) == 0
-        assert cp.sign_at(6.5) == 1 and cp.sign_at(-6.5) == -1
-
     @pytest.mark.parametrize("k", [5, 31])
     def test_rejects_a_moved_eigenvalue(self, k):
         ctx = KContext(k)
@@ -243,8 +239,7 @@ class TestCharpolyCertificate:
         # bracket of each tested eigenvalue, so the bracket holds a true
         # root, and no longer does once the eigenvalue moves by 10 delta.
         # Each move takes the mirror eigenvalue along, so the spectrum
-        # stays antisymmetric; "both" then fails through the count, as
-        # the tie's dyadic brackets are wider than 10 delta |x|
+        # stays antisymmetric; "both" then fails through the count
         ctx = KContext(k)
         eigs = ctx.eigenvalues
         m = len(eigs)
@@ -254,7 +249,8 @@ class TestCharpolyCertificate:
             if route != "exact":
                 return certified(ctx, route)
             lo, hi = checks._count_certificate(ctx)[1:]
-            return all(ctx.charpoly.sign_at(lo[i]) * ctx.charpoly.sign_at(hi[i]) <= 0 for i in tested)
+            signs = [(sign_of_charpoly(ctx.charpoly, lo[i]), sign_of_charpoly(ctx.charpoly, hi[i])) for i in tested]
+            return all(a * b <= 0 for a, b in signs)
 
         assert passes()
         for i in tested:
@@ -291,44 +287,32 @@ class TestCharpolyCertificate:
             assert not certified(ctx, "float")
             assert not certified(ctx, "both")
 
-    @pytest.mark.parametrize("k", [7, 97])
-    def test_exact_tie_rejects_another_charpoly(self, k):
-        # q's coefficient below the leading one doubled: the roots move,
-        # and the count's brackets of the true eigenvalues no longer hold them
+    @pytest.mark.parametrize("k", [31, 399, 1999])
+    def test_rejects_a_charpoly_off_by_one(self, k):
+        # q's constant term, middle coefficient or coefficient below the
+        # leading one moved by +-1: the count still passes, as it reads no
+        # charpoly, and the Gram q no longer equals the printed one
         ctx = KContext(k)
         q, parity = ctx.charpoly.q, ctx.charpoly.parity
-        ctx.charpoly = operators.CharPoly((*q[:-2], 2 * q[-2], q[-1]), parity)
-        ok, lo, hi = checks._count_certificate(ctx)
-        assert ok
-        assert not checks._exact_tie(ctx, lo, hi)[0]
-        assert not check_charpoly_eigs(ctx).ok
+        assert check_charpoly_eigs(ctx).ok
+        for i in (0, len(q) // 2, len(q) - 2):
+            for step in (-1, 1):
+                wrong = list(q)
+                wrong[i] += step
+                ctx.charpoly = operators.CharPoly(tuple(wrong), parity)
+                assert checks._count_certificate(ctx)[0]
+                assert not check_charpoly_eigs(ctx).ok, (k, i, step)
 
-    def test_exact_tie_needs_disjoint_brackets(self):
-        # two sign changes prove two roots only across disjoint brackets;
-        # these overlap in a gap that holds no eigenvalue, so the count passes
-        ctx = KContext(15)
-        x = ctx.eigenvalues
-        lo, hi = x - 1e-9 * np.abs(x), x + 1e-9 * np.abs(x)
-        assert checks._exact_tie(ctx, lo, hi)[0]
-        middle = 0.5 * (x[-2] + x[-1])
-        hi[-2], lo[-1] = middle * 1.001, middle * 0.999
-        assert not checks._exact_tie(ctx, lo, hi)[0]
-
-    def test_count_and_exact_tie_agree_up_to_399(self):
+    def test_gram_q_equals_the_charpoly_up_to_399(self):
         for k in range(1, 400, 2):
             ctx = KContext(k)
-            counted, lo, hi = checks._count_certificate(ctx)
+            assert checks._count_certificate(ctx)[0], k
             assert "charpoly" not in vars(ctx)  # the count builds no charpoly
-            tied, tie_lo, tie_hi = checks._exact_tie(ctx, lo, hi)
-            assert counted and tied, k
-            # the dyadic brackets of the tie hold the float brackets
-            x = ctx.eigenvalues
-            assert np.all(tie_lo <= lo) and np.all(tie_hi >= hi)
-            assert checks._worst_margin(x, tie_lo, tie_hi) >= checks._worst_margin(x, lo, hi)
+            assert checks._gram_q(k) == operators.charpoly_exact(k).q, k
 
     @pytest.mark.parametrize("k", [1001, 4001])
     def test_float_path_envelope(self, k):
-        # the count alone: with the exact tie, k = 4001 takes about 10 s
+        # the count alone: with the Gram charpoly, k = 4001 takes about 3 s
         ctx = KContext(k)
         ok, lo, hi = checks._count_certificate(ctx)
         assert ok and 0 < checks._worst_margin(ctx.eigenvalues, lo, hi) < 1e-6

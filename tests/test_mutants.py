@@ -95,12 +95,37 @@ def second_block_sign_flipped(assemble_closed_form):
     return wrong
 
 
-def constant_term_off_by_one(charpoly_exact):
+def rep_entry_at_the_guard(build_rep):
+    # R's last superdiagonal entry, which the first-principles route reads
+    # from k = 3 on, set to the 2**20 of the exactness guard
     def wrong(k):
-        cp = charpoly_exact(k)
-        return CharPoly((cp.q[0] + 1, *cp.q[1:]), cp.parity)
+        rep = build_rep(k)
+        sup = rep.r[1].copy()
+        sup[-1:] = 2**20
+        return dataclasses.replace(rep, r=(rep.r[0], sup))
 
     return wrong
+
+
+def sign_flipped(signed_det):
+    def wrong(k):
+        return -signed_det(k)
+
+    return wrong
+
+
+def coefficient_off_by_one(place):
+    # q's coefficient of degree place(len(q)) plus 1
+    def mutate(charpoly_exact):
+        def wrong(k):
+            cp = charpoly_exact(k)
+            q = list(cp.q)
+            q[place(len(q))] += 1
+            return CharPoly(tuple(q), cp.parity)
+
+        return wrong
+
+    return mutate
 
 
 # (module, function, mutation, the checks that FAIL)
@@ -141,8 +166,20 @@ ROWS = {
         operators, "assemble_closed_form", second_block_sign_flipped,
         {"assembly-match", "p-eigenvalues", "spectra-coincide"},
     ),
+    "rep-entry-at-the-guard": (
+        su2, "build_rep", rep_entry_at_the_guard,
+        {"assembly-match", "su2-bracket", "su2-structure"},
+    ),
+    "det-sign-flipped": (
+        operators, "signed_det", sign_flipped,
+        {"det-product"},
+    ),
     "charpoly-off-by-one": (
-        operators, "charpoly_exact", constant_term_off_by_one,
+        operators, "charpoly_exact", coefficient_off_by_one(lambda n: 0),
+        {"charpoly-eigs"},
+    ),
+    "charpoly-middle-off-by-one": (
+        operators, "charpoly_exact", coefficient_off_by_one(lambda n: n // 2),
         {"charpoly-eigs"},
     ),
 }
@@ -156,9 +193,10 @@ def fresh_weights():
     hermite._weights.cache_clear()
 
 
-@pytest.mark.parametrize("row", ROWS)
-def test_mutant_fails_its_checks(row, fresh_weights, monkeypatch, capsys):
-    module, name, mutate, failing = ROWS[row]
+def failures(row, monkeypatch, capsys):
+    """Plant the row's defect, run ``verify -k 1..31 --jobs 1`` and return
+    its FAIL lines as (check, "k=..") pairs."""
+    module, name, mutate, _ = ROWS[row]
     original = getattr(module, name)
     wrong = mutate(original)
     for holder in MODULES:
@@ -169,4 +207,14 @@ def test_mutant_fails_its_checks(row, fresh_weights, monkeypatch, capsys):
     lines = out.splitlines()
     assert err == ""
     assert len(lines) == len(checks.GLOBAL_CHECKS) + 16 * len(checks.PER_K_CHECKS)
-    assert {line.split()[1] for line in lines if line.startswith("FAIL ")} == failing
+    return [tuple(line.split()[1:3]) for line in lines if line.startswith("FAIL ")]
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_mutant_fails_its_checks(row, fresh_weights, monkeypatch, capsys):
+    assert {name for name, _ in failures(row, monkeypatch, capsys)} == ROWS[row][3]
+
+
+@pytest.mark.parametrize("row", ["charpoly-off-by-one", "charpoly-middle-off-by-one"])
+def test_a_wrong_charpoly_fails_at_every_k(row, fresh_weights, monkeypatch, capsys):
+    assert [where for _, where in failures(row, monkeypatch, capsys)] == [f"k={k}" for k in range(1, 32, 2)]
