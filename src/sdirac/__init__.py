@@ -7,7 +7,7 @@ from their closed tridiagonal form, verifies the routes agree, and
 computes exact and numerical spectral data.
 """
 
-from .hermite import clifford_band, omega0, oscillator_band, weight_on_Wl
+from .hermite import clifford_band, omega0, weight_on_Wl
 from .intertwine import hom_space, hom_space_oracle
 from .operators import (
     CharPoly,

@@ -3,13 +3,13 @@
 
 Each check returns pass/fail plus a measured residual so failures are
 diagnosable from the command line.  Global checks are k-independent: the
-Clifford relations, grading and linearity and the oscillator eigenvalues,
-each read off the bands of Clifford multiplication by X_1 and X_2 on the
-Hermite functions h_l of one variable
-(:func:`sdirac.hermite.clifford_band`) multiplied by the one band product
-of :mod:`sdirac.su2`, in complex128 behind the exactness guard of
-:mod:`sdirac.exact`.  Per-k checks cover the representation matrices, the
-intertwiner spaces and the assembled operator blocks; the su(2) and weight
+Clifford relations, grading and linearity, read off the bands of
+Clifford multiplication by X_1 and X_2 on the Hermite functions h_l of one
+variable (:func:`sdirac.hermite.clifford_band`) multiplied by the one band
+product of :mod:`sdirac.su2`, and the oscillator eigenvalues
+(:func:`sdirac.hermite.weight_on_Wl`), exact in complex128.  Per-k checks
+cover the representation matrices, the intertwiner spaces and the
+assembled operator blocks; the su(2) and weight
 checks compare int64 arrays and report exact defects.  All per-k checks of
 one k read one :class:`sdirac.operators.KContext`, so its rep, charpoly,
 determinant, blocks and spectrum are each built once per k, and a check
@@ -35,11 +35,11 @@ from itertools import product
 
 import numpy as np
 
-from .exact import EXACT_BOUND, exact_in_double
 from .hermite import clifford_band, omega0, weight_on_Wl
 from .intertwine import equivariance_residual, hom_space, hom_space_oracle
 from .operators import (
     A_SQUARES_MAX_K,
+    ASSEMBLY_MAX_K,
     KContext,
     _product,
     a_coeff,
@@ -93,9 +93,9 @@ def check_ladder_commutator() -> CheckResult:
     0..TRUNC-1, where no term of the products leaves the levels.  The
     residual is the largest defect modulus there.
 
-    The result is exact: every band entry passes the guard of
-    :mod:`sdirac.exact` (the check fails otherwise), so each defect entry,
-    a sum of at most five products of two entries, is held by a double."""
+    The result is exact: every band entry is an integer below TRUNC or a
+    half, so each defect entry, a sum of at most five products of two
+    entries, is held by a double."""
     bands = [clifford_band(x, range(TRUNC)) for x in _BASIS]
     identity = {0: np.ones(TRUNC)}
     worst = 0.0
@@ -103,7 +103,7 @@ def check_ladder_commutator() -> CheckResult:
         defect = _bracket_defect(band_a, band_b, identity, -1j * omega0(xa, xb), TRUNC)
         cols = _columns(defect)
         worst = max(worst, *(np.max(np.abs(d[cols[o] <= TRUNC - 2]), initial=0.0) for o, d in defect.items()))
-    return CheckResult("clifford-ladder", None, exact_in_double(*bands) and worst == 0.0, float(worst))
+    return CheckResult("clifford-ladder", None, worst == 0.0, float(worst))
 
 
 def check_grading() -> CheckResult:
@@ -119,10 +119,9 @@ def check_grading() -> CheckResult:
 def check_linearity() -> CheckResult:
     """band(a x + b y) = a band(x) + b band(y), exactly, on the sample
     x = (2, -4), y = (-2, 1), a = 3/2, b = -5, whose integral
-    a x + b y = (13, -11) keeps every band entry in (1/2)Z.  The scalars
-    and the bands they multiply must pass the guard of :mod:`sdirac.exact`
-    (the check fails otherwise).  The residual is the largest |lhs - rhs|
-    entry."""
+    a x + b y = (13, -11) keeps every band entry in (1/2)Z, below 100, so
+    every product and sum is exact.  The residual is the largest
+    |lhs - rhs| entry."""
     x, y = (2, -4), (-2, 1)
     a, b = 1.5, -5
     levels = range(5)
@@ -130,15 +129,15 @@ def check_linearity() -> CheckResult:
     bx, by = clifford_band(x, levels), clifford_band(y, levels)
     diff = [lhs.get(o, 0) - a * bx.get(o, 0) - b * by.get(o, 0) for o in {*lhs, *bx, *by}]
     worst = float(max(np.max(np.abs(d)) for d in diff))
-    return CheckResult("clifford-linearity", None, exact_in_double(a, b, bx, by) and worst == 0.0, worst)
+    return CheckResult("clifford-linearity", None, worst == 0.0, worst)
 
 
 def check_oscillator() -> CheckResult:
     """The circle weights that :func:`sdirac.hermite.weight_on_Wl` reads
-    off the exact oscillator band are 2l+1 for l <= MAX_LEVEL: each h_l is
-    an eigenline with eigenvalue -(2l+1)/2.  ``hom-oracle`` and
-    ``equivariance`` read the same weights.  The residual is the number of
-    wrong l, an exact defect count."""
+    off the ladder's closed form of the oscillator are 2l+1 for
+    l <= MAX_LEVEL: each h_l is an eigenline with eigenvalue -(2l+1)/2.
+    ``hom-oracle`` and ``equivariance`` read the same weights.  The
+    residual is the number of wrong l, an exact defect count."""
     ls = np.arange(MAX_LEVEL + 1)
     wrong = _wrong_entries(weight_on_Wl(ls), 2 * ls + 1)
     return CheckResult("oscillator", None, wrong == 0, float(wrong))
@@ -149,7 +148,8 @@ def check_oscillator() -> CheckResult:
 
 def check_su2_bracket(ctx: KContext) -> CheckResult:
     """The su(2) brackets hold exactly on the int64 bands.  The residual is
-    :func:`sdirac.su2.bracket_defect`, an exact defect, 0 when passing."""
+    :func:`sdirac.su2.bracket_defect`, an exact defect, 0 when passing, and
+    inf where a stored entry could overflow int64."""
     defect = bracket_defect(ctx.rep)
     return CheckResult("su2-bracket", ctx.k, defect == 0, float(defect))
 
@@ -214,17 +214,23 @@ TOL_MATCH = 1e-12
 def check_assembly(ctx: KContext) -> CheckResult:
     """First-principles assembly against the closed form, in floats within
     TOL_MATCH and exactly (:func:`assembly_matches_exact`), both from one
-    :func:`definition_coeffs` of the context's rep.  The rep entries that
-    it reads, rows h = (k+1)/2.. of R and S, and its levels l < h must pass
-    the guard of :mod:`sdirac.exact` (the check fails otherwise), which
-    makes them exact.  The residual is the float mismatch."""
-    k, rep, h = ctx.k, ctx.rep, (ctx.k + 1) // 2
-    coeffs = definition_coeffs(k, rep=rep)
+    :func:`definition_coeffs` of the context's rep.  The residual is the
+    float mismatch."""
+    k = ctx.k
+    coeffs = definition_coeffs(k, rep=ctx.rep)
     res = assembly_mismatch_float(k, coeffs, ctx.blocks)
     largest = float(np.max(np.abs(ctx.blocks[0].band[1]), initial=0.0))
-    exact = exact_in_double(rep.r[0][h - 1 :], rep.r[1][h:], rep.s[0][h - 1 :], rep.s[1][h:], h - 1)
-    ok = exact and res <= TOL_MATCH * max(1.0, largest) and assembly_matches_exact(k, coeffs=coeffs)
+    ok = res <= TOL_MATCH * max(1.0, largest) and assembly_matches_exact(k, coeffs=coeffs)
     return CheckResult("assembly-match", k, ok, res)
+
+
+def _eigenvalues(ctx: KContext):
+    """The context's eigenvalues, or None where the eigensolver refuses the
+    block, as it does a nonzero diagonal: the checks that read them FAIL."""
+    try:
+        return ctx.eigenvalues
+    except ValueError:
+        return None
 
 
 def check_symmetry(ctx: KContext) -> CheckResult:
@@ -233,8 +239,8 @@ def check_symmetry(ctx: KContext) -> CheckResult:
     block, so it is 0 by construction; ``charpoly-parity`` certifies the
     symmetry exactly.  The check stays: ``verify`` prints one line per
     check and k, and a benchmark workload selects it by name."""
-    eigs = ctx.eigenvalues
-    res = float(np.max(np.abs(eigs + eigs[::-1])))
+    eigs = _eigenvalues(ctx)
+    res = np.nan if eigs is None else float(np.max(np.abs(eigs + eigs[::-1])))
     return CheckResult("symmetry", ctx.k, res == 0.0, res)
 
 
@@ -298,6 +304,9 @@ def check_det_product(ctx: KContext) -> CheckResult:
     return CheckResult("det-product", k, not wrong, float(wrong))
 
 
+# The last odd k whose squares a_{k,l}^2, at most 0.77 ((k+1)/2)^3, are below 2**53.
+COUNT_MAX_K = 454_045
+
 # Half-width of the certificate's bracket around an exact 0 eigenvalue.  A
 # count's absolute error is below the pivot floor or, where a quotient
 # overflows instead, below the largest pivot that can overflow it,
@@ -323,7 +332,7 @@ def _count_certificate(ctx: KContext):
     value, the ordering and completeness at once.  The count runs on the
     zero diagonal of the block and the exact squares a_{k,l}^2 as float64,
     exact while they stay below 2**53 (0.77 ((k+1)/2)^3 < 2**53, up to
-    k = 454,045); ValueError if a square reaches it.
+    k = COUNT_MAX_K); a square that reaches it fails the certificate.
 
     Why delta = 4 m eps (eps = 2**-52, u = eps/2).  (1) A float Sturm
     count at y is the exact count of a matrix whose b^2 move by a relative
@@ -350,13 +359,11 @@ def _count_certificate(ctx: KContext):
     k, x = ctx.k, ctx.eigenvalues
     m = x.shape[0]
     squares = a_squares(k)[1:m]
-    if squares.max(initial=0) >= 2**53:
-        raise ValueError(f"a square a_(k,l)^2 reaches 2**53 at k = {k}: the count would round it")
-    bsq = squares.astype(np.float64)
     half = 4 * m * np.finfo(np.float64).eps * np.abs(x) + _ZERO_HALF_WIDTH
     lo, hi = x - half, x + half
     idx = np.arange(m)
-    ok = np.array_equal(count_below(bsq, np.concatenate([lo, hi])), np.concatenate([idx, idx + 1]))
+    counts = count_below(squares.astype(np.float64), np.concatenate([lo, hi]))
+    ok = squares.max(initial=0) < 2**53 and np.array_equal(counts, np.concatenate([idx, idx + 1]))
     return ok, lo, hi
 
 
@@ -384,6 +391,8 @@ def check_charpoly_eigs(ctx: KContext) -> CheckResult:
     :func:`_gram_q`.  Then it is the block's charpoly, whose roots are
     the eigenvalues the count certifies.  The residual is the worst margin
     (:func:`_worst_margin`) of the count's brackets."""
+    if _eigenvalues(ctx) is None:
+        return CheckResult("charpoly-eigs", ctx.k, False, np.nan)
     ok, lo, hi = _count_certificate(ctx)
     ok = ok and (ctx.charpoly.q, ctx.charpoly.parity) == (_gram_q(ctx.k), (ctx.k + 1) // 2 % 2)
     return CheckResult("charpoly-eigs", ctx.k, ok, _worst_margin(ctx.eigenvalues, lo, hi))
@@ -395,20 +404,20 @@ def check_norm_bound(ctx: KContext) -> CheckResult:
     a_{k,1}^2 - ((k-1)/2)^2 = (m+3)(m-1) >= 0, m = (k+1)/2.  The
     residual, the slack (radius - a_{k,1}) / (1 + a_{k,1}), must be at
     least -1e-9."""
-    k, a1 = ctx.k, a_coeff(ctx.k, 1)
-    slack = (float(np.max(np.abs(ctx.eigenvalues))) - a1.value) / (1.0 + a1.value)
+    k, a1, eigs = ctx.k, a_coeff(ctx.k, 1), _eigenvalues(ctx)
+    radius = np.nan if eigs is None else float(np.max(np.abs(eigs)))
+    slack = (radius - a1.value) / (1.0 + a1.value)
     return CheckResult("norm-bound", k, slack >= -1e-9, slack)
 
 
-# The largest k of each per-k check and of the ``charpoly`` command.  Past
-# it a level or rep entry reaches the 2**20 of :mod:`sdirac.exact`
-# (hom-oracle reads weights of l <= k + 2, equivariance of l <= (k - 1)/2, and
-# assembly-match rep entries up to k), a square a_{k,l}^2 leaves int64
-# (operators.a_squares), or one reaches the 2**53 of _count_certificate.  The
-# su(2) checks and hom-dim read no square; they take the same limit as the
-# other O(k) checks, where together they peak near 450 MB.
-K_LIMITS = {"hom-oracle": EXACT_BOUND - 5, "equivariance": 2 * EXACT_BOUND - 3, "assembly-match": EXACT_BOUND - 1,
-            "charpoly-eigs": 454_045}
+# The largest k of each per-k check and of the ``charpoly`` command, the
+# last at which an integer bound of the values it forms holds: float64
+# squares below 2**53 (COUNT_MAX_K), int64 products of at most m^3 below
+# 2**63 (operators.ASSEMBLY_MAX_K), int64 squares below 2**63
+# (operators.A_SQUARES_MAX_K, also for the checks that read no square).
+# Below all, a rep entry times a level, k m < 1.1e13, is below 2**53.
+K_LIMITS = {"hom-oracle": A_SQUARES_MAX_K, "equivariance": A_SQUARES_MAX_K, "assembly-match": ASSEMBLY_MAX_K,
+            "charpoly-eigs": COUNT_MAX_K}
 K_LIMITS |= dict.fromkeys(("symmetry", "spectra-coincide", "kernel-rule", "p-eigenvalues", "charpoly-parity",
                            "det-product", "norm-bound", "charpoly", "su2-bracket", "su2-weights", "su2-structure",
                            "hom-dim"), A_SQUARES_MAX_K)

@@ -9,7 +9,7 @@ assembled here along two independent routes:
     with the su(2) generator action, pushed through the intertwiners.  It
     runs the n = 1 ladder relations (:func:`sdirac.hermite.ladder`) once
     per k over the arrays of all levels l = 0..m-1, in complex doubles
-    exact behind the guard of :mod:`sdirac.exact`, and normalizes with the
+    that hold every rep entry times a level exactly, and normalizes with the
     ratio of consecutive squared scales
     (:func:`sdirac.intertwine.scale_sq_ratio`), of small integers.
 
@@ -40,6 +40,9 @@ from .tridiag import eigvalsh_tridiagonal
 
 # The last odd k whose squares a_{k,l}^2, at most 0.77 ((k+1)/2)^3, are below 2**63.
 A_SQUARES_MAX_K = 4_576_503
+# The last odd k whose m = (k+1)/2 = 2**21 - 1 has m^3 below 2**63, the
+# bound of the int64 products of assembly_matches_exact.
+ASSEMBLY_MAX_K = 2**22 - 3
 
 
 def _require_odd(k: int) -> None:
@@ -162,21 +165,22 @@ def definition_coeffs(k: int, rep=None):
     arrays over l = 0..m-1: down[l] is the coefficient of h_(l-1) and
     up[l] that of h_(l+1), each the sum of what the entries j0 - 1 and
     j0 + 1 give it (at l = m-1 no entry j0 + 1 exists); down[0] is 0, and
-    up[m-1], onto h_m outside the block, must be.  The values are exact
-    where the entries read and the levels pass the guard of
-    :mod:`sdirac.exact`, which ``assembly-match`` tests."""
+    up[m-1], onto h_m outside the block, must be.  Each value is a rep
+    entry (at most k) times a level (at most m), or half an entry, summed
+    in pairs: exact while 2 k m < 2**53, which holds for every k up to
+    A_SQUARES_MAX_K (2 k m < 2.1e13)."""
     _require_odd(k)
     if rep is None:
         rep = build_rep(k)
     h = (k + 1) // 2
     # Entry (j0, j0 - 1) is sub[j0 - 1]; (j0, j0 + 1) is sup[j0], for j0 < k.
-    lo1, hi1 = rep.r[0][h - 1:], np.append(rep.r[1][h:], 0)
-    lo2, hi2 = 1j * rep.s[0][h - 1:], 1j * np.append(rep.s[1][h:], 0)
+    entries = ((rep.r[0][h - 1 :], rep.s[0][h - 1 :]), (np.append(rep.r[1][h:], 0), np.append(rep.s[1][h:], 0)))
     levels = np.arange(h)
-    # (pos, der) of the entries j0 - 1 and j0 + 1, per operator
-    entries = (((-lo2, lo1), (-hi2, hi1)), ((-lo1, -lo2), (-hi1, -hi2)))
+    # (pos, der) of an entry e1 of R and e2 of i S, per operator; each is
+    # formed as its ladder needs it
+    places = (lambda e1, e2: (-e2, e1), lambda e1, e2: (-e1, -e2))
     return tuple(
-        tuple(a + b for a, b in zip(ladder(*low, levels), ladder(*high, levels))) for low, high in entries
+        tuple(a + b for a, b in zip(*(ladder(*place(r, 1j * s), levels) for r, s in entries))) for place in places
     )
 
 
@@ -221,14 +225,13 @@ def assembly_matches_exact(k: int, coeffs=None) -> bool:
     scale_sq[l]/scale_sq[l-1] = num/den, those are down(l)^2 num =
     a_l^2 den and up(l-1)^2 den = a_l^2 num; with
     a_l^2 = down(l) up(l-1), also checked, and down, up > 0, both reduce
-    to down(l) num = up(l-1) den.  Every product is at most m^3 < k^3
-    (down, den <= m^2/2 and up, num <= 2m), below 2**63 for every k
-    below 2**21, so for every k the check's K_LIMITS admits."""
+    to down(l) num = up(l-1) den.  Every product is at most m^3
+    (down, den <= m^2/2 and up, num <= 2m), below 2**63 up to
+    k = ASSEMBLY_MAX_K."""
     (down_d, up_d), (down_dt, up_dt) = definition_coeffs(k) if coeffs is None else coeffs
     down, up = unnormalized_coeffs(k)
     up, a_sq, (num, den) = up[:-1], a_squares(k)[1:-1], scale_sq_ratio(k)
-    # the guard keeps k below 2**21, so the closed forms, below k^2, are
-    # doubles exactly
+    # the closed forms, below k^2 < 2**53, are doubles exactly
     down_c, up_c = down.astype(np.float64), np.append(up, 0).astype(np.float64)
     expected = ((down_d, down_c), (down_dt, -1j * down_c), (up_d, up_c), (up_dt, 1j * up_c))
     return bool(

@@ -3,7 +3,10 @@ the argument shapes it passes (``bench/layers.py``, ``bench/selftest.py``,
 ``bench/run.py``).  The benchmark is kept fixed between its own changes, so
 a rename or a changed signature here would break it silently."""
 
+import ast
+import importlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +49,15 @@ def test_checks_and_cli_names():
         results = checks.run_checks([K], names=[name])
         assert len(results) == 1 and results[0].ok
     assert cli.dumps_canonical({"k": K, "m": 3}) == '{"k": 5, "m": 3}'
+
+
+def test_every_module_the_tracer_names_imports():
+    # bench/tracer.py imports each module of its MODULES by name, so a
+    # module it names stays importable, code or none
+    tracer = (Path(__file__).parent.parent / "bench" / "tracer.py").read_text()
+    names = ast.literal_eval(re.search(r"^MODULES = (\(.*\))$", tracer, re.M).group(1))
+    for name in names:
+        importlib.import_module(f"sdirac.{name}")
 
 
 def test_check_names_match_the_reference():

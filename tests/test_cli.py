@@ -15,10 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from sdirac import checks, cli, operators, su2
+from sdirac import checks, cli, hermite, operators, su2
 from sdirac.cli import main, parse_k_values, worker_count
-from sdirac.exact import exact_in_double
-from sdirac.hermite import weight_on_Wl
 from sdirac.operators import charpoly_exact
 
 DATA = Path(__file__).parent / "data"
@@ -461,11 +459,11 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "argv,name",
         [
-            (["verify", "-k", "1048573", "--check", "hom-oracle"], "hom-oracle"),
-            (["verify", "-k", "1,2097151", "--check", "equivariance"], "equivariance"),
-            (["verify", "-k", "1048577", "--check", "assembly-match"], "assembly-match"),
-            (["verify", "-k", "1048573"], "hom-oracle"),
-            (["spectrum", "-k", "1048577"], "assembly-match"),
+            (["verify", "-k", "4576505", "--check", "hom-oracle"], "hom-oracle"),
+            (["verify", "-k", "1,4576505", "--check", "equivariance"], "equivariance"),
+            (["verify", "-k", "4194303", "--check", "assembly-match"], "assembly-match"),
+            (["verify", "-k", "4576505"], "hom-oracle"),
+            (["spectrum", "-k", "4194303"], "assembly-match"),
             (["verify", "-k", "4576505", "--check", "p-eigenvalues"], "p-eigenvalues"),
             (["verify", "-k", "454047", "--check", "charpoly-eigs"], "charpoly-eigs"),
             (["verify", "-k", "4576505", "--check", "kernel-rule"], "kernel-rule"),
@@ -516,27 +514,29 @@ sys.exit(code)
         assert set(checks.K_LIMITS) == {*checks.PER_K_CHECKS, "charpoly"}
 
     def test_k_limits_are_those_of_the_guards(self):
-        # at each limit the route's largest level or entry passes its guard,
-        # and at the next odd k it does not
-        top = checks.K_LIMITS["hom-oracle"] + 2  # hom-oracle reads l <= k + 2
-        assert weight_on_Wl(top) == 2 * top + 1
-        with pytest.raises(ValueError):
-            weight_on_Wl(top + 2)
-        top = (checks.K_LIMITS["equivariance"] - 1) // 2  # equivariance reads l <= (k - 1)/2
-        assert weight_on_Wl(top) == 2 * top + 1
-        with pytest.raises(ValueError):
-            weight_on_Wl(top + 1)
-        k = checks.K_LIMITS["assembly-match"]  # its largest rep entry is k
-        assert exact_in_double(k) and not exact_in_double(k + 2)
-
+        # each limit is the last odd k at which its stated integer bound
+        # holds; at the next odd k it fails
         def largest_square(k):  # 2l(m^2 - l^2) peaks at l = m / sqrt(3)
             l = round((k + 1) / 2 / math.sqrt(3))
             return max(operators.a_coeff(k, j).square for j in range(l - 2, l + 3))
 
-        k = checks.K_LIMITS["p-eigenvalues"]  # its int64 squares a_{k,l}^2
-        assert largest_square(k) < 2**63 <= largest_square(k + 2)
+        def m(k):
+            return (k + 1) // 2
+
+        assert len(set(checks.K_LIMITS.values())) == 3
         k = checks.K_LIMITS["charpoly-eigs"]  # its count's float64 squares
-        assert largest_square(k) < 2**53 <= largest_square(k + 2)
+        assert k == checks.COUNT_MAX_K and largest_square(k) < 2**53 <= largest_square(k + 2)
+        k = checks.K_LIMITS["assembly-match"]  # its int64 products, at most m^3
+        assert k == operators.ASSEMBLY_MAX_K and m(k) ** 3 < 2**63 <= m(k + 2) ** 3
+        for name in set(checks.K_LIMITS) - {"charpoly-eigs", "assembly-match"}:
+            k = checks.K_LIMITS[name]  # int64 squares a_{k,l}^2
+            assert k == operators.A_SQUARES_MAX_K and largest_square(k) < 2**63 <= largest_square(k + 2)
+        # below every limit a rep entry (<= k) times a level (<= m), twice
+        # over in definition_coeffs, stays below 2**53, and every level the
+        # intertwiner checks read, l <= k + 2, has a weight
+        k = max(checks.K_LIMITS.values())
+        assert 2 * k * m(k) < 2**53
+        assert k + 2 < hermite.WEIGHT_LEVELS and (hermite.WEIGHT_LEVELS + 1) ** 2 < 2**53
 
 
 class TestOptionsPerCommand:

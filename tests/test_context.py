@@ -93,6 +93,21 @@ class TestDeterminantChecks:
         result = checks.check_charpoly_parity(ctx)
         assert not result.ok and result.residual == abs(entry)
 
+    @pytest.mark.parametrize("name", ["symmetry", "charpoly-eigs", "norm-bound"])
+    def test_block_the_solver_refuses_fails_the_spectrum_checks(self, name):
+        # the eigensolver takes only zero-diagonal blocks; a check that
+        # reads the spectrum of another FAILs with residual nan, and raises
+        # no error
+        ctx = KContext(9)
+        d, dt = ctx.blocks
+        band = {o: diag.copy() for o, diag in d.band.items()}
+        band[0][0] = 1e-3
+        ctx.blocks = (DiracMatrix(9, band), dt)
+        with pytest.raises(ValueError, match="diag must be zero"):
+            ctx.eigenvalues
+        result = checks.PER_K_REGISTRY[name](ctx)
+        assert not result.ok and np.isnan(result.residual)
+
     @pytest.mark.parametrize(
         "k,patch",
         [(5, lambda det: 1), (7, lambda det: 0), (7, lambda det: det + 1), (2989, lambda det: -1),
@@ -320,12 +335,19 @@ class TestCharpolyCertificate:
         assert all(r.ok for r in run_checks([k], names=["symmetry", "norm-bound"]))
 
     def test_squares_beyond_double_precision_fail(self, monkeypatch):
-        # the count would round such a square: it is refused, not counted;
-        # K_LIMITS keeps every k of the CLI below it
+        # the count would round such a square: the certificate fails, and
+        # raises no error; K_LIMITS keeps every k of the CLI below it
         ctx = KContext(7)
         ctx.eigenvalues
+        ctx.charpoly
         monkeypatch.setattr(checks, "a_squares", lambda k: np.full((k + 3) // 2, 2**53, dtype=np.int64))
-        with pytest.raises(ValueError, match=r"2\*\*53"):
-            checks._count_certificate(ctx)
-        with pytest.raises(ValueError, match=r"2\*\*53"):
-            check_charpoly_eigs(ctx)
+        assert not checks._count_certificate(ctx)[0]
+        assert not check_charpoly_eigs(ctx).ok
+        # the bound alone fails it: 2**53 - 1 is held, 2**53 is not
+        squares = operators.a_squares(7)
+        squares[2] = 2**53
+        monkeypatch.setattr(checks, "a_squares", lambda k: squares)
+        monkeypatch.setattr(checks, "count_below", lambda bsq, points: np.concatenate([np.arange(4), np.arange(1, 5)]))
+        assert not checks._count_certificate(ctx)[0]
+        squares[2] = 2**53 - 1
+        assert checks._count_certificate(ctx)[0]

@@ -1,16 +1,13 @@
 """Ladder-calculus tests: Clifford multiplication as bands, oscillator, weights."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
 from sdirac import checks, hermite, operators
 from sdirac.cli import main
-from sdirac.exact import EXACT_BOUND, exact_in_double
-from sdirac.hermite import clifford_band, ladder, omega0, oscillator_band, weight_on_Wl
+from sdirac.hermite import WEIGHT_LEVELS, clifford_band, ladder, omega0, weight_on_Wl
 from sdirac.operators import KContext
-from sdirac.su2 import _bracket_defect, _dense
+from sdirac.su2 import _band_mul_into, _bracket_defect, _dense
 
 I, HALF = 1j, 0.5
 BASIS = ((1, 0), (0, 1))  # X_1, X_2 as pairs (pos, der)
@@ -18,6 +15,22 @@ BASIS = ((1, 0), (0, 1))  # X_1, X_2 as pairs (pos, der)
 
 def as_lists(band):
     return {o: list(d) for o, d in band.items()}
+
+
+def in_half_integers(*arrays):
+    """Every real and imaginary part of every entry is in (1/2)Z."""
+    parts = np.concatenate([p.ravel() for a in arrays for p in (np.real(a), np.imag(a))])
+    return np.array_equal(2 * parts, np.round(2 * parts))
+
+
+def oscillator_band(levels):
+    """Band of the harmonic oscillator (X_1^2 + X_2^2)/2 on h_l, l in
+    ``levels``, as the band product of two Clifford multiplications."""
+    out = {}
+    for x in BASIS:
+        band = clifford_band(x, levels)
+        _band_mul_into(out, band, band, len(levels), 1)
+    return {o: 0.5 * d for o, d in out.items()}
 
 
 def column(band, size, col):
@@ -61,19 +74,6 @@ class TestLadderExamples:
         assert all(d.dtype == np.complex128 for d in band.values())
         assert as_lists(band) == {1: [-1, -2], -1: [0.5, 0.5]}
 
-    @pytest.mark.parametrize("x", [(1 / 3, 0), (0, 0.25), (2.0**20, 0), (0, Fraction(1, 2))])
-    def test_coordinate_outside_the_guard_is_refused(self, x):
-        # 1/3 and 1/4 are off (1/2)Z, 2**20 is at the bound, and a Fraction
-        # is not a double: no band is built from them
-        with pytest.raises(ValueError, match="outside"):
-            clifford_band(x, range(3))
-
-    def test_level_at_the_bound_is_refused(self):
-        with pytest.raises(ValueError, match="outside"):
-            clifford_band((1, 0), [2**20 - 1, 2**20])
-        with pytest.raises(ValueError, match="outside"):
-            oscillator_band([2**20 - 2, 2**20 - 1, 2**20])
-
 
 class TestBandLayout:
     def test_window_of_levels(self):
@@ -100,7 +100,7 @@ class TestLadderFunction:
         assert up == 1.5 - 1j
         _, up = ladder(np.array([2, 2j]), np.array([4, 6]), np.arange(2))
         assert up.tolist() == [2 - 1j, 4 + 0j]
-        assert exact_in_double(up) and np.array_equal(up.real, np.round(up.real))
+        assert in_half_integers(up) and np.array_equal(up.real, np.round(up.real))
 
     def test_arrays_match_scalars(self):
         rng = np.random.default_rng(7)
@@ -152,20 +152,6 @@ class TestOneLadder:
         assert checks.check_ladder_commutator().residual > 0
         assert checks.check_oscillator().residual > 0
 
-    def test_entry_off_the_half_integers_fails_the_guard(self, patch_ladder):
-        # down * up, and so every commutator, is unchanged; the entries are
-        # not in (1/2)Z, so no double is sure to hold the products exactly
-        def rescaled(pos, der, l):
-            down, up = ladder(pos, der, l)
-            return down * 2 / 3, up * 3 / 2
-
-        patch_ladder(rescaled)
-        result = checks.check_ladder_commutator()
-        assert not result.ok and result.residual < 1e-12
-        assert not exact_in_double({0: np.array([1 / 3])})
-        assert not exact_in_double({0: np.array([2.0**20 + 0.5j])})
-        assert exact_in_double({0: np.array([2.0**20 - 0.5 - 7.5j])})
-
     def test_diagonal_entry_fails_grading_with_a_residual(self, monkeypatch, capsys):
         # each of the two bands of a basis vector gains one diagonal entry,
         # which joins h_0 to itself: two entries at offset 0, not +-1
@@ -187,7 +173,7 @@ class TestLadderProperties:
         # l <= trunc - 2, where no term leaves the levels
         trunc = 12
         bands = [clifford_band(x, range(trunc)) for x in BASIS]
-        assert exact_in_double(*bands)
+        assert in_half_integers(*(d for band in bands for d in band.values()))
         identity = {0: np.ones(trunc)}
         for xb, band_b in zip(BASIS, bands):
             defect = _bracket_defect(bands[a], band_b, identity, -1j * omega0(BASIS[a], xb), trunc)
@@ -212,6 +198,9 @@ class TestLadderProperties:
 
 
 class TestOscillator:
+    """The oscillator as the band product of two Clifford multiplications,
+    on whose eigenvalues -(2l+1)/2 the weights of hermite._weights agree."""
+
     def test_ground_state(self):
         assert oscillator_band(range(3))[0][0] == -0.5
 
@@ -226,6 +215,7 @@ class TestOscillator:
     @pytest.mark.parametrize("l", range(19))
     def test_eigenvalue_closed_form(self, l):
         assert column(oscillator_band(range(l + 3)), l + 3, l) == {l: -(2 * l + 1) / 2}
+        assert -2 * column(oscillator_band(range(l + 3)), l + 3, l)[l] == weight_on_Wl(l)
 
 
 class TestWeights:
@@ -240,60 +230,76 @@ class TestWeights:
     def test_derived_once_per_level(self, monkeypatch):
         runs = []
 
-        def counted(levels):
-            runs.append(levels)
-            return oscillator_band(levels)
+        def counted(pos, der, l):
+            runs.append(len(l))
+            return ladder(pos, der, l)
 
-        # one table per power of two, each derived once: the l = 0..101 of
-        # hom-oracle at k = 99 read the table of l < 128, a band on levels
-        # 0..128, and l = 7 that of l < 8, on levels 0..8
-        monkeypatch.setattr(hermite, "oscillator_band", counted)
+        # one table per power of two, each derived once, from six ladder
+        # calls (two directions, at l, l + 1 and l - 1): the l = 0..101 of
+        # hom-oracle at k = 99 read the table of l < 128, and l = 7 that of
+        # l < 8
+        monkeypatch.setattr(hermite, "ladder", counted)
         hermite._weights.cache_clear()
         try:
             for _ in range(2):
                 assert checks.check_hom_oracle(KContext(99)).ok
                 assert weight_on_Wl(7) == 15
                 assert weight_on_Wl(np.arange(100, 128)).tolist() == list(range(201, 257, 2))
-            assert [(levels.start, levels.stop) for levels in runs] == [(0, 129), (0, 9)]
+            assert runs == [128] * 6 + [8] * 6
         finally:
             hermite._weights.cache_clear()
 
     def test_levels_past_the_guard_are_refused(self):
-        # the weight of h_l reads h_(l+1), and levels stay below 2**20; the
-        # last table holds l = 0 .. 2**20 - 2 only
-        top = EXACT_BOUND - 2
-        assert weight_on_Wl(2**19) == 2**20 + 1
-        assert weight_on_Wl(top) == 2 * top + 1 and type(weight_on_Wl(top)) is int
-        assert len(hermite._weights(EXACT_BOUND - 1)) == top + 1
-        for l in (top + 1, 2**21, np.array([0, top + 1])):
+        # the table of the power of two above l holds l = 0 .. 2**23 - 1
+        # at most, 64 MB of int64 weights
+        assert WEIGHT_LEVELS == 2**23
+        assert weight_on_Wl(2**19) == 2**20 + 1 and type(weight_on_Wl(2**19)) is int
+        for l in (WEIGHT_LEVELS, 2**40, np.array([0, WEIGHT_LEVELS])):
             with pytest.raises(ValueError, match="l must be in"):
                 weight_on_Wl(l)
 
     def test_wrong_diagonal_is_caught(self, monkeypatch):
-        # -w/2 + 1 on every diagonal entry reads as the weight w - 2, and
-        # the oscillator check counts each of the l it compares
-        def shifted(levels):
-            band = oscillator_band(levels)
-            band[0] = band[0] + 1
-            return band
+        # doubled raising coefficients double the diagonal and leave the
+        # h_(l+2) coefficient, half the sum of their squares, 0: the weight
+        # reads 2(2l+1), and the oscillator check counts each l it compares
+        def doubled(pos, der, l):
+            down, up = ladder(pos, der, l)
+            return down, 2 * up
 
-        monkeypatch.setattr(hermite, "oscillator_band", shifted)
+        monkeypatch.setattr(hermite, "ladder", doubled)
         hermite._weights.cache_clear()
         try:
-            assert weight_on_Wl(7) == 13
+            assert weight_on_Wl(7) == 30
             result = checks.check_oscillator()
             assert (result.ok, result.residual) == (False, checks.MAX_LEVEL + 1)
         finally:
             hermite._weights.cache_clear()
 
+    def test_weights_at_the_top_of_hom_oracle(self):
+        # hom-oracle reads l <= k + 2, so its largest k reads the table of
+        # all 2**23 levels
+        top = checks.K_LIMITS["hom-oracle"] + 2
+        hermite._weights.cache_clear()
+        try:
+            assert weight_on_Wl(np.array([0, top - 1, top])).tolist() == [1, 2 * top - 1, 2 * top + 1]
+            assert hermite._weights.cache_info().currsize == 1 and len(hermite._weights(WEIGHT_LEVELS)) == WEIGHT_LEVELS
+        finally:
+            hermite._weights.cache_clear()
+
+    @pytest.mark.parametrize("stop", [1, 2, 5, 64, 2**14, 2**20 - 1])
+    def test_table_is_2l_plus_1(self, stop):
+        table = hermite._weights(stop)
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert np.array_equal(table, 2 * np.arange(stop) + 1)
+
 
 class TestWeightWindows:
-    """_weights derives the table in windows of levels; the table, and the
-    defects it shows, do not depend on the window size."""
+    """_weights derives the table _CHUNK levels at a time; the table, and
+    the defects it shows, do not depend on the chunk size."""
 
     @pytest.fixture(params=[1, 5, 64])
     def window(self, request, monkeypatch):
-        monkeypatch.setattr(hermite, "_WINDOW", request.param)
+        monkeypatch.setattr(hermite, "_CHUNK", request.param)
         hermite._weights.cache_clear()
         yield request.param
         hermite._weights.cache_clear()
@@ -303,20 +309,42 @@ class TestWeightWindows:
 
     @pytest.mark.parametrize("offset,defect", [(0, "weight mismatch at l=20"), (2, "not diagonal"), (-2, "not diagonal")])
     def test_one_wrong_column_is_caught(self, window, offset, defect, monkeypatch):
-        # column 20's entry at the offset is changed in every band that
-        # holds it; entry t of offset o sits at column t + max(0, o).  A
-        # diagonal entry off by 1 reads as the weight 41 - 2; an entry off
-        # the diagonal leaves h_20 no eigenline, and its weight reads 0
-        def wrong(levels):
-            band = oscillator_band(levels)
-            t = 20 - levels.start - max(0, offset)
-            if offset in band and 0 <= t < len(band[offset]):
-                band[offset][t] += 1
-            return band
+        # a ladder coefficient of level 20 moves the oscillator's coefficient
+        # at the offset in column 20.  Offset 0: both raising coefficients
+        # doubled double the diagonal, read as the weight 82.  Offset 2:
+        # raising coefficients 0 and 1 keep the diagonal and make the
+        # h_22 coefficient 1/2.  Offset -2: lowering coefficients moved by 1
+        # and i keep every diagonal and make the h_18 coefficient of column
+        # 20, and the h_19 one of column 21, nonzero.  A column that is not
+        # diagonal leaves h_l no eigenline, and its weight reads 0
+        def wrong(pos, der, l):
+            down, up = ladder(pos, der, l)
+            at = l == 20
+            if offset == 0:
+                return down, up * np.where(at, 2, 1)
+            if offset == 2:
+                return down, up + at * (der + 1j * pos) / 2
+            return down + at * (pos + 1j * der), up
 
-        monkeypatch.setattr(hermite, "oscillator_band", wrong)
+        monkeypatch.setattr(hermite, "ladder", wrong)
         want = list(range(1, 75, 2))
-        want[20] = 39 if defect.startswith("weight mismatch") else 0
+        want[20] = 82 if defect.startswith("weight mismatch") else 0
+        if offset == -2:
+            want[21] = 0
+        assert hermite._weights(37).tolist() == want
+
+    @pytest.mark.parametrize("factor", [1.5, 1 + 1j])
+    def test_diagonal_off_the_integers_reads_0(self, window, factor, monkeypatch):
+        # both raising coefficients of level 20 scaled by ``factor`` keep
+        # the h_22 coefficient 0 and scale the diagonal of column 20: -2
+        # times it is 61.5 or 41 + 41i, no integer, so h_20 is no eigenline
+        def wrong(pos, der, l):
+            down, up = ladder(pos, der, l)
+            return down, up * np.where(l == 20, factor, 1)
+
+        monkeypatch.setattr(hermite, "ladder", wrong)
+        want = list(range(1, 75, 2))
+        want[20] = 0
         assert hermite._weights(37).tolist() == want
 
 

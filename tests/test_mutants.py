@@ -14,10 +14,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sdirac import checks, cli, exact, hermite, intertwine, operators, su2, tridiag
+from sdirac import checks, cli, hermite, intertwine, operators, su2, tridiag
 from sdirac.operators import CharPoly
 
-MODULES = (cli, checks, exact, hermite, intertwine, operators, su2, tridiag)
+MODULES = (cli, checks, hermite, intertwine, operators, su2, tridiag)
 
 
 def doubled_raising(ladder):
@@ -49,11 +49,11 @@ def with_diagonal(clifford_band):
     return wrong
 
 
-def square_off_by_one(l):
+def square_changed(l, change):
     def mutate(a_squares):
         def wrong(k):
             sq = a_squares(k)
-            sq[l : l + 1] += 1  # no square a_{k,l} when l > (k + 1)/2
+            sq[l : l + 1] = change(sq[l : l + 1])  # no square a_{k,l} when l > (k + 1)/2
             return sq
 
         return wrong
@@ -95,14 +95,54 @@ def second_block_sign_flipped(assemble_closed_form):
     return wrong
 
 
-def rep_entry_at_the_guard(build_rep):
+def rep_entry_set_to(value):
     # R's last superdiagonal entry, which the first-principles route reads
-    # from k = 3 on, set to the 2**20 of the exactness guard
+    # from k = 3 on, set to ``value``
+    def mutate(build_rep):
+        def wrong(k):
+            rep = build_rep(k)
+            sup = rep.r[1].copy()
+            sup[-1:] = value
+            return dataclasses.replace(rep, r=(rep.r[0], sup))
+
+        return wrong
+
+    return mutate
+
+
+def weights_plus_two(build_rep):
     def wrong(k):
         rep = build_rep(k)
-        sup = rep.r[1].copy()
-        sup[-1:] = 2**20
-        return dataclasses.replace(rep, r=(rep.r[0], sup))
+        return dataclasses.replace(rep, w=rep.w + 2)
+
+    return wrong
+
+
+def one_l_too_many(hom_space):
+    # also admits l = (k + 1)/2
+    def wrong(k, l):
+        ls = np.asarray(l)
+        dim = hom_space(k, l) + (ls == (k + 1) // 2) * (k % 2)
+        return dim if ls.ndim else int(dim)
+
+    return wrong
+
+
+def diagonal_entry(assemble_closed_form):
+    # 1e-3 at the first diagonal entry of the first block
+    def wrong(k):
+        d, dt = assemble_closed_form(k)
+        d.band[0][0:1] = 1e-3
+        return d, dt
+
+    return wrong
+
+
+def mirrored_top_pair_scaled(spectrum):
+    def wrong(dm):
+        x = spectrum(dm)
+        x[[0, -1]] *= 1 + 1e-9
+        return x
 
     return wrong
 
@@ -136,18 +176,18 @@ ROWS = {
     ),
     "x1-raising-doubled": (
         hermite, "clifford_band", x1_doubled_raising,
-        {"clifford-ladder", "equivariance", "hom-oracle", "oscillator"},
+        {"clifford-ladder"},
     ),
     "clifford-diagonal-entry": (
         hermite, "clifford_band", with_diagonal,
-        {"clifford-grading", "clifford-ladder", "clifford-linearity", "equivariance", "hom-oracle", "oscillator"},
+        {"clifford-grading", "clifford-ladder", "clifford-linearity"},
     ),
     "even-square-off-by-one": (
-        operators, "a_squares", square_off_by_one(2),
+        operators, "a_squares", square_changed(2, lambda sq: sq + 1),
         {"assembly-match", "p-eigenvalues"},
     ),
     "odd-square-off-by-one": (
-        operators, "a_squares", square_off_by_one(1),
+        operators, "a_squares", square_changed(1, lambda sq: sq + 1),
         {"assembly-match", "det-product", "p-eigenvalues"},
     ),
     "rep-sub-diagonals-moved": (
@@ -166,9 +206,36 @@ ROWS = {
         operators, "assemble_closed_form", second_block_sign_flipped,
         {"assembly-match", "p-eigenvalues", "spectra-coincide"},
     ),
-    "rep-entry-at-the-guard": (
-        su2, "build_rep", rep_entry_at_the_guard,
+    "rep-entry-set-to-2-pow-20": (
+        su2, "build_rep", rep_entry_set_to(2**20),
         {"assembly-match", "su2-bracket", "su2-structure"},
+    ),
+    "rep-entry-set-to-2-pow-53-plus-1": (
+        su2, "build_rep", rep_entry_set_to(2**53 + 1),
+        {"assembly-match", "su2-bracket", "su2-structure"},
+    ),
+    "rep-weights-plus-two": (
+        su2, "build_rep", weights_plus_two,
+        {"equivariance", "hom-oracle", "su2-bracket", "su2-weights"},
+    ),
+    "hom-space-one-l-too-many": (
+        intertwine, "hom_space", one_l_too_many,
+        {"hom-dim", "hom-oracle"},
+    ),
+    "block-diagonal-nonzero": (
+        operators, "assemble_closed_form", diagonal_entry,
+        {
+            "assembly-match", "charpoly-eigs", "charpoly-parity", "norm-bound", "p-eigenvalues", "spectra-coincide",
+            "symmetry",
+        },
+    ),
+    "first-square-at-2-pow-53": (
+        operators, "a_squares", square_changed(1, lambda sq: 2**53),
+        {"assembly-match", "charpoly-eigs", "det-product", "p-eigenvalues"},
+    ),
+    "mirrored-top-pair-scaled": (
+        operators, "spectrum", mirrored_top_pair_scaled,
+        {"charpoly-eigs"},
     ),
     "det-sign-flipped": (
         operators, "signed_det", sign_flipped,

@@ -152,20 +152,22 @@ class TestFirstPrinciples:
     @pytest.mark.parametrize("value", [2**20, 2**53 + 1])
     def test_exact_route_refuses_entries_outside_the_guard(self, value, monkeypatch):
         # raise the raising entries of l = 1 at k = 7, R sup[5] and -S sup[5],
-        # to ``value``, which keeps the column on its adjacent level.  An
-        # operand at 2**20 could make a product round, and 2**53 + 1 rounds
-        # on conversion to a double.  The assembly-match check fails both
-        # rather than compare rounded values; it raises no error.  The
-        # guard fails it alone, with both comparisons made to pass.
+        # to ``value``, far past the entries of any k that K_LIMITS admits,
+        # which keeps the column on its adjacent level; 2**53 + 1 rounds on
+        # conversion to a double.  Each comparison of assembly-match fails
+        # them alone, and neither raises an error.
         rep = build_rep(7)
         r, s = ([d.copy() for d in pair] for pair in (rep.r, rep.s))
         r[1][5], s[1][5] = value, -value
         ctx = KContext(7)
         ctx.rep = dataclasses.replace(rep, r=tuple(r), s=tuple(s))
         assert not checks.check_assembly(ctx).ok
-        monkeypatch.setattr(checks, "assembly_mismatch_float", lambda k, coeffs, blocks: 0.0)
-        monkeypatch.setattr(checks, "assembly_matches_exact", lambda k, coeffs: True)
-        assert not checks.check_assembly(ctx).ok
+        with monkeypatch.context() as patch:
+            patch.setattr(checks, "assembly_mismatch_float", lambda k, coeffs, blocks: 0.0)
+            assert not checks.check_assembly(ctx).ok
+        with monkeypatch.context() as patch:
+            patch.setattr(checks, "assembly_matches_exact", lambda k, coeffs: True)
+            assert not checks.check_assembly(ctx).ok
         ctx.rep = rep
         assert checks.check_assembly(ctx).ok
 
@@ -201,8 +203,8 @@ class TestFirstPrinciples:
 
 
 class TestExactRouteAtTheTopOfItsRange:
-    # k = 1,048,575, the largest k assembly-match takes: the int64 products
-    # of the exact route reach k^3 / 8, about 2**57
+    # k = 4,194,301, the largest k assembly-match takes: the int64 products
+    # of the exact route reach 0.77 m^3, about 2**62.6
     K = checks.K_LIMITS["assembly-match"]
 
     def test_assembly_matches_exact(self, monkeypatch):

@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sdirac.checks import check_su2_bracket
+from sdirac.operators import KContext
 from sdirac.su2 import RepMatrices, bracket_defect, build_rep, check_bracket
 
 
@@ -124,23 +126,31 @@ class TestBrackets:
         # c = 2**63 - 1 has c*c = 1 modulo 2**64, so R and S scaled by c keep
         # every bracket identity in wrapped int64 arithmetic, while
         # [cR, cS] - 2W = 2(c*c - 1)W.  4 c (c + 1) reaches 2**63, so the
-        # int64 route refuses the scaled rep instead of passing it.
+        # int64 route refuses the scaled rep, a defect of inf, instead of
+        # passing it; it raises no error.
         c = 2**63 - 1
         rep = build_rep(1)
         r, s = (tuple(c * d for d in pair) for pair in (rep.r, rep.s))
         broken = RepMatrices(1, rep.w, r, s)
         assert all(d.dtype == np.int64 for d in (*r, *s))
-        for call in (bracket_defect, check_bracket):
-            with pytest.raises(ValueError, match="overflow"):
-                call(broken)
+        assert bracket_defect(broken) == np.inf and not check_bracket(broken)
         # M = 1518500249 is the largest modulus with 4 M (M + 1) < 2**63:
         # weights -+M give [R, S] - 2W = 2W_1 - 2W, of modulus 2(M - 1)
         big = 1518500249
         assert 4 * big * (big + 1) < 2**63 <= 4 * (big + 1) * (big + 2)
         edge = RepMatrices(1, np.array([-big, big]), rep.r, rep.s)
         assert bracket_defect(edge) == 2 * (big - 1)
-        with pytest.raises(ValueError, match="overflow"):
-            bracket_defect(RepMatrices(1, edge.w * (big + 1) // big, rep.r, rep.s))
+        assert bracket_defect(RepMatrices(1, edge.w * (big + 1) // big, rep.r, rep.s)) == np.inf
+
+    def test_entry_past_the_bound_fails_su2_bracket(self):
+        # the refusal is the check's verdict, residual inf, not an error
+        rep = build_rep(7)
+        sup = rep.r[1].copy()
+        sup[-1] = 2**53 + 1
+        ctx = KContext(7)
+        ctx.rep = dataclasses.replace(rep, r=(rep.r[0], sup))
+        result = check_su2_bracket(ctx)
+        assert (result.ok, result.residual) == (False, np.inf)
 
     def test_int64_route_below_the_bound(self):
         # the largest stored modulus M = k keeps 4 M (M + 1) far below 2**63
