@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from collections import deque
-from functools import partial
 from itertools import chain
 
 from .checks import ALL_CHECKS, K_LIMITS, PER_K_CHECKS, run_checks, run_k
@@ -130,14 +129,14 @@ def worker_count(jobs: int, n_items: int) -> int:
     return min(jobs or cpus, n_items, cpus)
 
 
-def _per_k(args, fn):
-    """``fn(k)`` for each k of ``-k`` in ascending order, each yielded as
-    soon as it and every smaller k are done; computed by worker processes
-    when ``--jobs`` allows a second one, which are given at most two k a
-    worker ahead of the one yielded next, not the whole range."""
+def _per_k(args, fn, *rest):
+    """``fn(k, *rest)`` for each k of ``-k`` in ascending order, each
+    yielded as soon as it and every smaller k are done; computed by worker
+    processes when ``--jobs`` allows a second one, which are given at most
+    two k a worker ahead of the one yielded next, not the whole range."""
     jobs = worker_count(args.jobs, len(args.k))
     if jobs < 2:
-        yield from map(fn, args.k)
+        yield from (fn(k, *rest) for k in args.k)
         return
     # imported here: it adds about 30 modules to every start-up
     from concurrent.futures import ProcessPoolExecutor
@@ -145,7 +144,7 @@ def _per_k(args, fn):
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         window = deque()
         for k in args.k:
-            window.append(pool.submit(fn, k))
+            window.append(pool.submit(fn, k, *rest))
             if len(window) == 2 * jobs:
                 yield window.popleft().result()
         for future in window:
@@ -178,7 +177,7 @@ def cmd_verify(args) -> int:
         )
 
     # a selection of global checks alone walks no k and starts no worker
-    per_k = _per_k(args, partial(run_k, names=names)) if set(names) & set(PER_K_CHECKS) else ()
+    per_k = _per_k(args, run_k, names) if set(names) & set(PER_K_CHECKS) else ()
     _emit(args, map(lines, chain([run_checks([], names)], per_k)))
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 

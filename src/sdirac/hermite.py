@@ -13,22 +13,19 @@ implementation of these relations: :func:`clifford_band` calls it to build
 the band of a Clifford multiplication (the offset -> diagonal format of
 :meth:`sdirac.su2.RepMatrices.bands`), first-principles assembly
 (:func:`sdirac.operators.definition_coeffs`) once per k over all levels,
-and :func:`_weights` the circle weights.  Coefficients are complex128,
-exact while each product of two is below 2**53: the Clifford checks read
-integers and halves on levels below 20, the weights products of at most
-(l+1)^2.  All operations are pure.
+and :func:`weight_on_Wl` the circle weights, at the levels it is given.
+Coefficients are complex128, exact while each product of two is below
+2**53: the Clifford checks read integers and halves on levels below 20,
+the weights products of at most (l+1)^2.  All operations are pure.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
 import numpy as np
 
-# weight_on_Wl takes l below this: its table of 2**23 int64 weights takes
-# 64 MB, and each product the weights read, at most 2**46, is a double.
+# weight_on_Wl takes l below this: each product it forms, at most 2**46, is exact
 WEIGHT_LEVELS = 1 << 23
-_CHUNK = 1 << 18  # levels _weights derives at a time: bounds its temporaries
+_CHUNK = 1 << 18  # levels weight_on_Wl derives at a time: bounds its temporaries
 
 
 def omega0(x, y):
@@ -64,37 +61,30 @@ def clifford_band(x, levels):
     return {1: down[1:], -1: np.full(len(levels[1:]), up)}
 
 
-@cache
-def _weights(stop: int) -> np.ndarray:
-    """The circle weights w_l of :func:`weight_on_Wl` for l = 0..stop-1,
-    read-only int64, read off the oscillator (X_1^2 + X_2^2)/2 on h_l, a
-    sum over x = X_1, X_2 of two :func:`ladder` steps: its diagonal is
-    1/2 sum up_x (down_x(l) + down_x(l+1)), its coefficients of h_(l-2)
-    and h_(l+2) are 1/2 sum down_x(l) down_x(l-1) and 1/2 sum up_x^2.
-    w_l is -2 times the diagonal; where that is not an integer, or either
-    other coefficient is not 0, h_l is not an eigenline, and w_l is 0,
-    which no weight 2j - k of an odd k is."""
-    weights = np.zeros(stop, dtype=np.int64)
-    for a in range(0, stop, _CHUNK):
-        l = np.arange(a, min(a + _CHUNK, stop))
-        w = lower = upper = 0  # -2 times the diagonal, twice the other two
-        for x in ((1, 0), (0, 1)):
-            (down, up), (down_next, _), (down_prev, _) = (ladder(*x, l + s) for s in (0, 1, -1))
-            w, lower, upper = w - up * (down + down_next), lower + down * down_prev, upper + up * up
-        weights[a : a + len(l)] = np.where((w == np.round(w.real)) & (lower == 0) & (upper == 0), w.real, 0)
-    weights.flags.writeable = False
-    return weights
-
-
 def weight_on_Wl(l):
-    """The integer w with i w the eigenvalue of the circle generator's
-    action on the degree-l Hermite line, 2l+1 (0 if h_l is no eigenline),
-    for an int l in 0..WEIGHT_LEVELS - 1 (ValueError otherwise) or an int
-    array, read from the :func:`_weights` of the power of two above the
-    largest l; each is derived once, so all l <= L cost O(L) in all."""
+    """The integer w with i w the eigenvalue of the circle generator on the
+    degree-l Hermite line, 2l+1 (0 if h_l is no eigenline), for an int l
+    in 0..WEIGHT_LEVELS - 1 (ValueError outside it, TypeError for a float) or
+    an int array (int64, also when empty), derived at the l given alone,
+    _CHUNK at a time, off the oscillator (X_1^2 + X_2^2)/2 on h_l: its
+    diagonal is 1/2 sum_x up_x (down_x(l) + down_x(l+1)), its h_(l-2) and
+    h_(l+2) coefficients 1/2 sum_x down_x(l) down_x(l-1) and 1/2 sum_x
+    up_x^2, over x = X_1, X_2 by :func:`ladder`.  w_l is -2 times the
+    diagonal; where that is not an integer, or either other coefficient
+    is not 0, h_l is no eigenline, and w_l is 0, which no 2j - k of odd k is."""
     ls = np.asarray(l)
+    if ls.size and ls.dtype.kind not in "iu":
+        raise TypeError(f"l must be an int or an int array, not {ls.dtype}")
     lo, hi = int(ls.min(initial=0)), int(ls.max(initial=0))
     if lo < 0 or hi >= WEIGHT_LEVELS:
         raise ValueError(f"l must be in 0..{WEIGHT_LEVELS - 1}, got {lo if lo < 0 else hi}")
-    w = _weights(1 << hi.bit_length())[ls]
-    return w if ls.ndim else int(w)
+    levels = ls.astype(np.int64).ravel()
+    weights = np.zeros_like(levels)
+    for a in range(0, len(levels), _CHUNK):
+        part = levels[a : a + _CHUNK]
+        w = lower = upper = 0  # -2 times the diagonal, twice the other two
+        for x in ((1, 0), (0, 1)):
+            (down, up), (down_next, _), (down_prev, _) = (ladder(*x, part + s) for s in (0, 1, -1))
+            w, lower, upper = w - up * (down + down_next), lower + down * down_prev, upper + up * up
+        weights[a : a + len(part)] = np.where((w == np.round(w.real)) & (lower == 0) & (upper == 0), w.real, 0)
+    return weights.reshape(ls.shape) if ls.ndim else int(weights[0])

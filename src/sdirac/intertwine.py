@@ -13,7 +13,8 @@ the integer diagonal W, so the equivariance system (e0^T - i w I) c = 0
 is diagonal and its nullity is the number of entries of W equal to the
 integer weight w of h_l (:func:`sdirac.hermite.weight_on_Wl`): the oracle
 counts them, by binary search of the ascending W, instead of eliminating.
-Each function takes an int l, giving a Python scalar, or an int array.
+Each function takes an int l, giving a Python scalar, or an int array,
+giving an array (int64 or bool, also when empty).
 """
 
 from __future__ import annotations
@@ -78,5 +79,5 @@ def equivariance_residual(k: int, l, rep: RepMatrices | None = None):
         raise ValueError(f"no generator for (k={k}, l={l})")
     if rep is None:
         rep = build_rep(k)
-    holds = rep.w[(k + 1) // 2 + np.asarray(l)] == weight_on_Wl(l)
+    holds = rep.w[(k + 1) // 2 + np.asarray(l, dtype=np.int64)] == weight_on_Wl(l)
     return holds if np.ndim(l) else bool(holds)

@@ -55,7 +55,6 @@ antisymmetric and the middle eigenvalue of an odd size exactly 0.
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 
@@ -284,7 +283,9 @@ def _gershgorin_radius(b) -> float:
 # the t-average over [0, 1] of the arcsine laws on [-2a(t), 2a(t)]
 # (Kuijlaars & Van Assche, 1999), tabulated on [0, edge], edge = max 2a, at
 # the ends of _LAW_PANELS panels.  Plain floats: a numpy array built at
-# import costs the process memory even when no block needs the law.
+# import costs the process memory even when no block needs the law, and
+# each solve that takes the law's seeds (past _SEED_MAX_M) tabulates it
+# anew, in about 0.2 ms.
 _LAW_EDGE = math.sqrt(16 / (3 * math.sqrt(3)))
 _LAW_PANELS = 64
 _GAUSS = ((0.5 - math.sqrt(0.15), 5 / 18), (0.5, 8 / 18), (0.5 + math.sqrt(0.15), 5 / 18))
@@ -314,7 +315,6 @@ def _law_integral(start, width):
     return width * sum(w * _law_density(start + width * x) for x, w in _GAUSS)
 
 
-@cache
 def _law_table():
     """The panel width h, the panel ends j h and F at them."""
     h = _LAW_EDGE / _LAW_PANELS

@@ -313,12 +313,12 @@ class TestVerifyCommand:
         pending, most = [], []
 
         class Future:
-            def __init__(self, fn, k):
-                self.fn, self.k = fn, k
+            def __init__(self, fn, args):
+                self.fn, self.args = fn, args
 
             def result(self):
                 pending.remove(self)
-                return self.fn(self.k)
+                return self.fn(*self.args)
 
         class Pool:
             def __init__(self, max_workers):
@@ -330,8 +330,8 @@ class TestVerifyCommand:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, k):
-                pending.append(Future(fn, k))
+            def submit(self, fn, *args):
+                pending.append(Future(fn, args))
                 most.append(len(pending))
                 return pending[-1]
 

@@ -125,9 +125,7 @@ class TestOneLadder:
                 if getattr(module, "ladder", None) is ladder:
                     monkeypatch.setattr(module, "ladder", wrong)
 
-        hermite._weights.cache_clear()
-        yield patch
-        hermite._weights.cache_clear()
+        return patch
 
     @pytest.fixture
     def wrong_raising(self, patch_ladder):
@@ -199,7 +197,7 @@ class TestLadderProperties:
 
 class TestOscillator:
     """The oscillator as the band product of two Clifford multiplications,
-    on whose eigenvalues -(2l+1)/2 the weights of hermite._weights agree."""
+    on whose eigenvalues -(2l+1)/2 the weights of weight_on_Wl agree."""
 
     def test_ground_state(self):
         assert oscillator_band(range(3))[0][0] == -0.5
@@ -227,31 +225,42 @@ class TestWeights:
         with pytest.raises(ValueError):
             weight_on_Wl(-1)
 
-    def test_derived_once_per_level(self, monkeypatch):
+    def test_rejects_a_non_integer_level(self):
+        # a float level is no Hermite line, not a level rounded down
+        for l in (2.5, 2.0, [1.0], np.array([True])):
+            with pytest.raises(TypeError, match="an int or an int array"):
+                weight_on_Wl(l)
+
+    def test_derived_at_the_l_given(self, monkeypatch):
         runs = []
 
         def counted(pos, der, l):
             runs.append(len(l))
             return ladder(pos, der, l)
 
-        # one table per power of two, each derived once, from six ladder
-        # calls (two directions, at l, l + 1 and l - 1): the l = 0..101 of
-        # hom-oracle at k = 99 read the table of l < 128, and l = 7 that of
-        # l < 8
+        # each call derives its own l and no other, from six ladder calls
+        # (two directions, at l, l + 1 and l - 1) on arrays of their
+        # number: the l = 0..101 of hom-oracle at k = 99, then l = 7, then
+        # the 28 l = 100..127, each time it is asked
         monkeypatch.setattr(hermite, "ladder", counted)
-        hermite._weights.cache_clear()
-        try:
-            for _ in range(2):
-                assert checks.check_hom_oracle(KContext(99)).ok
-                assert weight_on_Wl(7) == 15
-                assert weight_on_Wl(np.arange(100, 128)).tolist() == list(range(201, 257, 2))
-            assert runs == [128] * 6 + [8] * 6
-        finally:
-            hermite._weights.cache_clear()
+        for _ in range(2):
+            assert checks.check_hom_oracle(KContext(99)).ok
+            assert weight_on_Wl(7) == 15
+            assert weight_on_Wl(np.arange(100, 128)).tolist() == list(range(201, 257, 2))
+        assert runs == ([102] * 6 + [1] * 6 + [28] * 6) * 2
+
+    def test_shape_and_order_are_kept(self):
+        ls = np.array([[5, 0, 5], [3, 100, 1]])
+        assert np.array_equal(weight_on_Wl(ls), 2 * ls + 1)
+
+    def test_empty_l_selects_nothing(self):
+        for l in ([], np.array([], dtype=np.int64), np.zeros((0, 3), dtype=int)):
+            w = weight_on_Wl(l)
+            assert w.dtype == np.int64 and w.shape == np.shape(l)
 
     def test_levels_past_the_guard_are_refused(self):
-        # the table of the power of two above l holds l = 0 .. 2**23 - 1
-        # at most, 64 MB of int64 weights
+        # below 2**23 each product of two ladder coefficients, at most
+        # (l+1)^2 <= 2**46, is exact in a double
         assert WEIGHT_LEVELS == 2**23
         assert weight_on_Wl(2**19) == 2**20 + 1 and type(weight_on_Wl(2**19)) is int
         for l in (WEIGHT_LEVELS, 2**40, np.array([0, WEIGHT_LEVELS])):
@@ -267,45 +276,34 @@ class TestWeights:
             return down, 2 * up
 
         monkeypatch.setattr(hermite, "ladder", doubled)
-        hermite._weights.cache_clear()
-        try:
-            assert weight_on_Wl(7) == 30
-            result = checks.check_oscillator()
-            assert (result.ok, result.residual) == (False, checks.MAX_LEVEL + 1)
-        finally:
-            hermite._weights.cache_clear()
+        assert weight_on_Wl(7) == 30
+        result = checks.check_oscillator()
+        assert (result.ok, result.residual) == (False, checks.MAX_LEVEL + 1)
 
     def test_weights_at_the_top_of_hom_oracle(self):
-        # hom-oracle reads l <= k + 2, so its largest k reads the table of
-        # all 2**23 levels
+        # hom-oracle reads l <= k + 2, and its largest k stays below 2**23
         top = checks.K_LIMITS["hom-oracle"] + 2
-        hermite._weights.cache_clear()
-        try:
-            assert weight_on_Wl(np.array([0, top - 1, top])).tolist() == [1, 2 * top - 1, 2 * top + 1]
-            assert hermite._weights.cache_info().currsize == 1 and len(hermite._weights(WEIGHT_LEVELS)) == WEIGHT_LEVELS
-        finally:
-            hermite._weights.cache_clear()
+        assert top < WEIGHT_LEVELS
+        assert weight_on_Wl(np.array([0, top - 1, top])).tolist() == [1, 2 * top - 1, 2 * top + 1]
 
     @pytest.mark.parametrize("stop", [1, 2, 5, 64, 2**14, 2**20 - 1])
     def test_table_is_2l_plus_1(self, stop):
-        table = hermite._weights(stop)
-        assert table.dtype == np.int64 and not table.flags.writeable
+        table = weight_on_Wl(np.arange(stop))
+        assert table.dtype == np.int64
         assert np.array_equal(table, 2 * np.arange(stop) + 1)
 
 
 class TestWeightWindows:
-    """_weights derives the table _CHUNK levels at a time; the table, and
-    the defects it shows, do not depend on the chunk size."""
+    """weight_on_Wl derives the weights _CHUNK levels at a time; the
+    weights, and the defects they show, do not depend on the chunk size."""
 
     @pytest.fixture(params=[1, 5, 64])
     def window(self, request, monkeypatch):
         monkeypatch.setattr(hermite, "_CHUNK", request.param)
-        hermite._weights.cache_clear()
-        yield request.param
-        hermite._weights.cache_clear()
+        return request.param
 
     def test_table(self, window):
-        assert hermite._weights(37).tolist() == list(range(1, 75, 2))
+        assert weight_on_Wl(np.arange(37)).tolist() == list(range(1, 75, 2))
 
     @pytest.mark.parametrize("offset,defect", [(0, "weight mismatch at l=20"), (2, "not diagonal"), (-2, "not diagonal")])
     def test_one_wrong_column_is_caught(self, window, offset, defect, monkeypatch):
@@ -331,7 +329,7 @@ class TestWeightWindows:
         want[20] = 82 if defect.startswith("weight mismatch") else 0
         if offset == -2:
             want[21] = 0
-        assert hermite._weights(37).tolist() == want
+        assert weight_on_Wl(np.arange(37)).tolist() == want
 
     @pytest.mark.parametrize("factor", [1.5, 1 + 1j])
     def test_diagonal_off_the_integers_reads_0(self, window, factor, monkeypatch):
@@ -345,7 +343,7 @@ class TestWeightWindows:
         monkeypatch.setattr(hermite, "ladder", wrong)
         want = list(range(1, 75, 2))
         want[20] = 0
-        assert hermite._weights(37).tolist() == want
+        assert weight_on_Wl(np.arange(37)).tolist() == want
 
 
 class TestTypes:

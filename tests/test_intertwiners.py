@@ -168,6 +168,17 @@ class TestArrays:
         assert type(hom_space(9, 2)) is int and type(hom_space_oracle(9, 2, rep=rep)) is int
         assert type(equivariance_residual(9, 2, rep=rep)) is bool
 
+    def test_empty_l_gives_no_dimensions(self):
+        # an empty list, which numpy reads as float, selects no l
+        for l in ([], np.array([], dtype=np.int64)):
+            dims = hom_space_oracle(7, l)
+            assert dims.dtype == np.int64 and dims.shape == (0,)
+
+    def test_empty_l_gives_no_residuals(self):
+        for l in ([], np.array([], dtype=np.int64)):
+            holds = equivariance_residual(7, l)
+            assert holds.dtype == np.bool_ and holds.shape == (0,)
+
     def test_array_calls_reject_what_scalar_calls_reject(self):
         with pytest.raises(ValueError):
             hom_space(3, np.array([0, -1]))

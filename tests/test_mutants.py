@@ -154,6 +154,38 @@ def sign_flipped(signed_det):
     return wrong
 
 
+def one_at_odd_m(signed_det):
+    # the determinant of a block of odd size m is 0: its kernel is a line
+    def wrong(k):
+        return 1 if (k + 1) // 2 % 2 else signed_det(k)
+
+    return wrong
+
+
+def first_entry_plus_one(p_diag_closed):
+    def wrong(k):
+        closed = p_diag_closed(k)
+        return (closed[0] + 1, *closed[1:])
+
+    return wrong
+
+
+def one_more_at_l0(hom_space_oracle):
+    def wrong(k, l, rep=None):
+        dim = hom_space_oracle(k, l, rep) + (np.asarray(l) == 0)
+        return dim if np.ndim(l) else int(dim)
+
+    return wrong
+
+
+def false_at_l0(equivariance_residual):
+    def wrong(k, l, rep=None):
+        holds = equivariance_residual(k, l, rep) & (np.asarray(l) != 0)
+        return holds if np.ndim(l) else bool(holds)
+
+    return wrong
+
+
 def coefficient_off_by_one(place):
     # q's coefficient of degree place(len(q)) plus 1
     def mutate(charpoly_exact):
@@ -241,6 +273,22 @@ ROWS = {
         operators, "signed_det", sign_flipped,
         {"det-product"},
     ),
+    "det-nonzero-at-odd-m": (
+        operators, "signed_det", one_at_odd_m,
+        {"det-product", "kernel-rule"},
+    ),
+    "p-diag-entry-off-by-one": (
+        operators, "p_diag_closed", first_entry_plus_one,
+        {"p-eigenvalues"},
+    ),
+    "oracle-one-too-many-at-l0": (
+        intertwine, "hom_space_oracle", one_more_at_l0,
+        {"hom-oracle"},
+    ),
+    "equivariance-support-shifted": (
+        intertwine, "equivariance_residual", false_at_l0,
+        {"equivariance"},
+    ),
     "charpoly-off-by-one": (
         operators, "charpoly_exact", coefficient_off_by_one(lambda n: 0),
         {"charpoly-eigs"},
@@ -250,14 +298,6 @@ ROWS = {
         {"charpoly-eigs"},
     ),
 }
-
-
-@pytest.fixture
-def fresh_weights():
-    # the weight tables are cached across calls; a mutant must derive its own
-    hermite._weights.cache_clear()
-    yield
-    hermite._weights.cache_clear()
 
 
 def failures(row, monkeypatch, capsys):
@@ -278,10 +318,19 @@ def failures(row, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("row", ROWS)
-def test_mutant_fails_its_checks(row, fresh_weights, monkeypatch, capsys):
+def test_mutant_fails_its_checks(row, monkeypatch, capsys):
     assert {name for name, _ in failures(row, monkeypatch, capsys)} == ROWS[row][3]
 
 
 @pytest.mark.parametrize("row", ["charpoly-off-by-one", "charpoly-middle-off-by-one"])
-def test_a_wrong_charpoly_fails_at_every_k(row, fresh_weights, monkeypatch, capsys):
+def test_a_wrong_charpoly_fails_at_every_k(row, monkeypatch, capsys):
     assert [where for _, where in failures(row, monkeypatch, capsys)] == [f"k={k}" for k in range(1, 32, 2)]
+
+
+def test_a_clean_run_leaves_nothing_a_mutant_reads(monkeypatch, capsys):
+    # a defect planted after a clean run in the same process fails every
+    # check that reads it: no value the clean run derived stands in for it
+    assert cli.main(["verify", "-k", "1..31", "--jobs", "1"]) == 0
+    capsys.readouterr()
+    row = "ladder-raising-doubled"
+    assert {name for name, _ in failures(row, monkeypatch, capsys)} == ROWS[row][3]

@@ -63,14 +63,7 @@ def defined_functions() -> dict:
 
 
 def reached_codes() -> set:
-    """The code objects entered while the COMMANDS run through cli.main,
-    after every functools cache of the package is emptied: a cache filled
-    by an earlier caller would hide the function it wraps."""
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("sdirac."):
-            for obj in vars(module).values():
-                if callable(getattr(obj, "cache_clear", None)):
-                    obj.cache_clear()
+    """The code objects entered while the COMMANDS run through cli.main."""
     codes = set()
 
     def trace(frame, event, arg):

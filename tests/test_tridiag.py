@@ -4,7 +4,6 @@ matrices and its fold."""
 import hashlib
 import math
 import warnings
-from functools import cache
 
 import numpy as np
 import pytest
@@ -28,12 +27,6 @@ def dirac_band(k):
     eigensolver sees of the first closed-form block of k."""
     block = assemble_closed_form(k)[0]
     return block.band[0].real, np.abs(block.band[1])
-
-
-@cache
-def dirac_eigenvalues(k):
-    """The spectrum of the Dirac blocks of k, solved once per k here."""
-    return KContext(k).eigenvalues
 
 
 # The step of the middle of the Dirac spectrum over sqrt(m): 1 / F'(0).
@@ -601,7 +594,7 @@ class TestLimitingLaw:
     def law_residual(k):
         """m max |r_i| of the spectrum of k."""
         h, ends, table = tridiag._law_table()
-        eigs = dirac_eigenvalues(k)
+        eigs = KContext(k).eigenvalues
         m = eigs.shape[0]
         idx = np.arange(m - m // 2, m)
         x = eigs[idx] / m**1.5
@@ -632,7 +625,7 @@ class TestMiddleOfTheSpectrum:
     def deviation(k):
         """The parity of m and m^2 |x / (step sqrt(m)) - 1| for the first
         positive eigenvalue x of k."""
-        eigs = dirac_eigenvalues(k)
+        eigs = KContext(k).eigenvalues
         m = eigs.shape[0]
         x, step = (eigs[m // 2 + 1], C) if m % 2 else (eigs[m // 2], C / 2)
         return m % 2, m * m * abs(x / (step * math.sqrt(m)) - 1)
