@@ -39,7 +39,6 @@ from .hermite import clifford_band, omega0, weight_on_Wl
 from .intertwine import equivariance_residual, hom_space, hom_space_oracle
 from .operators import (
     A_SQUARES_MAX_K,
-    ASSEMBLY_MAX_K,
     KContext,
     _product,
     a_coeff,
@@ -410,18 +409,6 @@ def check_norm_bound(ctx: KContext) -> CheckResult:
     return CheckResult("norm-bound", k, slack >= -1e-9, slack)
 
 
-# The largest k of each per-k check and of the ``charpoly`` command, the
-# last at which an integer bound of the values it forms holds: float64
-# squares below 2**53 (COUNT_MAX_K), int64 products of at most m^3 below
-# 2**63 (operators.ASSEMBLY_MAX_K), int64 squares below 2**63
-# (operators.A_SQUARES_MAX_K, also for the checks that read no square).
-# Below all, a rep entry times a level, k m < 1.1e13, is below 2**53.
-K_LIMITS = {"hom-oracle": A_SQUARES_MAX_K, "equivariance": A_SQUARES_MAX_K, "assembly-match": ASSEMBLY_MAX_K,
-            "charpoly-eigs": COUNT_MAX_K}
-K_LIMITS |= dict.fromkeys(("symmetry", "spectra-coincide", "kernel-rule", "p-eigenvalues", "charpoly-parity",
-                           "det-product", "norm-bound", "charpoly", "su2-bracket", "su2-weights", "su2-structure",
-                           "hom-dim"), A_SQUARES_MAX_K)
-
 # Name -> check, in ``verify`` order; a per-k check takes one KContext.
 GLOBAL_REGISTRY = {
     "clifford-ladder": check_ladder_commutator,
@@ -447,6 +434,13 @@ PER_K_REGISTRY = {
     "charpoly-eigs": check_charpoly_eigs,
     "norm-bound": check_norm_bound,
 }
+
+# The largest k of each per-k check and of the ``charpoly`` command, the
+# last at which an integer bound of the values it forms holds: float64
+# squares below 2**53 for charpoly-eigs (COUNT_MAX_K), else int64 squares,
+# as are assembly-match's products (operators.A_SQUARES_MAX_K).  A refusal
+# names the first limit passed, in ``verify`` order.
+K_LIMITS = dict.fromkeys((*PER_K_REGISTRY, "charpoly"), A_SQUARES_MAX_K) | {"charpoly-eigs": COUNT_MAX_K}
 
 GLOBAL_CHECKS = tuple(GLOBAL_REGISTRY)
 PER_K_CHECKS = tuple(PER_K_REGISTRY)

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .su2 import _require_natural
+
 # weight_on_Wl takes l below this: each product it forms, at most 2**46, is exact
 WEIGHT_LEVELS = 1 << 23
 _CHUNK = 1 << 18  # levels weight_on_Wl derives at a time: bounds its temporaries
@@ -72,12 +74,10 @@ def weight_on_Wl(l):
     up_x^2, over x = X_1, X_2 by :func:`ladder`.  w_l is -2 times the
     diagonal; where that is not an integer, or either other coefficient
     is not 0, h_l is no eigenline, and w_l is 0, which no 2j - k of odd k is."""
+    _require_natural(l, "l")
     ls = np.asarray(l)
-    if ls.size and ls.dtype.kind not in "iu":
-        raise TypeError(f"l must be an int or an int array, not {ls.dtype}")
-    lo, hi = int(ls.min(initial=0)), int(ls.max(initial=0))
-    if lo < 0 or hi >= WEIGHT_LEVELS:
-        raise ValueError(f"l must be in 0..{WEIGHT_LEVELS - 1}, got {lo if lo < 0 else hi}")
+    if ls.max(initial=0) >= WEIGHT_LEVELS:
+        raise ValueError(f"l must be in 0..{WEIGHT_LEVELS - 1}, got {ls.max()}")
     levels = ls.astype(np.int64).ravel()
     weights = np.zeros_like(levels)
     for a in range(0, len(levels), _CHUNK):

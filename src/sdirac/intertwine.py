@@ -13,8 +13,8 @@ the integer diagonal W, so the equivariance system (e0^T - i w I) c = 0
 is diagonal and its nullity is the number of entries of W equal to the
 integer weight w of h_l (:func:`sdirac.hermite.weight_on_Wl`): the oracle
 counts them, by binary search of the ascending W, instead of eliminating.
-Each function takes an int l, giving a Python scalar, or an int array,
-giving an array (int64 or bool, also when empty).
+Each function takes an int k and an int l, giving a Python scalar, or an
+int array of l, giving an array (int64 or bool, also when empty).
 """
 
 from __future__ import annotations
@@ -22,15 +22,15 @@ from __future__ import annotations
 import numpy as np
 
 from .hermite import weight_on_Wl
-from .su2 import RepMatrices, build_rep
+from .su2 import RepMatrices, _require_natural, build_rep
 
 
 def hom_space(k: int, l):
     """Dimension of the equivariant-map space: 1 for odd k and
     l <= (k-1)/2, else 0."""
+    _require_natural(k, "k")
+    _require_natural(l, "l")
     ls = np.asarray(l)
-    if k < 0 or ls.min(initial=0) < 0:
-        raise ValueError("k and l must be non-negative")
     dim = (ls <= (k - 1) // 2) * (k % 2)
     return dim if ls.ndim else int(dim)
 
@@ -42,11 +42,9 @@ def hom_space_oracle(k: int, l, rep: RepMatrices | None = None):
     the oscillator.  Equation j reads c_j i (W[j] - w) = 0, because e0 = i W
     is stored as its integer diagonal, so the nullity is the number of j
     with W[j] == w."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if rep is None:
-        rep = build_rep(k)
-    w = weight_on_Wl(l)  # ValueError for a negative l
+    _require_natural(k, "k")
+    rep = build_rep(k) if rep is None else rep
+    w = weight_on_Wl(l)
     count = np.searchsorted(rep.w, w, side="right") - np.searchsorted(rep.w, w, side="left")
     return count if np.ndim(l) else int(count)
 

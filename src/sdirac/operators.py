@@ -35,18 +35,15 @@ import numpy as np
 
 from .hermite import ladder
 from .intertwine import scale_sq_ratio
-from .su2 import _bracket_defect, _dense, build_rep
+from .su2 import _bracket_defect, _dense, _require_natural, build_rep
 from .tridiag import eigvalsh_tridiagonal
 
 # The last odd k whose squares a_{k,l}^2, at most 0.77 ((k+1)/2)^3, are below 2**63.
 A_SQUARES_MAX_K = 4_576_503
-# The last odd k whose m = (k+1)/2 = 2**21 - 1 has m^3 below 2**63, the
-# bound of the int64 products of assembly_matches_exact.
-ASSEMBLY_MAX_K = 2**22 - 3
 
 
 def _require_odd(k: int) -> None:
-    if not isinstance(k, int) or k < 1 or k % 2 == 0:
+    if type(k) is not int or k < 1 or k % 2 == 0:
         raise ValueError(f"k must be an odd integer >= 1, got {k!r}")
 
 
@@ -59,7 +56,8 @@ def a_coeff(k: int, l: int) -> ACoeff:
     """Off-diagonal coefficient a_{k,l}: exact square 2l((k+1)^2/4 - l^2)
     and its floating-point square root."""
     _require_odd(k)
-    if l < 0 or l > (k + 1) // 2:
+    _require_natural(l, "l")
+    if l > (k + 1) // 2:
         raise ValueError(f"l must be in 0..{(k + 1) // 2}, got {l}")
     square = 2 * l * ((k + 1) ** 2 // 4 - l * l)
     return ACoeff(square, math.sqrt(square))
@@ -225,9 +223,9 @@ def assembly_matches_exact(k: int, coeffs=None) -> bool:
     scale_sq[l]/scale_sq[l-1] = num/den, those are down(l)^2 num =
     a_l^2 den and up(l-1)^2 den = a_l^2 num; with
     a_l^2 = down(l) up(l-1), also checked, and down, up > 0, both reduce
-    to down(l) num = up(l-1) den.  Every product is at most m^3
-    (down, den <= m^2/2 and up, num <= 2m), below 2**63 up to
-    k = ASSEMBLY_MAX_K."""
+    to down(l) num = up(l-1) den.  Each int64 product is a_l^2 =
+    2l(m^2 - l^2), as down(l) = den = 2l(m - l) and up(l-1) = num = m + l,
+    below 2**63 up to A_SQUARES_MAX_K."""
     (down_d, up_d), (down_dt, up_dt) = definition_coeffs(k) if coeffs is None else coeffs
     down, up = unnormalized_coeffs(k)
     up, a_sq, (num, den) = up[:-1], a_squares(k)[1:-1], scale_sq_ratio(k)

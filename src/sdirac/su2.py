@@ -55,11 +55,20 @@ def build_rep(k: int) -> RepMatrices:
 
     with out-of-range targets contributing nothing.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _require_natural(k, "k")
     j = np.arange(k + 1, dtype=np.int64)
     lower, upper = j[:-1] - k, j[1:]
     return RepMatrices(k, 2 * j - k, (lower, upper), (lower.copy(), -upper))
+
+
+def _require_natural(x, name: str) -> None:
+    """TypeError unless x is an int (no bool) or an int array, or empty; ValueError if x < 0."""
+    if type(x) is not int:
+        if np.size(x) and np.asarray(x).dtype.kind not in "iu":
+            raise TypeError(f"{name} must be an int or an int array")
+        x = np.min(x, initial=0)
+    if x < 0:
+        raise ValueError(f"{name} must be non-negative")
 
 
 def _dense(band, n: int, dtype) -> np.ndarray:

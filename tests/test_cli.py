@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from sdirac import checks, cli, hermite, operators, su2
+from sdirac import checks, cli, hermite, intertwine, operators, su2
 from sdirac.cli import main, parse_k_values, worker_count
 from sdirac.operators import charpoly_exact
 
@@ -461,9 +461,9 @@ class TestVerifyCommand:
         [
             (["verify", "-k", "4576505", "--check", "hom-oracle"], "hom-oracle"),
             (["verify", "-k", "1,4576505", "--check", "equivariance"], "equivariance"),
-            (["verify", "-k", "4194303", "--check", "assembly-match"], "assembly-match"),
-            (["verify", "-k", "4576505"], "hom-oracle"),
-            (["spectrum", "-k", "4194303"], "assembly-match"),
+            (["verify", "-k", "4576505", "--check", "assembly-match"], "assembly-match"),
+            (["verify", "-k", "4576505"], "su2-bracket"),
+            (["spectrum", "-k", "4576505"], "assembly-match"),
             (["verify", "-k", "4576505", "--check", "p-eigenvalues"], "p-eigenvalues"),
             (["verify", "-k", "454047", "--check", "charpoly-eigs"], "charpoly-eigs"),
             (["verify", "-k", "4576505", "--check", "kernel-rule"], "kernel-rule"),
@@ -485,7 +485,7 @@ class TestVerifyCommand:
         assert captured.err.startswith(f"error: {name} takes k <= {checks.K_LIMITS[name]}: ")
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
-    @pytest.mark.parametrize("command,name", [("spectrum", "assembly-match"), ("verify", "hom-oracle")])
+    @pytest.mark.parametrize("command,name", [("spectrum", "assembly-match"), ("verify", "su2-bracket")])
     def test_range_past_a_guard_is_refused_before_it_is_listed(self, command, name):
         # listing the 5e8 odd k of the range would take about 20 GB; the
         # child's address space is capped 1 GiB above its size after import,
@@ -523,14 +523,20 @@ sys.exit(code)
         def m(k):
             return (k + 1) // 2
 
-        assert len(set(checks.K_LIMITS.values())) == 3
+        assert len(set(checks.K_LIMITS.values())) == 2
         k = checks.K_LIMITS["charpoly-eigs"]  # its count's float64 squares
         assert k == checks.COUNT_MAX_K and largest_square(k) < 2**53 <= largest_square(k + 2)
-        k = checks.K_LIMITS["assembly-match"]  # its int64 products, at most m^3
-        assert k == operators.ASSEMBLY_MAX_K and m(k) ** 3 < 2**63 <= m(k + 2) ** 3
-        for name in set(checks.K_LIMITS) - {"charpoly-eigs", "assembly-match"}:
+        for name in set(checks.K_LIMITS) - {"charpoly-eigs"}:
             k = checks.K_LIMITS[name]  # int64 squares a_{k,l}^2
             assert k == operators.A_SQUARES_MAX_K and largest_square(k) < 2**63 <= largest_square(k + 2)
+        # the int64 products of assembly-match, taken here in Python ints
+        # over every l, peak at the largest square
+        k = operators.A_SQUARES_MAX_K
+        down, up = (x.tolist() for x in operators.unnormalized_coeffs(k))
+        num, den = (x.tolist() for x in intertwine.scale_sq_ratio(k))
+        down, up = down[1:], up[:-1]
+        products = (map(int.__mul__, down, up), map(int.__mul__, down, num), map(int.__mul__, up, den))
+        assert max(map(max, products)) == largest_square(k) < 2**63
         # below every limit a rep entry (<= k) times a level (<= m), twice
         # over in definition_coeffs, stays below 2**53, and every level the
         # intertwiner checks read, l <= k + 2, has a weight

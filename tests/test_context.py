@@ -151,6 +151,12 @@ class TestOddK:
             with pytest.raises(ValueError, match="odd"):
                 run_checks([k], names=[name])
 
+    def test_a_bool_or_float_k_is_no_odd_k(self):
+        # True is an odd int to isinstance; it names no degree
+        for k in (True, 3.0):
+            with pytest.raises(ValueError, match="odd"):
+                KContext(k)
+
 
 class TestReport:
     def test_beyond_float_factorials(self):

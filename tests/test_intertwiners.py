@@ -179,6 +179,19 @@ class TestArrays:
             holds = equivariance_residual(7, l)
             assert holds.dtype == np.bool_ and holds.shape == (0,)
 
+    def test_a_float_or_bool_k_or_l_is_refused(self):
+        # as weight_on_Wl refuses it: no level is rounded or read as 0 or 1
+        for k, l in ((7, 2.5), (7, [0.5, 3.9]), (7, True), (7, np.array([True])), (7.0, 2), (True, 0)):
+            with pytest.raises(TypeError, match="an int or an int array"):
+                hom_space(k, l)
+        with pytest.raises(TypeError, match="an int or an int array"):
+            hom_space_oracle(7.0, 2)
+        # every numpy integer dtype and an empty l are ints
+        for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+            assert hom_space(7, np.array([0, 3, 4], dtype=dtype)).tolist() == [1, 1, 0]
+            assert hom_space(dtype(7), dtype(3)) == 1
+        assert hom_space(7, []).shape == (0,)
+
     def test_array_calls_reject_what_scalar_calls_reject(self):
         with pytest.raises(ValueError):
             hom_space(3, np.array([0, -1]))

@@ -186,6 +186,27 @@ def false_at_l0(equivariance_residual):
     return wrong
 
 
+def first_up_plus_one(unnormalized_coeffs):
+    def wrong(k):
+        down, up = unnormalized_coeffs(k)
+        up[0] += 1
+        return down, up
+
+    return wrong
+
+
+def ratio_scaled(num_factor, den_factor):
+    # scale_sq_ratio's num and den times the factors
+    def mutate(scale_sq_ratio):
+        def wrong(k):
+            num, den = scale_sq_ratio(k)
+            return num_factor * num, den_factor * den
+
+        return wrong
+
+    return mutate
+
+
 def coefficient_off_by_one(place):
     # q's coefficient of degree place(len(q)) plus 1
     def mutate(charpoly_exact):
@@ -297,18 +318,31 @@ ROWS = {
         operators, "charpoly_exact", coefficient_off_by_one(lambda n: n // 2),
         {"charpoly-eigs"},
     ),
+    "unnormalized-up-off-by-one": (
+        operators, "unnormalized_coeffs", first_up_plus_one,
+        {"assembly-match", "det-product"},
+    ),
+    "scale-ratio-den-doubled": (
+        intertwine, "scale_sq_ratio", ratio_scaled(1, 2),
+        {"assembly-match"},
+    ),
 }
 
 
-def failures(row, monkeypatch, capsys):
-    """Plant the row's defect, run ``verify -k 1..31 --jobs 1`` and return
-    its FAIL lines as (check, "k=..") pairs."""
-    module, name, mutate, _ = ROWS[row]
+def plant(module, name, mutate, monkeypatch):
+    """Replace function ``name`` of ``module`` by ``mutate`` of it in every
+    module that holds it."""
     original = getattr(module, name)
     wrong = mutate(original)
     for holder in MODULES:
         if getattr(holder, name, None) is original:
             monkeypatch.setattr(holder, name, wrong)
+
+
+def failures(row, monkeypatch, capsys):
+    """Plant the row's defect, run ``verify -k 1..31 --jobs 1`` and return
+    its FAIL lines as (check, "k=..") pairs."""
+    plant(*ROWS[row][:3], monkeypatch)
     assert cli.main(["verify", "-k", "1..31", "--jobs", "1"]) == 3
     out, err = capsys.readouterr()
     lines = out.splitlines()
@@ -334,3 +368,12 @@ def test_a_clean_run_leaves_nothing_a_mutant_reads(monkeypatch, capsys):
     capsys.readouterr()
     row = "ladder-raising-doubled"
     assert {name for name, _ in failures(row, monkeypatch, capsys)} == ROWS[row][3]
+
+
+def test_the_same_ratio_in_other_integers_is_no_defect(monkeypatch, capsys):
+    # the exact route checks the normalization ratio num/den, not the
+    # integers that state it: twice both is the same ratio, and passes
+    plant(intertwine, "scale_sq_ratio", ratio_scaled(2, 2), monkeypatch)
+    assert operators.assembly_matches_exact(31)
+    assert cli.main(["verify", "-k", "1..31", "--jobs", "1"]) == 0
+    assert capsys.readouterr().err == ""

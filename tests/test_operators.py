@@ -48,6 +48,12 @@ class TestACoeff:
         # l = (k+1)/2 annihilates the second factor
         assert a_coeff(9, 5).square == 0
 
+    def test_a_float_or_bool_l_is_refused(self):
+        for l in (1.5, 1.0, True):
+            with pytest.raises(TypeError, match="an int or an int array"):
+                a_coeff(5, l)
+        assert a_coeff(5, np.int32(1)) == (16, 4.0)
+
     def test_range_errors(self):
         with pytest.raises(ValueError):
             a_coeff(3, 3)
@@ -203,17 +209,18 @@ class TestFirstPrinciples:
 
 
 class TestExactRouteAtTheTopOfItsRange:
-    # k = 4,194,301, the largest k assembly-match takes: the int64 products
-    # of the exact route reach 0.77 m^3, about 2**62.6
+    # the largest k assembly-match takes, 4,576,503: the int64 products of
+    # the exact route are the squares a_{k,l}^2, the largest within 2**41
+    # of 2**63
     K = checks.K_LIMITS["assembly-match"]
 
     def test_assembly_matches_exact(self, monkeypatch):
         coeffs = definition_coeffs(self.K)
         assert assembly_matches_exact(self.K, coeffs=coeffs)
-        # the largest products change with den at the last level, so a
+        # den at the largest square changes the largest product, so a
         # wrapped product would show here
         num, den = operators.scale_sq_ratio(self.K)
-        den[-1] += 1
+        den[np.argmax(a_squares(self.K)[1:-1])] += 1
         monkeypatch.setattr(operators, "scale_sq_ratio", lambda k: (num, den))
         assert not assembly_matches_exact(self.K, coeffs=coeffs)
 

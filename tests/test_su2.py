@@ -40,6 +40,13 @@ class TestBuildRep:
         with pytest.raises(ValueError):
             build_rep(-1)
 
+    def test_a_float_or_bool_k_is_refused(self):
+        for k in (2.0, True):
+            with pytest.raises(TypeError, match="an int or an int array"):
+                build_rep(k)
+        rep = build_rep(np.int32(3))
+        assert rep.w.dtype == np.int64 and rep.w.tolist() == build_rep(3).w.tolist()
+
     def test_float_view(self):
         e0, e1, e2 = build_rep(1).as_arrays()
         assert np.array_equal(e0, np.diag([-1j, 1j]))
