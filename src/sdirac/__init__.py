@@ -18,7 +18,6 @@ from .operators import (
     build_report,
     charpoly_exact,
     p_operator,
-    signed_det,
     spectrum,
     unnormalized_coeffs,
 )

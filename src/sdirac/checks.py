@@ -9,12 +9,13 @@ variable (:func:`sdirac.hermite.clifford_band`) multiplied by the one band
 product of :mod:`sdirac.su2`, and the oscillator eigenvalues
 (:func:`sdirac.hermite.weight_on_Wl`), exact in complex128.  Per-k checks
 cover the representation matrices, the intertwiner spaces and the
-assembled operator blocks; the su(2) and weight
-checks compare int64 arrays and report exact defects.  All per-k checks of
-one k read one :class:`sdirac.operators.KContext`, so its rep, charpoly,
-determinant, blocks and spectrum are each built once per k, and a check
-that does not read the charpoly never builds it.  A check over many l
-makes one call, over the array of them, to the function it is named after.
+assembled operator blocks; the su(2), weight and determinant checks
+compare int64 arrays and report exact defects, the last on the factors of
+the determinant's continuant.  All per-k checks of one k read one
+:class:`sdirac.operators.KContext`, so its rep, charpoly, determinant
+factors, blocks and spectrum are each built once per k, and a check that
+does not read the charpoly never builds it.  A check over many l makes
+one call, over the array of them, to the function it is named after.
 A float residual that IEEE arithmetic makes an exact zero, such as the
 asymmetry of the mirrored spectrum, must be 0.  ``charpoly-eigs``
 certifies each eigenvalue to 4 m eps by a Sturm count, and the printed
@@ -40,7 +41,6 @@ from .intertwine import equivariance_residual, hom_space, hom_space_oracle
 from .operators import (
     A_SQUARES_MAX_K,
     KContext,
-    _product,
     a_coeff,
     a_squares,
     assembly_matches_exact,
@@ -259,11 +259,12 @@ def check_coincide(ctx: KContext) -> CheckResult:
 
 
 def check_kernel_rule(ctx: KContext) -> CheckResult:
-    """D_k has a kernel exactly when m = (k+1)/2 is odd: the exact
-    determinant (:attr:`KContext.det`) is 0 iff m is odd.  The kernel is
-    then one-dimensional, as the eigenvalues of a Jacobi matrix are simple.
-    The residual is an exact defect count, 1 if the rule fails."""
-    wrong = (ctx.det == 0) != ((ctx.k + 1) // 2) % 2
+    """D_k has a kernel exactly when m = (k+1)/2 is odd: some factor of the
+    determinant (:attr:`KContext.det_factors`) is 0 iff m is odd.  The
+    kernel is then one-dimensional, as the eigenvalues of a Jacobi matrix
+    are simple.  The residual is an exact defect count, 1 if the rule
+    fails."""
+    wrong = (0 in ctx.det_factors) != ((ctx.k + 1) // 2) % 2
     return CheckResult("kernel-rule", ctx.k, not wrong, float(wrong))
 
 
@@ -287,20 +288,20 @@ def check_charpoly_parity(ctx: KContext) -> CheckResult:
     return CheckResult("charpoly-parity", ctx.k, res == 0.0, res)
 
 
-def check_det_product(ctx: KContext) -> CheckResult:
-    """det D_k = (-1)^(m/2) a_{k,1}^2 a_{k,3}^2 ... a_{k,m-1}^2, the signed
-    product of the odd-indexed squares, for even m, and det D_k = 0 for
-    odd m, on the exact determinant (:attr:`KContext.det`).  Each square
-    is taken in its closed ladder form a_{k,l}^2 = down(l) up(l-1) = l(k+1-2l)
-    ((k+1)/2+l) (:func:`sdirac.operators.unnormalized_coeffs`), not from
-    the squares the determinant is built of, so a wrong square fails; the
-    product is a balanced tree (:func:`sdirac.operators._product`).
-    The residual is an exact defect count, 1 if the identity fails."""
+def check_det_factors(ctx: KContext) -> CheckResult:
+    """det D_k = (-1)^(m/2) a_{k,1}^2 a_{k,3}^2 ... a_{k,m-1}^2 for even m
+    and 0 for odd m, factor by factor on :attr:`KContext.det_factors`: each
+    factor -a_{k,l}^2 must equal -down(l) up(l-1), the square in its
+    closed ladder form l(k+1-2l)((k+1)/2+l)
+    (:func:`sdirac.operators.unnormalized_coeffs`), not the squares the
+    factors are read from, so a wrong square fails; the last factor must be
+    1 for even m and 0 for odd m.  The residual is the number of wrong
+    factors, an exact defect count."""
     k, m = ctx.k, (ctx.k + 1) // 2
     down, up = unnormalized_coeffs(k)
-    want = 0 if m % 2 else (-1) ** (m // 2) * _product((down[1:m:2] * up[0 : m - 1 : 2]).tolist())
-    wrong = ctx.det != want
-    return CheckResult("det-product", k, not wrong, float(wrong))
+    want = np.append(-down[1 + m % 2 : m : 2] * up[m % 2 : m - 1 : 2], 1 - m % 2)
+    wrong = _wrong_entries(ctx.det_factors, want)
+    return CheckResult("det-product", k, wrong == 0, float(wrong))
 
 
 # The last odd k whose squares a_{k,l}^2, at most 0.77 ((k+1)/2)^3, are below 2**53.
@@ -430,7 +431,7 @@ PER_K_REGISTRY = {
     "kernel-rule": check_kernel_rule,
     "p-eigenvalues": check_p_eigenvalues,
     "charpoly-parity": check_charpoly_parity,
-    "det-product": check_det_product,
+    "det-product": check_det_factors,
     "charpoly-eigs": check_charpoly_eigs,
     "norm-bound": check_norm_bound,
 }

@@ -18,7 +18,7 @@ import sys
 from collections import deque
 from itertools import chain
 
-from .checks import ALL_CHECKS, K_LIMITS, PER_K_CHECKS, run_checks, run_k
+from .checks import ALL_CHECKS, COUNT_MAX_K, K_LIMITS, PER_K_CHECKS, run_checks, run_k
 from .operators import CHECK_NAMES, build_report, charpoly_exact
 
 EXIT_OK = 0
@@ -116,10 +116,12 @@ def _emit(args, pieces) -> None:
 
 
 def _require_k_limits(k_values, names) -> None:
-    """UserInputError naming the first K_LIMITS entry in ``names`` that a k is above."""
+    """UserInputError naming the first K_LIMITS entry in ``names`` that a k
+    is above, and the bound on the squares a_{k,l}^2 that the limit keeps."""
     for name, limit in K_LIMITS.items():
         if name in names and k_values[-1] > limit:
-            raise UserInputError(f"{name} takes k <= {limit}: past it an exact integer or the memory use passes its bound")
+            bound = "2**53 and may round in float64" if limit == COUNT_MAX_K else "2**63 and leaves int64"
+            raise UserInputError(f"{name} takes k <= {limit}: past it a square a_(k,l)^2 reaches {bound}")
 
 
 def worker_count(jobs: int, n_items: int) -> int:

@@ -16,12 +16,13 @@ assembled here along two independent routes:
 A block is stored as its band, in the offset -> diagonal format of
 :meth:`sdirac.su2.RepMatrices.bands`; the dense matrix is built only on
 request (:attr:`DiracMatrix.entries`).  The module also produces exact
-integer characteristic polynomials, kernels, determinants, eigenvalues
-(Sturm bisection via :mod:`sdirac.tridiag`) and the diagonal second-order
-operator obtained as i times the commutator, a band product of the blocks.
-:class:`KContext` holds one k's rep, charpoly, determinant, blocks and
-spectrum, each built once, for the checks and the report.  Everything
-is pure per k; distinct k may be processed concurrently.
+integer characteristic polynomials, the int64 factors of the determinant,
+eigenvalues (Sturm bisection via :mod:`sdirac.tridiag`) and the diagonal
+second-order operator obtained as i times the commutator, a band product
+of the blocks.  :class:`KContext` holds one k's rep, charpoly, determinant
+factors, blocks and spectrum, each built once, for the checks and the
+report.  Everything is pure per k; distinct k may be processed
+concurrently.
 """
 
 from __future__ import annotations
@@ -263,25 +264,14 @@ def charpoly_exact(k: int) -> CharPoly:
     return CharPoly(tuple(q_cur), m % 2)
 
 
-def _product(factors: list) -> int:
-    """The product of a list of ints as a balanced tree, so that operands of
-    about equal size meet: n growing factors cost about log2(n) products of
-    the result's size, not n; runs of up to 16 factors go left to right."""
-    if len(factors) <= 16:
-        return math.prod(factors)
-    half = len(factors) // 2
-    return _product(factors[:half]) * _product(factors[half:])
-
-
-def signed_det(k: int) -> int:
-    """det D_k of the first block, exactly, from the zero-diagonal
-    continuant D_0 = 1, D_1 = 0, D_j = -a_{k,j-1}^2 D_(j-2): 0 for odd m,
-    else the :func:`_product` of the factors -a_{k,j-1}^2 of the even
-    j <= m.  Equal to (-1)^m p(0) for the charpoly p of
-    :func:`charpoly_exact`, which takes about m^2/4 big-integer steps."""
-    _require_odd(k)
+def det_factors(k: int) -> np.ndarray:
+    """det D_k of the first block as the int64 factors of its zero-diagonal
+    continuant D_0 = 1, D_1 = 0, D_j = -a_{k,j-1}^2 D_(j-2): the factors
+    -a_{k,j-1}^2 of the j <= m of m's parity, then D_(m%2), 1 for even m
+    and 0 for odd m.  Their product is det D_k, and so the constant term
+    p(0) = (-1)^m det D_k of the charpoly p of :func:`charpoly_exact`."""
     m = (k + 1) // 2
-    return 0 if m % 2 else _product((-a_squares(k)[1:m:2]).tolist())
+    return np.append(-a_squares(k)[1 + m % 2 : m : 2], 1 - m % 2)
 
 
 def p_diag_closed(k: int) -> tuple:
@@ -354,9 +344,9 @@ def spectrum(dm: DiracMatrix) -> np.ndarray:
 class KContext:
     """One odd k's data shared by the per-k checks and the report.  Each
     field is built on first use, once: the su(2) rep, the exact charpoly,
-    the exact determinant of the first block, the closed-form blocks, the
-    eigenvalues of the first block, and the closed-form diagonal of
-    i[second, first].  Raises ValueError unless k is an odd
+    the int64 :func:`det_factors` of the first block, the closed-form
+    blocks, the eigenvalues of the first block, and the closed-form
+    diagonal of i[second, first].  Raises ValueError unless k is an odd
     integer >= 1."""
 
     def __init__(self, k: int):
@@ -372,8 +362,8 @@ class KContext:
         return charpoly_exact(self.k)
 
     @cached_property
-    def det(self) -> int:
-        return signed_det(self.k)
+    def det_factors(self) -> np.ndarray:
+        return det_factors(self.k)
 
     @cached_property
     def blocks(self):
@@ -406,12 +396,16 @@ def build_report(k: int) -> dict:
     """Assemble, solve and verify one k with the registry checks of
     CHECK_NAMES, all on one :class:`KContext`; check failures are flagged,
     not raised, so a sweep always completes.  Returns the report as the
-    dict that ``spectrum`` serializes, in its key order."""
+    dict that ``spectrum`` serializes, in its key order.  Its determinant
+    is the charpoly's p(0) = (-1)^m det D_k, which is det D_k for both
+    parities of m: det D_k is 0 for odd m."""
     from .checks import PER_K_REGISTRY  # checks imports this module
 
     ctx = KContext(k)
     checks = {name: PER_K_REGISTRY[name](ctx).ok for name in CHECK_NAMES}
-    cp, det = ctx.charpoly, ctx.det
+    cp = ctx.charpoly
+    coeffs = list(cp.coeffs)
+    det = coeffs[0]
     return {
         "k": k,
         "m": cp.m,
@@ -419,7 +413,7 @@ def build_report(k: int) -> dict:
         "eigenvalues": ctx.eigenvalues.tolist(),
         "kernel_dim": int(det == 0),
         "abs_det": abs(det),
-        "charpoly": list(cp.coeffs),
+        "charpoly": coeffs,
         "p_diag": list(ctx.p_diag),
         "checks": checks,
         "signed_det": det,

@@ -265,9 +265,9 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("name", ["kernel-rule", "det-product"])
     def test_wrong_determinant_fails_with_a_residual(self, name, monkeypatch, capsys):
-        # det D_7 = 1260 moves to 0: a kernel where m = 4 is even, and
-        # det off the signed product 30 * 42; one exact defect each
-        monkeypatch.setattr(operators, "signed_det", lambda k: 0)
+        # the last factor of det D_7 = (-30)(-42)(1) moves to 0: a kernel
+        # where m = 4 is even, and one wrong factor; one exact defect each
+        monkeypatch.setattr(operators, "det_factors", lambda k: [-30, -42, 0])
         assert main(["verify", "-k", "7", "--check", name]) == 3
         assert capsys.readouterr().out == f"FAIL {name} k=7 residual=1.000e+00\n"
 

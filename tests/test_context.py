@@ -1,5 +1,6 @@
 """Tests for the per-k context shared by the checks and the report."""
 
+import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +18,7 @@ COUNTED = {
     "spectrum": operators.spectrum,
     "assemble_closed_form": operators.assemble_closed_form,
     "p_diag_closed": operators.p_diag_closed,
+    "det_factors": operators.det_factors,
 }
 
 
@@ -63,12 +65,18 @@ class TestBuiltOncePerK:
             cp = operators.charpoly_exact(k)
             assert report["charpoly"] == list(cp.coeffs) and report["m"] == cp.m
             assert (report["kernel_dim"], report["signed_det"]) == (int(cp.coeffs[0] == 0), (-1) ** cp.m * cp.coeffs[0])
+            assert report["signed_det"] == math.prod(operators.det_factors(k).tolist())
         else:
             assert report["m"] == len(x) and report["kernel_dim"] == np.count_nonzero(x == 0.0)
             assert report["abs_det"] == pytest.approx(np.prod(np.abs(x)), rel=1e-12)
 
 
 DET_CHECKS = ("kernel-rule", "charpoly-parity", "det-product")
+
+
+def with_factor(factors, index, value):
+    factors[index] = value
+    return factors
 
 
 class TestDeterminantChecks:
@@ -79,7 +87,17 @@ class TestDeterminantChecks:
         assert calls["charpoly_exact"] == 0
         ctx = KContext(k)
         assert all(checks.PER_K_REGISTRY[name](ctx).ok for name in DET_CHECKS)
-        assert "charpoly" not in vars(ctx) and "det" in vars(ctx)
+        assert "charpoly" not in vars(ctx) and "det_factors" in vars(ctx)
+
+    def test_top_of_range_builds_neither_charpoly_nor_eigenvalues(self, calls):
+        # both parities of m at the int64 squares' limit: m = 2,288,251 and
+        # 2,288,252, whose determinants would have about 21 million digits,
+        # are checked on their int64 factors, one array per k
+        ks = [4576501, 4576503]
+        results = run_checks(ks, names=("kernel-rule", "det-product"))
+        expected = [(name, k, True, 0.0) for k in ks for name in ("kernel-rule", "det-product")]
+        assert [(r.name, r.k, r.ok, r.residual) for r in results] == expected
+        assert calls == {"det_factors": 2}
 
     @pytest.mark.parametrize("block,entry", [(0, 5e-324), (1, -2.5j), (1, 3.0)])
     def test_nonzero_diagonal_fails_parity(self, block, entry):
@@ -110,27 +128,28 @@ class TestDeterminantChecks:
 
     @pytest.mark.parametrize(
         "k,patch",
-        [(5, lambda det: 1), (7, lambda det: 0), (7, lambda det: det + 1), (2989, lambda det: -1),
-         (2991, lambda det: 0), (2991, lambda det: det + 1)],
+        [(5, lambda f: with_factor(f, -1, 1)), (7, lambda f: with_factor(f, -1, 0)),
+         (7, lambda f: with_factor(f, 0, f[0] + 1)), (2989, lambda f: with_factor(f, -1, -1)),
+         (2991, lambda f: with_factor(f, 700, 0)), (2991, lambda f: with_factor(f, 0, f[0] + 1)), (2991, lambda f: -f)],
     )
     def test_patched_determinant_fails(self, k, patch):
-        # m = 3, 4, 1495, 1496.  det-product fails on every wrong value;
-        # kernel-rule only when the kernel changes.  At k = 2991 det has
-        # 22,675 bits, more than a float holds, and the residual is a count
+        # m = 3, 4, 1495, 1496.  det-product fails on every wrong factor and
+        # counts them; kernel-rule only when the kernel changes
         ctx = KContext(k)
-        true = ctx.det
-        ctx.det = patch(true)
-        det_product = checks.check_det_product(ctx)
-        assert (det_product.ok, det_product.residual) == (False, 1.0)
-        moved = (true == 0) != (ctx.det == 0)
+        true = ctx.det_factors
+        ctx.det_factors = patch(true.copy())
+        det_product = checks.check_det_factors(ctx)
+        assert (det_product.ok, det_product.residual) == (False, np.count_nonzero(ctx.det_factors != true))
+        moved = (0 in true) != (0 in ctx.det_factors)
         kernel = checks.check_kernel_rule(ctx)
         assert (kernel.ok, kernel.residual) == (not moved, float(moved))
 
-    @pytest.mark.parametrize("k,l", [(3, 1), (7, 3), (2991, 1), (2991, 1495)])
+    @pytest.mark.parametrize("k,l", [(3, 1), (7, 3), (2991, 1), (2991, 1495), (5, 2), (2989, 2), (2989, 1494)])
     def test_wrong_square_fails_det_product(self, k, l, monkeypatch):
-        # a_squares wrong wherever it is read: the determinant is built of
-        # it, and det-product compares with the closed ladder form of the
-        # squares, so one odd-indexed square off by 1 fails the check
+        # a_squares wrong wherever it is read: the determinant's factors are
+        # read off it, and det-product compares them with the closed ladder
+        # form of the squares, so one square off by 1 fails the check: an
+        # odd-indexed one for even m, an even-indexed one for odd m
         squares = operators.a_squares
 
         def off_by_one(k):
@@ -140,7 +159,7 @@ class TestDeterminantChecks:
 
         for module in (operators, checks):
             monkeypatch.setattr(module, "a_squares", off_by_one)
-        result = checks.check_det_product(KContext(k))
+        result = checks.check_det_factors(KContext(k))
         assert (result.ok, result.residual) == (False, 1.0)
 
 

@@ -147,17 +147,22 @@ def mirrored_top_pair_scaled(spectrum):
     return wrong
 
 
-def sign_flipped(signed_det):
+def first_factor_sign_flipped(det_factors):
     def wrong(k):
-        return -signed_det(k)
+        factors = det_factors(k)
+        factors[0] = -factors[0]
+        return factors
 
     return wrong
 
 
-def one_at_odd_m(signed_det):
-    # the determinant of a block of odd size m is 0: its kernel is a line
+def one_at_odd_m(det_factors):
+    # the last factor set to 1: it is D_1 = 0 for a block of odd size m,
+    # whose kernel is a line, and already D_0 = 1 for even m
     def wrong(k):
-        return 1 if (k + 1) // 2 % 2 else signed_det(k)
+        factors = det_factors(k)
+        factors[-1] = 1
+        return factors
 
     return wrong
 
@@ -237,7 +242,7 @@ ROWS = {
     ),
     "even-square-off-by-one": (
         operators, "a_squares", square_changed(2, lambda sq: sq + 1),
-        {"assembly-match", "p-eigenvalues"},
+        {"assembly-match", "det-product", "p-eigenvalues"},
     ),
     "odd-square-off-by-one": (
         operators, "a_squares", square_changed(1, lambda sq: sq + 1),
@@ -291,11 +296,11 @@ ROWS = {
         {"charpoly-eigs"},
     ),
     "det-sign-flipped": (
-        operators, "signed_det", sign_flipped,
+        operators, "det_factors", first_factor_sign_flipped,
         {"det-product"},
     ),
     "det-nonzero-at-odd-m": (
-        operators, "signed_det", one_at_odd_m,
+        operators, "det_factors", one_at_odd_m,
         {"det-product", "kernel-rule"},
     ),
     "p-diag-entry-off-by-one": (

@@ -20,9 +20,9 @@ from sdirac.operators import (
     charpoly_exact,
     check_commutator,
     definition_coeffs,
+    det_factors,
     p_diag_closed,
     p_operator,
-    signed_det,
     spectrum,
     unnormalized_coeffs,
 )
@@ -430,23 +430,26 @@ class TestKernelAndDeterminant:
     @pytest.mark.parametrize("k,expected", [(1, 1), (3, 0), (5, 1), (7, 0)])
     def test_kernel_examples(self, k, expected):
         ctx = KContext(k)
-        assert int(ctx.det == 0) == expected and checks.check_kernel_rule(ctx).ok
+        assert int(0 in ctx.det_factors) == expected and checks.check_kernel_rule(ctx).ok
 
     def test_kernel_parity_sweep(self):
         for k in range(1, 100, 2):
-            assert int(signed_det(k) == 0) == ((k + 1) // 2) % 2
+            assert int(0 in det_factors(k)) == ((k + 1) // 2) % 2
             assert checks.check_kernel_rule(KContext(k)).ok
 
     def test_abs_det_examples(self):
         # the products of the odd-indexed squares a_{k,1}^2 a_{k,3}^2 ...
-        assert abs(signed_det(3)) == 6
-        assert abs(signed_det(7)) == 30 * 42
-        assert abs(signed_det(11)) == 70 * 162 * 110
+        assert abs(math.prod(det_factors(3).tolist())) == 6
+        assert abs(math.prod(det_factors(7).tolist())) == 30 * 42
+        assert abs(math.prod(det_factors(11).tolist())) == 70 * 162 * 110
 
-    def test_signed_det(self):
-        assert signed_det(3) == -6  # size-2 zero-diagonal block
-        assert signed_det(7) == 1260
-        assert signed_det(5) == 0
+    def test_det_factors(self):
+        # -a_{k,l}^2 for the l of D_m's recurrence, then D_0 = 1 or D_1 = 0
+        assert det_factors(3).tolist() == [-6, 1]  # size-2 zero-diagonal block
+        assert det_factors(7).tolist() == [-30, -42, 1]
+        assert det_factors(5).tolist() == [-20, 0]
+        assert det_factors(1).tolist() == [0]
+        assert det_factors(4576503).dtype == np.int64
 
     @staticmethod
     def continuant(k):
@@ -458,24 +461,25 @@ class TestKernelAndDeterminant:
             prev, det = det, -a_coeff(k, l).square * prev
         return det
 
-    def test_signed_det_is_the_left_to_right_continuant(self):
-        for k in [*range(1, 400, 2), 131_071]:
-            assert signed_det(k) == self.continuant(k), k
+    def test_det_factors_multiply_to_the_left_to_right_continuant(self):
+        for k in range(1, 400, 2):
+            assert math.prod(det_factors(k).tolist()) == self.continuant(k), k
 
-    def test_signed_det_is_the_charpoly_constant_term(self):
-        # the O(m) continuant against (-1)^m p(0) of the exact charpoly
+    def test_det_factors_multiply_to_the_charpoly_constant_term(self):
+        # the O(m) factors against p(0) = (-1)^m det D_k of the exact charpoly
         for k in [*range(1, 400, 2), 1001, 1999]:
             cp = charpoly_exact(k)
-            assert signed_det(k) == (-1) ** cp.m * cp.coeffs[0], k
+            assert math.prod(det_factors(k).tolist()) == (-1) ** cp.m * cp.coeffs[0], k
 
     def test_determinant_routes_build_no_charpoly(self, monkeypatch):
         def refused(k):
             raise AssertionError("charpoly built")
 
         monkeypatch.setattr(operators, "charpoly_exact", refused)
-        ctx = KContext(2991)
-        assert signed_det(2991) == ctx.det != 0 and checks.check_kernel_rule(ctx).ok
-        assert KContext(2989).det == 0 and checks.check_kernel_rule(KContext(2989)).ok
+        for k, kernel in ((2991, False), (2989, True)):
+            ctx = KContext(k)
+            assert (0 in ctx.det_factors) == kernel
+            assert checks.check_kernel_rule(ctx).ok and checks.check_det_factors(ctx).ok
 
 
 class TestNormGrowth:
